@@ -35,6 +35,10 @@ check:
 	# stress (interleaved submit/result/deadline/cancel plus a provider loss)
 	# must finalize every tasklet exactly once and leak no attempts.
 	$(GO) test -race -run 'TestDifferentialPartitions|TestPartitionStress' -count 1 ./internal/broker/
+	# The benchmark is a nested module (benchmark/go.mod), invisible to the
+	# ./... patterns above: vet it and run its unit tests and its 300 ms
+	# smoke run of all five workloads against this checkout.
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the headline benchmarks with allocation reporting: interpreter
 # hot paths, the broker data-plane throughput pair (coalescing on/off), and

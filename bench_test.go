@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -207,11 +208,12 @@ func main(n int) int { return fib(n); }`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	vm := tvm.New(prog, tvm.DefaultConfig())
+	cfg := tvm.DefaultConfig()
+	vm := tvm.New(prog, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vm.Reset()
+		vm.Reset(cfg)
 		if _, err := vm.Run(tvm.Int(20)); err != nil {
 			b.Fatal(err)
 		}
@@ -234,14 +236,52 @@ func main(n int) int {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vm := tvm.New(prog, tvm.DefaultConfig())
+	cfg := tvm.DefaultConfig()
+	vm := tvm.New(prog, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vm.Reset()
+		vm.Reset(cfg)
 		if _, err := vm.Run(tvm.Int(100_000)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkVM_ReusedSiblings runs the provider's slot-worker pattern: VMs made
+// back to back (so their buffers are neighbours in memory), then each re-armed
+// and run by its own goroutine. With a CPU per worker, ns/op at 2 workers must
+// match 1 worker; when it does not, sibling VMs share cache lines (it read
+// 1.8x before the VM's hot buffers were sized in whole cache lines).
+func BenchmarkVM_ReusedSiblings(b *testing.B) {
+	prog := stdtasks.MustProgram("spin")
+	cfg := tvm.DefaultConfig()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			vms := make([]*tvm.VM, workers)
+			for i := range vms {
+				vms[i] = tvm.New(prog, cfg)
+				if _, err := vms[i].Run(tvm.Int(10)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for _, vm := range vms {
+				wg.Add(1)
+				go func(vm *tvm.VM) {
+					defer wg.Done()
+					for i := 0; i < b.N; i++ {
+						vm.Reset(cfg)
+						if _, err := vm.Run(tvm.Int(3000)); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(vm)
+			}
+			wg.Wait()
+		})
 	}
 }
 
@@ -425,7 +465,7 @@ func benchAblationOptimize(b *testing.B, disable bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vm.Reset()
+		vm.Reset(cfg)
 		if _, err := vm.Run(tvm.Int(100_000)); err != nil {
 			b.Fatal(err)
 		}

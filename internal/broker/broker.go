@@ -1020,7 +1020,7 @@ func (b *Broker) acceptJob(c *consumerState, m *wire.SubmitJob) error {
 		job.tasklets = append(job.tasklets, t.ID)
 
 		ev := lifecycle.Event{Kind: lifecycle.EventSubmit, Tasklet: t}
-		if b.memoOn {
+		if b.memoOn && !t.QoC.NoCache {
 			ev.Key, ev.HaveKey = memo.KeyFor(uint64(progID), t.Seed, t.Params)
 		}
 		pi := b.part(tid).idx

@@ -334,7 +334,7 @@ func (b *Broker) resubmitMigrated(back []migratedRec) {
 		t.ID = core.TaskletID(b.nextTasklet.Add(1))
 		job.tasklets = append(job.tasklets, t.ID)
 		ev := lifecycle.Event{Kind: lifecycle.EventSubmit, Tasklet: t}
-		if b.memoOn {
+		if b.memoOn && !t.QoC.NoCache {
 			ev.Key, ev.HaveKey = memo.KeyFor(uint64(t.Program), t.Seed, t.Params)
 		}
 		pi := b.part(t.ID).idx
@@ -587,7 +587,7 @@ func (b *Broker) onMigrateTasklet(ps *peerState, m *wire.MigrateTasklet) {
 	b.exMu.Unlock()
 
 	ev := lifecycle.Event{Kind: lifecycle.EventSubmit, Tasklet: t}
-	if b.memoOn {
+	if b.memoOn && !t.QoC.NoCache {
 		ev.Key, ev.HaveKey = memo.KeyFor(uint64(t.Program), t.Seed, t.Params)
 	}
 	b.feedPartition(b.part(t.ID), []lifecycle.Event{ev})

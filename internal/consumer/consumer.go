@@ -16,6 +16,9 @@ import (
 	"repro/internal/wire"
 )
 
+// ackTimeout bounds how long Submit and Fleet wait for the broker's reply.
+const ackTimeout = 30 * time.Second
+
 // Client is a consumer session with the broker. Create with Connect; a
 // Client supports many concurrent jobs.
 type Client struct {
@@ -182,6 +185,10 @@ func (c *Client) Submit(spec core.JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("consumer: submit: %w", err)
 	}
 
+	// One stopped timer per call: a time.After timer would stay live for the
+	// full 30 s after every acknowledged submission.
+	timeout := time.NewTimer(ackTimeout)
+	defer timeout.Stop()
 	select {
 	case <-job.done:
 		// Err() locks: a concurrent connection loss may be writing the
@@ -190,7 +197,7 @@ func (c *Client) Submit(spec core.JobSpec) (*Job, error) {
 			return nil, err
 		}
 		return job, nil
-	case <-time.After(30 * time.Second):
+	case <-timeout.C:
 		return nil, errors.New("consumer: broker did not acknowledge job")
 	}
 }
@@ -224,6 +231,8 @@ func (c *Client) Fleet() ([]FleetProvider, int, error) {
 	if err := c.conn.Send(&wire.QueryFleet{}); err != nil {
 		return nil, 0, err
 	}
+	timeout := time.NewTimer(ackTimeout)
+	defer timeout.Stop()
 	select {
 	case info := <-waiter:
 		if info == nil {
@@ -237,7 +246,7 @@ func (c *Client) Fleet() ([]FleetProvider, int, error) {
 			})
 		}
 		return out, info.Pending, nil
-	case <-time.After(30 * time.Second):
+	case <-timeout.C:
 		return nil, 0, errors.New("consumer: fleet query timed out")
 	}
 }

@@ -1,8 +1,10 @@
 // Package provider implements the Tasklet provider runtime: the daemon that
 // donates a device's idle cycles to the middleware. A provider connects to
 // the broker, measures and advertises its execution speed, then executes
-// assigned tasklets in sandboxed TVMs — one goroutine per slot — and
-// reports results.
+// assigned tasklets in sandboxed TVMs and reports results. Execution is done
+// by Slots persistent slot workers fed from one bounded queue; each worker
+// keeps its VM and re-arms it for the next attempt of the same program, so
+// the steady state starts no goroutine and allocates no VM per attempt.
 //
 // Heterogeneity hooks: a Throttle factor slows execution to emulate weaker
 // device classes on a fast test machine, and FailAfter makes the provider
@@ -102,7 +104,10 @@ type Provider struct {
 	nc   net.Conn
 	id   core.ProviderID
 
-	slotSem  chan struct{}
+	// free holds one token per idle slot. The token is the slot's cancel
+	// flag, so claiming a slot and arming its cancellation allocate nothing.
+	free     chan *atomic.Bool
+	work     chan attempt // claimed attempts awaiting a slot worker
 	out      chan wire.Message
 	executed atomic.Int64 // attempts finished, memo-served included
 	ran      atomic.Int64 // real TVM executions only; drives FailAfter
@@ -189,7 +194,8 @@ func Connect(opts Options) (*Provider, error) {
 		conn:    conn,
 		nc:      nc,
 		id:      core.ProviderID(welcome.ID),
-		slotSem: make(chan struct{}, opts.Slots),
+		free:    make(chan *atomic.Bool, opts.Slots),
+		work:    make(chan attempt, opts.Slots), // one per claimed slot: admit never blocks
 		out:     make(chan wire.Message, 1024),
 		cancels: map[core.AttemptID]*atomic.Bool{},
 		cache:   newProgramLRU(opts.CacheSize),
@@ -226,7 +232,11 @@ func Connect(opts Options) (*Provider, error) {
 	}
 	logf("provider %d: registered %d slots at %.1f Mops/s", p.id, opts.Slots, speed)
 
-	p.wg.Add(3)
+	p.wg.Add(3 + opts.Slots)
+	for i := 0; i < opts.Slots; i++ {
+		p.free <- &atomic.Bool{}
+		go func() { defer p.wg.Done(); p.slotWorker() }()
+	}
 	go func() { defer p.wg.Done(); p.writerLoop() }()
 	go func() { defer p.wg.Done(); p.heartbeatLoop() }()
 	go func() { defer p.wg.Done(); p.readLoop() }()
@@ -287,8 +297,7 @@ func (p *Provider) heartbeatLoop() {
 	for {
 		select {
 		case <-tick.C:
-			free := p.opts.Slots - len(p.slotSem)
-			p.send(&wire.Heartbeat{FreeSlots: free})
+			p.send(&wire.Heartbeat{FreeSlots: len(p.free)})
 		case <-p.done:
 			return
 		}
@@ -408,37 +417,72 @@ func (p *Provider) reject(m *wire.Assign, why string) {
 	})
 }
 
-// admit runs one resolved assignment: memo short-circuit, slot claim, then
-// an execution goroutine. The broker never over-commits a provider's slots,
-// so a full semaphore indicates state drift; such attempts are rejected
-// rather than queued to keep accounting exact.
+// attempt is one admitted assignment on its way to a slot worker.
+type attempt struct {
+	m      *wire.Assign
+	prog   *tvm.Program
+	cancel *atomic.Bool // the claimed slot's token; returned to p.free when done
+}
+
+// admit takes one resolved assignment: memo short-circuit, slot claim, then
+// hand-off to the slot workers. The broker never over-commits a provider's
+// slots, so an empty free list indicates state drift; such attempts are
+// rejected rather than queued to keep accounting exact.
 func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {
 	if p.memoServe(m) {
 		return
 	}
+	var cancel *atomic.Bool
 	select {
-	case p.slotSem <- struct{}{}:
+	case cancel = <-p.free:
 	default:
 		p.reject(m, "no free slot")
 		return
 	}
-
-	cancel := &atomic.Bool{}
 	p.mu.Lock()
 	p.cancels[m.Attempt] = cancel
+	if p.closed.Load() {
+		cancel.Store(true) // admitted behind Close's sweep of running VMs
+	}
 	p.mu.Unlock()
+	p.work <- attempt{m: m, prog: prog, cancel: cancel}
+}
 
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer func() { <-p.slotSem }()
-		defer func() {
-			p.mu.Lock()
-			delete(p.cancels, m.Attempt)
-			p.mu.Unlock()
-		}()
-		p.execute(m, prog, cancel)
-	}()
+// slotWorker is one of the Slots persistent execution loops. It keeps the VM
+// of the last program it ran and re-arms it when the next attempt runs the
+// same program. The slot is released before the result is queued, so the
+// broker can never learn of a free slot the provider has not freed yet.
+func (p *Provider) slotWorker() {
+	var vm *tvm.VM
+	var loaded *tvm.Program
+	for {
+		var a attempt
+		select {
+		case a = <-p.work:
+		case <-p.done:
+			return
+		}
+		cfg := tvm.DefaultConfig()
+		if a.m.Fuel > 0 {
+			cfg.Fuel = a.m.Fuel
+		}
+		cfg.Seed = a.m.Seed
+		cfg.Cancel = a.cancel
+		if loaded == a.prog {
+			vm.Reset(cfg)
+		} else {
+			vm, loaded = tvm.New(a.prog, cfg), a.prog
+		}
+		out := p.execute(a.m, vm)
+
+		p.mu.Lock()
+		delete(p.cancels, a.m.Attempt)
+		p.mu.Unlock()
+		a.cancel.Store(false)
+		p.free <- a.cancel
+		p.send(out)
+		p.noteFinished()
+	}
 }
 
 // resolveProgram returns the cached or freshly-decoded program.
@@ -504,17 +548,11 @@ func (p *Provider) memoServe(m *wire.Assign) bool {
 	return true
 }
 
-// execute runs one attempt in a fresh VM and reports the outcome.
-func (p *Provider) execute(m *wire.Assign, prog *tvm.Program, cancel *atomic.Bool) {
-	cfg := tvm.DefaultConfig()
-	if m.Fuel > 0 {
-		cfg.Fuel = m.Fuel
-	}
-	cfg.Seed = m.Seed
-	cfg.Cancel = cancel
-
+// execute runs one attempt on a VM armed for it and builds the report. The
+// timed window is Run alone: Throttle multiplies it, so VM set-up stays out.
+func (p *Provider) execute(m *wire.Assign, vm *tvm.VM) *wire.AttemptResult {
 	start := time.Now()
-	res, err := tvm.New(prog, cfg).Run(m.Params...)
+	res, err := vm.Run(m.Params...)
 	elapsed := time.Since(start)
 
 	// Throttle emulation: stretch wall time as a slower device would.
@@ -552,8 +590,7 @@ func (p *Provider) execute(m *wire.Assign, prog *tvm.Program, cancel *atomic.Boo
 			}
 		}
 	}
-	p.send(out)
-	p.noteFinished()
+	return out
 }
 
 // noteFinished counts a completed execution and fires the FailAfter churn

@@ -2,10 +2,12 @@ package provider
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/stdtasks"
 	"repro/internal/tvm"
 	"repro/internal/wire"
@@ -247,18 +249,33 @@ func TestProviderRejectsOverCommit(t *testing.T) {
 func TestProviderCancelAbortsRunningAttempt(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 1})
-	long := assignSpin(1, 1<<40, true)
+	// A short attempt first: the cancelled one then runs on the slot worker's
+	// re-armed VM, which must poll the new attempt's cancel flag.
+	if err := fb.conn.Send(assignSpin(1, 10, true)); err != nil {
+		t.Fatal(err)
+	}
+	if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusOK {
+		t.Fatalf("warm-up result = %+v", res)
+	}
+	long := assignSpin(2, 1<<40, false)
 	long.Fuel = 1 << 50
 	if err := fb.conn.Send(long); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if err := fb.conn.Send(&wire.CancelAttempt{Attempt: 1}); err != nil {
+	if err := fb.conn.Send(&wire.CancelAttempt{Attempt: 2}); err != nil {
 		t.Fatal(err)
 	}
 	res := recvType[*wire.AttemptResult](fb)
-	if res.Status != core.StatusFault || res.FaultCode != tvm.FaultCancelled {
+	if res.Attempt != 2 || res.Status != core.StatusFault || res.FaultCode != tvm.FaultCancelled {
 		t.Fatalf("cancelled result = %+v", res)
+	}
+	// The cancellation belonged to attempt 2 alone: the slot runs on.
+	if err := fb.conn.Send(assignSpin(3, 11, false)); err != nil {
+		t.Fatal(err)
+	}
+	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 3 || res.Status != core.StatusOK {
+		t.Fatalf("result after a cancelled attempt = %+v", res)
 	}
 }
 
@@ -277,30 +294,147 @@ func TestProviderReportsProgramFault(t *testing.T) {
 }
 
 func TestProviderFailAfterDisconnects(t *testing.T) {
+	for _, slots := range []int{1, 2} {
+		fb := newFakeBroker(t)
+		p := startProvider(t, fb, Options{Slots: slots, FailAfter: 3})
+		// Every result before the last must arrive; the last races the
+		// injected crash (a crash is allowed to eat its own last result —
+		// the broker treats it as lost either way), so only send it and wait
+		// for the disconnect.
+		// Distinct content each time: FailAfter counts real executions, and
+		// an identical repeat would be served from the memo instead of
+		// running.
+		for i := 1; i <= 3; i++ {
+			if err := fb.conn.Send(assignSpin(core.AttemptID(i), int64(9+i), i == 1)); err != nil {
+				t.Fatal(err)
+			}
+			if i < 3 {
+				recvType[*wire.AttemptResult](fb)
+			}
+		}
+		done := make(chan struct{})
+		go func() { p.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d slots: provider did not fail after 3 tasklets", slots)
+		}
+		if p.Executed() != 3 {
+			t.Fatalf("%d slots: executed = %d, want exactly 3", slots, p.Executed())
+		}
+	}
+}
+
+// assignNoop is a NoCache noop: nothing to execute and never memo-served, so
+// every attempt takes a slot.
+func assignNoop(attempt core.AttemptID, includeProgram bool) *wire.Assign {
+	data, err := stdtasks.Bytecode("noop")
+	if err != nil {
+		panic(err)
+	}
+	a := &wire.Assign{
+		Attempt: attempt, Tasklet: core.TaskletID(attempt), Program: core.HashProgram(data),
+		Fuel: 1000, Seed: 1, NoCache: true,
+	}
+	if includeProgram {
+		a.ProgramData = data
+	}
+	return a
+}
+
+// TestProviderFreesSlotBeforeReporting is the slot-release reject race: a
+// broker that re-assigns a slot the instant it reads the slot's result must
+// never be told "no free slot".
+func TestProviderFreesSlotBeforeReporting(t *testing.T) {
 	fb := newFakeBroker(t)
-	p := startProvider(t, fb, Options{Slots: 1, FailAfter: 2})
-	// The first result must arrive; the second races the injected crash
-	// (a crash is allowed to eat its own last result — the broker treats
-	// it as lost either way), so only send it and wait for the
-	// disconnect.
-	// Distinct content both times: FailAfter counts real executions, and an
-	// identical repeat would be served from the memo instead of running.
-	if err := fb.conn.Send(assignSpin(1, 10, true)); err != nil {
+	startProvider(t, fb, Options{Slots: 1})
+	const n = 10_000
+	if err := fb.conn.Send(assignNoop(1, true)); err != nil {
 		t.Fatal(err)
 	}
-	recvType[*wire.AttemptResult](fb)
-	if err := fb.conn.Send(assignSpin(2, 11, false)); err != nil {
-		t.Fatal(err)
+	for i := 1; i <= n; i++ {
+		res := recvType[*wire.AttemptResult](fb)
+		if res.Attempt != core.AttemptID(i) || res.Status != core.StatusOK {
+			t.Fatalf("result %d of %d back-to-back noops = %+v", i, n, res)
+		}
+		if i < n {
+			if err := fb.conn.Send(assignNoop(core.AttemptID(i+1), false)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	done := make(chan struct{})
-	go func() { p.Wait(); close(done) }()
+}
+
+// TestSlotWorkerFreesSlotBeforeQueueingResult pins the ordering the test above
+// relies on, without a race to win: with the outgoing queue unread the result
+// cannot be queued, and the slot must be free all the same.
+func TestSlotWorkerFreesSlotBeforeQueueingResult(t *testing.T) {
+	p := &Provider{
+		opts:      Options{Slots: 1, Throttle: 1},
+		free:      make(chan *atomic.Bool, 1),
+		work:      make(chan attempt, 1),
+		out:       make(chan wire.Message), // unbuffered and unread
+		cancels:   map[core.AttemptID]*atomic.Bool{},
+		done:      make(chan struct{}),
+		mExecuted: (&metrics.Registry{}).Counter("provider.attempts.executed"),
+	}
+	go p.slotWorker()
+	defer close(p.done)
+	p.work <- attempt{m: assignNoop(1, false), prog: stdtasks.MustProgram("noop"), cancel: &atomic.Bool{}}
 	select {
-	case <-done:
+	case <-p.free:
 	case <-time.After(5 * time.Second):
-		t.Fatal("provider did not fail after 2 tasklets")
+		t.Fatal("slot still held while its result waits to be queued")
 	}
-	if p.Executed() != 2 {
-		t.Fatalf("executed = %d", p.Executed())
+	if res := (<-p.out).(*wire.AttemptResult); res.Attempt != 1 || res.Status != core.StatusOK {
+		t.Fatalf("result = %+v", res)
+	}
+}
+
+// TestProviderShortResultPassesLongSibling checks that a near-instant result
+// is flushed while the other slot is still busy: the writer's one-turn wait
+// for sibling results never becomes a wait for a running sibling.
+func TestProviderShortResultPassesLongSibling(t *testing.T) {
+	fb := newFakeBroker(t)
+	startProvider(t, fb, Options{Slots: 2})
+	long := assignSpin(1, 1<<40, true)
+	long.Fuel = 1 << 50
+	if err := fb.conn.Send(long); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.conn.Send(assignNoop(2, true)); err != nil {
+		t.Fatal(err)
+	}
+	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 2 || res.Status != core.StatusOK {
+		t.Fatalf("first result = %+v, want the noop's", res)
+	}
+	if err := fb.conn.Send(&wire.CancelAttempt{Attempt: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 1 || res.FaultCode != tvm.FaultCancelled {
+		t.Fatalf("long sibling = %+v, want it cancelled only now", res)
+	}
+}
+
+// TestProviderCloseCancelsRunningVMs fills every slot with a run that would
+// take hours and requires Close to come back promptly.
+func TestProviderCloseCancelsRunningVMs(t *testing.T) {
+	fb := newFakeBroker(t)
+	p := startProvider(t, fb, Options{Slots: 2})
+	for i := 1; i <= 2; i++ {
+		long := assignSpin(core.AttemptID(i), 1<<40, i == 1)
+		long.Fuel = 1 << 50
+		if err := fb.conn.Send(long); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // let both start
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return while two VMs were spinning")
 	}
 }
 

@@ -22,13 +22,15 @@ func FuzzProgramUnmarshal(f *testing.F) {
 		// assumptions. Zero-value (nil) parameters are legal dynamic
 		// values for any kind check. Every accepted program doubles as a
 		// differential probe of the load-time optimization pass: the fused
-		// and straight streams must agree on every observable outcome.
+		// and straight streams must agree on every observable outcome, and
+		// so must a fresh VM and one re-armed after other runs.
 		params := make([]Value, p.EntryFunc().NumParams)
 		cfg := Config{
 			Fuel: 5_000, MaxStack: 512, MaxCall: 32,
 			MaxHeap: 2048, MaxEmit: 32, MaxPrint: 4, Seed: 1,
 		}
 		runBothModes(t, &p, cfg, params...)
+		CheckReuse(t, &p, ReuseRun{Cfg: cfg, Params: params})
 	})
 }
 

@@ -322,7 +322,7 @@ func TestOptimizeRecursion(t *testing.T) {
 	vm := New(p, DefaultConfig())
 	var last *Result
 	for i := 0; i < 3; i++ {
-		vm.Reset()
+		vm.Reset(DefaultConfig())
 		r, err := vm.Run(Int(15))
 		if err != nil {
 			t.Fatal(err)

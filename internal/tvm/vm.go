@@ -68,10 +68,10 @@ type frame struct {
 }
 
 // VM executes one tasklet program. A VM is not safe for concurrent use; the
-// enclosing provider runs one VM per slot goroutine. After a run completes,
-// Reset prepares the VM for another run of the same program, reusing the
-// operand stack, call frames and locals free list so that steady-state
-// re-execution is allocation-free.
+// enclosing provider keeps one VM per slot worker. After a run completes —
+// normally or with a fault — Reset re-arms the VM for another run of the same
+// program under a new Config, reusing the operand stack, call frames and
+// locals free list so that steady-state re-execution is allocation-free.
 type VM struct {
 	prog    *Program
 	cfg     Config
@@ -96,7 +96,28 @@ type VM struct {
 	// steady-state (Reset + Run) path allocation-free. It is invalidated
 	// by the next Reset.
 	res Result
+
+	// stack0 and frames0 are the first operand stack and call frames. They
+	// sit inside the VM so that a fresh VM is one allocation, and one of
+	// whole cache lines (see lineValues).
+	stack0  [lineValues]Value
+	frames0 [lineValues]frame
 }
+
+// lineValues is the allocation quantum of the memory a run writes on every
+// instruction — the VM itself, operand stack, locals, call frames: Value and
+// frame are 48 bytes, so four of them fill three 64-byte cache lines exactly,
+// and the allocator aligns size classes that are multiples of 64 to it (the
+// VM struct lands in the 768-byte class). A provider keeps one long-lived VM
+// per slot worker; without this, buffers that two VMs allocated back to back
+// share a cache line, and two workers running on different CPUs interpret
+// ~1.8x slower (BenchmarkVM_ReusedSiblings). A VM made fresh for every run
+// never met the problem: its neighbours in memory are the garbage of the same
+// CPU's previous run.
+const lineValues = 4
+
+// lineCap rounds a buffer capacity up to whole cache lines.
+func lineCap(n int) int { return (n + lineValues - 1) &^ (lineValues - 1) }
 
 // New creates a VM for prog under the given limits. The program must have
 // been validated (Program.UnmarshalBinary validates; hand-built programs
@@ -108,19 +129,29 @@ func New(prog *Program, cfg Config) *VM {
 		// hand-built programs. prepare serializes internally.
 		prog.prepare()
 	}
-	rng := cfg.Seed
-	if rng == 0 {
-		rng = 0x9e3779b97f4a7c15 // splitmix-style non-zero default
-	}
-	return &VM{prog: prog, cfg: cfg, fuel: cfg.Fuel, rng: rng}
+	vm := &VM{prog: prog, cfg: cfg, fuel: cfg.Fuel, rng: seedRNG(cfg.Seed)}
+	vm.stack, vm.frames = vm.stack0[:0], vm.frames0[:0]
+	return vm
 }
 
-// Reset returns the VM to its initial state so the same program can be run
-// again under the same limits. Internal buffers (operand stack, frame stack,
-// locals free list) are retained, making repeated Reset+Run cycles
-// allocation-free for programs that do not emit or print. The Result
-// returned by the previous Run is invalidated.
-func (vm *VM) Reset() {
+// seedRNG maps a Config seed to the generator's initial state, which must be
+// non-zero.
+func seedRNG(seed uint64) uint64 {
+	if seed == 0 {
+		return 0x9e3779b97f4a7c15 // splitmix-style non-zero default
+	}
+	return seed
+}
+
+// Reset returns the VM to the state New(prog, cfg) would create, so the same
+// program can be run again under cfg — typically the next attempt's fuel,
+// seed and cancel flag. Internal buffers (operand stack, frame stack, locals
+// free list) are retained, making repeated Reset+Run cycles allocation-free
+// for programs that do not emit or print. The Result struct returned by the
+// previous Run is invalidated; the Emitted and Printed slices it carried are
+// never written again, so a caller that copied them out may keep them.
+func (vm *VM) Reset(cfg Config) {
+	vm.cfg = cfg
 	for i := range vm.frames {
 		fr := &vm.frames[i]
 		if cap(fr.locals) > 0 {
@@ -131,23 +162,14 @@ func (vm *VM) Reset() {
 	vm.frames = vm.frames[:0]
 	// Clear retained Values (stack slack and pooled locals) so arrays from
 	// the previous run are not kept alive across runs.
-	stack := vm.stack[:cap(vm.stack)]
-	for i := range stack {
-		stack[i] = Value{}
-	}
+	clear(vm.stack[:cap(vm.stack)])
 	vm.stack = vm.stack[:0]
 	for _, s := range vm.localsPool {
-		s = s[:cap(s)]
-		for i := range s {
-			s[i] = Value{}
-		}
+		clear(s[:cap(s)])
 	}
-	vm.fuel = vm.cfg.Fuel
+	vm.fuel = cfg.Fuel
 	vm.heap = 0
-	vm.rng = vm.cfg.Seed
-	if vm.rng == 0 {
-		vm.rng = 0x9e3779b97f4a7c15
-	}
+	vm.rng = seedRNG(cfg.Seed)
 	vm.emitted = nil
 	vm.printed = nil
 	vm.deopt = false
@@ -184,7 +206,7 @@ func (vm *VM) getLocals(n int) []Value {
 			return s[:n]
 		}
 	}
-	return make([]Value, n)
+	return make([]Value, n, lineCap(n))
 }
 
 // Run executes the program's entry function with the given parameters.

@@ -1,6 +1,9 @@
 package wire
 
-import "io"
+import (
+	"io"
+	"runtime"
+)
 
 // WriterOpts configures a WriterLoop.
 type WriterOpts struct {
@@ -24,11 +27,31 @@ type WriterOpts struct {
 	Closer io.Closer
 }
 
+// tinyExecNanos is the execution time below which an AttemptResult may wait
+// one scheduler turn for its siblings. 50 µs is about ten loopback flushes: a
+// result that ran for less gains more from sharing a write than the turn
+// costs it. A constant, not an option: one value serves every workload,
+// because anything that ran longer never waits.
+const tinyExecNanos = 50_000
+
+// yield gives the processor to the goroutines queued behind the writer.
+// Tests replace it to observe when the writer waits.
+var yield = runtime.Gosched
+
 // WriterLoop drains a connection's outgoing queue onto conn. Unless
 // coalescing is disabled it folds whatever burst is queued (up to Max) into
 // one SendBatch, so a single flush — one syscall — covers the burst. It is
 // the one copy of the drain logic shared by the broker (provider, consumer
 // and peer links) and the provider (broker link).
+//
+// The first send on out readies this goroutine ahead of the sender's
+// siblings, so a burst of near-instant tasklets would otherwise be flushed
+// one or two results at a time. When the drained burst is not full and holds
+// only AttemptResults that each ran for less than tinyExecNanos, the loop
+// yields the processor once and drains again before sending (grpc-go's
+// loopy-writer idiom). Longer results and every other frame type are flushed
+// at once: a result that took milliseconds never waits behind CPU-bound
+// siblings.
 func WriterLoop(conn *Conn, out <-chan Message, o WriterOpts) {
 	if o.Max <= 0 {
 		o.Max = 1
@@ -47,17 +70,10 @@ func WriterLoop(conn *Conn, out <-chan Message, o WriterOpts) {
 		}
 		batch = append(batch[:0], m)
 		if !o.NoCoalesce {
-		drain:
-			for len(batch) < o.Max {
-				select {
-				case mm, ok := <-out:
-					if !ok {
-						break drain
-					}
-					batch = append(batch, mm)
-				default:
-					break drain
-				}
+			batch = drainQueued(out, batch, o.Max)
+			if len(batch) < o.Max && allTinyResults(batch) {
+				yield()
+				batch = drainQueued(out, batch, o.Max)
 			}
 		}
 		if o.Fold != nil {
@@ -75,6 +91,35 @@ func WriterLoop(conn *Conn, out <-chan Message, o WriterOpts) {
 			return
 		}
 	}
+}
+
+// drainQueued appends what is queued on out to batch without blocking, up to
+// limit messages in all.
+func drainQueued(out <-chan Message, batch []Message, limit int) []Message {
+	for len(batch) < limit {
+		select {
+		case m, ok := <-out:
+			if !ok {
+				return batch
+			}
+			batch = append(batch, m)
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
+// allTinyResults reports whether batch holds nothing but AttemptResults of
+// executions shorter than tinyExecNanos.
+func allTinyResults(batch []Message) bool {
+	for _, m := range batch {
+		r, ok := m.(*AttemptResult)
+		if !ok || r.ExecNanos >= tinyExecNanos {
+			return false
+		}
+	}
+	return true
 }
 
 // FoldBatchFrames rewrites one writer burst in place, collapsing every run

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-smoke bench-gate profile fuzz fuzz-smoke clean
+.PHONY: all build vet test race check bench bench-vm bench-smoke bench-gate profile fuzz fuzz-smoke clean
 
 all: check
 
@@ -54,6 +54,14 @@ bench:
 	$(GO) test -run XXX -bench BenchmarkLifecycleEngine -benchmem ./internal/lifecycle/
 	$(GO) test -run XXX -bench 'BenchmarkRing|BenchmarkPlanPull' -benchmem ./internal/shard/
 
+# bench-vm is the interpreter's before/after measurement: every VM benchmark,
+# ten times each with allocation reporting, in the format benchstat reads.
+# Run it on both commits (`make bench-vm > old.txt`, ... `> new.txt`) and
+# compare with `benchstat old.txt new.txt`.
+VMBENCH = BenchmarkVM_|BenchmarkE1_Spin
+bench-vm:
+	$(GO) test -run XXX -bench '$(VMBENCH)' -benchmem -count 10 .
+
 # profile captures CPU, mutex and block profiles from the saturating
 # broker-throughput benchmark — the partitioned core's hot path. Inspect
 # with `go tool pprof $(PROFILEDIR)/cpu.out` (or mutex.out / block.out) plus
@@ -76,11 +84,13 @@ profile:
 bench-gate:
 	$(GO) run ./cmd/tasklet-bench -exp e13 -quick -q -compare BENCH_PR9.json
 
-# bench-smoke compiles and runs every throughput/ablation benchmark exactly
-# once (-benchtime=1x) — the CI gate that keeps the bench harness building
-# and executing without paying for statistically meaningful timings.
+# bench-smoke compiles and runs every throughput/ablation benchmark and every
+# VM benchmark exactly once (-benchtime=1x) — the CI gate that keeps the bench
+# harness building and executing without paying for statistically meaningful
+# timings.
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkBrokerThroughput|BenchmarkAblation_' -benchtime 1x .
+	$(GO) test -run XXX -bench '$(VMBENCH)' -benchtime 1x .
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/wire/
 	$(GO) test -run XXX -bench BenchmarkSchedulerPick -benchtime 1x ./internal/scheduler/
 	$(GO) test -run XXX -bench 'BenchmarkBrokerPlacement/P=(100|1000)$$/' -benchtime 1x ./internal/broker/

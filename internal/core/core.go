@@ -222,7 +222,7 @@ func (r *Result) OK() bool { return r.Status == StatusOK }
 
 // Hash returns the vote-comparison hash of a successful result.
 func (r *Result) Hash() uint64 {
-	return tvm.HashValues(append([]tvm.Value{r.Return}, r.Emitted...))
+	return tvm.HashResult(r.Return, r.Emitted)
 }
 
 // DeviceClass buckets providers by the kind of machine they run on. The

@@ -144,6 +144,27 @@ func TestHashProgramDiffers(t *testing.T) {
 	}
 }
 
+// TestResultHashIsTheVoteHash pins core.Result.Hash to the formula voting has
+// always compared — HashValues over the return value and then the emitted
+// values — and to tvm.Result.Hash, without allocating per vote.
+func TestResultHashIsTheVoteHash(t *testing.T) {
+	r := Result{
+		Return:  tvm.Arr(tvm.Int(3), tvm.Str("x")),
+		Emitted: []tvm.Value{tvm.Float(1.5), tvm.Nil(), tvm.Arr(tvm.Bool(true))},
+	}
+	for _, emitted := range [][]tvm.Value{nil, {}, r.Emitted} {
+		r.Emitted = emitted
+		want := tvm.HashValues(append([]tvm.Value{r.Return}, r.Emitted...))
+		vm := tvm.Result{Return: r.Return, Emitted: r.Emitted}
+		if r.Hash() != want || vm.Hash() != want {
+			t.Fatalf("%d emitted: core %d, tvm %d, want %d", len(emitted), r.Hash(), vm.Hash(), want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Hash() }); n != 0 {
+		t.Fatalf("Result.Hash allocates %v times per call", n)
+	}
+}
+
 func TestStringers(t *testing.T) {
 	if QoCVoting.String() != "voting" || QoCMode(9).String() == "" {
 		t.Fatal("QoCMode.String broken")

@@ -51,10 +51,12 @@ type builtinSpec struct {
 	fn    func(vm *VM, args []Value) (Value, *Fault)
 }
 
-// builtinTable is the single source of truth for builtins; the compiler
-// resolves names against BuiltinByName, the VM dispatches through it, and
-// Program.Validate checks OpCallB ids against it.
-var builtinTable = map[Builtin]builtinSpec{
+// builtinTable is the single source of truth for builtins, indexed by ID; the
+// compiler resolves names against BuiltinByName, the VM dispatches through
+// it, and Program.Validate checks OpCallB ids against it. IDs are small and
+// append-only, so the table is dense: slot 0 and any gap hold the zero spec
+// (nil fn), which lookupBuiltin reports as an unknown builtin.
+var builtinTable = []builtinSpec{
 	BSqrt:  {"sqrt", 1, func(_ *VM, a []Value) (Value, *Fault) { return float1(a[0], math.Sqrt) }},
 	BSin:   {"sin", 1, func(_ *VM, a []Value) (Value, *Fault) { return float1(a[0], math.Sin) }},
 	BCos:   {"cos", 1, func(_ *VM, a []Value) (Value, *Fault) { return float1(a[0], math.Cos) }},
@@ -218,18 +220,28 @@ var builtinTable = map[Builtin]builtinSpec{
 	}},
 }
 
+// lookupBuiltin returns the spec of a known builtin, or nil.
+func lookupBuiltin(b Builtin) *builtinSpec {
+	if int(b) < len(builtinTable) && builtinTable[b].fn != nil {
+		return &builtinTable[b]
+	}
+	return nil
+}
+
 // builtinsByName maps TCL names to IDs, derived from builtinTable.
 var builtinsByName = func() map[string]Builtin {
 	m := make(map[string]Builtin, len(builtinTable))
-	for id, spec := range builtinTable {
-		m[spec.name] = id
+	for id := range builtinTable {
+		if spec := lookupBuiltin(Builtin(id)); spec != nil {
+			m[spec.name] = Builtin(id)
+		}
 	}
 	return m
 }()
 
 // String returns the TCL-visible name of the builtin.
 func (b Builtin) String() string {
-	if spec, ok := builtinTable[b]; ok {
+	if spec := lookupBuiltin(b); spec != nil {
 		return spec.name
 	}
 	return "builtin(" + strconv.Itoa(int(b)) + ")"
@@ -243,8 +255,8 @@ func BuiltinByName(name string) (Builtin, bool) {
 
 // BuiltinArity returns the declared arity of a builtin.
 func BuiltinArity(b Builtin) (int, bool) {
-	spec, ok := builtinTable[b]
-	if !ok {
+	spec := lookupBuiltin(b)
+	if spec == nil {
 		return 0, false
 	}
 	return spec.arity, true
@@ -253,9 +265,9 @@ func BuiltinArity(b Builtin) (int, bool) {
 // BuiltinNames returns all TCL builtin names (unordered). Used by docs and
 // compiler tests.
 func BuiltinNames() []string {
-	names := make([]string, 0, len(builtinTable))
-	for _, spec := range builtinTable {
-		names = append(names, spec.name)
+	names := make([]string, 0, len(builtinsByName))
+	for name := range builtinsByName {
+		names = append(names, name)
 	}
 	return names
 }
@@ -333,7 +345,17 @@ func HashValue(v Value) uint64 {
 
 // HashValues hashes a sequence of values, order-sensitively.
 func HashValues(vs []Value) uint64 {
-	h := uint64(17)
+	return hashFold(17, vs)
+}
+
+// HashResult hashes a run's semantically relevant outputs: it is HashValues
+// over the return value followed by the emitted values, without building
+// that sequence.
+func HashResult(ret Value, emitted []Value) uint64 {
+	return hashFold(17*31+HashValue(ret), emitted)
+}
+
+func hashFold(h uint64, vs []Value) uint64 {
 	for _, v := range vs {
 		h = h*31 + HashValue(v)
 	}

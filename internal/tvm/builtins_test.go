@@ -231,8 +231,17 @@ func TestHashBuiltinMatchesHashValue(t *testing.T) {
 func TestBuiltinNameResolution(t *testing.T) {
 	names := BuiltinNames()
 	sort.Strings(names)
-	if len(names) != len(builtinTable) {
-		t.Fatalf("BuiltinNames returned %d, table has %d", len(names), len(builtinTable))
+	known := 0
+	for id := range builtinTable {
+		if lookupBuiltin(Builtin(id)) != nil {
+			known++
+		}
+	}
+	if len(names) != known || known != int(BHash) {
+		t.Fatalf("BuiltinNames returned %d, table has %d known ids of %d", len(names), known, int(BHash))
+	}
+	if lookupBuiltin(0) != nil || lookupBuiltin(BHash+1) != nil {
+		t.Fatal("slot 0 and ids past the table must be unknown builtins")
 	}
 	for _, n := range names {
 		b, ok := BuiltinByName(n)
@@ -261,4 +270,46 @@ func TestWrongArityFaults(t *testing.T) {
 		Instr{OpPushConst, 0}, Instr{OpPushConst, 1},
 		Instr{OpCallB, int32(BSqrt)<<8 | 2}, Instr{OpReturn, 0})
 	runFault(t, p, FaultBadBuiltin)
+}
+
+// TestHashResultMatchesHashValues pins HashResult to the formula it replaced
+// — HashValues over the return value followed by the emitted values — on
+// hand-picked shapes and on the outcome of every runnable fuzz-corpus
+// program, and pins that it does not allocate.
+func TestHashResultMatchesHashValues(t *testing.T) {
+	old := func(ret Value, emitted []Value) uint64 {
+		return HashValues(append([]Value{ret}, emitted...))
+	}
+	nested := Arr(Int(1), Str("x"), Arr(Float(math.NaN()), Bool(true), Nil()))
+	cases := []struct {
+		ret     Value
+		emitted []Value
+	}{
+		{Nil(), nil},
+		{Int(0), []Value{}},
+		{Int(-1), []Value{Int(-1)}},
+		{Str(""), []Value{Str(""), Str("a"), Float(0), Float(math.Copysign(0, -1))}},
+		{nested, []Value{nested, Arr(), Int(math.MinInt64)}},
+	}
+	for _, p := range corpusPrograms(t) {
+		if res, err := New(p, DefaultConfig()).Run(make([]Value, p.EntryFunc().NumParams)...); err == nil {
+			cases = append(cases, struct {
+				ret     Value
+				emitted []Value
+			}{res.Return, res.Emitted})
+		}
+	}
+	for i, tc := range cases {
+		if got, want := HashResult(tc.ret, tc.emitted), old(tc.ret, tc.emitted); got != want {
+			t.Errorf("case %d (%s, %v): HashResult = %d, the old formula gives %d", i, tc.ret, tc.emitted, got, want)
+		}
+		res := Result{Return: tc.ret, Emitted: tc.emitted}
+		if res.Hash() != old(tc.ret, tc.emitted) {
+			t.Errorf("case %d: Result.Hash moved", i)
+		}
+	}
+	big := cases[4]
+	if n := testing.AllocsPerRun(100, func() { HashResult(big.ret, big.emitted) }); n != 0 {
+		t.Errorf("HashResult allocates %v times per call", n)
+	}
 }

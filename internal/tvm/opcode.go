@@ -87,8 +87,11 @@ const (
 	opCmpBr                            // cmp; jz/jnz a                      → branch
 	opLocIntCmpBr                      // loadl a; pushi b; cmp; jz/jnz c    → branch
 	opLocLocCmpBr                      // loadl a; loadl b; cmp; jz/jnz c    → branch
-	opLocCallB                         // loadl a; callb b                   → push result
-	opIllegal                          // sanitized unknown opcode (a = original byte)
+	// Statement-level: the two extra operands are read from the window's
+	// tail slots, which keep their straight translation.
+	opLocLocIntArith2Store // loadl a; loadl b; pushi k; arith₁; arith₂; storel c → locals[c] = a arith₂ (b arith₁ k)
+	opLocIntArithStoreJmp  // loadl a; pushi b; arith; storel c; jmp T          → locals[c], pc = T
+	opIllegal              // sanitized unknown opcode (a = original byte)
 )
 
 var fusedNames = map[Op]string{
@@ -102,8 +105,10 @@ var fusedNames = map[Op]string{
 	opCmpBr:            "cmp.br",
 	opLocIntCmpBr:      "loc.int.cmp.br",
 	opLocLocCmpBr:      "loc.loc.cmp.br",
-	opLocCallB:         "loc.callb",
-	opIllegal:          "illegal",
+
+	opLocLocIntArith2Store: "loc.loc.int.arith2.store",
+	opLocIntArithStoreJmp:  "loc.int.arith.store.jmp",
+	opIllegal:              "illegal",
 }
 
 var opNames = map[Op]string{

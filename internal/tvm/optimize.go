@@ -11,24 +11,28 @@ import "sync"
 // codes, messages and pcs. Program.Optimize additionally builds a fused
 // stream (opt) per function:
 //
-//   - Peephole superinstruction fusion replaces the dominant 2–4 instruction
-//     sequences (arithmetic on locals, compare-and-branch, local-argument
-//     builtin calls) with single internal opcodes. Fusion happens in place:
-//     the fused instruction occupies the slot of the sequence's first
-//     instruction and advances the pc by the original sequence length, so
-//     jump targets stay valid and faults report original pcs.
+//   - Peephole superinstruction fusion replaces the dominant 2–6 instruction
+//     sequences (arithmetic on locals, compare-and-branch, and the two whole
+//     statements `c = a ⊕ (b ⊗ k)` and `c = a ⊗ k; jmp T` that make up a
+//     counting loop's body and back-edge) with single internal opcodes.
+//     Fusion happens in place: the fused instruction occupies the slot of
+//     the sequence's first instruction and advances the pc by the original
+//     sequence length, so jump targets stay valid. The slots behind it keep
+//     their straight translation. A superinstruction is a fast path for
+//     int operands only; given anything else it declines, and the
+//     interpreter runs its window unfused from those slots (vm.go, loop).
 //   - Per-basic-block fuel and stack-effect precomputation: the interpreter
 //     charges a block's exact total fuel once at block entry and verifies
-//     the block's maximum stack growth once, letting fused ops skip
-//     per-push depth checks.
+//     the block's maximum stack growth once.
 //
 // Invariants (differentially tested against the straight stream):
 //
 //   - Result.Hash() and Result.FuelUsed are identical. Block fuel totals are
 //     the exact sum of the per-instruction costs the reference charges.
-//   - Fault codes, messages and pcs are identical. Fused handlers map
-//     component faults back to the original pc, and when a block's fuel or
-//     stack margin cannot be pre-verified the VM deoptimizes to the straight
+//   - Fault codes, messages and pcs are identical. A superinstruction never
+//     faults: whatever would, it leaves to the unfused window, whose
+//     instructions fault at their own pcs. When a block's fuel or stack
+//     margin cannot be pre-verified the VM deoptimizes to the straight
 //     stream at the block leader, which reproduces the reference fault
 //     exactly.
 //   - Config.NoOptimize disables the fused stream per run for differential
@@ -44,7 +48,9 @@ import "sync"
 // (unfused) instructions, op/a mirror Instr and n is 1. Fused instructions
 // use sub for the underlying arithmetic/comparison opcode, a/b/c for
 // operands, flag for the branch sense, and n for the number of original
-// instructions the superinstruction covers.
+// instructions the superinstruction covers. The two statement-level
+// superinstructions need more operands than that; they read the rest from
+// the tail slots of their own window, so optInstr stays 28 bytes.
 //
 // Block metadata lives on block-leader slots of fused streams: blockFuel is
 // the exact fuel the whole block charges, blockGrow the block's maximum
@@ -138,7 +144,7 @@ func isBranch(op Op) bool {
 func isTerminator(op Op) bool {
 	switch op {
 	case OpJump, OpJumpIfFalse, OpJumpIfTrue, OpCall, OpReturn, OpReturn0,
-		opCmpBr, opLocIntCmpBr, opLocLocCmpBr:
+		opCmpBr, opLocIntCmpBr, opLocLocCmpBr, opLocIntArithStoreJmp:
 		return true
 	}
 	return false
@@ -164,10 +170,10 @@ func leaders(code []Instr) []bool {
 }
 
 // fuse builds the fused stream from the original code. Slots covered by the
-// tail of a superinstruction keep their straight translation; they are
-// unreachable (no jump target lands inside a fused window and the leading
-// superinstruction steps over them) but keep the stream index-aligned with
-// Code so faults and deoptimization use original pcs.
+// tail of a superinstruction keep their straight translation: no jump target
+// lands inside a fused window and the leading superinstruction steps over
+// them, but they hold the operands that do not fit in it, and they are what
+// runs when it declines its operands.
 func fuse(code []Instr, straight []optInstr) []optInstr {
 	out := make([]optInstr, len(straight))
 	copy(out, straight)
@@ -188,8 +194,22 @@ func fuse(code []Instr, straight []optInstr) []optInstr {
 		var fi optInstr
 		n := 0
 
-		// 4-wide patterns first, then 3-wide, then 2-wide.
-		if in.Op == OpLoadLocal && i+4 <= len(code) && interiorFree(i, 4) {
+		// Whole statements first, then 4-wide patterns, 3-wide, 2-wide.
+		if in.Op == OpLoadLocal && i+6 <= len(code) && interiorFree(i, 6) &&
+			code[i+1].Op == OpLoadLocal && code[i+2].Op == OpPushInt &&
+			isArith(code[i+3].Op) && isArith(code[i+4].Op) && code[i+5].Op == OpStoreLocal {
+			// k and arith₂ stay in tail slots i+2 and i+4.
+			fi = optInstr{op: opLocLocIntArith2Store, sub: code[i+3].Op, a: in.Arg, b: code[i+1].Arg, c: code[i+5].Arg}
+			n = 6
+		}
+		if n == 0 && in.Op == OpLoadLocal && i+5 <= len(code) && interiorFree(i, 5) &&
+			code[i+1].Op == OpPushInt && isArith(code[i+2].Op) &&
+			code[i+3].Op == OpStoreLocal && code[i+4].Op == OpJump {
+			// The jump target stays in tail slot i+4.
+			fi = optInstr{op: opLocIntArithStoreJmp, sub: code[i+2].Op, a: in.Arg, b: code[i+1].Arg, c: code[i+3].Arg}
+			n = 5
+		}
+		if n == 0 && in.Op == OpLoadLocal && i+4 <= len(code) && interiorFree(i, 4) {
 			i1, i2, i3 := code[i+1], code[i+2], code[i+3]
 			switch {
 			case i1.Op == OpPushInt && isCmp(i2.Op) && isBranch(i3.Op):
@@ -241,13 +261,6 @@ func fuse(code []Instr, straight []optInstr) []optInstr {
 			case isArith(in.Op) && i1.Op == OpStoreLocal:
 				fi = optInstr{op: opArithStore, sub: in.Op, a: i1.Arg}
 				n = 2
-			case in.Op == OpLoadLocal && i1.Op == OpCallB:
-				id := Builtin(i1.Arg >> 8)
-				argc := int(i1.Arg & 0xff)
-				if spec, ok := builtinTable[id]; ok && argc == spec.arity {
-					fi = optInstr{op: opLocCallB, a: in.Arg, b: i1.Arg}
-					n = 2
-				}
 			}
 		}
 
@@ -296,17 +309,12 @@ func stackEffect(oi *optInstr) (grow, net int) {
 		return 0, 0
 	case opLocIntArith, opLocConstArith, opLocLocArith, opLocIntCmp, opLocLocCmp:
 		return 2, 1
-	case opLocIntArithStore, opLocIntCmpBr, opLocLocCmpBr:
+	case opLocIntArithStore, opLocIntArithStoreJmp, opLocIntCmpBr, opLocLocCmpBr:
 		return 2, 0
+	case opLocLocIntArith2Store:
+		return 3, 0
 	case opArithStore, opCmpBr:
 		return 0, -2
-	case opLocCallB:
-		argc := int(oi.b & 0xff)
-		g := 2 - argc
-		if g < 1 {
-			g = 1
-		}
-		return g, 2 - argc
 	default: // nop, neg, not, len, jump, return0, illegal
 		return 0, 0
 	}
@@ -316,10 +324,9 @@ func stackEffect(oi *optInstr) (grow, net int) {
 // for superinstructions, the sum of the covered instructions' costs.
 func instrFuel(oi *optInstr) uint64 {
 	switch oi.op {
-	case opLocCallB:
-		return 1 + fuelCost(OpCallB)
 	case opLocIntArith, opLocConstArith, opLocLocArith, opLocIntCmp, opLocLocCmp,
-		opLocIntArithStore, opArithStore, opCmpBr, opLocIntCmpBr, opLocLocCmpBr:
+		opLocIntArithStore, opArithStore, opCmpBr, opLocIntCmpBr, opLocLocCmpBr,
+		opLocLocIntArith2Store, opLocIntArithStoreJmp:
 		return uint64(oi.n)
 	default:
 		return fuelCost(oi.op)
@@ -347,6 +354,8 @@ func annotateBlocks(stream []optInstr) {
 			lead[oi.a] = true
 		case opLocIntCmpBr, opLocLocCmpBr:
 			lead[oi.c] = true
+		case opLocIntArithStoreJmp:
+			lead[stream[i+4].a] = true
 		}
 		n := int(oi.n)
 		if isTerminator(oi.op) {

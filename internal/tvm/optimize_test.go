@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// runBothModes executes prog with the fused fast path and with
-// Config.NoOptimize and asserts the observable outcomes are identical:
-// Result.Hash, FuelUsed, Return, and for faults the code, message, function
-// and pc. It returns the optimized-mode outcome for further assertions.
+// runBothModes executes prog with the fused fast path, with
+// Config.NoOptimize, and by vm.step alone (RunReference: no fast path of any
+// kind), and asserts the observable outcomes are identical: Result.Hash,
+// FuelUsed, Return, and for faults the code, message, function and pc. It
+// returns the optimized-mode outcome for further assertions.
 func runBothModes(t *testing.T, prog *Program, cfg Config, params ...Value) (*Result, error) {
 	t.Helper()
 	prog.Optimize()
@@ -23,35 +24,42 @@ func runBothModes(t *testing.T, prog *Program, cfg Config, params ...Value) (*Re
 	refCfg := cfg
 	refCfg.NoOptimize = true
 	refRes, refErr := New(prog, refCfg).Run(params...)
+	sameOutcome(t, prog, "optimized", optRes, optErr, "reference", refRes, refErr)
 
+	stepRes, stepErr := RunReference(prog, cfg, params...)
+	sameOutcome(t, prog, "reference", refRes, refErr, "step alone", stepRes, stepErr)
+	return optRes, optErr
+}
+
+func sameOutcome(t *testing.T, prog *Program, aName string, aRes *Result, aErr error, bName string, bRes *Result, bErr error) {
+	t.Helper()
 	switch {
-	case optErr == nil && refErr == nil:
-		if optRes.Hash() != refRes.Hash() {
-			t.Fatalf("hash mismatch: optimized %d vs reference %d\n%s",
-				optRes.Hash(), refRes.Hash(), prog.Disassemble())
+	case aErr == nil && bErr == nil:
+		if aRes.Hash() != bRes.Hash() {
+			t.Fatalf("hash mismatch: %s %d vs %s %d\n%s",
+				aName, aRes.Hash(), bName, bRes.Hash(), prog.Disassemble())
 		}
-		if optRes.FuelUsed != refRes.FuelUsed {
-			t.Fatalf("fuel mismatch: optimized %d vs reference %d\n%s",
-				optRes.FuelUsed, refRes.FuelUsed, prog.Disassemble())
+		if aRes.FuelUsed != bRes.FuelUsed {
+			t.Fatalf("fuel mismatch: %s %d vs %s %d\n%s",
+				aName, aRes.FuelUsed, bName, bRes.FuelUsed, prog.Disassemble())
 		}
-		if !optRes.Return.Equal(refRes.Return) {
-			t.Fatalf("return mismatch: optimized %s vs reference %s", optRes.Return, refRes.Return)
+		if !aRes.Return.Equal(bRes.Return) {
+			t.Fatalf("return mismatch: %s %s vs %s %s", aName, aRes.Return, bName, bRes.Return)
 		}
-	case optErr != nil && refErr != nil:
-		of, ok1 := AsFault(optErr)
-		rf, ok2 := AsFault(refErr)
+	case aErr != nil && bErr != nil:
+		af, ok1 := AsFault(aErr)
+		bf, ok2 := AsFault(bErr)
 		if !ok1 || !ok2 {
-			t.Fatalf("non-fault errors: %v vs %v", optErr, refErr)
+			t.Fatalf("non-fault errors: %v vs %v", aErr, bErr)
 		}
-		if of.Code != rf.Code || of.Msg != rf.Msg || of.Func != rf.Func || of.PC != rf.PC {
-			t.Fatalf("fault mismatch:\noptimized  %v (code=%s func=%s pc=%d)\nreference %v (code=%s func=%s pc=%d)\n%s",
-				of, of.Code, of.Func, of.PC, rf, rf.Code, rf.Func, rf.PC, prog.Disassemble())
+		if af.Code != bf.Code || af.Msg != bf.Msg || af.Func != bf.Func || af.PC != bf.PC {
+			t.Fatalf("fault mismatch:\n%s %v (code=%s func=%s pc=%d)\n%s %v (code=%s func=%s pc=%d)\n%s",
+				aName, af, af.Code, af.Func, af.PC, bName, bf, bf.Code, bf.Func, bf.PC, prog.Disassemble())
 		}
 	default:
-		t.Fatalf("outcome mismatch: optimized err=%v, reference err=%v\n%s",
-			optErr, refErr, prog.Disassemble())
+		t.Fatalf("outcome mismatch: %s err=%v, %s err=%v\n%s",
+			aName, aErr, bName, bErr, prog.Disassemble())
 	}
-	return optRes, optErr
 }
 
 func mainProg(numParams, numLocals int, code []Instr, consts ...Value) *Program {
@@ -139,11 +147,28 @@ func TestFusionPatterns(t *testing.T) {
 			[]Op{OpPushInt, OpPushInt, opCmpBr, OpReturn0, OpPushTrue, OpReturn},
 		},
 		{
-			"loc-callb",
+			// A builtin call has no fast path to fuse its argument into.
+			"loc-callb-stays-plain",
 			mainProg(1, 1, []Instr{
 				{OpLoadLocal, 0}, {OpCallB, int32(BSqrt)<<8 | 1}, {OpReturn, 0},
 			}),
-			[]Op{opLocCallB, OpReturn},
+			[]Op{OpLoadLocal, OpCallB, OpReturn},
+		},
+		{
+			"loc-loc-int-arith2-store",
+			mainProg(2, 3, []Instr{
+				{OpLoadLocal, 0}, {OpLoadLocal, 1}, {OpPushInt, 7}, {OpMod, 0}, {OpAdd, 0}, {OpStoreLocal, 2},
+				{OpReturn0, 0},
+			}),
+			[]Op{opLocLocIntArith2Store, OpReturn0},
+		},
+		{
+			"loc-int-arith-store-jmp",
+			mainProg(1, 1, []Instr{
+				{OpLoadLocal, 0}, {OpPushInt, 1}, {OpAdd, 0}, {OpStoreLocal, 0}, {OpJump, 5},
+				{OpReturn0, 0},
+			}),
+			[]Op{opLocIntArithStoreJmp, OpReturn0},
 		},
 		{
 			// A jump target inside the window must block fusion.
@@ -340,7 +365,7 @@ func TestOptimizeRecursion(t *testing.T) {
 // accepts) execute as illegal-opcode faults in both modes, even when their
 // byte value collides with an internal superinstruction.
 func TestOptimizeSanitizesUnknownOpcodes(t *testing.T) {
-	for _, raw := range []Op{opWireMax + 1, opLocIntArith, opLocCallB, opIllegal, 255} {
+	for _, raw := range []Op{opWireMax + 1, opLocIntArith, opLocLocCmpBr, opIllegal, 255} {
 		prog := mainProg(0, 0, []Instr{{OpNop, 0}, {raw, 0}, {OpReturn0, 0}})
 		_, err := runBothModes(t, prog, DefaultConfig())
 		f, ok := AsFault(err)
@@ -357,16 +382,33 @@ func TestOptimizeSanitizesUnknownOpcodes(t *testing.T) {
 // both interpreters. Corpus entries are arbitrary fuzz-found byte strings;
 // any that decode must behave identically in both modes.
 func TestOptimizeDifferentialCorpus(t *testing.T) {
+	cfg := Config{
+		Fuel: 5_000, MaxStack: 512, MaxCall: 32,
+		MaxHeap: 2048, MaxEmit: 32, MaxPrint: 4, Seed: 1,
+	}
+	progs := corpusPrograms(t)
+	if len(progs) == 0 {
+		t.Fatal("no corpus entry decoded to a runnable program; expected at least the checked-in seeds")
+	}
+	for name, p := range progs {
+		params := make([]Value, p.EntryFunc().NumParams)
+		t.Run(name, func(t *testing.T) {
+			runBothModes(t, p, cfg, params...)
+		})
+	}
+}
+
+// corpusPrograms decodes the checked-in fuzz corpus, by file name. Entries
+// the decoder rejects (fuzz-found inputs that exercise just that) are left
+// out.
+func corpusPrograms(t *testing.T) map[string]*Program {
+	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", "FuzzProgramUnmarshal")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading corpus dir: %v", err)
 	}
-	cfg := Config{
-		Fuel: 5_000, MaxStack: 512, MaxCall: 32,
-		MaxHeap: 2048, MaxEmit: 32, MaxPrint: 4, Seed: 1,
-	}
-	parsed, ran := 0, 0
+	progs, parsed := map[string]*Program{}, 0
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
@@ -380,22 +422,15 @@ func TestOptimizeDifferentialCorpus(t *testing.T) {
 			continue
 		}
 		parsed++
-		var p Program
-		if err := p.UnmarshalBinary(raw); err != nil {
-			continue // fuzz-found inputs that exercise decoder rejection
+		p := new(Program)
+		if p.UnmarshalBinary(raw) == nil {
+			progs[e.Name()] = p
 		}
-		params := make([]Value, p.EntryFunc().NumParams)
-		t.Run(e.Name(), func(t *testing.T) {
-			runBothModes(t, &p, cfg, params...)
-		})
-		ran++
 	}
 	if parsed == 0 {
 		t.Fatal("no corpus entries parsed; corpus missing?")
 	}
-	if ran == 0 {
-		t.Fatal("no corpus entry decoded to a runnable program; expected at least the checked-in seeds")
-	}
+	return progs
 }
 
 // parseCorpusEntry decodes one Go fuzz corpus file ("go test fuzz v1"

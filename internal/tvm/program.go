@@ -100,7 +100,7 @@ func (p *Program) Validate() error {
 				}
 			case OpCallB:
 				b := Builtin(in.Arg >> 8)
-				if _, ok := builtinTable[b]; !ok {
+				if lookupBuiltin(b) == nil {
 					return fmt.Errorf("tvm: func %s pc %d: unknown builtin %d", f.Name, pc, int(b))
 				}
 			case OpNewArray:

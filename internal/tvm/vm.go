@@ -56,7 +56,7 @@ type Result struct {
 // (return value and emitted values, not the debug log). Redundant executions
 // of a deterministic tasklet produce equal hashes.
 func (r *Result) Hash() uint64 {
-	return HashValues(append([]Value{r.Return}, r.Emitted...))
+	return HashResult(r.Return, r.Emitted)
 }
 
 // frame is one activation record.
@@ -248,8 +248,7 @@ func (vm *VM) push(v Value) *Fault {
 	return nil
 }
 
-// underflowFault is the shared operand-stack underflow fault, used uniformly
-// by plain pops, OpDup, and fused ops that consume stack operands.
+// underflowFault is the shared operand-stack underflow fault.
 func underflowFault() *Fault {
 	return newFault(FaultBadProgram, "pop from empty stack")
 }
@@ -264,6 +263,29 @@ func (vm *VM) pop() (Value, *Fault) {
 	return v, nil
 }
 
+// set, setInt and setBool overwrite a Value field by field, which is how the
+// interpreter moves every Value on its hot paths. A struct assignment copies
+// with 16-byte loads, and a composite literal is first built in a temporary
+// and then copied the same way; a 16-byte load of bytes that narrower stores
+// wrote just before — Kind and I always are — cannot be store-forwarded and
+// waits for those stores to retire, which costs more than the rest of a
+// dispatch.
+func (v *Value) set(o *Value) {
+	v.Kind, v.I, v.F, v.S, v.A = o.Kind, o.I, o.F, o.S, o.A
+}
+
+func (v *Value) setInt(i int64) {
+	v.Kind, v.I, v.F, v.S, v.A = KindInt, i, 0, "", nil
+}
+
+func (v *Value) setBool(b bool) {
+	v.setInt(0)
+	v.Kind = KindBool
+	if b {
+		v.I = 1
+	}
+}
+
 // stream selects the instruction stream for a function: the fused fast path
 // when available and enabled, otherwise the straight translation.
 func (vm *VM) stream(fn *FuncProto) ([]optInstr, bool) {
@@ -273,59 +295,73 @@ func (vm *VM) stream(fn *FuncProto) ([]optInstr, bool) {
 	return fn.fast, false
 }
 
-// faultAt annotates a fault with the current location unless a deeper
-// handler already did.
+// faultAt annotates a fault with the location it was raised at.
 func faultAt(ft *Fault, f *frame, pc int) *Fault {
-	if ft.Func == "" {
-		ft.Func = f.fn.Name
-		ft.PC = pc
-	}
+	ft.Func = f.fn.Name
+	ft.PC = pc
 	return ft
+}
+
+// hotStack returns the VM's operand stack with its capacity cut to MaxStack,
+// so that the loop's pushes need only one test — room in the slice — to
+// respect the depth limit too.
+func (vm *VM) hotStack() []Value {
+	if s, limit := vm.stack, max(vm.cfg.MaxStack, 0); cap(s) > limit {
+		return s[:len(s):limit]
+	}
+	return vm.stack
 }
 
 // loop is the interpreter core. It returns the entry function's return
 // value, or a fault annotated with the faulting location.
 //
-// The hot-path state — current frame, instruction stream, pc and the next
-// fuel-charge pc — is cached in locals and written back only on frame
-// switches. In fused streams fuel and stack headroom are verified once per
-// basic block (nextCharge tracks the next block leader); if a block's
-// margin cannot be verified the VM deoptimizes to the straight stream at
-// the block leader, which reproduces the reference interpreter's fault
-// exactly.
+// The loop is two halves. The switch holds a fast path for every instruction
+// that loops spend their time in: it works only on loop locals — the current
+// frame, its instruction stream and locals, pc, the next fuel-charge pc and
+// the operand stack as a slice — takes operands by pointer, writes results in
+// place, covers only the common operand kinds (ints everywhere; floats in
+// plain arithmetic and ordering; bools in branches; arrays in indexing) and
+// calls nothing, so the compiler keeps that state in registers across
+// dispatches instead of spilling it around calls. A fast path that applies ends in `continue`; one that does not — another
+// operand kind, a zero divisor, an empty or full stack — falls out of the
+// switch, as does every instruction without one. What follows the switch is
+// the complete, plain implementation: a declined superinstruction first
+// steps down to the straight instruction in its head slot (the rest of its
+// window still holds the straight translation, already paid for and not a
+// block leader, so the window simply runs unfused and faults at its own
+// pcs), and then vm.step executes that one instruction on the VM's own
+// state. Only step grows the stack's backing array, so vm.stack and the
+// loop-local slice always share it; they differ in length, and vm.stack's is
+// brought up to date for step alone.
+//
+// Fuel and stack headroom are verified once per basic block (nextCharge
+// tracks the next block leader). In a straight stream every instruction is
+// its own block, which is per-instruction charging. In a fused stream, a
+// block whose margin cannot be verified deoptimizes the VM to the straight
+// stream at the block leader, which reproduces the reference fault exactly.
 func (vm *VM) loop() (Value, *Fault) {
 	f := &vm.frames[len(vm.frames)-1]
 	code, fused := vm.stream(f.fn)
 	pc := f.pc
 	nextCharge := pc
+	stack, locals := vm.hotStack(), f.locals
 	maxStack := vm.cfg.MaxStack
 
 	const cancelPollMask = 4095 // poll Cancel every 4096 dispatches
 	var steps uint64
+next:
 	for {
 		steps++
 		if steps&cancelPollMask == 0 && vm.cfg.Cancel != nil && vm.cfg.Cancel.Load() {
 			return Value{}, faultAt(newFault(FaultCancelled, "execution cancelled by host"), f, pc)
 		}
-		if pc >= len(code) {
-			// Falling off the end of a function returns nil.
-			ret, fault := vm.unwind(Nil())
-			if fault != nil {
-				return Value{}, faultAt(fault, f, pc)
-			}
-			if len(vm.frames) == 0 {
-				return ret, nil
-			}
-			f = &vm.frames[len(vm.frames)-1]
-			code, fused = vm.stream(f.fn)
-			pc = f.pc
-			nextCharge = pc
-			continue
-		}
-		if pc == nextCharge {
+		if uint(pc) < uint(len(code)) {
 			oi := &code[pc]
-			if fused {
-				if vm.fuel < uint64(oi.blockFuel) || len(vm.stack)+int(oi.blockGrow) > maxStack {
+			if pc == nextCharge {
+				if vm.fuel < uint64(oi.blockFuel) || len(stack)+int(oi.blockGrow) > maxStack {
+					if !fused {
+						return Value{}, faultAt(newFault(FaultOutOfFuel, "fuel budget %d exhausted", vm.cfg.Fuel), f, pc)
+					}
 					// Deoptimize: replay this block per-instruction on the
 					// straight stream so the inevitable fault lands exactly
 					// where the reference interpreter puts it.
@@ -335,383 +371,457 @@ func (vm *VM) loop() (Value, *Fault) {
 				}
 				vm.fuel -= uint64(oi.blockFuel)
 				nextCharge = int(oi.blockEnd)
-			} else {
-				cost := uint64(oi.blockFuel) // per-instruction cost
-				if vm.fuel < cost {
-					return Value{}, faultAt(newFault(FaultOutOfFuel, "fuel budget %d exhausted", vm.cfg.Fuel), f, pc)
+			}
+
+			for {
+				switch oi.op {
+				case OpPushConst:
+					if n := len(stack); n < cap(stack) {
+						stack = stack[:n+1]
+						stack[n].set(&vm.prog.Consts[oi.a])
+						pc++
+						continue next
+					}
+				case OpPushInt:
+					if n := len(stack); n < cap(stack) {
+						stack = stack[:n+1]
+						stack[n].setInt(int64(oi.a))
+						pc++
+						continue next
+					}
+				case OpLoadLocal:
+					if n := len(stack); n < cap(stack) {
+						stack = stack[:n+1]
+						stack[n].set(&locals[oi.a])
+						pc++
+						continue next
+					}
+				case OpStoreLocal:
+					if n := len(stack); n > 0 {
+						locals[oi.a].set(&stack[n-1])
+						stack = stack[:n-1]
+						pc++
+						continue next
+					}
+				case OpPop:
+					if n := len(stack); n > 0 {
+						stack = stack[:n-1]
+						pc++
+						continue next
+					}
+
+				case OpAdd, OpSub, OpMul, OpDiv, OpMod:
+					if n := len(stack); n >= 2 {
+						x, y := &stack[n-2], &stack[n-1]
+						if x.Kind == KindInt && y.Kind == KindInt {
+							if r, ok := intArith(oi.op, x.I, y.I); ok {
+								x.I = r
+								stack = stack[:n-1]
+								pc++
+								continue next
+							}
+						} else if x.Kind == KindFloat && y.Kind == KindFloat && oi.op != OpMod {
+							x.F = floatArith(oi.op, x.F, y.F)
+							stack = stack[:n-1]
+							pc++
+							continue next
+						}
+					}
+				case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+					if n := len(stack); n >= 2 {
+						x, y := &stack[n-2], &stack[n-1]
+						if x.Kind == KindInt && y.Kind == KindInt {
+							x.setBool(intCmp(oi.op, x.I, y.I))
+							stack = stack[:n-1]
+							pc++
+							continue next
+						} else if x.Kind == KindFloat && y.Kind == KindFloat && oi.op >= OpLt {
+							x.setBool(floatCmp(oi.op, x.F, y.F))
+							stack = stack[:n-1]
+							pc++
+							continue next
+						}
+					}
+				case OpNot:
+					if n := len(stack); n > 0 && stack[n-1].Kind == KindBool {
+						stack[n-1].setBool(stack[n-1].I == 0)
+						pc++
+						continue next
+					}
+
+				case OpJump:
+					pc = int(oi.a)
+					nextCharge = pc
+					continue next
+				case OpJumpIfFalse, OpJumpIfTrue:
+					if n := len(stack); n > 0 && stack[n-1].Kind == KindBool {
+						taken := stack[n-1].AsBool() == (oi.op == OpJumpIfTrue)
+						stack = stack[:n-1]
+						pc++
+						if taken {
+							pc = int(oi.a)
+							nextCharge = pc
+						}
+						continue next
+					}
+
+				case OpIndex:
+					if n := len(stack); n >= 2 {
+						a, i := &stack[n-2], &stack[n-1]
+						if a.Kind == KindArr && i.Kind == KindInt && uint64(i.I) < uint64(len(a.A.Elems)) {
+							a.set(&a.A.Elems[i.I])
+							stack = stack[:n-1]
+							pc++
+							continue next
+						}
+					}
+				case OpSetIndex:
+					if n := len(stack); n >= 3 {
+						a, i := &stack[n-3], &stack[n-2]
+						if a.Kind == KindArr && i.Kind == KindInt && uint64(i.I) < uint64(len(a.A.Elems)) {
+							a.A.Elems[i.I].set(&stack[n-1])
+							stack = stack[:n-3]
+							pc++
+							continue next
+						}
+					}
+
+				// ---- superinstructions (fused streams only; operands
+				// trusted, stack depth verified at block entry) ----
+
+				case opLocIntArith:
+					if x, n := &locals[oi.a], len(stack); x.Kind == KindInt && n < cap(stack) {
+						if r, ok := intArith(oi.sub, x.I, int64(oi.b)); ok {
+							stack = stack[:n+1]
+							stack[n].setInt(r)
+							pc += 3
+							continue next
+						}
+					}
+				case opLocConstArith:
+					x, y, n := &locals[oi.a], &vm.prog.Consts[oi.b], len(stack)
+					if x.Kind == KindInt && y.Kind == KindInt && n < cap(stack) {
+						if r, ok := intArith(oi.sub, x.I, y.I); ok {
+							stack = stack[:n+1]
+							stack[n].setInt(r)
+							pc += 3
+							continue next
+						}
+					}
+				case opLocLocArith:
+					x, y, n := &locals[oi.a], &locals[oi.b], len(stack)
+					if x.Kind == KindInt && y.Kind == KindInt && n < cap(stack) {
+						if r, ok := intArith(oi.sub, x.I, y.I); ok {
+							stack = stack[:n+1]
+							stack[n].setInt(r)
+							pc += 3
+							continue next
+						}
+					}
+				case opLocIntArithStore, opLocIntArithStoreJmp:
+					if x := &locals[oi.a]; x.Kind == KindInt {
+						if r, ok := intArith(oi.sub, x.I, int64(oi.b)); ok {
+							locals[oi.c].setInt(r)
+							pc += 4
+							if oi.op == opLocIntArithStoreJmp {
+								pc = int(code[pc].a) // the window's jmp
+								nextCharge = pc
+							}
+							continue next
+						}
+					}
+				case opLocLocIntArith2Store:
+					// c = a arith₂ (b arith₁ k): arith₁ is sub; k and arith₂
+					// are read from the window's pushi and second arith.
+					x, y := &locals[oi.a], &locals[oi.b]
+					if x.Kind == KindInt && y.Kind == KindInt {
+						if t, ok := intArith(oi.sub, y.I, int64(code[pc+2].a)); ok {
+							if r, ok := intArith(code[pc+4].op, x.I, t); ok {
+								locals[oi.c].setInt(r)
+								pc += 6
+								continue next
+							}
+						}
+					}
+				case opArithStore:
+					if n := len(stack); n >= 2 {
+						x, y := &stack[n-2], &stack[n-1]
+						if x.Kind == KindInt && y.Kind == KindInt {
+							if r, ok := intArith(oi.sub, x.I, y.I); ok {
+								locals[oi.a].setInt(r)
+								stack = stack[:n-2]
+								pc += 2
+								continue next
+							}
+						}
+					}
+
+				case opLocIntCmp:
+					if x, n := &locals[oi.a], len(stack); x.Kind == KindInt && n < cap(stack) {
+						stack = stack[:n+1]
+						stack[n].setBool(intCmp(oi.sub, x.I, int64(oi.b)))
+						pc += 3
+						continue next
+					}
+				case opLocLocCmp:
+					x, y, n := &locals[oi.a], &locals[oi.b], len(stack)
+					if x.Kind == KindInt && y.Kind == KindInt && n < cap(stack) {
+						stack = stack[:n+1]
+						stack[n].setBool(intCmp(oi.sub, x.I, y.I))
+						pc += 3
+						continue next
+					}
+				case opCmpBr:
+					if n := len(stack); n >= 2 {
+						x, y := &stack[n-2], &stack[n-1]
+						if x.Kind == KindInt && y.Kind == KindInt {
+							stack = stack[:n-2]
+							pc += 2
+							if intCmp(oi.sub, x.I, y.I) == (oi.flag == 1) {
+								pc = int(oi.a)
+								nextCharge = pc
+							}
+							continue next
+						}
+					}
+				case opLocIntCmpBr:
+					if x := &locals[oi.a]; x.Kind == KindInt {
+						pc += 4
+						if intCmp(oi.sub, x.I, int64(oi.b)) == (oi.flag == 1) {
+							pc = int(oi.c)
+							nextCharge = pc
+						}
+						continue next
+					}
+				case opLocLocCmpBr:
+					x, y := &locals[oi.a], &locals[oi.b]
+					if x.Kind == KindInt && y.Kind == KindInt {
+						pc += 4
+						if intCmp(oi.sub, x.I, y.I) == (oi.flag == 1) {
+							pc = int(oi.c)
+							nextCharge = pc
+						}
+						continue next
+					}
 				}
-				vm.fuel -= cost
-				nextCharge = pc + 1
+				if so := &f.fn.fast[pc]; oi.op != so.op {
+					oi = so // a superinstruction declined: run its window unfused
+					continue
+				}
+				break
 			}
 		}
 
-		oi := &code[pc]
-		npc := pc + int(oi.n)
-		var fault *Fault
-		faultOff := 0
-
-		switch oi.op {
-		case OpNop:
-
-		case OpPushConst:
-			fault = vm.push(vm.prog.Consts[oi.a])
-		case OpPushInt:
-			fault = vm.push(Int(int64(oi.a)))
-		case OpPushNil:
-			fault = vm.push(Nil())
-		case OpPushTrue:
-			fault = vm.push(Bool(true))
-		case OpPushFalse:
-			fault = vm.push(Bool(false))
-		case OpPop:
-			_, fault = vm.pop()
-		case OpDup:
-			if len(vm.stack) == 0 {
-				fault = underflowFault()
-			} else {
-				fault = vm.push(vm.stack[len(vm.stack)-1])
-			}
-
-		case OpLoadLocal:
-			fault = vm.push(f.locals[oi.a])
-		case OpStoreLocal:
-			var v Value
-			if v, fault = vm.pop(); fault == nil {
-				f.locals[oi.a] = v
-			}
-
-		case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-			fault = vm.binaryArith(oi.op)
-		case OpNeg:
-			var v Value
-			if v, fault = vm.pop(); fault == nil {
-				switch v.Kind {
-				case KindInt:
-					fault = vm.push(Int(-v.I))
-				case KindFloat:
-					fault = vm.push(Float(-v.F))
-				default:
-					fault = newFault(FaultTypeMismatch, "neg wants a number, got %s", v.Kind)
-				}
-			}
-
-		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-			fault = vm.compare(oi.op)
-
-		case OpNot:
-			var v Value
-			if v, fault = vm.pop(); fault == nil {
-				if v.Kind != KindBool {
-					fault = newFault(FaultTypeMismatch, "not wants a bool, got %s", v.Kind)
-				} else {
-					fault = vm.push(Bool(v.I == 0))
-				}
-			}
-
-		case OpJump:
-			npc = int(oi.a)
-			nextCharge = npc
-		case OpJumpIfFalse, OpJumpIfTrue:
-			var v Value
-			if v, fault = vm.pop(); fault == nil {
-				if v.Kind != KindBool {
-					fault = newFault(FaultTypeMismatch, "branch wants a bool, got %s", v.Kind)
-				} else if v.AsBool() == (oi.op == OpJumpIfTrue) {
-					npc = int(oi.a)
-					nextCharge = npc
-				}
-			}
-
-		case OpCall:
-			if len(vm.frames) >= vm.cfg.MaxCall {
-				fault = newFault(FaultStackOverflow, "call depth limit %d exceeded", vm.cfg.MaxCall)
-				break
-			}
-			callee := &vm.prog.Funcs[oi.a]
-			if len(vm.stack) < callee.NumParams {
-				fault = newFault(FaultBadProgram, "call %s: %d args on stack, want %d",
-					callee.Name, len(vm.stack), callee.NumParams)
-				break
-			}
-			base := len(vm.stack) - callee.NumParams
-			locals := vm.getLocals(callee.NumLocals)
-			copy(locals, vm.stack[base:])
-			for i := callee.NumParams; i < len(locals); i++ {
-				locals[i] = Value{}
-			}
-			vm.stack = vm.stack[:base]
-			f.pc = npc
-			vm.frames = append(vm.frames, frame{fn: callee, locals: locals, base: base})
-			f = &vm.frames[len(vm.frames)-1]
-			code, fused = vm.stream(callee)
-			npc = 0
-			nextCharge = 0
-
-		case OpCallB:
-			id := Builtin(oi.a >> 8)
-			argc := int(oi.a & 0xff)
-			spec, ok := builtinTable[id]
-			if !ok {
-				fault = newFault(FaultBadBuiltin, "unknown builtin %d", int(id))
-				break
-			}
-			if argc != spec.arity {
-				fault = newFault(FaultBadBuiltin, "%s wants %d args, got %d", spec.name, spec.arity, argc)
-				break
-			}
-			if len(vm.stack) < argc {
-				fault = newFault(FaultBadProgram, "builtin %s: stack underflow", spec.name)
-				break
-			}
-			args := vm.stack[len(vm.stack)-argc:]
-			var ret Value
-			ret, fault = spec.fn(vm, args)
-			if fault == nil {
-				vm.stack = vm.stack[:len(vm.stack)-argc]
-				fault = vm.push(ret)
-			}
-
-		case OpReturn, OpReturn0:
-			ret := Nil()
-			if oi.op == OpReturn {
-				if ret, fault = vm.pop(); fault != nil {
-					break
-				}
-			}
-			var done Value
-			done, fault = vm.unwind(ret)
-			if fault == nil && len(vm.frames) == 0 {
-				return done, nil
-			}
-			if fault == nil {
-				f = &vm.frames[len(vm.frames)-1]
-				code, fused = vm.stream(f.fn)
-				npc = f.pc
-				nextCharge = npc
-			}
-
-		case OpNewArray:
-			n := int(oi.a)
-			if len(vm.stack) < n {
-				fault = newFault(FaultBadProgram, "newarr %d: stack underflow", n)
-				break
-			}
-			if fault = vm.alloc(n); fault != nil {
-				break
-			}
-			elems := make([]Value, n)
-			copy(elems, vm.stack[len(vm.stack)-n:])
-			vm.stack = vm.stack[:len(vm.stack)-n]
-			fault = vm.push(Value{Kind: KindArr, A: &Array{Elems: elems}})
-
-		case OpIndex:
-			fault = vm.index()
-		case OpSetIndex:
-			fault = vm.setIndex()
-		case OpLen:
-			var v Value
-			if v, fault = vm.pop(); fault == nil {
-				switch v.Kind {
-				case KindArr:
-					fault = vm.push(Int(int64(len(v.A.Elems))))
-				case KindStr:
-					fault = vm.push(Int(int64(len(v.S))))
-				default:
-					fault = newFault(FaultTypeMismatch, "len wants arr or str, got %s", v.Kind)
-				}
-			}
-		case OpAppend:
-			var v, a Value
-			if v, fault = vm.pop(); fault != nil {
-				break
-			}
-			if a, fault = vm.pop(); fault != nil {
-				break
-			}
-			if a.Kind != KindArr {
-				fault = newFault(FaultTypeMismatch, "append wants an arr, got %s", a.Kind)
-				break
-			}
-			if fault = vm.alloc(1); fault != nil {
-				break
-			}
-			a.A.Elems = append(a.A.Elems, v)
-			fault = vm.push(a)
-
-		// ---- superinstructions (fused streams only; operands trusted,
-		// stack headroom verified at block entry) ----
-
-		case opLocIntArith, opLocConstArith, opLocLocArith:
-			x := f.locals[oi.a]
-			var y Value
-			switch oi.op {
-			case opLocIntArith:
-				y = Value{Kind: KindInt, I: int64(oi.b)}
-			case opLocConstArith:
-				y = vm.prog.Consts[oi.b]
-			default:
-				y = f.locals[oi.b]
-			}
-			if x.Kind == KindInt && y.Kind == KindInt && oi.sub <= OpMul {
-				var r int64
-				switch oi.sub {
-				case OpAdd:
-					r = x.I + y.I
-				case OpSub:
-					r = x.I - y.I
-				default:
-					r = x.I * y.I
-				}
-				vm.stack = append(vm.stack, Value{Kind: KindInt, I: r})
-				break
-			}
-			var v Value
-			if v, fault = arithVals(oi.sub, x, y); fault != nil {
-				faultOff = 2
-				break
-			}
-			vm.stack = append(vm.stack, v)
-
-		case opLocIntArithStore:
-			x := f.locals[oi.a]
-			if x.Kind == KindInt && oi.sub <= OpMul {
-				var r int64
-				switch oi.sub {
-				case OpAdd:
-					r = x.I + int64(oi.b)
-				case OpSub:
-					r = x.I - int64(oi.b)
-				default:
-					r = x.I * int64(oi.b)
-				}
-				f.locals[oi.c] = Value{Kind: KindInt, I: r}
-				break
-			}
-			var v Value
-			if v, fault = arithVals(oi.sub, x, Int(int64(oi.b))); fault != nil {
-				faultOff = 2
-				break
-			}
-			f.locals[oi.c] = v
-
-		case opArithStore:
-			n := len(vm.stack)
-			if n < 2 {
-				fault = underflowFault()
-				break
-			}
-			x, y := vm.stack[n-2], vm.stack[n-1]
-			vm.stack = vm.stack[:n-2]
-			var v Value
-			if v, fault = arithVals(oi.sub, x, y); fault != nil {
-				break
-			}
-			f.locals[oi.a] = v
-
-		case opLocIntCmp, opLocLocCmp:
-			x := f.locals[oi.a]
-			var y Value
-			if oi.op == opLocIntCmp {
-				y = Value{Kind: KindInt, I: int64(oi.b)}
-			} else {
-				y = f.locals[oi.b]
-			}
-			var v Value
-			if x.Kind == KindInt && y.Kind == KindInt {
-				v = Bool(intCmp(oi.sub, x.I, y.I))
-			} else if v, fault = cmpVals(oi.sub, x, y); fault != nil {
-				faultOff = 2
-				break
-			}
-			vm.stack = append(vm.stack, v)
-
-		case opCmpBr:
-			n := len(vm.stack)
-			if n < 2 {
-				fault = underflowFault()
-				break
-			}
-			x, y := vm.stack[n-2], vm.stack[n-1]
-			vm.stack = vm.stack[:n-2]
-			var cond bool
-			if x.Kind == KindInt && y.Kind == KindInt {
-				cond = intCmp(oi.sub, x.I, y.I)
-			} else {
-				var v Value
-				if v, fault = cmpVals(oi.sub, x, y); fault != nil {
-					break
-				}
-				cond = v.I != 0
-			}
-			if cond == (oi.flag == 1) {
-				npc = int(oi.a)
-				nextCharge = npc
-			}
-
-		case opLocIntCmpBr, opLocLocCmpBr:
-			x := f.locals[oi.a]
-			var y Value
-			if oi.op == opLocIntCmpBr {
-				y = Value{Kind: KindInt, I: int64(oi.b)}
-			} else {
-				y = f.locals[oi.b]
-			}
-			var cond bool
-			if x.Kind == KindInt && y.Kind == KindInt {
-				cond = intCmp(oi.sub, x.I, y.I)
-			} else {
-				var v Value
-				if v, fault = cmpVals(oi.sub, x, y); fault != nil {
-					faultOff = 2
-					break
-				}
-				cond = v.I != 0
-			}
-			if cond == (oi.flag == 1) {
-				npc = int(oi.c)
-				nextCharge = npc
-			}
-
-		case opLocCallB:
-			vm.stack = append(vm.stack, f.locals[oi.a])
-			id := Builtin(oi.b >> 8)
-			argc := int(oi.b & 0xff)
-			spec := builtinTable[id] // fusion guaranteed existence and arity
-			if len(vm.stack) < argc {
-				fault = newFault(FaultBadProgram, "builtin %s: stack underflow", spec.name)
-				faultOff = 1
-				break
-			}
-			args := vm.stack[len(vm.stack)-argc:]
-			var ret Value
-			if ret, fault = spec.fn(vm, args); fault != nil {
-				faultOff = 1
-				break
-			}
-			vm.stack = vm.stack[:len(vm.stack)-argc]
-			vm.stack = append(vm.stack, ret)
-
-		case opIllegal:
-			fault = newFault(FaultBadProgram, "illegal opcode %d", uint8(oi.a))
-
-		default:
-			fault = newFault(FaultBadProgram, "illegal opcode %d", uint8(oi.op))
-		}
-
+		vm.stack = stack
+		jumped, fault := vm.step(f, pc)
 		if fault != nil {
-			fault.Func = f.fn.Name
-			fault.PC = pc + faultOff
-			return Value{}, fault
+			return Value{}, faultAt(fault, f, pc)
 		}
-		pc = npc
+		if len(vm.frames) == 0 {
+			return vm.stack[0], nil
+		}
+		stack = vm.hotStack()
+		pc++
+		if jumped {
+			f = &vm.frames[len(vm.frames)-1]
+			code, fused = vm.stream(f.fn)
+			locals = f.locals
+			pc = f.pc
+			nextCharge = pc
+		}
 	}
+}
+
+// step executes the instruction at pc of the current frame f — past the end
+// of the code, an implicit ret0 — the plain way, on the VM's own state. It
+// is the complete implementation of the wire instruction set (fuel aside,
+// which the loop charges) and the only place an instruction faults; the loop
+// calls it for whatever its fast paths decline. It reports whether control
+// moved: then the frame now on top of vm.frames holds the pc to resume at,
+// and when no frame is left the program's result is the one operand on the
+// stack.
+func (vm *VM) step(f *frame, pc int) (jumped bool, fault *Fault) {
+	if pc >= len(f.fn.fast) {
+		return true, vm.unwind(Nil())
+	}
+	switch in := &f.fn.fast[pc]; in.op {
+	case OpNop:
+
+	case OpPushConst:
+		fault = vm.push(vm.prog.Consts[in.a])
+	case OpPushInt:
+		fault = vm.push(Int(int64(in.a)))
+	case OpPushNil:
+		fault = vm.push(Nil())
+	case OpPushTrue:
+		fault = vm.push(Bool(true))
+	case OpPushFalse:
+		fault = vm.push(Bool(false))
+	case OpPop:
+		_, fault = vm.pop()
+	case OpDup:
+		if len(vm.stack) == 0 {
+			fault = underflowFault()
+		} else {
+			fault = vm.push(vm.stack[len(vm.stack)-1])
+		}
+
+	case OpLoadLocal:
+		fault = vm.push(f.locals[in.a])
+	case OpStoreLocal:
+		var v Value
+		if v, fault = vm.pop(); fault == nil {
+			f.locals[in.a] = v
+		}
+
+	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
+		fault = vm.binaryArith(in.op)
+	case OpNeg:
+		var v Value
+		if v, fault = vm.pop(); fault == nil {
+			switch v.Kind {
+			case KindInt:
+				fault = vm.push(Int(-v.I))
+			case KindFloat:
+				fault = vm.push(Float(-v.F))
+			default:
+				fault = newFault(FaultTypeMismatch, "neg wants a number, got %s", v.Kind)
+			}
+		}
+
+	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+		fault = vm.compare(in.op)
+
+	case OpNot:
+		var v Value
+		if v, fault = vm.pop(); fault == nil {
+			if v.Kind != KindBool {
+				fault = newFault(FaultTypeMismatch, "not wants a bool, got %s", v.Kind)
+			} else {
+				fault = vm.push(Bool(v.I == 0))
+			}
+		}
+
+	case OpJump:
+		f.pc = int(in.a)
+		return true, nil
+	case OpJumpIfFalse, OpJumpIfTrue:
+		var v Value
+		if v, fault = vm.pop(); fault == nil {
+			if v.Kind != KindBool {
+				fault = newFault(FaultTypeMismatch, "branch wants a bool, got %s", v.Kind)
+			} else if v.AsBool() == (in.op == OpJumpIfTrue) {
+				f.pc = int(in.a)
+				return true, nil
+			}
+		}
+
+	case OpCall:
+		if len(vm.frames) >= vm.cfg.MaxCall {
+			return false, newFault(FaultStackOverflow, "call depth limit %d exceeded", vm.cfg.MaxCall)
+		}
+		callee := &vm.prog.Funcs[in.a]
+		base := len(vm.stack) - callee.NumParams
+		if base < 0 {
+			return false, newFault(FaultBadProgram, "call %s: %d args on stack, want %d",
+				callee.Name, len(vm.stack), callee.NumParams)
+		}
+		locals := vm.getLocals(callee.NumLocals)
+		for i := range vm.stack[base:] {
+			locals[i].set(&vm.stack[base+i])
+		}
+		clear(locals[callee.NumParams:])
+		vm.stack = vm.stack[:base]
+		f.pc = pc + 1
+		vm.frames = append(vm.frames, frame{fn: callee, locals: locals, base: base})
+		return true, nil
+
+	case OpCallB:
+		id := Builtin(in.a >> 8)
+		argc := int(in.a & 0xff)
+		spec := lookupBuiltin(id)
+		if spec == nil {
+			return false, newFault(FaultBadBuiltin, "unknown builtin %d", int(id))
+		}
+		if argc != spec.arity {
+			return false, newFault(FaultBadBuiltin, "%s wants %d args, got %d", spec.name, spec.arity, argc)
+		}
+		if len(vm.stack) < argc {
+			return false, newFault(FaultBadProgram, "builtin %s: stack underflow", spec.name)
+		}
+		var ret Value
+		if ret, fault = spec.fn(vm, vm.stack[len(vm.stack)-argc:]); fault == nil {
+			vm.stack = vm.stack[:len(vm.stack)-argc]
+			fault = vm.push(ret)
+		}
+
+	case OpReturn:
+		if len(vm.stack) == 0 {
+			return false, underflowFault()
+		}
+		return true, vm.unwind(vm.stack[len(vm.stack)-1])
+	case OpReturn0:
+		return true, vm.unwind(Nil())
+
+	case OpNewArray:
+		n := int(in.a)
+		if len(vm.stack) < n {
+			return false, newFault(FaultBadProgram, "newarr %d: stack underflow", n)
+		}
+		if fault = vm.alloc(n); fault != nil {
+			break
+		}
+		elems := make([]Value, n)
+		copy(elems, vm.stack[len(vm.stack)-n:])
+		vm.stack = vm.stack[:len(vm.stack)-n]
+		fault = vm.push(Value{Kind: KindArr, A: &Array{Elems: elems}})
+
+	case OpIndex:
+		fault = vm.index()
+	case OpSetIndex:
+		fault = vm.setIndex()
+	case OpLen:
+		var v Value
+		if v, fault = vm.pop(); fault == nil {
+			switch v.Kind {
+			case KindArr:
+				fault = vm.push(Int(int64(len(v.A.Elems))))
+			case KindStr:
+				fault = vm.push(Int(int64(len(v.S))))
+			default:
+				fault = newFault(FaultTypeMismatch, "len wants arr or str, got %s", v.Kind)
+			}
+		}
+	case OpAppend:
+		var v, a Value
+		if v, fault = vm.pop(); fault != nil {
+			break
+		}
+		if a, fault = vm.pop(); fault != nil {
+			break
+		}
+		if a.Kind != KindArr {
+			return false, newFault(FaultTypeMismatch, "append wants an arr, got %s", a.Kind)
+		}
+		if fault = vm.alloc(1); fault != nil {
+			break
+		}
+		a.A.Elems = append(a.A.Elems, v)
+		fault = vm.push(a)
+
+	case opIllegal:
+		fault = newFault(FaultBadProgram, "illegal opcode %d", uint8(in.a))
+	default:
+		fault = newFault(FaultBadProgram, "illegal opcode %d", uint8(in.op))
+	}
+	return false, fault
 }
 
 // unwind pops the current frame, truncates the operand stack to the frame's
 // base, recycles the frame's locals, and pushes ret for the caller. When the
-// last frame returns, ret is the program result and is returned via the
-// first return value.
-func (vm *VM) unwind(ret Value) (Value, *Fault) {
+// last frame returns, ret is the program result and is left as the only
+// operand, whatever the depth limit.
+func (vm *VM) unwind(ret Value) *Fault {
 	fr := vm.frames[len(vm.frames)-1]
 	vm.frames = vm.frames[:len(vm.frames)-1]
 	vm.stack = vm.stack[:fr.base]
@@ -719,9 +829,10 @@ func (vm *VM) unwind(ret Value) (Value, *Fault) {
 		vm.localsPool = append(vm.localsPool, fr.locals)
 	}
 	if len(vm.frames) == 0 {
-		return ret, nil
+		vm.stack = append(vm.stack, ret)
+		return nil
 	}
-	return Value{}, vm.push(ret)
+	return vm.push(ret)
 }
 
 // intCmp evaluates an int/int comparison.
@@ -739,6 +850,58 @@ func intCmp(op Op, a, b int64) bool {
 		return a > b
 	default:
 		return a >= b
+	}
+}
+
+// intArith evaluates an int/int arithmetic op. ok is false for a zero
+// divisor, which is left to arithVals and its fault. Go defines
+// MinInt64 / -1 (= MinInt64) and MinInt64 % -1 (= 0), so nothing else traps.
+func intArith(op Op, a, b int64) (r int64, ok bool) {
+	switch op {
+	case OpAdd:
+		return a + b, true
+	case OpSub:
+		return a - b, true
+	case OpMul:
+		return a * b, true
+	case OpDiv:
+		if b != 0 {
+			return a / b, true
+		}
+	case OpMod:
+		if b != 0 {
+			return a % b, true
+		}
+	}
+	return 0, false
+}
+
+// floatArith evaluates a float/float add, sub, mul or div, IEEE semantics.
+func floatArith(op Op, a, b float64) float64 {
+	switch op {
+	case OpAdd:
+		return a + b
+	case OpSub:
+		return a - b
+	case OpMul:
+		return a * b
+	default:
+		return a / b
+	}
+}
+
+// floatCmp evaluates a float/float ordering the way cmpVals does: whatever
+// is neither less nor greater — a NaN on either side included — is equal.
+func floatCmp(op Op, a, b float64) bool {
+	switch op {
+	case OpLt:
+		return a < b
+	case OpLe:
+		return !(a > b)
+	case OpGt:
+		return a > b
+	default:
+		return !(a < b)
 	}
 }
 

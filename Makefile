@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-vm bench-smoke bench-gate profile fuzz fuzz-smoke clean
+.PHONY: all build vet test race check bench bench-vm bench-smoke profile fuzz fuzz-smoke flaky clean
 
 all: check
 
@@ -43,9 +43,9 @@ check:
 # bench runs the headline benchmarks with allocation reporting: interpreter
 # hot paths, the broker data-plane throughput pair (coalescing on/off), and
 # the wire send path. Compare runs across commits with benchstat
-# (golang.org/x/perf/cmd/benchstat); the experiment-level numbers behind
-# BENCH_PR2.json / BENCH_PR3.json regenerate via
-# `go run ./cmd/tasklet-bench -exp e8|e9 -json <file>`.
+# (golang.org/x/perf/cmd/benchstat); the experiment-level numbers in
+# EXPERIMENTS.md regenerate via `go run ./cmd/tasklet-bench -exp <id>`.
+# Performance claims are made with benchmark/ (see BENCHMARK.json), not here.
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkVM_|BenchmarkE1_SpinVM|BenchmarkAblation_Optimize|BenchmarkAblation_Memo|BenchmarkBrokerThroughput|BenchmarkAblation_Coalesce|BenchmarkAblation_Batch' -benchmem .
 	$(GO) test -run XXX -bench 'BenchmarkConnSend|BenchmarkLegacySend|BenchmarkBatch' -benchmem ./internal/wire/
@@ -76,14 +76,6 @@ profile:
 		-blockprofile $(PROFILEDIR)/block.out \
 		-o $(PROFILEDIR)/bench.test .
 
-# bench-gate re-runs the partitioned-core experiment at CI scale and diffs
-# its series against the committed baseline (BENCH_PR9.json). Drops beyond
-# 10% print WARN lines but never fail the target — host noise makes CI
-# timings advisory; the hard thresholds live inside the experiment itself
-# (it errors below a 1.5x P=8-vs-P=1 speedup).
-bench-gate:
-	$(GO) run ./cmd/tasklet-bench -exp e13 -quick -q -compare BENCH_PR9.json
-
 # bench-smoke compiles and runs every throughput/ablation benchmark and every
 # VM benchmark exactly once (-benchtime=1x) — the CI gate that keeps the bench
 # harness building and executing without paying for statistically meaningful
@@ -113,6 +105,13 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzCompile -fuzztime $(SMOKETIME) ./internal/tasklang/
 	$(GO) test -run XXX -fuzz FuzzUnmarshal -fuzztime $(SMOKETIME) ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzLifecycle -fuzztime $(SMOKETIME) ./internal/lifecycle/
+
+# flaky reruns the two tests that used to fail a few times in twenty (the
+# stress test's provider loss fired on a timer and could find the provider
+# idle; E7's sweep points were single ~3 ms batches): every run must pass.
+flaky:
+	$(GO) test -count 20 -run 'TestPartitionStress' ./internal/broker/
+	$(GO) test -count 20 -run TestE7ThroughputShape ./internal/experiments/
 
 clean:
 	$(GO) clean ./...

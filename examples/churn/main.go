@@ -102,9 +102,10 @@ func main() {
 		n, time.Since(start).Round(time.Millisecond), retried)
 	fmt.Printf("  stable provider executed %d tasklets\n\n", stable.Executed())
 
-	// Round 2: voting. Every tasklet runs on 3 distinct providers (the
-	// broker re-spreads as the fleet changes) and completes only when a
-	// majority agree.
+	// Round 2: voting. Every tasklet runs on 2 distinct providers — the
+	// majority of 3 — and completes when they agree; the third replica runs
+	// only if they do not, or a provider is lost (the broker re-spreads as
+	// the fleet changes).
 	fmt.Println("round 2: majority voting (3 replicas) on the surviving fleet")
 	for i := 0; i < 2; i++ {
 		p, err := tasklets.StartProvider(tasklets.ProviderOptions{

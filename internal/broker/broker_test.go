@@ -229,6 +229,43 @@ func TestRedundantQoCUsesDistinctProviders(t *testing.T) {
 	}
 }
 
+// A saturated fleet (3 one-slot providers, 128 attempts to place) makes
+// every vote arrive while its sibling still waits for a slot. At the default
+// retry budget nothing may be spent on that: each tasklet runs exactly the
+// two agreeing attempts a 3-way vote needs.
+func TestVotingOnSaturatedFleetSpendsNoRetry(t *testing.T) {
+	b, addr := memoStack(t, Options{}, 3, 1)
+	c, err := consumer.Connect(addr, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 64
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{int64(i)}
+	}
+	spec := compileJob(t, squareSrc, rows...)
+	spec.QoC = core.QoC{Mode: core.QoCVoting, Replicas: 3}
+	job, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Collect(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if !r.OK() || r.Return.I != int64(i*i) || r.Attempts != 2 {
+			t.Fatalf("tasklet %d = %+v, want %d after exactly 2 attempts", i, r, i*i)
+		}
+	}
+	if got := b.Metrics().Counter("attempts.launched").Value(); got != 2*n {
+		t.Fatalf("attempts.launched = %d, want %d", got, 2*n)
+	}
+}
+
 func TestProviderChurnReissuesWork(t *testing.T) {
 	// One flaky provider dies after 5 tasklets; a stable one finishes the
 	// job. Heartbeat timeout is short so loss detection is fast.

@@ -169,8 +169,8 @@ func TestBrokerCoalescingRespectsVotingReplicas(t *testing.T) {
 			t.Fatalf("consumer %d: %+v", i, res)
 		}
 	}
-	if got := b.Metrics().Counter("attempts.launched").Value(); got != 3 {
-		t.Fatalf("attempts.launched = %d, want 3 (one voting fan-out)", got)
+	if got := b.Metrics().Counter("attempts.launched").Value(); got != 2 {
+		t.Fatalf("attempts.launched = %d, want 2 (one voting fan-out: the majority of 3)", got)
 	}
 }
 

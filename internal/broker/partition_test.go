@@ -97,7 +97,9 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	// cancels to catch them. "crawler" stays up all run (so late deadline
 	// jobs still have attempts that blow their budget); "doomed" dies mid-run
 	// to exercise ProviderLost re-issues (with backoff, so the timer wheel's
-	// launch path runs too).
+	// launch path runs too). doomed is slow enough (1000x) that nothing it
+	// is given finishes before it dies; a cancel still frees its slots at
+	// once, so abandoned attempts do not hold up the leak check below.
 	crawler, err := provider.Connect(provider.Options{
 		BrokerAddr: addr, Slots: 2, Speed: 100, Throttle: 0.2, Name: "crawler"})
 	if err != nil {
@@ -105,10 +107,11 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	}
 	t.Cleanup(func() { crawler.Close() })
 	doomed, err := provider.Connect(provider.Options{
-		BrokerAddr: addr, Slots: 2, Speed: 100, Throttle: 0.05, Name: "doomed"})
+		BrokerAddr: addr, Slots: 2, Speed: 100, Throttle: 0.001, Name: "doomed"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { doomed.Close() })
 
 	const workers = 4
 	const jobsPerWorker = 6
@@ -124,6 +127,31 @@ func TestPartitionStressInterleaved(t *testing.T) {
 		return n * n;
 	}`
 	heavySpec := compileJob(t, heavySrc, intRows(n)...)
+
+	// The provider loss must hit live work to be a loss at all, so doomed
+	// dies only once it is seen holding attempts of the anchor job — heavy
+	// enough to fill every slot of the fleet, never cancelled, no deadline:
+	// whatever doomed holds of it is still running, and still wanted, when
+	// the connection drops. (A fixed sleep used to stand in for this, and
+	// found doomed idle once the TVM got faster.) NoCache keeps its results
+	// out of the memo, which would otherwise serve the deadline jobs below.
+	ac, err := consumer.Connect(addr, "anchor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ac.Close()
+	anchorSpec := heavySpec
+	anchorSpec.QoC = core.QoC{NoCache: true}
+	anchor, err := ac.Submit(anchorSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for start := time.Now(); liveAttemptsOn(b, doomed.ID()) == 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("doomed was never given work")
+		}
+	}
+
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -187,14 +215,19 @@ func TestPartitionStressInterleaved(t *testing.T) {
 		}(w)
 	}
 
-	time.Sleep(25 * time.Millisecond)
-	doomed.Close() // mid-run provider loss across every partition
+	time.Sleep(25 * time.Millisecond) // let the stress get going
+	doomed.Close()                    // mid-run provider loss across every partition
 
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
+	res, err := anchor.Collect(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSquares(t, res, n) // the lost attempts were re-issued, each index settled once
 
 	// Attempt-leak check: with every consumer gone (cancelled jobs die with
 	// their consumer) the engines and queues must drain to zero. The window
@@ -221,4 +254,22 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	if m.Counter("attempts.lost").Value() == 0 {
 		t.Error("provider loss produced no lost attempts")
 	}
+}
+
+// liveAttemptsOn counts the attempts running on pid whose outcome still
+// matters to a pending tasklet — the ones a loss of pid would report lost.
+func liveAttemptsOn(b *Broker, pid core.ProviderID) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, part := range b.parts {
+		part.mu.Lock()
+		part.life.VisitAttempts(func(_ core.AttemptID, tid core.TaskletID, p core.ProviderID, abandoned bool) {
+			if p == pid && !abandoned && part.life.Live(tid) {
+				n++
+			}
+		})
+		part.mu.Unlock()
+	}
+	return n
 }

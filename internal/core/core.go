@@ -50,9 +50,11 @@ const (
 	// QoCRedundant runs Replicas attempts on distinct providers and
 	// completes with the first successful result.
 	QoCRedundant
-	// QoCVoting runs Replicas attempts on distinct providers and completes
-	// when a majority agree on the result hash; disagreement past the
-	// retry budget fails the tasklet.
+	// QoCVoting completes when a majority of Replicas attempts, on distinct
+	// providers, agree on the result hash. Only the majority is launched up
+	// front; the rest of the replica set and then the retry budget cover
+	// disagreement, faults and losses, and running out of both fails the
+	// tasklet.
 	QoCVoting
 )
 
@@ -73,8 +75,11 @@ func (m QoCMode) String() string {
 // QoC carries a tasklet's quality-of-computation goals. The zero value is
 // best-effort, single attempt, no deadline.
 type QoC struct {
-	Mode     QoCMode
-	Replicas int // attempts scheduled up front for Redundant/Voting; min 1
+	Mode QoCMode
+	// Replicas is the number of attempts Redundant schedules up front, and
+	// the size of the vote under Voting (which schedules a majority of it up
+	// front). Minimum 1.
+	Replicas int
 
 	// MaxRetries bounds re-issues after provider loss or fault (in
 	// addition to the initial attempts). Default 0 means the engine's

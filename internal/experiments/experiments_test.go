@@ -170,7 +170,8 @@ func TestE6QoCCostShape(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	// attempts/task must increase down the table (1, 2, 3, >=3, >=5).
+	// attempts/task: 1, 2, 3 for best-effort and redundant-2/3; on this
+	// agreeing fleet voting-3/5 cost exactly their majorities, 2 and 3.
 	parse := func(row [2]string) float64 {
 		var v float64
 		if _, err := fmt.Sscanf(row[1], "attempts/task %f", &v); err != nil {
@@ -184,6 +185,9 @@ func TestE6QoCCostShape(t *testing.T) {
 	}
 	if be > 1.01 {
 		t.Fatalf("best effort attempts/task = %v, want 1", be)
+	}
+	if v3, v5 := parse(res.Rows[3]), parse(res.Rows[4]); v3 != 2 || v5 != 3 {
+		t.Fatalf("voting3/voting5 attempts/task = %v/%v, want the majorities 2/3", v3, v5)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/broker"
@@ -300,6 +301,9 @@ func RunE2(opts Options) (*Result, error) {
 	return res, nil
 }
 
+// e7BatchesPerPoint is how many timed batches make one point of E7's sweep.
+const e7BatchesPerPoint = 5
+
 // RunE7 measures broker throughput and queueing (Figure 6): batches of
 // empty tasklets through a live stack; tasklets/second versus batch size.
 func RunE7(opts Options) (*Result, error) {
@@ -326,19 +330,23 @@ func RunE7(opts Options) (*Result, error) {
 	tput := &metrics.Series{Name: "tasklets/s", XLabel: "batch size"}
 	lat := &metrics.Series{Name: "mean latency ms", XLabel: "batch size"}
 	for _, n := range sizes {
-		el, results, err := stack.runBatch(noopData, make([][]tvm.Value, n), core.QoC{}, 0)
-		if err != nil {
-			return nil, err
-		}
-		ok := 0
-		for _, r := range results {
-			if r.OK() {
-				ok++
+		// A batch lasts a few milliseconds, so one scheduler hiccup on a small
+		// host reads as a several-fold collapse: a point is the median batch.
+		times := make([]time.Duration, e7BatchesPerPoint)
+		for i := range times {
+			el, results, err := stack.runBatch(noopData, make([][]tvm.Value, n), core.QoC{}, 0)
+			if err != nil {
+				return nil, err
 			}
+			for _, r := range results {
+				if !r.OK() {
+					return nil, fmt.Errorf("e7: batch of %d: tasklet %d failed: %s", n, r.Index, r.Fault)
+				}
+			}
+			times[i] = el
 		}
-		if ok != n {
-			return nil, fmt.Errorf("e7: %d/%d tasklets failed", n-ok, n)
-		}
+		slices.Sort(times)
+		el := times[len(times)/2]
 		tput.Append(float64(n), float64(n)/el.Seconds())
 		lat.Append(float64(n), el.Seconds()*1e3/float64(n))
 		opts.logf("e7: batch %d -> %.0f tasklets/s", n, float64(n)/el.Seconds())

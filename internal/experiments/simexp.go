@@ -205,7 +205,7 @@ func RunE6(opts Options) (*Result, error) {
 		opts.logf("e6: %s done", qc.name)
 	}
 	res.Notes = append(res.Notes,
-		"paper expectation: redundancy multiplies attempts by the replica count; voting additionally waits for the k-th result, raising latency")
+		"paper expectation: redundancy multiplies attempts by the replica count; voting-k launches only the majority that can decide it (the rest on disagreement, fault or loss), so an agreeing fleet pays ⌈(k+1)/2⌉ attempts and waits for that many results")
 	return res, nil
 }
 

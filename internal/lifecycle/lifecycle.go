@@ -39,7 +39,7 @@ type Options struct {
 	// coalescing. All FlightTable methods are nil-safe.
 	Flights *memo.FlightTable
 
-	// MaxAttempts caps the total attempts (launched + queued) a single
+	// MaxAttempts caps the total attempts (launched + asked for) a single
 	// tasklet may consume across re-issues; 0 or negative means unlimited
 	// (the legacy behavior, bounded only by the QoC retry budget). A tasklet
 	// whose re-issue is swallowed by the cap with nothing outstanding
@@ -94,9 +94,6 @@ type taskletState struct {
 	tracker qoc.Tracker
 	coKey   memo.FlightKey
 	role    flightRole
-	// queued counts launch effects emitted but not yet turned into attempts
-	// via Launched; it keeps MaxAttempts honest while placements wait.
-	queued int
 	// reissues counts post-fan-out launches, driving the backoff schedule.
 	reissues int
 }
@@ -223,9 +220,6 @@ func (e *Engine) Launched(tid core.TaskletID, pid core.ProviderID) (core.Attempt
 	e.nextAttempt += e.strideAttempt
 	aid := e.nextAttempt
 	e.attempts[aid] = attemptEntry{tasklet: tid, provider: pid}
-	if ts.queued > 0 {
-		ts.queued--
-	}
 	ts.tracker.OnLaunched(aid, pid)
 	return aid, true
 }
@@ -401,7 +395,6 @@ func (e *Engine) newState(t core.Tasklet) *taskletState {
 	ts.tracker.Reset(&ts.t)
 	ts.coKey = memo.FlightKey{}
 	ts.role = flightNone
-	ts.queued = 0
 	ts.reissues = 0
 	return ts
 }
@@ -440,19 +433,23 @@ func (e *Engine) cancelAttempt(aid core.AttemptID) {
 // the decision is final, or the cap starves a re-issue with nothing left in
 // flight — finalization.
 func (e *Engine) applyDecision(ts *taskletState, d qoc.Decision) {
+	tr := &ts.tracker
+	// prior is what the tasklet had consumed before this decision: attempts
+	// placed plus launches asked for and still waiting for a slot (the
+	// tracker's count, which already includes d.Launch).
+	prior := tr.Attempts() + tr.Asked() - d.Launch
 	launch := d.Launch
 	if launch > 0 && e.opts.MaxAttempts > 0 {
-		budget := e.opts.MaxAttempts - ts.tracker.Attempts() - ts.queued
-		if launch > budget {
+		if budget := max(e.opts.MaxAttempts-prior, 0); launch > budget {
+			// Hand the swallowed launches back, or the tracker would wait
+			// for attempts nobody will place.
+			tr.Refuse(launch - budget)
 			launch = budget
-			if launch < 0 {
-				launch = 0
-			}
 		}
 	}
 	// Re-issues (anything after the initial fan-out) back off; the first
 	// fan-out and promoted flight waiters launch immediately.
-	reissue := ts.tracker.Attempts() > 0 || ts.queued > 0
+	reissue := prior > 0
 	for i := 0; i < launch; i++ {
 		var delay time.Duration
 		if reissue && e.opts.RetryBackoff > 0 {
@@ -463,25 +460,23 @@ func (e *Engine) applyDecision(ts *taskletState, d qoc.Decision) {
 			delay = e.opts.RetryBackoff << shift
 			ts.reissues++
 		}
-		ts.queued++
 		e.emit(Effect{Kind: EffectLaunch, Tasklet: ts.t.ID, Delay: delay})
 	}
 	for _, aid := range d.Cancel {
 		e.cancelAttempt(aid)
 	}
 	if d.Done {
-		e.finalize(ts, d.Final, ts.tracker.Attempts())
+		e.finalize(ts, d.Final, tr.Attempts())
 		return
 	}
-	if launch < d.Launch && ts.tracker.Outstanding() == 0 && ts.queued == 0 {
+	if launch < d.Launch && tr.Outstanding() == 0 {
 		// The attempt cap swallowed every wanted launch and nothing is in
-		// flight or queued: the tasklet can never finish. Finalize as lost,
-		// like a retry-budget exhaustion.
-		e.abandonAttempts(ts.t.ID) // no live attempts; keeps invariants obvious
+		// flight or waiting for a slot: the tasklet can never finish.
+		// Finalize as lost, like a retry-budget exhaustion.
 		e.finalize(ts, core.Result{
 			Tasklet: ts.t.ID, Job: ts.t.Job, Index: ts.t.Index,
 			Status: core.StatusLost, FaultMsg: "attempt cap exhausted",
-		}, ts.tracker.Attempts())
+		}, tr.Attempts())
 	}
 }
 

@@ -106,30 +106,53 @@ func TestStaleAndWastedDispositions(t *testing.T) {
 	}
 }
 
+// Voting launches only the majority that can decide the tasklet, so an
+// agreeing majority leaves no redundant replica behind: nothing to cancel,
+// and the attempts reported are the two that ran.
 func TestVotingMajorityCancelsRedundant(t *testing.T) {
 	e := New(Options{})
 	fx := e.Submit(core.Tasklet{ID: 1, QoC: core.QoC{Mode: core.QoCVoting, Replicas: 3}, Fuel: 100}, "", false)
-	if countKind(fx, EffectLaunch) != 3 {
-		t.Fatalf("voting fan-out = %v, want 3 launches", fx)
+	if countKind(fx, EffectLaunch) != 2 {
+		t.Fatalf("voting fan-out = %v, want 2 launches (the majority of 3)", fx)
 	}
 	a1 := launchOne(t, e, 1, 1)
 	a2 := launchOne(t, e, 1, 2)
-	a3 := launchOne(t, e, 1, 3)
 
 	if disp, fx := e.Result(core.Result{Attempt: a1, Provider: 1, Status: core.StatusOK, Return: tvm.Int(5)}); disp != ResultConsumed || len(fx) != 0 {
 		t.Fatalf("first vote: disp=%v fx=%v", disp, fx)
 	}
 	_, fx = e.Result(core.Result{Attempt: a2, Provider: 2, Status: core.StatusOK, Return: tvm.Int(5)})
-	if countKind(fx, EffectCancelAttempt) != 1 || firstKind(t, fx, EffectCancelAttempt).Attempt != a3 {
-		t.Fatalf("majority effects = %v, want cancel of %d", fx, a3)
+	if countKind(fx, EffectCancelAttempt) != 0 {
+		t.Fatalf("majority effects = %v, want no cancel (no third replica was launched)", fx)
 	}
 	d := firstKind(t, fx, EffectDeliver)
-	if d.Final.Return.I != 5 || d.Attempts != 3 {
+	if d.Final.Return.I != 5 || d.Attempts != 2 {
 		t.Fatalf("voting deliver = %+v", d)
 	}
-	// The cancelled straggler's report is wasted.
-	if disp, _ := e.Result(core.Result{Attempt: a3, Provider: 3, Status: core.StatusOK, Return: tvm.Int(9)}); disp != ResultWasted {
-		t.Fatalf("straggler disposition = %v", disp)
+	if e.InFlight() != 0 || e.Pending() != 0 {
+		t.Fatalf("leak: inflight=%d pending=%d", e.InFlight(), e.Pending())
+	}
+}
+
+// A disagreement launches the rest of the replica set, one deficit at a
+// time, and the tie-breaker decides.
+func TestVotingDisagreementLaunchesTheDeficit(t *testing.T) {
+	e := New(Options{})
+	e.Submit(core.Tasklet{ID: 1, QoC: core.QoC{Mode: core.QoCVoting, Replicas: 3}, Fuel: 100}, "", false)
+	a1 := launchOne(t, e, 1, 1)
+	a2 := launchOne(t, e, 1, 2)
+	e.Result(core.Result{Attempt: a1, Provider: 1, Status: core.StatusOK, Return: tvm.Int(5)})
+	_, fx := e.Result(core.Result{Attempt: a2, Provider: 2, Status: core.StatusOK, Return: tvm.Int(9)})
+	if countKind(fx, EffectLaunch) != 1 || len(fx) != 1 {
+		t.Fatalf("disagreement effects = %v, want exactly one launch", fx)
+	}
+	if excl := e.AppendActiveProviders(1, nil); len(excl) != 2 {
+		t.Fatalf("exclusion list = %v, want the two providers that voted", excl)
+	}
+	a3 := launchOne(t, e, 1, 3)
+	_, fx = e.Result(core.Result{Attempt: a3, Provider: 3, Status: core.StatusOK, Return: tvm.Int(5)})
+	if d := firstKind(t, fx, EffectDeliver); d.Final.Return.I != 5 || d.Attempts != 3 {
+		t.Fatalf("voting deliver = %+v", d)
 	}
 }
 
@@ -299,9 +322,81 @@ func TestMaxAttemptsCapFinalizesLost(t *testing.T) {
 
 func TestMaxAttemptsCapsInitialFanOut(t *testing.T) {
 	e := New(Options{MaxAttempts: 2})
-	fx := e.Submit(core.Tasklet{ID: 1, QoC: core.QoC{Mode: core.QoCVoting, Replicas: 3}, Fuel: 100}, "", false)
+	fx := e.Submit(core.Tasklet{ID: 1, QoC: core.QoC{Mode: core.QoCVoting, Replicas: 5}, Fuel: 100}, "", false)
 	if countKind(fx, EffectLaunch) != 2 {
-		t.Fatalf("capped fan-out = %v, want 2 launches", fx)
+		t.Fatalf("capped fan-out = %v, want 2 of the majority's 3 launches", fx)
+	}
+}
+
+// runCappedVote submits one voting-r tasklet to an engine capped at
+// maxAttempts and answers its attempts, in launch order, with the script's
+// values ('L' = lost). It fails the test if the tasklet is ever pending with
+// nothing placed and nothing to place — waiting on an attempt nobody will
+// launch — and returns the final and the launch count.
+func runCappedVote(t *testing.T, r, maxAttempts int, script string) (Effect, int) {
+	t.Helper()
+	e := New(Options{MaxAttempts: maxAttempts})
+	fx := e.Submit(core.Tasklet{ID: 1, QoC: core.QoC{Mode: core.QoCVoting, Replicas: r}, Fuel: 100}, "", false)
+	launched, queued := 0, 0
+	var live []core.AttemptID
+	for {
+		queued += countKind(fx, EffectLaunch)
+		if countKind(fx, EffectDeliver) == 1 {
+			if e.Pending() != 0 || e.InFlight() != 0 {
+				t.Fatalf("r=%d cap=%d %q: leak after final: pending=%d inflight=%d", r, maxAttempts, script, e.Pending(), e.InFlight())
+			}
+			return firstKind(t, fx, EffectDeliver), launched
+		}
+		for ; queued > 0; queued-- {
+			launched++
+			live = append(live, launchOne(t, e, 1, core.ProviderID(launched)))
+		}
+		if launched > maxAttempts {
+			t.Fatalf("r=%d cap=%d %q: launched %d", r, maxAttempts, script, launched)
+		}
+		if len(live) == 0 {
+			t.Fatalf("r=%d cap=%d %q: pending with nothing in flight and nothing asked for", r, maxAttempts, script)
+		}
+		aid := live[0]
+		live = live[1:]
+		res := core.Result{Attempt: aid, Provider: core.ProviderID(aid), Status: core.StatusOK}
+		if c := script[(int(aid)-1)%len(script)]; c == 'L' {
+			res.Status = core.StatusLost
+		} else {
+			res.Return = tvm.Int(int64(c))
+		}
+		_, fx = e.Result(res)
+	}
+}
+
+// The phantom ask: r = 5 capped at 3 attempts votes X, Y, X. The tracker
+// asks for the third X, the cap refuses it — and unless the engine hands the
+// refused launch back, the tracker counts best 2 + 1 asked ≥ 3 and waits
+// forever on an attempt nobody will place.
+func TestVotingCapRefusedLaunchIsHandedBack(t *testing.T) {
+	d, launched := runCappedVote(t, 5, 3, "XYX")
+	if d.Final.Status != core.StatusLost || d.Final.FaultMsg != "attempt cap exhausted" || launched != 3 || d.Attempts != 3 {
+		t.Fatalf("final = %+v after %d launches, want attempt cap exhausted after 3", d, launched)
+	}
+}
+
+func TestVotingUnderAttemptCapAlwaysFinalizes(t *testing.T) {
+	for _, r := range []int{3, 5} {
+		need := core.Majority(r)
+		for _, maxAttempts := range []int{2, 3, 4} {
+			for _, script := range []string{"X", "XY", "XYX", "XYZ", "LX", "XLY", "L", "abcdefgh"} {
+				d, launched := runCappedVote(t, r, maxAttempts, script)
+				if d.Final.Status == core.StatusOK && launched < need {
+					t.Fatalf("r=%d cap=%d %q: accepted after %d attempts, majority is %d", r, maxAttempts, script, launched, need)
+				}
+				if script == "X" && (d.Final.Status == core.StatusOK) != (maxAttempts >= need) {
+					t.Fatalf("r=%d cap=%d unanimous: final %+v, want OK iff the cap admits a majority of %d", r, maxAttempts, d.Final, need)
+				}
+				if script == "X" && d.Final.Status == core.StatusOK && launched != need {
+					t.Fatalf("r=%d cap=%d unanimous: %d launches, want %d", r, maxAttempts, launched, need)
+				}
+			}
+		}
 	}
 }
 

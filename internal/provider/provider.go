@@ -39,7 +39,8 @@ type Options struct {
 	Class core.DeviceClass
 	// Throttle in (0, 1] scales the advertised speed and stretches each
 	// execution by sleeping (1/Throttle - 1) times the compute time,
-	// emulating a slower device. Zero selects 1 (no throttle).
+	// emulating a slower device; a cancellation ends the sleep as it would
+	// end the run. Zero selects 1 (no throttle).
 	Throttle float64
 	// Speed overrides the measured benchmark score when positive (tests
 	// and deterministic experiments set it; real deployments measure).
@@ -105,8 +106,8 @@ type Provider struct {
 	id   core.ProviderID
 
 	// free holds one token per idle slot. The token is the slot's cancel
-	// flag, so claiming a slot and arming its cancellation allocate nothing.
-	free     chan *atomic.Bool
+	// state, so claiming a slot and arming its cancellation allocate nothing.
+	free     chan *slotToken
 	work     chan attempt // claimed attempts awaiting a slot worker
 	out      chan wire.Message
 	executed atomic.Int64 // attempts finished, memo-served included
@@ -114,7 +115,7 @@ type Provider struct {
 	closed   atomic.Bool
 
 	mu      sync.Mutex
-	cancels map[core.AttemptID]*atomic.Bool
+	cancels map[core.AttemptID]*slotToken
 	cache   *programLRU
 	memo    *memo.Cache // nil when disabled; guarded by mu
 
@@ -194,10 +195,10 @@ func Connect(opts Options) (*Provider, error) {
 		conn:    conn,
 		nc:      nc,
 		id:      core.ProviderID(welcome.ID),
-		free:    make(chan *atomic.Bool, opts.Slots),
+		free:    make(chan *slotToken, opts.Slots),
 		work:    make(chan attempt, opts.Slots), // one per claimed slot: admit never blocks
 		out:     make(chan wire.Message, 1024),
-		cancels: map[core.AttemptID]*atomic.Bool{},
+		cancels: map[core.AttemptID]*slotToken{},
 		cache:   newProgramLRU(opts.CacheSize),
 		done:    make(chan struct{}),
 	}
@@ -234,7 +235,7 @@ func Connect(opts Options) (*Provider, error) {
 
 	p.wg.Add(3 + opts.Slots)
 	for i := 0; i < opts.Slots; i++ {
-		p.free <- &atomic.Bool{}
+		p.free <- newSlotToken()
 		go func() { defer p.wg.Done(); p.slotWorker() }()
 	}
 	go func() { defer p.wg.Done(); p.writerLoop() }()
@@ -258,7 +259,7 @@ func (p *Provider) Close() error {
 	// Cancel running VMs so slots drain quickly.
 	p.mu.Lock()
 	for _, c := range p.cancels {
-		c.Store(true)
+		c.cancel()
 	}
 	p.mu.Unlock()
 	p.nc.Close()
@@ -330,7 +331,7 @@ func (p *Provider) readLoop() {
 		case *wire.CancelAttempt:
 			p.mu.Lock()
 			if c := p.cancels[m.Attempt]; c != nil {
-				c.Store(true)
+				c.cancel()
 			}
 			p.mu.Unlock()
 		case *wire.ErrorMsg:
@@ -417,11 +418,41 @@ func (p *Provider) reject(m *wire.Assign, why string) {
 	})
 }
 
+// slotToken is one slot's cancellation state: the flag a running VM polls,
+// and a wake-up for the throttle stretch, which sleeps instead of polling.
+type slotToken struct {
+	flag atomic.Bool
+	// wake holds at most one pending wake-up (hence the buffer of one), so a
+	// cancel that lands before the stretch begins is not lost.
+	wake chan struct{}
+}
+
+func newSlotToken() *slotToken { return &slotToken{wake: make(chan struct{}, 1)} }
+
+// cancel aborts whatever the slot is doing. Callers hold p.mu and found the
+// token in p.cancels, so it never hits a slot that was already released.
+func (s *slotToken) cancel() {
+	s.flag.Store(true)
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// reset re-arms the token for the slot's next attempt.
+func (s *slotToken) reset() {
+	s.flag.Store(false)
+	select {
+	case <-s.wake:
+	default:
+	}
+}
+
 // attempt is one admitted assignment on its way to a slot worker.
 type attempt struct {
 	m      *wire.Assign
 	prog   *tvm.Program
-	cancel *atomic.Bool // the claimed slot's token; returned to p.free when done
+	cancel *slotToken // the claimed slot's token; returned to p.free when done
 }
 
 // admit takes one resolved assignment: memo short-circuit, slot claim, then
@@ -432,7 +463,7 @@ func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {
 	if p.memoServe(m) {
 		return
 	}
-	var cancel *atomic.Bool
+	var cancel *slotToken
 	select {
 	case cancel = <-p.free:
 	default:
@@ -442,7 +473,7 @@ func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {
 	p.mu.Lock()
 	p.cancels[m.Attempt] = cancel
 	if p.closed.Load() {
-		cancel.Store(true) // admitted behind Close's sweep of running VMs
+		cancel.cancel() // admitted behind Close's sweep of running VMs
 	}
 	p.mu.Unlock()
 	p.work <- attempt{m: m, prog: prog, cancel: cancel}
@@ -455,6 +486,11 @@ func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {
 func (p *Provider) slotWorker() {
 	var vm *tvm.VM
 	var loaded *tvm.Program
+	// stretch times the throttle emulation's sleeps: one timer per slot, not
+	// one per attempt.
+	stretch := time.NewTimer(0)
+	<-stretch.C
+	defer stretch.Stop()
 	for {
 		var a attempt
 		select {
@@ -467,18 +503,18 @@ func (p *Provider) slotWorker() {
 			cfg.Fuel = a.m.Fuel
 		}
 		cfg.Seed = a.m.Seed
-		cfg.Cancel = a.cancel
+		cfg.Cancel = &a.cancel.flag
 		if loaded == a.prog {
 			vm.Reset(cfg)
 		} else {
 			vm, loaded = tvm.New(a.prog, cfg), a.prog
 		}
-		out := p.execute(a.m, vm)
+		out := p.execute(a, vm, stretch)
 
 		p.mu.Lock()
 		delete(p.cancels, a.m.Attempt)
 		p.mu.Unlock()
-		a.cancel.Store(false)
+		a.cancel.reset()
 		p.free <- a.cancel
 		p.send(out)
 		p.noteFinished()
@@ -550,18 +586,35 @@ func (p *Provider) memoServe(m *wire.Assign) bool {
 
 // execute runs one attempt on a VM armed for it and builds the report. The
 // timed window is Run alone: Throttle multiplies it, so VM set-up stays out.
-func (p *Provider) execute(m *wire.Assign, vm *tvm.VM) *wire.AttemptResult {
+// stretch is the calling slot worker's idle timer.
+func (p *Provider) execute(a attempt, vm *tvm.VM, stretch *time.Timer) *wire.AttemptResult {
+	m := a.m
 	start := time.Now()
 	res, err := vm.Run(m.Params...)
 	elapsed := time.Since(start)
 
-	// Throttle emulation: stretch wall time as a slower device would.
+	// Throttle emulation: stretch wall time as a slower device would. The
+	// device would still be computing, so a cancel ends the stretch the way
+	// it ends a run: the slot frees at once and the attempt reports
+	// FaultCancelled.
 	if p.opts.Throttle < 1 {
 		extra := time.Duration(float64(elapsed) * (1/p.opts.Throttle - 1))
+		stretch.Reset(extra)
 		select {
-		case <-time.After(extra):
+		case <-stretch.C:
 			elapsed += extra
+		case <-a.cancel.wake:
+			elapsed = time.Since(start)
+			if err == nil {
+				err = &tvm.Fault{Code: tvm.FaultCancelled, Msg: "execution cancelled by host"}
+			}
 		case <-p.done:
+		}
+		if !stretch.Stop() {
+			select { // fired but unread: leave the channel empty for the next Reset
+			case <-stretch.C:
+			default:
+			}
 		}
 	}
 

@@ -2,7 +2,6 @@ package provider
 
 import (
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -371,16 +370,16 @@ func TestProviderFreesSlotBeforeReporting(t *testing.T) {
 func TestSlotWorkerFreesSlotBeforeQueueingResult(t *testing.T) {
 	p := &Provider{
 		opts:      Options{Slots: 1, Throttle: 1},
-		free:      make(chan *atomic.Bool, 1),
+		free:      make(chan *slotToken, 1),
 		work:      make(chan attempt, 1),
 		out:       make(chan wire.Message), // unbuffered and unread
-		cancels:   map[core.AttemptID]*atomic.Bool{},
+		cancels:   map[core.AttemptID]*slotToken{},
 		done:      make(chan struct{}),
 		mExecuted: (&metrics.Registry{}).Counter("provider.attempts.executed"),
 	}
 	go p.slotWorker()
 	defer close(p.done)
-	p.work <- attempt{m: assignNoop(1, false), prog: stdtasks.MustProgram("noop"), cancel: &atomic.Bool{}}
+	p.work <- attempt{m: assignNoop(1, false), prog: stdtasks.MustProgram("noop"), cancel: newSlotToken()}
 	select {
 	case <-p.free:
 	case <-time.After(5 * time.Second):
@@ -388,6 +387,52 @@ func TestSlotWorkerFreesSlotBeforeQueueingResult(t *testing.T) {
 	}
 	if res := (<-p.out).(*wire.AttemptResult); res.Attempt != 1 || res.Status != core.StatusOK {
 		t.Fatalf("result = %+v", res)
+	}
+}
+
+// TestCancelEndsThrottleStretch: a throttled provider emulates a slow device
+// by sleeping after the run, and a slow device would see the cancel flag
+// mid-run. The stretch here would last minutes (any run time × 1e9); a cancel
+// must end it at once — slot freed, FaultCancelled reported as a VM-level
+// cancel would — and count as one execution, FailAfter's tally included.
+func TestCancelEndsThrottleStretch(t *testing.T) {
+	reg := &metrics.Registry{}
+	p := &Provider{
+		opts:      Options{Slots: 1, Throttle: 1e-9},
+		free:      make(chan *slotToken, 1),
+		work:      make(chan attempt, 1),
+		out:       make(chan wire.Message, 1),
+		cancels:   map[core.AttemptID]*slotToken{},
+		done:      make(chan struct{}),
+		mExecuted: reg.Counter("provider.attempts.executed"),
+	}
+	go p.slotWorker()
+	defer close(p.done)
+	tok := newSlotToken()
+	p.work <- attempt{m: assignNoop(1, false), prog: stdtasks.MustProgram("noop"), cancel: tok}
+	time.Sleep(20 * time.Millisecond) // let the run finish and the stretch begin
+	cancelled := time.Now()
+	tok.cancel()
+	select {
+	case <-p.free:
+	case <-time.After(5 * time.Second):
+		t.Fatal("slot still held by a cancelled attempt's throttle stretch")
+	}
+	res := (<-p.out).(*wire.AttemptResult)
+	if res.Attempt != 1 || res.Status != core.StatusFault || res.FaultCode != tvm.FaultCancelled {
+		t.Fatalf("result = %+v, want FaultCancelled", res)
+	}
+	if took := time.Since(cancelled); took > time.Second {
+		t.Fatalf("cancel took %v to free the slot and report", took)
+	}
+	if tok.flag.Load() || len(tok.wake) != 0 {
+		t.Fatal("the slot's token was released still armed: it would cancel the next attempt")
+	}
+	for p.ran.Load() != 1 { // counted right after the result is queued
+		time.Sleep(time.Millisecond)
+	}
+	if got := reg.Counter("provider.attempts.executed").Value(); got != 1 || p.Executed() != 1 {
+		t.Fatalf("executed = %d / %d, want 1: a cancelled attempt is still an execution", got, p.Executed())
 	}
 }
 

@@ -32,11 +32,12 @@ type Decision struct {
 	Final core.Result
 }
 
-// attemptState tracks one outstanding attempt. It is stored by value so the
-// attempt map never allocates per entry.
-type attemptState struct {
+// vote is one successful result on record under voting: its result hash and
+// the provider that cast it. The result itself is not kept — a majority is
+// always completed by the vote that arrives last, and that one is in hand.
+type vote struct {
+	hash     uint64
 	provider core.ProviderID
-	launched bool
 }
 
 // Tracker manages the attempt lifecycle of a single tasklet.
@@ -46,15 +47,28 @@ type Tracker struct {
 	tasklet *core.Tasklet
 	goal    core.QoC
 
-	attempts map[core.AttemptID]attemptState
-	// okResults accumulates successful attempt results for voting.
-	okResults []core.Result
+	// attempts maps every attempt in flight to the provider running it.
+	attempts map[core.AttemptID]core.ProviderID
+	// asked counts launches handed out in a Decision that the caller has not
+	// yet placed (OnLaunched) or handed back (Refuse). Together with attempts
+	// it is everything that can still report, so "has everything reported?"
+	// is Outstanding() == 0 — never len(attempts) == 0, which on a saturated
+	// fleet is true while sibling replicas still wait for a slot.
+	asked int
+	// votes is the voting tally and best the size of its largest agreeing
+	// group, kept as votes arrive.
+	votes []vote
+	best  int
 	// lastFailure remembers the most recent non-OK result for error
 	// reporting when the tasklet ultimately fails.
 	lastFailure core.Result
 	hasFailure  bool
 
-	launched    int // total attempts handed to the caller to launch
+	launched int // total attempts the caller placed
+	// spare is the part of the replica set not asked for yet (voting starts
+	// with a majority only); further launches draw on it before they touch
+	// retryBudget, so a tasklet never consumes more than Replicas+MaxRetries.
+	spare       int
 	retryBudget int
 
 	done  bool
@@ -81,14 +95,17 @@ func (tr *Tracker) Reset(t *core.Tasklet) {
 	tr.tasklet = t
 	tr.goal = goal
 	if tr.attempts == nil {
-		tr.attempts = make(map[core.AttemptID]attemptState, goal.Replicas)
+		tr.attempts = make(map[core.AttemptID]core.ProviderID, goal.Replicas)
 	} else {
 		clear(tr.attempts)
 	}
-	tr.okResults = tr.okResults[:0]
+	tr.asked = 0
+	tr.votes = tr.votes[:0]
+	tr.best = 0
 	tr.lastFailure = core.Result{}
 	tr.hasFailure = false
 	tr.launched = 0
+	tr.spare = goal.Replicas
 	tr.retryBudget = retries
 	tr.done = false
 	tr.final = core.Result{}
@@ -106,8 +123,17 @@ func (tr *Tracker) Done() bool { return tr.done }
 // Final returns the final result; valid only after Done.
 func (tr *Tracker) Final() core.Result { return tr.final }
 
-// Outstanding returns the number of attempts in flight.
-func (tr *Tracker) Outstanding() int { return len(tr.attempts) }
+// Outstanding returns the number of attempts that can still report: those
+// in flight plus those asked for but not yet placed.
+func (tr *Tracker) Outstanding() int { return len(tr.attempts) + tr.asked }
+
+// Asked returns the asked-but-unplaced part of Outstanding.
+func (tr *Tracker) Asked() int { return tr.asked }
+
+// Refuse hands back n launches of the latest Decision that the caller will
+// never place (an attempt cap above the tracker swallowed them), so the
+// tracker does not wait for them.
+func (tr *Tracker) Refuse(n int) { tr.asked -= n }
 
 // FinalCacheable reports whether the tasklet's final result may enter the
 // result cache: the tracker must be done, the final must be a successful
@@ -128,46 +154,50 @@ func (tr *Tracker) LastFailure() (core.Result, bool) {
 	return tr.lastFailure, tr.hasFailure
 }
 
-// ActiveProviders returns the providers currently executing attempts, used
-// by the caller to keep replicas on distinct providers.
-func (tr *Tracker) ActiveProviders() map[core.ProviderID]bool {
-	m := make(map[core.ProviderID]bool, len(tr.attempts))
-	for _, a := range tr.attempts {
-		if a.launched {
-			m[a.provider] = true
-		}
-	}
-	return m
-}
-
-// AppendActiveProviders appends the providers currently executing attempts
-// to buf and returns the extended slice. It is the allocation-free variant
-// of ActiveProviders for placement hot paths: callers pass a scratch slice
-// (typically buf[:0]) that is reused across placement attempts.
+// AppendActiveProviders appends to buf the providers the next attempt must
+// avoid so that replicas stay on distinct providers — those executing an
+// attempt now and, under voting, those whose vote is already on record (a
+// provider must not vote twice) — and returns the extended slice. Callers
+// pass a scratch slice (typically buf[:0]) reused across placement attempts.
 func (tr *Tracker) AppendActiveProviders(buf []core.ProviderID) []core.ProviderID {
-	for _, a := range tr.attempts {
-		if a.launched {
-			buf = append(buf, a.provider)
-		}
+	for _, p := range tr.attempts {
+		buf = append(buf, p)
+	}
+	for _, v := range tr.votes {
+		buf = append(buf, v.provider)
 	}
 	return buf
 }
 
-// Start returns the initial decision: launch the replica set.
+// Start returns the initial decision: launch the replica set — or, under
+// voting, only the majority that can decide it; the rest of the set is
+// launched if and when a disagreement, fault or loss leaves a deficit.
 func (tr *Tracker) Start() Decision {
-	return Decision{Launch: tr.goal.Replicas}
+	n := tr.goal.Replicas
+	if tr.goal.Mode == core.QoCVoting {
+		n = core.Majority(n)
+	}
+	return tr.ask(n)
+}
+
+// ask grants n launches, from the spare replicas first and the retry budget
+// after; callers have checked that the two cover n.
+func (tr *Tracker) ask(n int) Decision {
+	free := min(n, tr.spare)
+	tr.spare -= free
+	tr.retryBudget -= n - free
+	tr.asked += n
+	return Decision{Launch: n}
 }
 
 // OnLaunched records that the caller placed an attempt on a provider.
 func (tr *Tracker) OnLaunched(id core.AttemptID, p core.ProviderID) {
-	tr.attempts[id] = attemptState{provider: p, launched: true}
+	tr.attempts[id] = p
 	tr.launched++
+	if tr.asked > 0 {
+		tr.asked--
+	}
 }
-
-// OnLaunchFailed records that the caller could not place an attempt (no
-// eligible provider); the attempt stays pending and the caller retries
-// placement later. No state changes beyond bookkeeping are needed.
-func (tr *Tracker) OnLaunchFailed() {}
 
 // OnResult feeds one attempt outcome and returns the next decision.
 // Unknown attempt IDs (duplicates, post-completion stragglers) are ignored.
@@ -175,134 +205,73 @@ func (tr *Tracker) OnResult(res core.Result) Decision {
 	if tr.done {
 		return Decision{Done: true, Final: tr.final}
 	}
-	if _, known := tr.attempts[res.Attempt]; !known {
+	provider, known := tr.attempts[res.Attempt]
+	if !known {
 		return Decision{}
 	}
 	delete(tr.attempts, res.Attempt)
 
-	switch res.Status {
-	case core.StatusOK:
-		return tr.onSuccess(res)
-	case core.StatusFault:
-		// Deterministic program faults (div-by-zero, index error, abort)
-		// will recur on any provider; re-running wastes work. Environment
-		// faults (cancel) behave like losses.
-		if res.FaultCode == tvm.FaultCancelled {
-			return tr.onLoss(res)
-		}
-		return tr.onFault(res)
-	default: // StatusLost, StatusRejected
-		return tr.onLoss(res)
+	// need is how many agreeing OK results complete the tasklet.
+	voting, need := tr.goal.Mode == core.QoCVoting, 1
+	if voting {
+		need = core.Majority(tr.goal.Replicas)
 	}
-}
-
-func (tr *Tracker) onSuccess(res core.Result) Decision {
-	switch tr.goal.Mode {
-	case core.QoCBestEffort, core.QoCRedundant:
-		return tr.complete(res)
-	case core.QoCVoting:
-		tr.okResults = append(tr.okResults, res)
-		need := core.Majority(tr.goal.Replicas)
-		counts := map[uint64]int{}
-		var winner *core.Result
-		for i := range tr.okResults {
-			h := tr.okResults[i].Hash()
-			counts[h]++
-			if counts[h] >= need {
-				winner = &tr.okResults[i]
-			}
+	// fault: a deterministic program fault (div-by-zero, index error, abort)
+	// recurs on any provider. Environment faults (cancel) behave like losses.
+	fault := res.Status == core.StatusFault && res.FaultCode != tvm.FaultCancelled
+	switch {
+	case res.Status == core.StatusOK:
+		if !voting || tr.tally(res.Hash(), provider) >= need {
+			return tr.complete(res)
 		}
-		if winner != nil {
-			return tr.complete(*winner)
-		}
-		// No majority yet. If every launched attempt has reported and
-		// agreement is still short, spend retries on extra attempts.
-		if len(tr.attempts) == 0 {
-			if tr.retryBudget > 0 {
-				tr.retryBudget--
-				return Decision{Launch: 1}
-			}
-			return tr.fail(res, "voting: no majority after all attempts")
-		}
-		return Decision{}
-	}
-	return tr.complete(res) // unreachable; defensive
-}
-
-func (tr *Tracker) onFault(res core.Result) Decision {
-	tr.lastFailure, tr.hasFailure = res, true
-	switch tr.goal.Mode {
-	case core.QoCBestEffort:
-		// A deterministic fault is the tasklet's true outcome.
+	case fault && tr.goal.Mode == core.QoCBestEffort:
+		// The fault is the tasklet's true outcome; re-running wastes work.
+		tr.lastFailure, tr.hasFailure = res, true
 		return tr.complete(res)
 	default:
-		// Redundant/voting: other replicas may still succeed (e.g. the
-		// fault was fuel exhaustion on a throttled provider). When nothing
-		// remains in flight and nothing can, give up.
-		if len(tr.attempts) == 0 && !tr.canStillComplete() {
-			return tr.complete(res)
-		}
-		if len(tr.attempts) == 0 {
-			if tr.retryBudget > 0 {
-				tr.retryBudget--
-				return Decision{Launch: 1}
-			}
-			return tr.complete(res)
-		}
+		tr.lastFailure, tr.hasFailure = res, true
+	}
+
+	// The outcome decided nothing. want is how many more launches the goal
+	// needs right now: the deficit of need over the best agreeing group and
+	// everything that can still report — under voting after any outcome, and
+	// for a faulted redundant replica, whose siblings may still succeed (the
+	// fault may be fuel exhaustion on a throttled provider). A lost
+	// best-effort or redundant attempt is replaced one for one.
+	want := need - tr.best - tr.Outstanding()
+	if !voting && !fault {
+		want = 1
+	}
+	switch {
+	case want <= 0:
 		return Decision{}
+	case want <= tr.spare+tr.retryBudget:
+		return tr.ask(want)
+	case tr.Outstanding() > 0:
+		// Out of budget; what is still out decides (a partial grant could
+		// not reach the goal and would only waste a slot).
+		return Decision{}
+	case res.Status == core.StatusOK:
+		return tr.fail(res, "voting: no majority after all attempts")
+	case fault:
+		return tr.complete(res)
+	default:
+		res.Status = core.StatusLost
+		return tr.fail(res, "all attempts lost and retry budget exhausted")
 	}
 }
 
-func (tr *Tracker) onLoss(res core.Result) Decision {
-	tr.lastFailure, tr.hasFailure = res, true
-	if tr.retryBudget > 0 {
-		tr.retryBudget--
-		return Decision{Launch: 1}
-	}
-	if len(tr.attempts) == 0 && !tr.tryCompleteFromVotes() {
-		lost := res
-		lost.Status = core.StatusLost
-		return tr.fail(lost, "all attempts lost and retry budget exhausted")
-	}
-	return Decision{}
-}
-
-// canStillComplete reports whether voting could still reach a majority with
-// the retry budget that remains.
-func (tr *Tracker) canStillComplete() bool {
-	if tr.goal.Mode != core.QoCVoting {
-		return tr.retryBudget > 0
-	}
-	need := core.Majority(tr.goal.Replicas)
-	maxAgree := 0
-	counts := map[uint64]int{}
-	for i := range tr.okResults {
-		h := tr.okResults[i].Hash()
-		counts[h]++
-		if counts[h] > maxAgree {
-			maxAgree = counts[h]
+// tally records a vote and returns the size of the group it joined.
+func (tr *Tracker) tally(hash uint64, p core.ProviderID) int {
+	n := 1
+	for _, v := range tr.votes {
+		if v.hash == hash {
+			n++
 		}
 	}
-	return maxAgree+tr.retryBudget+len(tr.attempts) >= need
-}
-
-// tryCompleteFromVotes completes a voting tasklet if a majority already
-// exists (used when a loss drains the attempt set).
-func (tr *Tracker) tryCompleteFromVotes() bool {
-	if tr.goal.Mode != core.QoCVoting {
-		return false
-	}
-	need := core.Majority(tr.goal.Replicas)
-	counts := map[uint64]int{}
-	for i := range tr.okResults {
-		h := tr.okResults[i].Hash()
-		counts[h]++
-		if counts[h] >= need {
-			tr.complete(tr.okResults[i])
-			return true
-		}
-	}
-	return false
+	tr.votes = append(tr.votes, vote{hash, p})
+	tr.best = max(tr.best, n)
+	return n
 }
 
 func (tr *Tracker) complete(res core.Result) Decision {
@@ -316,6 +285,7 @@ func (tr *Tracker) complete(res core.Result) Decision {
 		cancel = append(cancel, id)
 	}
 	clear(tr.attempts)
+	tr.asked = 0
 	return Decision{Done: true, Final: tr.final, Cancel: cancel}
 }
 

@@ -80,7 +80,8 @@ func TestSimMemoCoalescesConcurrentIdentical(t *testing.T) {
 
 func TestSimMemoCoalescingRespectsVotingReplicas(t *testing.T) {
 	// Coalescing must not reduce the QoC-required attempt count: 6 identical
-	// voting(3) tasklets run exactly 3 attempts, not 18 and not 1.
+	// voting(3) tasklets run exactly the 2 agreeing attempts one voting(3)
+	// tasklet needs, not 12 and not 1.
 	stats, err := Run(Config{
 		Devices: homogeneous(3, 1, 100),
 		Tasks: keyedTasks(6, 50_000_000, []uint64{5}, 0,
@@ -93,8 +94,8 @@ func TestSimMemoCoalescingRespectsVotingReplicas(t *testing.T) {
 	if stats.Completed != 6 {
 		t.Fatalf("completed = %d", stats.Completed)
 	}
-	if stats.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (one voting fan-out)", stats.Attempts)
+	if stats.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (one voting fan-out)", stats.Attempts)
 	}
 	if stats.Coalesced != 5 {
 		t.Fatalf("coalesced = %d, want 5", stats.Coalesced)
@@ -178,8 +179,8 @@ func TestSimMemoStrengthGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Attempts != 4 {
-		t.Fatalf("attempts = %d, want 4 (1 best-effort + 3 voting)", stats.Attempts)
+	if stats.Attempts != 3 {
+		t.Fatalf("attempts = %d, want 3 (1 best-effort + a voting majority of 2)", stats.Attempts)
 	}
 	if stats.CacheHits != 1 {
 		t.Fatalf("cache hits = %d, want 1 (only the final best-effort repeat)", stats.CacheHits)

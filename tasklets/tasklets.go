@@ -66,8 +66,10 @@ const (
 	BestEffort = core.QoCBestEffort
 	// Redundant runs replicas on distinct providers; first success wins.
 	Redundant = core.QoCRedundant
-	// Voting runs replicas on distinct providers and requires a majority
-	// to agree on the result.
+	// Voting accepts a result once a majority of Replicas distinct providers
+	// agree on it. Only that majority runs up front (2 of 3, 3 of 5); the
+	// remaining replicas, and then retries, run only when disagreement,
+	// faults or lost providers leave the majority short.
 	Voting = core.QoCVoting
 )
 

@@ -27,8 +27,8 @@ check:
 	# least one migration and every job completing (also part of the suite
 	# above; kept explicit so sharding regressions fail loudly).
 	$(GO) test -race -run 'TestShardGroupExchangeSmoke' -count 1 ./internal/broker/
-	# Batching smoke under race: the batched control plane (the default) and
-	# its -no-batch ablation must stay bit-identical, live and sharded.
+	# Batching smoke under race: a job through the batched control plane
+	# must come back right, live and sharded with the work exchange.
 	$(GO) test -race -run 'TestDifferentialBatching' -count 1 ./internal/broker/
 	# Partitioned-core smoke under race: -partitions=1 must stay
 	# event-identical to the legacy serialized broker, and the cross-stripe
@@ -41,14 +41,14 @@ check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the headline benchmarks with allocation reporting: interpreter
-# hot paths, the broker data-plane throughput pair (coalescing on/off), and
-# the wire send path. Compare runs across commits with benchstat
+# hot paths, the broker data-plane throughput benchmark, and the wire send
+# path. Compare runs across commits with benchstat
 # (golang.org/x/perf/cmd/benchstat); the experiment-level numbers in
 # EXPERIMENTS.md regenerate via `go run ./cmd/tasklet-bench -exp <id>`.
 # Performance claims are made with benchmark/ (see BENCHMARK.json), not here.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkVM_|BenchmarkE1_SpinVM|BenchmarkAblation_Optimize|BenchmarkAblation_Memo|BenchmarkBrokerThroughput|BenchmarkAblation_Coalesce|BenchmarkAblation_Batch' -benchmem .
-	$(GO) test -run XXX -bench 'BenchmarkConnSend|BenchmarkLegacySend|BenchmarkBatch' -benchmem ./internal/wire/
+	$(GO) test -run XXX -bench 'BenchmarkVM_|BenchmarkE1_SpinVM|BenchmarkAblation_Optimize|BenchmarkAblation_Memo|BenchmarkBrokerThroughput' -benchmem .
+	$(GO) test -run XXX -bench 'BenchmarkConnSend|BenchmarkBatch' -benchmem ./internal/wire/
 	$(GO) test -run XXX -bench BenchmarkSchedulerPick -benchmem ./internal/scheduler/
 	$(GO) test -run XXX -bench BenchmarkBrokerPlacement -benchmem ./internal/broker/
 	$(GO) test -run XXX -bench BenchmarkLifecycleEngine -benchmem ./internal/lifecycle/
@@ -85,7 +85,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench '$(VMBENCH)' -benchtime 1x .
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/wire/
 	$(GO) test -run XXX -bench BenchmarkSchedulerPick -benchtime 1x ./internal/scheduler/
-	$(GO) test -run XXX -bench 'BenchmarkBrokerPlacement/P=(100|1000)$$/' -benchtime 1x ./internal/broker/
+	$(GO) test -run XXX -bench 'BenchmarkBrokerPlacement/P=(100|1000)$$' -benchtime 1x ./internal/broker/
 	$(GO) test -run XXX -bench BenchmarkLifecycleEngine -benchtime 1x ./internal/lifecycle/
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/shard/
 

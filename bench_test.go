@@ -15,7 +15,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -400,59 +399,6 @@ func BenchmarkHashValue(b *testing.B) {
 
 // ---------- ablations (design choices called out in DESIGN.md) ----------
 
-// bigProgram compiles a TCL program with hundreds of functions (~60 KiB of
-// bytecode) whose main does trivial work — the worst case for per-assign
-// bytecode shipping and therefore the program-cache ablation's workload.
-func bigProgram(b *testing.B) []byte {
-	b.Helper()
-	var src fmt.Stringer
-	var sb = &strings.Builder{}
-	for i := 0; i < 300; i++ {
-		fmt.Fprintf(sb, "func helper%d(x int) int { return x * %d + x %% %d; }\n", i, i+1, i+2)
-	}
-	sb.WriteString("func main(n int) int { return helper0(n); }\n")
-	src = sb
-	prog, err := tasklang.Compile(src.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := prog.MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return data
-}
-
-// benchAblationProgramCache measures a 512-tasklet trivial job carrying a
-// large program, with and without the broker's per-provider bytecode
-// cache. The cache is one of the middleware's bandwidth design choices:
-// with it the program crosses each link once; without it every assignment
-// carries the full bytecode.
-func benchAblationProgramCache(b *testing.B, disable bool) {
-	// Result memo off at both tiers: repeat iterations must actually assign
-	// and execute work (a memo hit ships nothing), or the bench stops
-	// measuring program shipping.
-	br := newBrokerForBench(b,
-		broker.Options{DisableProgramCache: disable, MemoEntries: -1, MemoBytes: -1, MemoTTL: -1},
-		provider.Options{MemoEntries: -1, MemoBytes: -1, MemoTTL: -1})
-	defer br.Close()
-	data := bigProgram(b)
-	b.ReportMetric(float64(len(data)), "program-bytes")
-	params := make([][]tvm.Value, 512)
-	for i := range params {
-		params[i] = []tvm.Value{tvm.Int(int64(i))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := br.run(data, params); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_ProgramCacheOn(b *testing.B)  { benchAblationProgramCache(b, false) }
-func BenchmarkAblation_ProgramCacheOff(b *testing.B) { benchAblationProgramCache(b, true) }
-
 // benchAblationOptimize isolates the load-time optimization pass: the same
 // spin workload with the fused fast-path stream enabled vs disabled
 // (Config.NoOptimize). The pair demonstrates the pass — not unrelated VM
@@ -517,19 +463,13 @@ func BenchmarkAblation_MemoOff(b *testing.B) { benchAblationMemo(b, false) }
 // benchBrokerThroughput drives the submit→assign→result hot path at scale:
 // 4 consumers × 4 providers on loopback, each consumer pushing a 256-tasklet
 // noop job per iteration, so the broker handles bursts of assigns and result
-// pushes on every connection. The coalescing ablation pair below toggles
-// write coalescing (broker writer batching + wire flush policy) — the frame
-// bytes are identical either way, only syscall boundaries move. The batching
-// ablation pair toggles the batch frames themselves (AssignBatch /
-// AttemptResultBatch / ResultPushBatch and the bulk lifecycle ingest):
-// batch-off pays one frame and one broker lock acquisition per attempt.
-func benchBrokerThroughput(b *testing.B, noCoalesce, noBatch bool) {
+// pushes on every connection.
+func BenchmarkBrokerThroughput(b *testing.B) {
 	const nConsumers, nProviders, perJob = 4, 4, 256
 	// Memo off at both tiers: repeated identical noop tasklets must traverse
 	// the full data plane every iteration.
 	br := broker.New(broker.Options{
 		MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
-		NoCoalesce: noCoalesce, NoBatch: noBatch,
 	})
 	defer br.Close()
 	addr, err := br.Listen("127.0.0.1:0")
@@ -540,7 +480,6 @@ func benchBrokerThroughput(b *testing.B, noCoalesce, noBatch bool) {
 		p, err := provider.Connect(provider.Options{
 			BrokerAddr: addr, Slots: 8, Speed: 100,
 			MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
-			NoCoalesce: noCoalesce, NoBatch: noBatch,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -595,12 +534,6 @@ func benchBrokerThroughput(b *testing.B, noCoalesce, noBatch bool) {
 	}
 	b.ReportMetric(float64(nConsumers*perJob*b.N)/b.Elapsed().Seconds(), "tasklets/s")
 }
-
-func BenchmarkBrokerThroughput(b *testing.B)     { benchBrokerThroughput(b, false, false) }
-func BenchmarkAblation_CoalesceOn(b *testing.B)  { benchBrokerThroughput(b, false, false) }
-func BenchmarkAblation_CoalesceOff(b *testing.B) { benchBrokerThroughput(b, true, false) }
-func BenchmarkAblation_BatchOn(b *testing.B)     { benchBrokerThroughput(b, false, false) }
-func BenchmarkAblation_BatchOff(b *testing.B)    { benchBrokerThroughput(b, false, true) }
 
 // benchStack is a minimal live stack helper for ablation benches.
 type benchStack struct {

@@ -40,12 +40,6 @@ func main() {
 		"cap total attempts per tasklet across lost-attempt re-issues (0 = unlimited); exhaustion fails the tasklet as lost")
 	retryBackoff := flag.Duration("retry-backoff", 0,
 		"base delay before re-issuing a lost attempt, doubling per re-issue (0 = immediate)")
-	noCoalesce := flag.Bool("no-coalesce", false,
-		"disable write coalescing (flush every frame individually; ablation/debugging)")
-	noBatch := flag.Bool("no-batch", false,
-		"disable batch frames (one Assign/ResultPush per attempt even to batch-capable peers; ablation/debugging)")
-	noIndex := flag.Bool("no-index", false,
-		"disable the incremental scheduler index (full-scan placement; ablation/debugging)")
 	partitions := flag.Int("partitions", 0,
 		"lock-striped lifecycle partitions per broker (0 = GOMAXPROCS; 1 = single-stripe ablation/legacy-equivalent)")
 	shards := flag.Int("shards", 1,
@@ -83,9 +77,6 @@ func main() {
 			MemoTTL:          *memoTTL,
 			MaxAttempts:      *maxAttempts,
 			RetryBackoff:     *retryBackoff,
-			NoCoalesce:       *noCoalesce,
-			NoBatch:          *noBatch,
-			NoIndex:          *noIndex,
 			Partitions:       *partitions,
 			ShardID:          *shardID,
 			GossipInterval:   *gossip,

@@ -45,8 +45,6 @@ func main() {
 	name := flag.String("name", "", "provider name shown in broker logs")
 	failAfter := flag.Int("fail-after", 0, "abruptly disconnect after N tasklets (churn injection; 0 = never)")
 	reconnect := flag.Bool("reconnect", false, "keep reconnecting with backoff when the broker goes away")
-	noBatch := flag.Bool("no-batch", false,
-		"disable batch frames (don't advertise batching; send one result per frame; ablation/debugging)")
 	quiet := flag.Bool("q", false, "suppress operational logs")
 	flag.Parse()
 
@@ -102,7 +100,6 @@ func main() {
 			Name:       *name,
 			Logger:     logger,
 			FailAfter:  *failAfter,
-			NoBatch:    *noBatch,
 		}
 		wg.Add(1)
 		go func(addr string) {

@@ -9,7 +9,8 @@
 // Concurrency model: one reader goroutine per connection, one writer
 // goroutine per connection (fed by a bounded queue so a slow peer cannot
 // stall the broker), one scheduler goroutine, and per-tasklet state split
-// into P lock-striped partitions (partition.go) keyed by tasklet-ID hash.
+// into P lock-striped partitions (partition.go), the stripe encoded in the
+// tasklet ID.
 // Reader goroutines push decoded results into per-partition ingress rings
 // and the first arrival combines the backlog into one bulk engine Apply, so
 // lifecycle execution, QoC fan-in, memo lookups and effect emission run on
@@ -17,7 +18,7 @@
 // goroutine per partition instead of one runtime timer per tasklet.
 // Placement stays single-writer: events set a dirty flag and wake the
 // scheduler goroutine, which owns scheduler.Index exclusively and drains
-// partition queues round-robin, so a burst of events costs one placement
+// partition queues in index order, so a burst of events costs one placement
 // pass instead of one per event. Heartbeats bypass every lock (atomic
 // timestamp per provider). Writer goroutines drain their queue in batches
 // so one socket flush covers a burst of Assigns or ResultPushes (see
@@ -63,10 +64,6 @@ type Options struct {
 	// MaxPendingPerConsumer bounds queued tasklets per consumer; zero
 	// selects 1<<20.
 	MaxPendingPerConsumer int
-	// DisableProgramCache ships the full bytecode with every assignment
-	// instead of once per provider. Exists for the program-cache ablation
-	// benchmark; never enable it in a real deployment.
-	DisableProgramCache bool
 
 	// Partitions is the number of lock-striped lifecycle partitions the
 	// broker runs (see partition.go). Zero selects GOMAXPROCS; 1 is the
@@ -91,30 +88,6 @@ type Options struct {
 	// RetryBackoff delays the n-th re-issue of a lost tasklet by
 	// RetryBackoff << min(n-1, 6); zero re-issues immediately.
 	RetryBackoff time.Duration
-
-	// NoCoalesce disables write coalescing on this broker's connections:
-	// writer loops send one message per flush instead of draining their
-	// queue in batches, and the wire layer flushes after every frame.
-	// Exists for the coalescing ablation and differential tests; frame
-	// bytes are identical either way.
-	NoCoalesce bool
-
-	// NoBatch disables the batch control-plane frames on this broker:
-	// placement sends one Assign per attempt instead of grouped
-	// AssignBatches, and result pushes are never folded into
-	// ResultPushBatches, regardless of what peers advertise. Incoming
-	// batches are still decoded (liberal ingest). Exists for the batching
-	// ablation (experiment E12) and differential tests; job results are
-	// identical either way.
-	NoBatch bool
-
-	// NoIndex disables the incremental scheduler index and forces the
-	// legacy full-scan placement path (rebuild candidates + Policy.Pick per
-	// pending tasklet). Exists for the placement ablation (experiment E10)
-	// and the differential tests; provider choices are identical either
-	// way. Custom policies without an index fall back to the scan
-	// automatically.
-	NoIndex bool
 
 	// ShardID names this broker within a shard group; zero means unsharded
 	// and peer connections are refused. Consistent-hash routing happens on
@@ -192,9 +165,7 @@ type Broker struct {
 	pendingN atomic.Int64
 
 	// index is the incremental placement index mirroring provider
-	// free/backlog state; nil when Options.NoIndex is set or the policy has
-	// no indexed form, in which case the legacy scan runs. All Index
-	// methods are nil-safe. The scheduler goroutine owns it exclusively
+	// free/backlog state. The scheduler goroutine owns it exclusively
 	// (everything touching it runs under b.mu); partitions publish slot
 	// changes through the dirty-provider list instead.
 	index *scheduler.Index
@@ -205,11 +176,10 @@ type Broker struct {
 	dirtyProv  []*providerState
 	dirtySpare []*providerState
 
-	// exclScratch and candScratch are placement-pass scratch buffers,
-	// reused across picks so a pass over a deep queue performs no
-	// allocations. Only touched under b.mu by the scheduler goroutine.
+	// exclScratch is the placement pass's exclusion-list scratch, reused
+	// across picks so a pass over a deep queue performs no allocations.
+	// Only touched under b.mu by the scheduler goroutine.
 	exclScratch []core.ProviderID
-	candScratch []scheduler.Candidate
 	// stagedScratch lists the providers holding a staged AssignBatch this
 	// pass; flushAssignBatchesLocked drains it.
 	stagedScratch []*providerState
@@ -333,7 +303,8 @@ type jobState struct {
 	cancelled bool
 }
 
-// New creates a broker with the given options.
+// New creates a broker with the given options. It panics if opts.Policy has
+// no placement index (every policy in internal/scheduler has one).
 func New(opts Options) *Broker {
 	if opts.Policy == nil {
 		opts.Policy = scheduler.NewWorkSteal()
@@ -400,13 +371,11 @@ func New(opts Options) *Broker {
 	b.mExchRequests = reg.Counter("broker.exchange.requests")
 	b.mExchAdopted = reg.Counter("broker.exchange.adopted")
 	b.mShardQueue = reg.Gauge("broker.shard.queue_depth")
-	if !opts.NoIndex {
-		// Custom policies outside the scheduler package have no indexed
-		// form; the legacy scan handles them.
-		if ix, err := scheduler.NewIndexFor(opts.Policy); err == nil {
-			b.index = ix
-		}
+	ix, err := scheduler.NewIndexFor(opts.Policy)
+	if err != nil {
+		panic("broker: " + err.Error())
 	}
+	b.index = ix
 
 	var lopts lifecycle.Options
 	lopts.MaxAttempts = opts.MaxAttempts
@@ -415,7 +384,8 @@ func New(opts Options) *Broker {
 		// One cache shared by every partition engine (the cache carries its
 		// own mutex), so repeats hit across partitions. Flight tables are
 		// per partition: a flight's waiter fan-out dereferences the owning
-		// engine's tasklet records, so coalescing is partition-local.
+		// engine's tasklet records. Identical content still meets in one
+		// flight because submitEvent routes keyed tasklets by content key.
 		lopts.Memo = memo.New(memo.Config{
 			MaxEntries: opts.MemoEntries,
 			MaxBytes:   opts.MemoBytes,
@@ -616,7 +586,6 @@ func (b *Broker) reaperLoop() {
 func (b *Broker) handleConn(nc net.Conn) {
 	defer nc.Close()
 	conn := wire.NewConn(nc)
-	conn.NoCoalesce = b.opts.NoCoalesce
 	conn.ReadTimeout = 30 * time.Second
 
 	msg, err := conn.Recv()
@@ -685,10 +654,9 @@ func (b *Broker) schedule() {
 // is sent (batch-frame folding on capable consumer links).
 func (b *Broker) writerLoop(conn *wire.Conn, out <-chan wire.Message, nc net.Conn, fold func([]wire.Message) []wire.Message) {
 	wire.WriterLoop(conn, out, wire.WriterOpts{
-		Max:        writerBatchMax,
-		NoCoalesce: b.opts.NoCoalesce,
-		Fold:       fold,
-		Closer:     nc,
+		Max:    writerBatchMax,
+		Fold:   fold,
+		Closer: nc,
 	})
 }
 
@@ -920,7 +888,7 @@ func (b *Broker) serveConsumer(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 	// folded into one ResultPushBatch frame; legacy consumers keep receiving
 	// byte-identical single frames.
 	var fold func([]wire.Message) []wire.Message
-	if c.caps&wire.CapBatch != 0 && !b.opts.NoBatch {
+	if c.caps&wire.CapBatch != 0 {
 		fold = wire.FoldBatchFrames
 	}
 	b.wg.Add(1)
@@ -1000,30 +968,23 @@ func (b *Broker) acceptJob(c *consumerState, m *wire.SubmitJob) error {
 	c.jobs[job.id] = true
 	c.pending += n
 
-	// Tasklet IDs are allocated as one contiguous run so P=1 keeps the
-	// legacy sequence, then the whole job is grouped per partition: each
+	// Sequence numbers are reserved as one contiguous run so P=1 keeps the
+	// legacy ID sequence, then the whole job is grouped per partition: each
 	// group is one bulk Apply under its partition's effect-scratch reset
 	// (one group — the legacy single bulk Submit — when Partitions is 1).
 	// JobAccepted is queued before any engine runs so the consumer has
 	// registered the job before its first ResultPush (cache hits deliver
 	// from the partition walk below).
-	base := core.TaskletID(b.nextTasklet.Add(uint64(n)) - uint64(n))
+	base := b.nextTasklet.Add(uint64(n)) - uint64(n)
 	now := time.Now()
 	groups := make([][]lifecycle.Event, len(b.parts))
 	for i, params := range m.Params {
-		tid := base + core.TaskletID(i) + 1
-		t := core.Tasklet{
-			ID: tid, Job: job.id, Index: i,
+		ev, pi := b.submitEvent(core.Tasklet{
+			Job: job.id, Index: i,
 			Program: progID, Params: params,
 			QoC: m.QoC, Fuel: fuel, Seed: m.Seed, Submitted: now,
-		}
-		job.tasklets = append(job.tasklets, t.ID)
-
-		ev := lifecycle.Event{Kind: lifecycle.EventSubmit, Tasklet: t}
-		if b.memoOn && !t.QoC.NoCache {
-			ev.Key, ev.HaveKey = memo.KeyFor(uint64(progID), t.Seed, t.Params)
-		}
-		pi := b.part(tid).idx
+		}, base+uint64(i)+1)
+		job.tasklets = append(job.tasklets, ev.Tasklet.ID)
 		groups[pi] = append(groups[pi], ev)
 	}
 	b.mSubmitted.Add(int64(n))
@@ -1132,21 +1093,15 @@ func (b *Broker) removeConsumer(c *consumerState) {
 
 // ---------- scheduling ----------
 
-// schedulePassLocked drains the partition placement queues round-robin,
-// assigning attempts to providers according to the policy. Entries whose
-// tasklet vanished (job cancelled, already complete) are purged. Entries
-// with no eligible provider stay queued. Event handlers never call this
-// directly — they call schedule, which batches an event-burst into one pass
-// run by schedLoop. The pass starts by folding partition-side slot
-// settlements into the index (syncDirtyProvidersLocked), keeping the index
-// single-writer.
-//
-// Two per-entry implementations exist: the indexed batch pass (default)
-// feeds the queue through the incremental scheduler index — each pick is a
-// heap peek or an order-statistics query, zero allocations — while the
-// legacy pass (Options.NoIndex, or a policy without an indexed form)
-// rebuilds the candidate slice per pick. Both place the same provider
-// sequence; the differential tests pin that equivalence.
+// schedulePassLocked drains the partition placement queues in index order —
+// partition 0 first, every pass — assigning attempts to providers according
+// to the policy. Entries whose tasklet vanished (job cancelled, already
+// complete) are purged. Entries with no eligible provider stay queued. Event
+// handlers never call this directly — they call schedule, which batches an
+// event-burst into one pass run by schedLoop. The pass starts by folding
+// partition-side slot settlements into the index (syncDirtyProvidersLocked),
+// keeping the index single-writer; every pick is then a heap peek or an
+// order-statistics query on it, zero allocations.
 func (b *Broker) schedulePassLocked() {
 	b.syncDirtyProvidersLocked()
 	b.mPendingDep.Set(b.pendingN.Load())
@@ -1155,22 +1110,9 @@ func (b *Broker) schedulePassLocked() {
 	}
 	start := time.Now()
 	placed := 0
-	totalFree := -1
-	if b.index == nil {
-		totalFree = 0
-		for _, p := range b.providers {
-			if p.info.Slots > 0 {
-				totalFree += int(p.free.Load())
-			}
-		}
-	}
 	for _, part := range b.parts {
 		part.mu.Lock()
-		if b.index != nil {
-			placed += b.drainPartitionIndexedLocked(part)
-		} else {
-			placed += b.drainPartitionLegacyLocked(part, &totalFree)
-		}
+		placed += b.drainPartitionLocked(part)
 		part.mu.Unlock()
 	}
 	b.flushAssignBatchesLocked()
@@ -1182,9 +1124,9 @@ func (b *Broker) schedulePassLocked() {
 	b.mPendingDep.Set(b.pendingN.Load())
 }
 
-// drainPartitionIndexedLocked walks one partition's queue through the
-// incremental index. Callers hold b.mu and part.mu.
-func (b *Broker) drainPartitionIndexedLocked(part *partition) int {
+// drainPartitionLocked walks one partition's queue through the placement
+// index. Callers hold b.mu and part.mu.
+func (b *Broker) drainPartitionLocked(part *partition) int {
 	if len(part.pending) == 0 {
 		return 0
 	}
@@ -1223,60 +1165,6 @@ func (b *Broker) drainPartitionIndexedLocked(part *partition) int {
 	return placed
 }
 
-// drainPartitionLegacyLocked is the full-scan variant: the candidate view
-// is rebuilt for every pick because free/backlog change as attempts are
-// assigned. Kept for the E10 ablation and for policies without an indexed
-// form. totalFree is shared across partitions within one pass.
-func (b *Broker) drainPartitionLegacyLocked(part *partition, totalFree *int) int {
-	if len(part.pending) == 0 {
-		return 0
-	}
-	placed := 0
-	before := len(part.pending)
-	remaining := part.pending[:0]
-	for idx, tid := range part.pending {
-		if *totalFree <= 0 {
-			remaining = append(remaining, part.pending[idx:]...)
-			break
-		}
-		t := part.life.Tasklet(tid)
-		if t == nil {
-			continue
-		}
-		// Rebuild the candidate view each pick; free/backlog change as we
-		// assign.
-		cands := b.candScratch[:0]
-		for _, p := range b.providers {
-			if p.info.Slots == 0 {
-				continue // not yet registered
-			}
-			cands = append(cands, scheduler.Candidate{
-				Info: &p.info, FreeSlots: int(p.free.Load()), Backlog: int(p.backlog.Load()),
-			})
-		}
-		b.candScratch = cands
-		b.exclScratch = part.life.AppendActiveProviders(tid, b.exclScratch[:0])
-		req := scheduler.Request{Tasklet: t, ExcludeIDs: b.exclScratch}
-		pid, ok := b.opts.Policy.Pick(req, cands)
-		if !ok {
-			remaining = append(remaining, tid)
-			continue
-		}
-		p := b.providers[pid]
-		if p == nil || p.free.Load() <= 0 {
-			remaining = append(remaining, tid)
-			continue
-		}
-		if b.launchAttemptLocked(part, t, p) {
-			placed++
-		}
-		*totalFree--
-	}
-	part.pending = remaining
-	b.pendingN.Add(int64(len(remaining) - before))
-	return placed
-}
-
 // launchAttemptLocked creates and dispatches one attempt. For
 // batch-capable providers the assignment is staged into the provider's
 // per-pass AssignBatch (flushed by flushAssignBatchesLocked at the end of
@@ -1306,14 +1194,12 @@ func (b *Broker) launchAttemptLocked(part *partition, t *core.Tasklet, p *provid
 		NoCache: t.QoC.NoCache && p.caps&wire.CapFlagsTail != 0,
 	}
 	var progData []byte
-	if b.opts.DisableProgramCache {
-		progData = b.program(t.Program)
-	} else if !p.sent[t.Program] {
+	if !p.sent[t.Program] {
 		progData = b.program(t.Program)
 		p.sent[t.Program] = true
 	}
 
-	if !b.opts.NoBatch && p.caps&wire.CapBatch != 0 {
+	if p.caps&wire.CapBatch != 0 {
 		if p.staged == nil {
 			p.staged = &wire.AssignBatch{}
 			b.stagedScratch = append(b.stagedScratch, p)

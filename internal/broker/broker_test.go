@@ -667,38 +667,6 @@ func TestAdmissionControlRejectsOversizedQueue(t *testing.T) {
 	}
 }
 
-func TestDisableProgramCacheStillExecutes(t *testing.T) {
-	b := New(Options{DisableProgramCache: true})
-	addr, err := b.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	p, err := provider.Connect(provider.Options{BrokerAddr: addr, Slots: 1, Speed: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	c, err := consumer.Connect(addr, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	job, err := c.Submit(compileJob(t, squareSrc, []int64{2}, []int64{3}, []int64{4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := job.Collect(ctxT(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []int64{4, 9, 16} {
-		if !res[i].OK() || res[i].Return.I != want {
-			t.Fatalf("res[%d] = %+v", i, res[i])
-		}
-	}
-}
-
 func TestMultipleConsumersInterleave(t *testing.T) {
 	// Two consumers submit concurrently; each gets exactly its own
 	// results back.

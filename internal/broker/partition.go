@@ -7,21 +7,22 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
+	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
 // This file implements the partitioned broker core. Per-tasklet state is
-// split into P lock-striped partitions keyed by tasklet-ID hash: each
-// partition owns a lifecycle.Engine, its own mutex, its slice of the
-// placement queue, and a timer wheel (wheel.go) for deadlines and backoff
-// re-issues. Reader goroutines route decoded results into partitions
-// through MPSC ingress rings (ingress.go) and the first arrival elects
-// itself combiner, bulk-applying the backlog through Engine.Apply. The
-// scheduler goroutine keeps exclusive ownership of scheduler.Index and
-// drains partition queues round-robin under b.mu, so placement stays
-// single-writer while lifecycle execution, QoC fan-in, memo lookups and
-// effect emission run on all cores.
+// split into P lock-striped partitions, the stripe encoded in the tasklet
+// ID (submitEvent): each partition owns a lifecycle.Engine, its own mutex,
+// its slice of the placement queue, and a timer wheel (wheel.go) for
+// deadlines and backoff re-issues. Reader goroutines route decoded results
+// into partitions through MPSC ingress rings (ingress.go) and the first
+// arrival elects itself combiner, bulk-applying the backlog through
+// Engine.Apply. The scheduler goroutine keeps exclusive ownership of
+// scheduler.Index and drains partition queues in index order under b.mu, so
+// placement stays single-writer while lifecycle execution, QoC fan-in, memo
+// lookups and effect emission run on all cores.
 //
 // Lock order (outer → inner): b.mu → part.mu → {wheel.mu, dirtyMu}.
 // jobMu, exMu, progMu and pmu are taken with no partition lock held; a
@@ -61,8 +62,8 @@ type partition struct {
 	hExec, hLatency        *metrics.Histogram
 }
 
-// mix64 is the splitmix64 finalizer; it spreads sequential tasklet IDs
-// uniformly across partitions.
+// mix64 is the splitmix64 finalizer; it spreads sequence numbers and content
+// hashes uniformly across partitions.
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -72,12 +73,31 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// part returns the partition owning tid.
+// part returns the partition owning tid; submitEvent encoded it in the ID.
 func (b *Broker) part(tid core.TaskletID) *partition {
-	if len(b.parts) == 1 {
-		return b.parts[0]
+	return b.parts[uint64(tid)%uint64(len(b.parts))]
+}
+
+// submitEvent builds the Submit event for t, the seq-th tasklet this broker
+// has admitted, and names its partition. The partition is chosen before the
+// ID and encoded in it — tid = seq·P + pi, the way attempt IDs are striped —
+// so part() recovers it with one modulo. A memo-keyed tasklet goes where its
+// content key hashes, so identical content meets in one flight table however
+// many stripes there are; an unkeyed one goes where mix64(seq) falls, which
+// spreads sequential submissions uniformly. With P = 1 the ID is seq itself.
+func (b *Broker) submitEvent(t core.Tasklet, seq uint64) (lifecycle.Event, int) {
+	ev := lifecycle.Event{Kind: lifecycle.EventSubmit}
+	h := seq
+	if b.memoOn && !t.QoC.NoCache {
+		if ev.Key, ev.HaveKey = memo.KeyFor(uint64(t.Program), t.Seed, t.Params); ev.HaveKey {
+			h = ev.Key.Hash()
+		}
 	}
-	return b.parts[mix64(uint64(tid))%uint64(len(b.parts))]
+	p := uint64(len(b.parts))
+	pi := mix64(h) % p
+	t.ID = core.TaskletID(seq*p + pi)
+	ev.Tasklet = t
+	return ev, int(pi)
 }
 
 // pump elects the caller combiner for part and drains its ingress ring to

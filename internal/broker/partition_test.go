@@ -3,6 +3,7 @@ package broker
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -67,6 +68,94 @@ func TestDifferentialPartitionsBitIdentical(t *testing.T) {
 		if r.Status != core.StatusOK {
 			t.Fatalf("result[%d] = %+v, want OK %d", i, r, i*i)
 		}
+	}
+}
+
+// runMemoWorkloadWithPartitions drives one seeded, duplicate-heavy workload
+// through a fresh memo-enabled stack: four consumers concurrently submit a
+// job each whose rows are drawn from twelve distinct values, so identical
+// content arrives on different connections while its first execution is
+// still in flight. It returns every job's results plus the broker's work
+// accounting: tasklets served without an attempt (memo hits + coalesced
+// waiters — which of the two a repeat becomes depends on timing, their sum
+// does not) and attempts launched.
+func runMemoWorkloadWithPartitions(t *testing.T, partitions int) (finals [][]resultEssence, saved, launched int64) {
+	t.Helper()
+	b, addr := memoStack(t, Options{Partitions: partitions}, 3, 2)
+
+	const consumers, rows, distinct = 4, 60, 12
+	rng := rand.New(rand.NewSource(7))
+	finals = make([][]resultEssence, consumers)
+	var wg sync.WaitGroup
+	for ci := 0; ci < consumers; ci++ {
+		vals := make([][]int64, rows)
+		for i := range vals {
+			vals[i] = []int64{int64(rng.Intn(distinct))}
+		}
+		spec := compileJob(t, slowSrc, vals...)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := consumer.Connect(addr, fmt.Sprintf("memo-diff-%d", ci))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			job, err := c.Submit(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res, err := job.Collect(ctxT(t))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			finals[ci] = essences(res)
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	m := b.Metrics()
+	return finals, m.Counter("memo.hits").Value() + m.Counter("memo.coalesced").Value(),
+		m.Counter("attempts.launched").Value()
+}
+
+// TestDifferentialPartitionsMemoCoalescing pins that striping never splits a
+// flight: the same seeded memo workload on 1 and on 4 partitions delivers
+// the same finals, serves the same number of tasklets without an attempt,
+// and launches the same number of attempts — one per distinct content.
+// Keyed tasklets are routed by content key (submitEvent), so duplicates meet
+// in one partition's flight table however many stripes there are.
+func TestDifferentialPartitionsMemoCoalescing(t *testing.T) {
+	one, savedOne, launchedOne := runMemoWorkloadWithPartitions(t, 1)
+	four, savedFour, launchedFour := runMemoWorkloadWithPartitions(t, 4)
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("finals diverge between 1 and 4 partitions:\nP=1: %+v\nP=4: %+v", one, four)
+	}
+	if savedOne != savedFour {
+		t.Errorf("memo.hits + memo.coalesced: P=1 %d, P=4 %d", savedOne, savedFour)
+	}
+	if launchedOne != launchedFour {
+		t.Errorf("attempts.launched: P=1 %d, P=4 %d", launchedOne, launchedFour)
+	}
+	total := int64(0)
+	seen := map[string]bool{}
+	for _, job := range one {
+		for _, r := range job {
+			total++
+			seen[r.Return] = true
+			if r.Status != core.StatusOK {
+				t.Fatalf("result %+v, want OK", r)
+			}
+		}
+	}
+	if distinct := int64(len(seen)); launchedOne != distinct || savedOne != total-distinct {
+		t.Errorf("P=1 launched %d and saved %d, want %d and %d (%d tasklets, %d distinct)",
+			launchedOne, savedOne, distinct, total-distinct, total, distinct)
 	}
 }
 

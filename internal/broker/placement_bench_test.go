@@ -26,11 +26,10 @@ func (benchConn) SetWriteDeadline(time.Time) error { return nil }
 // benchBroker builds a broker with p injected, registered providers. Each
 // provider gets a drainer goroutine so Assign messages never back up the
 // send queue; the drainers die when the channels are closed via cleanup.
-func benchBroker(b *testing.B, p int, noIndex bool) *Broker {
+func benchBroker(b *testing.B, p int) *Broker {
 	b.Helper()
 	br := New(Options{
 		Policy:      scheduler.NewWorkSteal(),
-		NoIndex:     noIndex,
 		Partitions:  1,
 		MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
 	})
@@ -106,31 +105,25 @@ func drainBatch(br *Broker, b *testing.B) {
 // BenchmarkBrokerPlacement measures a full placement pass over a batch of
 // 256 pending tasklets against a fleet of P providers, exercising the real
 // schedulePassLocked (queue walk, exclusion building, launch bookkeeping,
-// Assign dispatch) with the index on and off. ns/op is per batch, not per
-// pick.
+// Assign dispatch). ns/op is per batch, not per pick.
 func BenchmarkBrokerPlacement(b *testing.B) {
 	const batch = 256
 	for _, p := range []int{100, 1000, 10000} {
-		for _, mode := range []struct {
-			name    string
-			noIndex bool
-		}{{"indexed", false}, {"legacy", true}} {
-			b.Run(fmt.Sprintf("P=%d/%s", p, mode.name), func(b *testing.B) {
-				br := benchBroker(b, p, mode.noIndex)
-				br.mu.Lock()
-				defer br.mu.Unlock()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					enqueueBatch(br, batch)
-					b.StartTimer()
-					br.schedulePassLocked()
-					b.StopTimer()
-					drainBatch(br, b)
-					b.StartTimer()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			br := benchBroker(b, p)
+			br.mu.Lock()
+			defer br.mu.Unlock()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				enqueueBatch(br, batch)
+				b.StartTimer()
+				br.schedulePassLocked()
+				b.StopTimer()
+				drainBatch(br, b)
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
-	"repro/internal/memo"
 	"repro/internal/shard"
 	"repro/internal/wire"
 )
@@ -93,7 +92,6 @@ func (b *Broker) ConnectPeer(addr string) error {
 		return fmt.Errorf("broker: dial peer %s: %w", addr, err)
 	}
 	conn := wire.NewConn(nc)
-	conn.NoCoalesce = b.opts.NoCoalesce
 	conn.ReadTimeout = 30 * time.Second
 	hello := &wire.Hello{Version: wire.ProtocolVersion, Role: wire.RolePeer,
 		Name: fmt.Sprintf("shard-%d", b.opts.ShardID), Caps: wire.CapFlagsTail}
@@ -330,14 +328,8 @@ func (b *Broker) resubmitMigrated(back []migratedRec) {
 			}
 			continue
 		}
-		t := rec.t
-		t.ID = core.TaskletID(b.nextTasklet.Add(1))
-		job.tasklets = append(job.tasklets, t.ID)
-		ev := lifecycle.Event{Kind: lifecycle.EventSubmit, Tasklet: t}
-		if b.memoOn && !t.QoC.NoCache {
-			ev.Key, ev.HaveKey = memo.KeyFor(uint64(t.Program), t.Seed, t.Params)
-		}
-		pi := b.part(t.ID).idx
+		ev, pi := b.submitEvent(rec.t, b.nextTasklet.Add(1))
+		job.tasklets = append(job.tasklets, ev.Tasklet.ID)
 		groups[pi] = append(groups[pi], ev)
 	}
 	b.jobMu.Unlock()
@@ -370,18 +362,7 @@ func (b *Broker) gossipLoop() {
 func (b *Broker) freeSlotsSample() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.index != nil {
-		return b.index.FreeSlots()
-	}
-	free := 0
-	for _, p := range b.providers {
-		if p.info.Slots > 0 {
-			if f := int(p.free.Load()); f > 0 {
-				free += f
-			}
-		}
-	}
-	return free
+	return b.index.FreeSlots()
 }
 
 // gossipMsgExLocked builds a ShardGossip frame from the given free-slot
@@ -567,18 +548,17 @@ func (b *Broker) onMigrateTasklet(ps *peerState, m *wire.MigrateTasklet) {
 	}
 	b.progMu.Unlock()
 
-	tid := core.TaskletID(b.nextTasklet.Add(1))
-	t := core.Tasklet{
-		ID: tid, Program: m.Program, Params: m.Params,
+	ev, pi := b.submitEvent(core.Tasklet{
+		Program: m.Program, Params: m.Params,
 		QoC: m.QoC, Fuel: m.Fuel, Seed: m.Seed, Submitted: time.Now(),
-	}
+	}, b.nextTasklet.Add(1))
 	b.exMu.Lock()
 	if ps.gone || ps.id == 0 {
 		b.exMu.Unlock()
 		reject()
 		return
 	}
-	b.adopted[t.ID] = adoptedRec{origin: m.Origin, peer: ps.id}
+	b.adopted[ev.Tasklet.ID] = adoptedRec{origin: m.Origin, peer: ps.id}
 	b.mExchAdopted.Inc()
 	// Ack before Submit so the Ack always precedes the MigrateResult a memo
 	// hit would deliver synchronously.
@@ -586,11 +566,7 @@ func (b *Broker) onMigrateTasklet(ps *peerState, m *wire.MigrateTasklet) {
 		ps.nc, &ps.dropWarned, ps.label)
 	b.exMu.Unlock()
 
-	ev := lifecycle.Event{Kind: lifecycle.EventSubmit, Tasklet: t}
-	if b.memoOn && !t.QoC.NoCache {
-		ev.Key, ev.HaveKey = memo.KeyFor(uint64(t.Program), t.Seed, t.Params)
-	}
-	b.feedPartition(b.part(t.ID), []lifecycle.Event{ev})
+	b.feedPartition(b.parts[pi], []lifecycle.Event{ev})
 	b.schedule()
 }
 

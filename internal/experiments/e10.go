@@ -8,8 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/scheduler"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // e10Fleet builds P provider infos with varied speeds and backlogs, the
@@ -55,8 +53,8 @@ func e10IndexedPick(p int) (float64, error) {
 	return float64(time.Since(start)) / iters, nil
 }
 
-// e10LegacyPick times one legacy filter-and-sort placement decision at
-// fleet size p, returning ns/pick.
+// e10LegacyPick times one reference filter-and-sort placement decision
+// (Policy.Pick over a candidate snapshot) at fleet size p, returning ns/pick.
 func e10LegacyPick(p int) (float64, error) {
 	pol := scheduler.NewWorkSteal()
 	_, cands := e10Fleet(p)
@@ -75,18 +73,17 @@ func e10LegacyPick(p int) (float64, error) {
 }
 
 // RunE10 measures placement cost versus fleet size (Figure 9): per-pick
-// latency of the incremental scheduler index against the legacy full-scan
-// path, end-to-end simulated job throughput with the index on and off, and
-// allocs-per-pick rows. The broker mediates every placement, so this is the
-// constant that caps task-throughput scaling at paper-scale fleets.
+// latency of the incremental scheduler index — the one placement path the
+// broker and the simulator run — against the reference filter-and-sort
+// Policy.Pick, and allocs-per-pick rows. The broker mediates every
+// placement, so this is the constant that caps task-throughput scaling at
+// paper-scale fleets.
 func RunE10(opts Options) (*Result, error) {
 	res := &Result{ID: "E10", Title: Title("e10")}
 
 	fleets := []int{100, 1000, 10000}
-	simFleets := []int{64, 256, 1024}
 	if opts.Quick {
 		fleets = []int{100, 1000}
-		simFleets = []int{64, 256}
 	}
 
 	// Series 1/2: ns per placement decision vs fleet size.
@@ -109,45 +106,8 @@ func RunE10(opts Options) (*Result, error) {
 	}
 	res.Series = append(res.Series, idxNS, legNS)
 
-	// Series 3/4: end-to-end simulated job throughput vs fleet size, index
-	// on and off. Heterogeneous speeds, batch arrival, 4 tasklets per
-	// provider; throughput is tasklets per wall-clock second, so it folds
-	// scheduling overhead and everything else the simulator pays per event.
-	idxTput := &metrics.Series{Name: "tasklets/s (indexed)", XLabel: "providers"}
-	legTput := &metrics.Series{Name: "tasklets/s (no index)", XLabel: "providers"}
-	for _, p := range simFleets {
-		for _, noIndex := range []bool{false, true} {
-			devs := workload.SpreadFleet(p, 100, 0.5, opts.seed())
-			tasks := workload.Batch(4*p, 2_000_000, core.QoC{})
-			start := time.Now()
-			stats, err := sim.Run(sim.Config{
-				Devices: devs,
-				Tasks:   tasks,
-				Policy:  scheduler.NewWorkSteal(),
-				Seed:    opts.seed(),
-				NoIndex: noIndex,
-			})
-			if err != nil {
-				return nil, err
-			}
-			wall := time.Since(start).Seconds()
-			if stats.Completed != len(tasks) {
-				return nil, fmt.Errorf("e10: P=%d noIndex=%v completed %d of %d",
-					p, noIndex, stats.Completed, len(tasks))
-			}
-			tput := float64(len(tasks)) / wall
-			if noIndex {
-				legTput.Append(float64(p), tput)
-			} else {
-				idxTput.Append(float64(p), tput)
-			}
-			opts.logf("e10: sim P=%d noIndex=%v %.0f tasklets/s wall", p, noIndex, tput)
-		}
-	}
-	res.Series = append(res.Series, idxTput, legTput)
-
 	// Allocation rows: the indexed pick cycle must be allocation-free; the
-	// reworked legacy scan reuses its scratch after warm-up.
+	// reference scan reuses its scratch after warm-up.
 	pMax := fleets[len(fleets)-1]
 	pol := scheduler.NewWorkSteal()
 	ix, err := scheduler.NewIndexFor(pol)

@@ -100,10 +100,9 @@ func init() {
 		"e6":  {"Table 2 — QoC goal cost matrix", RunE6},
 		"e7":  {"Figure 6 — broker throughput and queue delay", RunE7},
 		"e8":  {"Figure 7 — result memoization on Zipf-repeated workloads", RunE8},
-		"e9":  {"Figure 8 — data-plane throughput and p99 vs offered load (coalescing ablation)", RunE9},
-		"e10": {"Figure 9 — placement latency and job throughput vs fleet size (scheduler-index ablation)", RunE10},
+		"e9":  {"Figure 8 — data-plane throughput and p99 vs offered load", RunE9},
+		"e10": {"Figure 9 — placement latency vs fleet size (scheduler index vs reference scan)", RunE10},
 		"e11": {"Figure 10 — broker sharding: aggregate throughput and work-exchange recovery", RunE11},
-		"e12": {"Figure 11 — control-plane batching: saturation throughput with batch frames on vs off", RunE12},
 		"e13": {"Figure 12 — partitioned broker core: saturation throughput vs partition count", RunE13},
 	}
 }

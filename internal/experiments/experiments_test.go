@@ -5,14 +5,12 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 func quick() Options { return Options{Quick: true, Seed: 7} }
 
 func TestIDsComplete(t *testing.T) {
-	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13"}
+	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e13"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v", got)
@@ -247,21 +245,19 @@ func TestE9DataPlaneShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per mode (coalesced, uncoalesced): a throughput series then a p99
-	// series.
-	if len(res.Series) != 4 {
+	// A throughput series then a p99 series.
+	if len(res.Series) != 2 {
 		t.Fatalf("series = %d", len(res.Series))
 	}
-	for _, s := range []*metrics.Series{res.Series[0], res.Series[2]} {
-		if !strings.Contains(s.Name, "tasklets/s") {
-			t.Fatalf("series order changed: %s", s.Name)
-		}
-		// Noop tasklets over loopback: anything under 1k/s means the data
-		// plane broke, not that the machine is slow.
-		for i, y := range s.Y {
-			if y < 1000 {
-				t.Fatalf("%s at conc %v = %.0f tasklets/s, implausibly low", s.Name, s.X[i], y)
-			}
+	tput := res.Series[0]
+	if !strings.Contains(tput.Name, "tasklets/s") {
+		t.Fatalf("series order changed: %s", tput.Name)
+	}
+	// Noop tasklets over loopback: anything under 1k/s means the data
+	// plane broke, not that the machine is slow.
+	for i, y := range tput.Y {
+		if y < 1000 {
+			t.Fatalf("%s at conc %v = %.0f tasklets/s, implausibly low", tput.Name, tput.X[i], y)
 		}
 	}
 	// The pooled send path must allocate strictly less than the legacy
@@ -281,31 +277,6 @@ func TestE9DataPlaneShape(t *testing.T) {
 	}
 	if pooled >= legacy {
 		t.Fatalf("pooled send path allocs/msg = %v, legacy = %v; pooling regressed", pooled, legacy)
-	}
-}
-
-func TestE12BatchingShape(t *testing.T) {
-	res, err := RunE12(quick())
-	if err != nil {
-		t.Fatal(err) // RunE12 hard-fails below 1.5x single-shard / 1.2x 4-shard
-	}
-	if len(res.Series) != 2 {
-		t.Fatalf("series = %d", len(res.Series))
-	}
-	on, off := res.Series[0], res.Series[1]
-	if !strings.Contains(on.Name, "batch on") || !strings.Contains(off.Name, "batch off") {
-		t.Fatalf("series order changed: %s / %s", on.Name, off.Name)
-	}
-	// Batched must beat unbatched at every shard count, and 4 batched
-	// shards must still scale over 1 batched shard (batching must not eat
-	// the sharding win).
-	for i := range on.Y {
-		if on.Y[i] <= off.Y[i] {
-			t.Fatalf("at %v shards: batched %.0f/s not above unbatched %.0f/s", on.X[i], on.Y[i], off.Y[i])
-		}
-	}
-	if last := len(on.Y) - 1; on.Y[last] < 3*on.Y[0] {
-		t.Fatalf("4-shard batched throughput %.0f/s under 3x the 1-shard %.0f/s", on.Y[last], on.Y[0])
 	}
 }
 

@@ -26,38 +26,18 @@ type liveStack struct {
 }
 
 func newLiveStack(nProviders, slots int) (*liveStack, error) {
-	return newLiveStackCoalesce(nProviders, slots, false)
-}
-
-// newLiveStackCoalesce additionally controls write coalescing on every
-// connection (broker and providers); E9 ablates it.
-func newLiveStackCoalesce(nProviders, slots int, noCoalesce bool) (*liveStack, error) {
-	return newLiveStackOpts(nProviders, slots, noCoalesce, false)
-}
-
-// newLiveStackBatch additionally controls control-plane batching on the
-// broker and every provider; E12 ablates it.
-func newLiveStackBatch(nProviders, slots int, noBatch bool) (*liveStack, error) {
-	return newLiveStackOpts(nProviders, slots, false, noBatch)
+	return newLiveStackPartitions(nProviders, slots, 0)
 }
 
 // newLiveStackPartitions additionally pins the broker's lock-striped
-// partition count (1 = single-stripe legacy core); E13 ablates it.
+// partition count (0 = GOMAXPROCS, 1 = single-stripe legacy core); E13
+// ablates it.
 func newLiveStackPartitions(nProviders, slots, partitions int) (*liveStack, error) {
-	return newLiveStackFull(nProviders, slots, false, false, partitions)
-}
-
-func newLiveStackOpts(nProviders, slots int, noCoalesce, noBatch bool) (*liveStack, error) {
-	return newLiveStackFull(nProviders, slots, noCoalesce, noBatch, 0)
-}
-
-func newLiveStackFull(nProviders, slots int, noCoalesce, noBatch bool, partitions int) (*liveStack, error) {
 	// E1/E2/E7/E9 measure the raw dispatch path with repeated identical
 	// tasklets; the result memo would serve those from cache and measure
 	// the wrong thing, so it is disabled here. E8 covers the memo.
 	s := &liveStack{broker: broker.New(broker.Options{
 		MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
-		NoCoalesce: noCoalesce, NoBatch: noBatch,
 		Partitions: partitions,
 	})}
 	addr, err := s.broker.Listen("127.0.0.1:0")
@@ -69,7 +49,6 @@ func newLiveStackFull(nProviders, slots int, noCoalesce, noBatch bool, partition
 			BrokerAddr: addr, Slots: slots, Speed: 100,
 			Name:        fmt.Sprintf("bench-%d", i),
 			MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
-			NoCoalesce: noCoalesce, NoBatch: noBatch,
 		})
 		if err != nil {
 			s.close()

@@ -73,15 +73,6 @@ type Options struct {
 	// Metrics receives provider counters ("provider.memo.*" plus the
 	// "provider.attempts.*" family) when non-nil.
 	Metrics *metrics.Registry
-	// NoCoalesce disables write coalescing on the broker connection: every
-	// outgoing message is flushed individually instead of batching a burst
-	// of results into one syscall. Ablation and differential tests only.
-	NoCoalesce bool
-	// NoBatch stops this provider from advertising CapBatch (so the broker
-	// sends one Assign per attempt) and from folding its result bursts into
-	// AttemptResultBatch frames. Ablation and differential tests only; job
-	// results are identical either way.
-	NoBatch bool
 }
 
 // Local result memo defaults: deliberately smaller than the broker tier —
@@ -166,14 +157,9 @@ func Connect(opts Options) (*Provider, error) {
 		return nil, fmt.Errorf("provider: dial broker: %w", err)
 	}
 	conn := wire.NewConn(nc)
-	conn.NoCoalesce = opts.NoCoalesce
-	caps := wire.CapFlagsTail
-	if !opts.NoBatch {
-		caps |= wire.CapBatch
-	}
 	if err := conn.Send(&wire.Hello{
 		Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: opts.Name,
-		Caps: caps,
+		Caps: wire.CapFlagsTail | wire.CapBatch,
 	}); err != nil {
 		nc.Close()
 		return nil, err
@@ -278,17 +264,12 @@ const writerBatchMax = 128
 func (p *Provider) writerLoop() {
 	// Fold each flush window's run of results into one AttemptResultBatch
 	// frame; the broker always decodes batches regardless of capability
-	// negotiation (liberal ingest), so the fold is gated only on NoBatch.
-	var fold func([]wire.Message) []wire.Message
-	if !p.opts.NoBatch {
-		fold = wire.FoldBatchFrames
-	}
+	// negotiation (liberal ingest), so the fold needs no gate.
 	wire.WriterLoop(p.conn, p.out, wire.WriterOpts{
-		Max:        writerBatchMax,
-		NoCoalesce: p.opts.NoCoalesce,
-		Fold:       fold,
-		Done:       p.done,
-		Closer:     p.nc,
+		Max:    writerBatchMax,
+		Fold:   wire.FoldBatchFrames,
+		Done:   p.done,
+		Closer: p.nc,
 	})
 }
 

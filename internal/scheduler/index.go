@@ -13,7 +13,7 @@ import (
 // query (random / round_robin) instead of an O(P log P) filter-and-sort,
 // and performs zero allocations.
 //
-// The index is pick-for-pick identical to the legacy scan: for the same
+// The index is pick-for-pick identical to the reference scan: for the same
 // event sequence and the same stochastic seed it returns exactly the
 // provider the equivalent Policy.Pick would return (see the differential
 // tests). Exclusion (QoC replica fan-out, retry avoidance) is handled by
@@ -35,8 +35,7 @@ import (
 //	                      flags for O(log P) k-th-eligible selection
 //
 // An Index is not safe for concurrent use; the broker serializes access
-// under its scheduling mutex, matching the Policy contract. All methods are
-// nil-receiver safe so callers running the legacy path need no guards.
+// under its scheduling mutex, matching the Policy contract.
 type Index struct {
 	kind policyKind
 
@@ -82,9 +81,9 @@ type ixEntry struct {
 
 // NewIndexFor builds an incremental index equivalent to policy p,
 // snapshotting any stochastic state (RNG, cursor) so the index's pick
-// stream continues exactly where the policy's would. Custom policies
-// outside this package have no index; callers fall back to the legacy
-// scan. The policy instance itself is not retained or mutated.
+// stream continues exactly where the policy's would. A policy defined
+// outside this package has no index and gets an error. The policy instance
+// itself is not retained or mutated.
 func NewIndexFor(p Policy) (*Index, error) {
 	ix := &Index{entries: map[core.ProviderID]*ixEntry{}}
 	switch pp := p.(type) {
@@ -157,9 +156,6 @@ func lessReliable(a, b *ixEntry) bool {
 // read at comparison time, so speed/slots/reliability edits paired with an
 // Upsert/Assign/Complete call are picked up automatically.
 func (ix *Index) Upsert(info *core.ProviderInfo, free, backlog int) {
-	if ix == nil {
-		return
-	}
 	e := ix.entries[info.ID]
 	if e == nil {
 		e = &ixEntry{info: info, free: free, backlog: backlog, posA: -1, posB: -1, ringIdx: -1}
@@ -178,9 +174,6 @@ func (ix *Index) Upsert(info *core.ProviderInfo, free, backlog int) {
 
 // Remove forgets a disconnected provider.
 func (ix *Index) Remove(id core.ProviderID) {
-	if ix == nil {
-		return
-	}
 	e := ix.entries[id]
 	if e == nil {
 		return
@@ -201,9 +194,6 @@ func (ix *Index) Remove(id core.ProviderID) {
 // Assign records one attempt placed on the provider: a slot is consumed and
 // its backlog grows, so its rank (and eligibility) may change.
 func (ix *Index) Assign(id core.ProviderID) {
-	if ix == nil {
-		return
-	}
 	e := ix.entries[id]
 	if e == nil {
 		return
@@ -218,9 +208,6 @@ func (ix *Index) Assign(id core.ProviderID) {
 // Complete records one attempt leaving the provider (result arrived or the
 // attempt was abandoned with the slot reclaimed).
 func (ix *Index) Complete(id core.ProviderID) {
-	if ix == nil {
-		return
-	}
 	e := ix.entries[id]
 	if e == nil {
 		return
@@ -234,17 +221,11 @@ func (ix *Index) Complete(id core.ProviderID) {
 
 // FreeSlots returns the fleet's total free capacity.
 func (ix *Index) FreeSlots() int {
-	if ix == nil {
-		return 0
-	}
 	return ix.free
 }
 
 // Len returns the number of registered providers.
 func (ix *Index) Len() int {
-	if ix == nil {
-		return 0
-	}
 	return len(ix.entries)
 }
 
@@ -307,9 +288,6 @@ func ringWeight(e *ixEntry) int {
 // would, excluding the given providers. It performs no allocations after
 // scratch buffers reach steady-state capacity.
 func (ix *Index) Pick(t *core.Tasklet, exclude []core.ProviderID) (core.ProviderID, bool) {
-	if ix == nil {
-		return 0, false
-	}
 	switch ix.kind {
 	case kindRandom, kindRoundRobin:
 		return ix.pickRing(exclude)

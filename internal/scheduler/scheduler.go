@@ -5,19 +5,19 @@
 // simulator, which is what makes the heterogeneity experiments (E4)
 // apples-to-apples.
 //
-// Two placement paths exist:
+// A policy is stated twice:
 //
-//   - the legacy full-scan path: the caller snapshots the fleet into a
-//     []Candidate and calls Policy.Pick, which filters and ranks the whole
-//     slice (O(P log P) per pick);
-//   - the incremental Index (index.go): the caller feeds provider events
-//     (register, assign, complete, disconnect) into per-policy ordered
-//     structures and each pick is a heap peek or an order-statistics query
-//     (O(log P) per pick, no allocations).
+//   - Policy.Pick is the reference: the caller snapshots the fleet into a
+//     []Candidate and Pick filters and ranks the whole slice (O(P log P) per
+//     pick). Nothing in the broker or the simulator calls it any more; it is
+//     what the index is checked against, and E10's baseline.
+//   - the incremental Index (index.go) is what placement runs on: the caller
+//     feeds provider events (register, assign, complete, disconnect) into
+//     per-policy ordered structures and each pick is a heap peek or an
+//     order-statistics query (O(log P) per pick, no allocations).
 //
-// The two are provably pick-for-pick identical — see the differential tests
-// in index_test.go. The legacy path remains the ablation baseline
-// (broker/sim Options.NoIndex).
+// The two are pick-for-pick identical — see the differential tests in
+// index_test.go.
 package scheduler
 
 import (
@@ -74,8 +74,8 @@ type Policy interface {
 }
 
 // scratch is the reusable eligible-candidate buffer every policy embeds so
-// the legacy scan path performs no per-pick allocations (the ablation
-// baseline measures ranking cost, not allocator churn).
+// the reference scan performs no per-pick allocations (E10's baseline
+// measures ranking cost, not allocator churn).
 type scratch struct {
 	buf []Candidate
 }

@@ -8,11 +8,13 @@ import (
 	"repro/internal/scheduler"
 )
 
-// TestSimIndexMatchesLegacy is the simulator-level differential test for
-// the incremental placement index: for every policy, with and without
-// device churn, a run with the index must be event-for-event identical to a
-// run with the legacy scan — same final results, same per-device execution
-// counts, same attempt totals, same makespan.
+// TestSimIndexMatchesLegacy runs every policy, with and without device
+// churn, through the simulator's indexed placement pass and checks the run
+// against what the scenario fixes: every tasklet finalizes, every completed
+// one carries its canonical value and a real provider, and the attempt and
+// per-device execution counts add up. (It used to compare against a second
+// run on a full-scan placement path; that path is gone, and pick-for-pick
+// identity of the index with Policy.Pick is pinned in internal/scheduler.)
 func TestSimIndexMatchesLegacy(t *testing.T) {
 	mixedDevices := func(churn bool) []DeviceSpec {
 		devs := []DeviceSpec{
@@ -55,47 +57,46 @@ func TestSimIndexMatchesLegacy(t *testing.T) {
 				label = name + "/churn"
 			}
 			t.Run(label, func(t *testing.T) {
-				run := func(noIndex bool) *Stats {
-					pol, err := scheduler.New(name, 42)
-					if err != nil {
-						t.Fatal(err)
-					}
-					stats, err := Run(Config{
-						Devices: mixedDevices(churn),
-						Tasks:   tasks(),
-						Policy:  pol,
-						Latency: 5 * time.Millisecond,
-						Seed:    42,
-						NoIndex: noIndex,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return stats
+				pol, err := scheduler.New(name, 42)
+				if err != nil {
+					t.Fatal(err)
 				}
-				indexed, legacy := run(false), run(true)
+				specs := tasks()
+				stats, err := Run(Config{
+					Devices: mixedDevices(churn),
+					Tasks:   specs,
+					Policy:  pol,
+					Latency: 5 * time.Millisecond,
+					Seed:    42,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
 
-				if indexed.Makespan != legacy.Makespan {
-					t.Errorf("makespan: indexed %v, legacy %v", indexed.Makespan, legacy.Makespan)
+				if stats.Completed+stats.Failed != len(specs) {
+					t.Errorf("completed %d + failed %d, want %d tasklets",
+						stats.Completed, stats.Failed, len(specs))
 				}
-				if indexed.Attempts != legacy.Attempts ||
-					indexed.Completed != legacy.Completed ||
-					indexed.Failed != legacy.Failed {
-					t.Errorf("attempts/completed/failed: indexed %d/%d/%d, legacy %d/%d/%d",
-						indexed.Attempts, indexed.Completed, indexed.Failed,
-						legacy.Attempts, legacy.Completed, legacy.Failed)
+				if !churn && stats.LostAttempts != 0 {
+					t.Errorf("%d attempts lost on a steady fleet", stats.LostAttempts)
 				}
-				for i := range indexed.DeviceExecuted {
-					if indexed.DeviceExecuted[i] != legacy.DeviceExecuted[i] {
-						t.Errorf("device %d executed: indexed %d, legacy %d",
-							i, indexed.DeviceExecuted[i], legacy.DeviceExecuted[i])
+				if stats.Attempts < stats.Completed {
+					t.Errorf("%d attempts for %d completed tasklets", stats.Attempts, stats.Completed)
+				}
+				executed := 0
+				for _, n := range stats.DeviceExecuted {
+					executed += n
+				}
+				if executed > stats.Attempts || executed < stats.Completed {
+					t.Errorf("devices executed %d attempts, want between %d completed and %d launched",
+						executed, stats.Completed, stats.Attempts)
+				}
+				for i, f := range stats.Finals {
+					if f.Status != core.StatusOK {
+						continue // deadline or retry budget ran out under churn
 					}
-				}
-				for i := range indexed.Finals {
-					a, b := indexed.Finals[i], legacy.Finals[i]
-					if a.Status != b.Status || a.Provider != b.Provider ||
-						a.Return.Kind != b.Return.Kind || a.Return.I != b.Return.I {
-						t.Errorf("tasklet %d final: indexed %+v, legacy %+v", i, a, b)
+					if f.Return.I != int64(i+1) || f.Provider < 1 || int(f.Provider) > len(stats.DeviceExecuted) {
+						t.Errorf("tasklet %d final: %+v, want return %d from a fleet device", i, f, i+1)
 					}
 				}
 			})

@@ -28,7 +28,6 @@ func partitionScenario(partitions int) ShardedConfig {
 		BrokerOverhead: 12 * time.Microsecond,
 		ResultOverhead: 50 * time.Microsecond,
 		FrameOverhead:  25 * time.Microsecond,
-		Batch:          true,
 		Partitions:     partitions,
 	}
 }

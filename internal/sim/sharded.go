@@ -42,14 +42,11 @@ type ShardedConfig struct {
 	// FrameOverhead is the per-wire-frame serialized cost (encode, syscall,
 	// decode) added on top of BrokerOverhead for each frame the dispatcher
 	// handles; zero disables the frame model, keeping runs bit-identical to
-	// the pre-batching simulator. Batch selects the batched control plane:
-	// with Batch off every dispatch and every result carries its own frame;
-	// with Batch on a placement pass pays one frame per destination device
-	// (AssignBatch) and a result pays a frame only when the dispatcher is
-	// idle (AttemptResultBatch folding) — mirroring the live broker's
-	// capability-gated batching, which E12 ablates.
+	// the pre-batching simulator. Frames are counted the way the live
+	// broker's batched control plane sends them: a placement pass pays one
+	// frame per destination device (AssignBatch) and a result pays a frame
+	// only when the dispatcher is idle (AttemptResultBatch folding).
 	FrameOverhead time.Duration
-	Batch         bool
 
 	// Partitions models the broker's lock-striped lifecycle partitions
 	// (broker.Options.Partitions): with P > 1, result processing (the result
@@ -203,10 +200,13 @@ func RunSharded(cfg ShardedConfig) (*ShardedStats, error) {
 		} else if cfg.Shards > 1 {
 			scfg.Policy = scheduler.NewWorkSteal()
 		}
-		ss := &shardSim{sim: newSim(scfg, w.eng), pos: i}
+		world, err := newSim(scfg, w.eng)
+		if err != nil {
+			return nil, err
+		}
+		ss := &shardSim{sim: world, pos: i}
 		ss.overhead = cfg.BrokerOverhead
 		ss.frameOverhead = cfg.FrameOverhead
-		ss.batched = cfg.Batch
 		ss.resultOverhead = cfg.ResultOverhead
 		if cfg.Partitions > 1 {
 			ss.partitions = cfg.Partitions

@@ -81,11 +81,6 @@ type Config struct {
 	MemoEntries int
 	MemoBytes   int
 	MemoTTL     time.Duration
-	// NoIndex disables the incremental scheduler index and forces the
-	// legacy full-scan placement path, mirroring broker.Options.NoIndex.
-	// Device choices are identical either way (pinned by the differential
-	// tests); exists for the E10 ablation.
-	NoIndex bool
 	// MaxAttempts caps the total attempts one tasklet may consume across
 	// lost-attempt re-issues, mirroring broker.Options.MaxAttempts: zero (or
 	// negative) means unlimited — the legacy behavior, bounded only by the
@@ -172,8 +167,8 @@ type deviceState struct {
 	busy    time.Duration
 	done    int
 	// lastFramePass marks the placement pass that last charged this device
-	// an assignment frame; under the batched control-plane model all of a
-	// pass's launches to one device share one AssignBatch frame.
+	// an assignment frame: all of a pass's launches to one device share one
+	// AssignBatch frame.
 	lastFramePass uint64
 }
 
@@ -190,14 +185,12 @@ type sim struct {
 	pending []pendingEntry
 	memoOn  bool
 
-	// index is the incremental placement index; nil when Config.NoIndex is
-	// set or the policy has no indexed form (legacy scan runs instead).
-	// Down devices stay indexed with zero capacity rather than removed, so
-	// recovery is an O(log P) weight flip, not a re-insertion.
+	// index is the incremental placement index. Down devices stay indexed
+	// with zero capacity rather than removed, so recovery is an O(log P)
+	// weight flip, not a re-insertion.
 	index *scheduler.Index
-	// excl and cands are placement scratch buffers reused across picks.
-	excl  []core.ProviderID
-	cands []scheduler.Candidate
+	// excl is the placement exclusion-list scratch, reused across picks.
+	excl []core.ProviderID
 
 	stats      Stats
 	latency    *metrics.Histogram
@@ -215,14 +208,13 @@ type sim struct {
 	overhead  time.Duration
 	busyUntil time.Duration
 	// frameOverhead extends the overhead model with a per-wire-frame cost
-	// (encode + syscall + decode) on top of the per-operation cost. batched
-	// selects the batched control plane: a placement pass pays one frame per
-	// destination device (AssignBatch) instead of one per attempt, and a
-	// result pays a frame only when the dispatcher is idle — results that
-	// arrive while it is busy fold into the batch already being drained
-	// (AttemptResultBatch). Zero frameOverhead makes both modes identical.
+	// (encode + syscall + decode) on top of the per-operation cost, charged
+	// the way the batched control plane sends frames: a placement pass pays
+	// one frame per destination device (AssignBatch), and a result pays a
+	// frame only when the dispatcher is idle — results that arrive while it
+	// is busy fold into the batch already being drained
+	// (AttemptResultBatch). Zero frameOverhead charges nothing.
 	frameOverhead time.Duration
-	batched       bool
 	passSeq       uint64
 	// partitions/partBusy/resultOverhead model the lock-striped partitioned
 	// broker core (ShardedConfig.Partitions): with partitions > 1, result
@@ -265,9 +257,15 @@ func (cfg Config) normalize() (Config, error) {
 // on the given event engine. Run uses exactly one; RunSharded builds one
 // per shard over a shared engine. cfg must be normalized and its Devices
 // are this world's devices only (Tasks stays the full list: shards need
-// arrival/key lookups for any task index that migrates to them).
-func newSim(cfg Config, eng *engine) *sim {
+// arrival/key lookups for any task index that migrates to them). It fails
+// only for a policy without a placement index.
+func newSim(cfg Config, eng *engine) (*sim, error) {
+	index, err := scheduler.NewIndexFor(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
 	s := &sim{
+		index:      index,
 		cfg:        cfg,
 		eng:        eng,
 		attempt:    map[core.AttemptID]*attemptRec{},
@@ -312,19 +310,14 @@ func newSim(cfg Config, eng *engine) *sim {
 			s.scheduleFailure(i)
 		}
 	}
-	if !cfg.NoIndex {
-		if ix, err := scheduler.NewIndexFor(cfg.Policy); err == nil {
-			s.index = ix
-			for _, d := range s.devices {
-				s.index.Upsert(&d.info, d.free, 0)
-			}
-		}
+	for _, d := range s.devices {
+		s.index.Upsert(&d.info, d.free, 0)
 	}
 	s.stats.BusyTime = make([]time.Duration, len(s.devices))
 	s.stats.DeviceExecuted = make([]int, len(s.devices))
 	s.stats.Finals = make([]core.Result, len(cfg.Tasks))
 	s.firstArr = time.Duration(-1)
-	return s
+	return s, nil
 }
 
 // Run executes the scenario and returns its statistics.
@@ -333,7 +326,10 @@ func Run(cfg Config) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := newSim(cfg, newEngine(cfg.Seed))
+	s, err := newSim(cfg, newEngine(cfg.Seed))
+	if err != nil {
+		return nil, err
+	}
 	s.remaining = len(cfg.Tasks)
 	for i, tspec := range cfg.Tasks {
 		fuel := tspec.Fuel
@@ -454,23 +450,14 @@ func (s *sim) onDeadline(id core.TaskletID) {
 	}
 }
 
-// schedule walks the placement queue like the live broker: the indexed
-// batch pass by default, the legacy full-scan pass under Config.NoIndex.
+// schedule walks the placement queue like the live broker, feeding it
+// through the incremental index; launch's Assign hook re-ranks the chosen
+// device before the next pick.
 func (s *sim) schedule() {
 	if len(s.pending) == 0 {
 		return
 	}
 	s.passSeq++ // new pass: each device's first launch charges a fresh frame
-	if s.index != nil {
-		s.scheduleIndexed()
-	} else {
-		s.scheduleLegacy()
-	}
-}
-
-// scheduleIndexed feeds the queue through the incremental index; launch's
-// Assign hook re-ranks the chosen device before the next pick.
-func (s *sim) scheduleIndexed() {
 	remaining := s.pending[:0]
 	for idx, pe := range s.pending {
 		if s.index.FreeSlots() <= 0 {
@@ -498,55 +485,6 @@ func (s *sim) scheduleIndexed() {
 	s.pending = remaining
 }
 
-// scheduleLegacy rebuilds the candidate view for every pick (free/backlog
-// change as attempts launch). Kept for the E10 ablation and for policies
-// without an indexed form.
-func (s *sim) scheduleLegacy() {
-	totalFree := 0
-	for _, d := range s.devices {
-		if d.up {
-			totalFree += d.free
-		}
-	}
-	remaining := s.pending[:0]
-	for idx, pe := range s.pending {
-		if totalFree <= 0 {
-			remaining = append(remaining, s.pending[idx:]...)
-			break
-		}
-		t := s.life.Tasklet(pe.tasklet)
-		if t == nil {
-			continue
-		}
-		cands := s.cands[:0]
-		for _, d := range s.devices {
-			if !d.up {
-				continue
-			}
-			cands = append(cands, scheduler.Candidate{
-				Info: &d.info, FreeSlots: d.free, Backlog: d.backlog,
-			})
-		}
-		s.cands = cands
-		s.excl = s.life.AppendActiveProviders(pe.tasklet, s.excl[:0])
-		req := scheduler.Request{Tasklet: t, ExcludeIDs: s.excl}
-		pid, ok := s.cfg.Policy.Pick(req, cands)
-		if !ok {
-			remaining = append(remaining, pe)
-			continue
-		}
-		dev := s.devices[int(pid)-1]
-		if !dev.up || dev.free <= 0 {
-			remaining = append(remaining, pe)
-			continue
-		}
-		s.queueDelay.Observe(float64(s.eng.now-pe.since) / 1e6)
-		s.launch(t, dev)
-		totalFree--
-	}
-	s.pending = remaining
-}
-
 // launch starts one attempt on dev; completion is scheduled after the
 // network latency plus the device-speed-scaled execution time.
 func (s *sim) launch(t *core.Tasklet, dev *deviceState) {
@@ -569,17 +507,11 @@ func (s *sim) launch(t *core.Tasklet, dev *deviceState) {
 	exec := execTime(t.Fuel, dev.info.Speed)
 	total := 2*s.cfg.Latency + exec
 	// The dispatch itself consumes serialized broker CPU before the Assign
-	// leaves the broker (no-op when the overhead model is off). Batched
-	// control plane: only the pass's first launch onto this device pays the
-	// frame cost — the rest ride the same AssignBatch.
-	frame := true
-	if s.batched {
-		if dev.lastFramePass == s.passSeq {
-			frame = false
-		} else {
-			dev.lastFramePass = s.passSeq
-		}
-	}
+	// leaves the broker (no-op when the overhead model is off). Only the
+	// pass's first launch onto this device pays the frame cost — the rest
+	// ride the same AssignBatch.
+	frame := dev.lastFramePass != s.passSeq
+	dev.lastFramePass = s.passSeq
 	total += s.gate(frame)
 	s.eng.after(total, func() { s.onComplete(rec, exec) })
 }
@@ -618,9 +550,9 @@ func (s *sim) partFor(tid core.TaskletID) int {
 	return int(uint64(tid) % uint64(s.partitions))
 }
 
-// resultIdle reports whether tid's result-processing line is idle (the
-// batched control plane charges a frame only then; later results fold into
-// the batch being drained).
+// resultIdle reports whether tid's result-processing line is idle (a result
+// is charged a frame only then; later results fold into the batch being
+// drained).
 func (s *sim) resultIdle(tid core.TaskletID) bool {
 	if s.partitions > 1 {
 		return s.partBusy[s.partFor(tid)] <= s.eng.now
@@ -674,11 +606,10 @@ func (s *sim) onComplete(rec *attemptRec, exec time.Duration) {
 	if rec.finished || s.devices[rec.device].epoch != rec.epoch {
 		return // device died mid-execution; loss handled by detection
 	}
-	// Batched control plane: a result arriving while its processing line is
-	// busy folds into the AttemptResultBatch already being drained, so only
-	// a result that finds the line idle pays its own frame.
-	frame := !s.batched || s.resultIdle(rec.tasklet)
-	if d := s.gateResult(rec.tasklet, frame); d > 0 {
+	// A result arriving while its processing line is busy folds into the
+	// AttemptResultBatch already being drained, so only a result that finds
+	// the line idle pays its own frame.
+	if d := s.gateResult(rec.tasklet, s.resultIdle(rec.tasklet)); d > 0 {
 		s.eng.after(d, func() { s.completeReady(rec, exec) })
 		return
 	}

@@ -49,8 +49,9 @@ func (s *sinkConn) flushCount() int {
 
 // TestCoalescedOutputByteIdentical proves the coalescing machinery moves
 // only syscall boundaries, never frame bytes: the same message sequence
-// emitted via flush-per-Send (NoCoalesce), via one SendBatch, and via plain
-// Marshal concatenation produces the identical byte stream.
+// emitted via one lone Send per message (each flushes at once), via one
+// SendBatch, and via plain Marshal concatenation produces the identical byte
+// stream.
 func TestCoalescedOutputByteIdentical(t *testing.T) {
 	msgs := allMessages()
 
@@ -65,7 +66,6 @@ func TestCoalescedOutputByteIdentical(t *testing.T) {
 
 	uncoalesced := &sinkConn{buf: &bytes.Buffer{}}
 	uc := NewConn(uncoalesced)
-	uc.NoCoalesce = true
 	for _, m := range msgs {
 		if err := uc.Send(m); err != nil {
 			t.Fatalf("uncoalesced send %s: %v", m.Type(), err)
@@ -201,25 +201,6 @@ func BenchmarkConnSend_AttemptResult(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Send(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLegacySend_Heartbeat reconstructs the pre-coalescing send path —
-// Marshal into a fresh slice, then write it — as the allocs/op baseline the
-// pooled path is compared against.
-func BenchmarkLegacySend_Heartbeat(b *testing.B) {
-	sink := &sinkConn{}
-	hb := &Heartbeat{FreeSlots: 3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := Marshal(hb)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sink.Write(frame); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -108,8 +108,7 @@ func Unmarshal(t MsgType, payload []byte) (Message, error) {
 // (it will acquire the lock next), the flush is left to it, so one syscall
 // covers the whole burst. A lone Send therefore still flushes immediately:
 // coalescing never delays a frame behind an idle line, it only merges
-// flushes that would otherwise race each other. Set NoCoalesce to restore
-// the historical flush-per-Send behavior (ablation and differential tests).
+// flushes that would otherwise race each other.
 type Conn struct {
 	nc net.Conn
 	r  *bufio.Reader
@@ -120,11 +119,6 @@ type Conn struct {
 
 	wmu sync.Mutex
 	w   *bufio.Writer
-
-	// NoCoalesce forces a flush after every Send/SendBatch regardless of
-	// concurrent writers. Frame bytes are unaffected — only the syscall
-	// boundaries move — which the differential tests rely on.
-	NoCoalesce bool
 
 	// ReadTimeout, when nonzero, bounds each ReadMessage call.
 	ReadTimeout time.Duration
@@ -161,7 +155,7 @@ func (c *Conn) writeLocked(m Message) error {
 // in-flight count to zero flushes for everyone. Callers must hold wmu and
 // have registered themselves in c.writers.
 func (c *Conn) flushIfLastLocked() error {
-	if c.writers.Add(-1) == 0 || c.NoCoalesce {
+	if c.writers.Add(-1) == 0 {
 		if err := c.w.Flush(); err != nil {
 			return fmt.Errorf("wire: flush: %w", err)
 		}

@@ -9,10 +9,6 @@ import (
 type WriterOpts struct {
 	// Max bounds how many queued messages one flush may cover.
 	Max int
-	// NoCoalesce disables burst draining: every message is sent (and
-	// flushed) individually, restoring the historical one-frame-per-syscall
-	// behavior for ablation and differential tests.
-	NoCoalesce bool
 	// Fold, when non-nil, rewrites each drained burst before it is sent —
 	// e.g. FoldBatchFrames collapses runs of per-attempt frames into batch
 	// frames. Nil sends the burst unchanged.
@@ -38,11 +34,11 @@ const tinyExecNanos = 50_000
 // Tests replace it to observe when the writer waits.
 var yield = runtime.Gosched
 
-// WriterLoop drains a connection's outgoing queue onto conn. Unless
-// coalescing is disabled it folds whatever burst is queued (up to Max) into
-// one SendBatch, so a single flush — one syscall — covers the burst. It is
-// the one copy of the drain logic shared by the broker (provider, consumer
-// and peer links) and the provider (broker link).
+// WriterLoop drains a connection's outgoing queue onto conn. It folds
+// whatever burst is queued (up to Max) into one SendBatch, so a single
+// flush — one syscall — covers the burst. It is the one copy of the drain
+// logic shared by the broker (provider, consumer and peer links) and the
+// provider (broker link).
 //
 // The first send on out readies this goroutine ahead of the sender's
 // siblings, so a burst of near-instant tasklets would otherwise be flushed
@@ -69,12 +65,10 @@ func WriterLoop(conn *Conn, out <-chan Message, o WriterOpts) {
 			return
 		}
 		batch = append(batch[:0], m)
-		if !o.NoCoalesce {
+		batch = drainQueued(out, batch, o.Max)
+		if len(batch) < o.Max && allTinyResults(batch) {
+			yield()
 			batch = drainQueued(out, batch, o.Max)
-			if len(batch) < o.Max && allTinyResults(batch) {
-				yield()
-				batch = drainQueued(out, batch, o.Max)
-			}
 		}
 		if o.Fold != nil {
 			batch = o.Fold(batch)

@@ -9,8 +9,8 @@ import (
 // yield replaced by a sibling that queues one more result while the writer
 // waits, and checks who waits: a burst of nothing but near-instant
 // AttemptResults yields once and flushes the late sibling in the same write;
-// a long result, any other frame type, a full burst and NoCoalesce are
-// flushed without yielding.
+// a long result, any other frame type, a full burst and the zero-value
+// options (burst limit one: a frame per write) are flushed without yielding.
 func TestWriterLoopWaitsOneTurnForTinyResultsOnly(t *testing.T) {
 	tiny := &AttemptResult{Attempt: 1, Tasklet: 1, ExecNanos: tinyExecNanos - 1}
 	long := &AttemptResult{Attempt: 2, Tasklet: 2, ExecNanos: tinyExecNanos}
@@ -25,7 +25,7 @@ func TestWriterLoopWaitsOneTurnForTinyResultsOnly(t *testing.T) {
 		{"one long result", []Message{tiny, long}, WriterOpts{Max: 8}, 0},
 		{"another frame type", []Message{tiny, &Heartbeat{FreeSlots: 1}}, WriterOpts{Max: 8}, 0},
 		{"full burst", []Message{tiny, tiny}, WriterOpts{Max: 2}, 0},
-		{"no coalescing", []Message{tiny, tiny}, WriterOpts{Max: 8, NoCoalesce: true}, 0},
+		{"no coalescing", []Message{tiny, tiny}, WriterOpts{}, 0},
 	}
 	defer func(orig func()) { yield = orig }(yield)
 	for _, tc := range cases {
@@ -51,7 +51,6 @@ func TestWriterLoopWaitsOneTurnForTinyResultsOnly(t *testing.T) {
 
 			sink := &sinkConn{buf: &bytes.Buffer{}}
 			conn := NewConn(sink)
-			conn.NoCoalesce = tc.opts.NoCoalesce
 			WriterLoop(conn, out, tc.opts)
 
 			if yields != tc.yields {

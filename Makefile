@@ -16,10 +16,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: everything must build, vet clean, and pass the full
-# test suite (including the fuzz seed corpus, which plain `go test` replays)
-# under the race detector.
+# check is the CI gate: every file must be gofmt-clean, everything must
+# build, vet clean, and pass the full test suite (including the fuzz seed
+# corpus, which plain `go test` replays) under the race detector.
 check:
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -33,7 +34,8 @@ check:
 	# Partitioned-core smoke under race: -partitions=1 must stay
 	# event-identical to the legacy serialized broker, and the cross-stripe
 	# stress (interleaved submit/result/deadline/cancel plus a provider loss)
-	# must finalize every tasklet exactly once and leak no attempts.
+	# must finalize every tasklet exactly once and leak no attempts and no
+	# deadline timers.
 	$(GO) test -race -run 'TestDifferentialPartitions|TestPartitionStress' -count 1 ./internal/broker/
 	# The benchmark is a nested module (benchmark/go.mod), invisible to the
 	# ./... patterns above: vet it and run its unit tests and its 300 ms

@@ -10,20 +10,19 @@
 // goroutine per connection (fed by a bounded queue so a slow peer cannot
 // stall the broker), one scheduler goroutine, and per-tasklet state split
 // into P lock-striped partitions (partition.go), the stripe encoded in the
-// tasklet ID.
-// Reader goroutines push decoded results into per-partition ingress rings
-// and the first arrival combines the backlog into one bulk engine Apply, so
-// lifecycle execution, QoC fan-in, memo lookups and effect emission run on
-// all cores; deadlines and retry backoffs are served by one timer wheel
-// goroutine per partition instead of one runtime timer per tasklet.
-// Placement stays single-writer: events set a dirty flag and wake the
-// scheduler goroutine, which owns scheduler.Index exclusively and drains
-// partition queues in index order, so a burst of events costs one placement
-// pass instead of one per event. Heartbeats bypass every lock (atomic
-// timestamp per provider). Writer goroutines drain their queue in batches
-// so one socket flush covers a burst of Assigns or ResultPushes (see
-// wire.Conn for the flush policy). Options.Partitions = 1 collapses the
-// striping to a single partition whose observable behavior is pinned
+// tasklet ID. A provider's reader goroutine buckets each decoded burst of
+// results by partition and applies each bucket as one bulk engine Apply
+// under that partition's mutex, so lifecycle execution, QoC fan-in, memo
+// lookups and effect emission run on all cores; deadlines and retry
+// backoffs are runtime timers (time.AfterFunc) whose callbacks take the
+// same mutex. Placement stays single-writer: events set a dirty flag and
+// wake the scheduler goroutine, which owns scheduler.Index exclusively and
+// drains partition queues in index order, so a burst of events costs one
+// placement pass instead of one per event. Heartbeats bypass every lock
+// (atomic timestamp per provider). Writer goroutines drain their queue in
+// batches so one socket flush covers a burst of Assigns or ResultPushes
+// (see wire.Conn for the flush policy). Options.Partitions = 1 collapses
+// the striping to a single partition whose observable behavior is pinned
 // event-identical to the pre-partitioned broker by the differential tests.
 package broker
 
@@ -115,8 +114,8 @@ const sendQueueDepth = 4096
 // one flush.
 const writerBatchMax = 128
 
-// maxPartitions caps Options.Partitions so batch routing can track touched
-// partitions in one 64-bit mask.
+// maxPartitions caps Options.Partitions: more stripes than cores buys no
+// parallelism, and every placement pass and result burst walks them all.
 const maxPartitions = 64
 
 // Broker is the central coordinator. Create with New, start with Serve.
@@ -137,8 +136,8 @@ type Broker struct {
 	ln        net.Listener
 	providers map[core.ProviderID]*providerState
 
-	// closed flips once in Close; lock-free paths (combiners, wheels) read
-	// it without b.mu.
+	// closed flips once in Close; timer callbacks and other paths that run
+	// without b.mu read it directly.
 	closed atomic.Bool
 
 	// pmu guards the providers map alongside b.mu: writers hold both, so a
@@ -252,9 +251,10 @@ type providerState struct {
 	label string // "provider N", precomputed for hot-path logs
 	caps  uint8  // protocol extensions advertised in Hello
 
-	// free/backlog/finished are atomics: partition combiners settle them as
-	// results arrive while the scheduler reads them under b.mu. assigned
-	// and the reliability estimate inside info stay scheduler-only.
+	// free/backlog/finished are atomics: the provider's reader settles them
+	// under a partition lock as results arrive while the scheduler reads
+	// them under b.mu. assigned and the reliability estimate inside info
+	// stay scheduler-only.
 	free     atomic.Int64
 	backlog  atomic.Int64
 	finished atomic.Int64 // attempts that returned any result
@@ -413,37 +413,21 @@ func New(opts Options) *Broker {
 		if b.memoOn {
 			po.Flights = memo.NewFlightTable(reg, "memo.")
 		}
-		part := &partition{
-			idx:        i,
-			life:       lifecycle.New(po),
-			ring:       newIngressRing(),
-			cOK:        b.mAttemptsOK.Cell(i),
-			cFlt:       b.mAttemptsFlt.Cell(i),
-			cOth:       b.mAttemptsOth.Cell(i),
-			cCompleted: b.mCompleted.Cell(i),
-			cFailed:    b.mFailed.Cell(i),
+		b.parts[i] = &partition{
+			idx:          i,
+			life:         lifecycle.New(po),
+			deadlines:    map[core.TaskletID]*time.Timer{},
+			cOK:          b.mAttemptsOK.Cell(i),
+			cFlt:         b.mAttemptsFlt.Cell(i),
+			cOth:         b.mAttemptsOth.Cell(i),
+			cCompleted:   b.mCompleted.Cell(i),
+			cFailed:      b.mFailed.Cell(i),
 			cDeadlineExp: b.mDeadlineExp.Cell(i),
-			hExec:      b.mExecMS.Cell(i),
-			hLatency:   b.mLatencyMS.Cell(i),
+			hExec:        b.mExecMS.Cell(i),
+			hLatency:     b.mLatencyMS.Cell(i),
 		}
-		part.wheel = newTimerWheel(b.wheelFire(part))
-		b.parts[i] = part
 	}
 	return b
-}
-
-// wheelFire builds part's timer-wheel callback: firings enter the partition
-// through its ingress ring like any other event, so the combiner discipline
-// covers them.
-func (b *Broker) wheelFire(part *partition) func(kind uint8, tid core.TaskletID) {
-	return func(kind uint8, tid core.TaskletID) {
-		ev := partEvent{kind: peDeadline, tid: tid}
-		if kind == wheelLaunch {
-			ev.kind = peLaunchReady
-		}
-		part.ring.push(&ev)
-		b.pump(part)
-	}
 }
 
 // Metrics returns the broker's metrics registry.
@@ -478,14 +462,6 @@ func (b *Broker) Listen(addr string) (string, error) {
 		defer b.wg.Done()
 		b.schedLoop()
 	}()
-	for _, part := range b.parts {
-		w := part.wheel
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			w.run(b.stop)
-		}()
-	}
 	if b.opts.ShardID != 0 {
 		b.wg.Add(1)
 		go func() {
@@ -718,6 +694,7 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 	b.logf("broker: provider %d connected from %s (%s)", id, conn.RemoteAddr(), hello.Name)
 
 	conn.ReadTimeout = b.opts.HeartbeatTimeout * 2
+	rs := resultScratch{byPart: make([][]lifecycle.Event, len(b.parts))}
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
@@ -741,9 +718,15 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 			// queue behind any lock.
 			p.lastBeat.Store(time.Now().UnixNano())
 		case *wire.AttemptResult:
-			b.onAttemptResult(p, m)
+			b.addResult(&rs, p, m)
+			b.applyResults(p, &rs)
 		case *wire.AttemptResultBatch:
-			b.onAttemptResultBatch(p, m)
+			// A folded burst becomes at most one bulk Engine.Apply per
+			// partition.
+			for i := range m.Results {
+				b.addResult(&rs, p, &m.Results[i])
+			}
+			b.applyResults(p, &rs)
 		case *wire.Bye:
 			goto done
 		default:
@@ -792,65 +775,6 @@ func (b *Broker) removeProvider(p *providerState) {
 	}
 	b.applyOutFx(out)
 	b.schedule()
-}
-
-// onAttemptResult routes a provider's result report to its partition.
-func (b *Broker) onAttemptResult(p *providerState, m *wire.AttemptResult) {
-	part := b.part(m.Tasklet)
-	part.ring.push(&partEvent{
-		kind: peResult,
-		prov: p,
-		res: core.Result{
-			Tasklet:   m.Tasklet,
-			Attempt:   m.Attempt,
-			Provider:  p.info.ID,
-			Status:    m.Status,
-			Return:    m.Return,
-			Emitted:   m.Emitted,
-			FaultCode: m.FaultCode,
-			FaultMsg:  m.FaultMsg,
-			FuelUsed:  m.FuelUsed,
-			Exec:      time.Duration(m.ExecNanos),
-		},
-	})
-	b.pump(part)
-}
-
-// onAttemptResultBatch routes a provider's folded burst of result reports:
-// each result goes to its partition's ring, then every touched partition is
-// pumped once, so the whole burst becomes at most one bulk Engine.Apply per
-// partition (exactly one with a single partition — the legacy path).
-func (b *Broker) onAttemptResultBatch(p *providerState, m *wire.AttemptResultBatch) {
-	if len(m.Results) == 0 {
-		return
-	}
-	var touched uint64
-	for i := range m.Results {
-		r := &m.Results[i]
-		part := b.part(r.Tasklet)
-		part.ring.push(&partEvent{
-			kind: peResult,
-			prov: p,
-			res: core.Result{
-				Tasklet:   r.Tasklet,
-				Attempt:   r.Attempt,
-				Provider:  p.info.ID,
-				Status:    r.Status,
-				Return:    r.Return,
-				Emitted:   r.Emitted,
-				FaultCode: r.FaultCode,
-				FaultMsg:  r.FaultMsg,
-				FuelUsed:  r.FuelUsed,
-				Exec:      time.Duration(r.ExecNanos),
-			},
-		})
-		touched |= 1 << uint(part.idx)
-	}
-	for _, part := range b.parts {
-		if touched&(1<<uint(part.idx)) != 0 {
-			b.pump(part)
-		}
-	}
 }
 
 // updateReliabilityLocked refreshes the completion-ratio estimate. Callers
@@ -1115,13 +1039,15 @@ func (b *Broker) schedulePassLocked() {
 		placed += b.drainPartitionLocked(part)
 		part.mu.Unlock()
 	}
-	b.flushAssignBatchesLocked()
-	b.mSchedPassNS.Observe(float64(time.Since(start)))
+	// Counted before the flush: a result of this pass's Assigns can reach
+	// its consumer before the pass returns.
 	if placed > 0 {
 		b.mPlaced.Add(int64(placed))
 		b.mLaunched.Add(int64(placed)) // one counter update per pass, not per attempt
 	}
 	b.mPendingDep.Set(b.pendingN.Load())
+	b.flushAssignBatchesLocked()
+	b.mSchedPassNS.Observe(float64(time.Since(start)))
 }
 
 // drainPartitionLocked walks one partition's queue through the placement

@@ -44,7 +44,7 @@ func essences(res []consumer.TaskResult) []resultEssence {
 }
 
 // TestDifferentialCoalescingBitIdentical runs one deterministic job through
-// the write-coalescing data plane (writer loops draining bursts, flushes
+// the write-coalescing data plane (writer loops emptying bursts, flushes
 // shared between racing senders) and checks every result against the known
 // answer. (It used to compare against a second run that flushed per frame;
 // that switch is gone, the result checks stayed.)

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -15,16 +14,17 @@ import (
 // This file implements the partitioned broker core. Per-tasklet state is
 // split into P lock-striped partitions, the stripe encoded in the tasklet
 // ID (submitEvent): each partition owns a lifecycle.Engine, its own mutex,
-// its slice of the placement queue, and a timer wheel (wheel.go) for
-// deadlines and backoff re-issues. Reader goroutines route decoded results
-// into partitions through MPSC ingress rings (ingress.go) and the first
-// arrival elects itself combiner, bulk-applying the backlog through
-// Engine.Apply. The scheduler goroutine keeps exclusive ownership of
-// scheduler.Index and drains partition queues in index order under b.mu, so
-// placement stays single-writer while lifecycle execution, QoC fan-in, memo
-// lookups and effect emission run on all cores.
+// its slice of the placement queue, and the runtime timers of its QoC
+// deadlines. A provider's reader goroutine buckets each decoded burst of
+// results by partition and applies every bucket as one bulk Engine.Apply
+// under that partition's mutex; deadline and backoff timers
+// (time.AfterFunc) take the same mutex when they fire. The scheduler
+// goroutine keeps exclusive ownership of scheduler.Index and drains
+// partition queues in index order under b.mu, so placement stays
+// single-writer while lifecycle execution, QoC fan-in, memo lookups and
+// effect emission run on all cores.
 //
-// Lock order (outer → inner): b.mu → part.mu → {wheel.mu, dirtyMu}.
+// Lock order (outer → inner): b.mu → part.mu → dirtyMu.
 // jobMu, exMu, progMu and pmu are taken with no partition lock held; a
 // partition-lock holder never takes any of them — effects that need them
 // (CancelAttempt, Deliver) are copied out under part.mu and applied after
@@ -42,24 +42,17 @@ type partition struct {
 	life *lifecycle.Engine
 	// pending is this partition's slice of the placement queue, FIFO.
 	pending []core.TaskletID
+	// deadlines holds the armed QoC deadline timer of each live tasklet
+	// here that has one; it is stopped and forgotten when the tasklet is
+	// delivered or cancelled.
+	deadlines map[core.TaskletID]*time.Timer
 
-	wheel *timerWheel
-	ring  *ingressRing
-
-	// draining is the combiner election flag: the goroutine that CASes it
-	// true owns ring consumption and the combiner scratch below until it
-	// stores false again.
-	draining atomic.Bool
-	inScratch []partEvent
-	evScratch []lifecycle.Event
-	outScratch []lifecycle.Effect
-
-	// Striped metric cells (satellite: hot attempts.*/tasklets.* counters
-	// stop false-sharing one cache line across partitions).
-	cOK, cFlt, cOth        *metrics.CounterCell
-	cCompleted, cFailed    *metrics.CounterCell
-	cDeadlineExp           *metrics.CounterCell
-	hExec, hLatency        *metrics.Histogram
+	// Striped metric cells: the hot attempts.*/tasklets.* counters do not
+	// false-share one cache line across partitions.
+	cOK, cFlt, cOth     *metrics.CounterCell
+	cCompleted, cFailed *metrics.CounterCell
+	cDeadlineExp        *metrics.CounterCell
+	hExec, hLatency     *metrics.Histogram
 }
 
 // mix64 is the splitmix64 finalizer; it spreads sequence numbers and content
@@ -100,113 +93,129 @@ func (b *Broker) submitEvent(t core.Tasklet, seq uint64) (lifecycle.Event, int) 
 	return ev, int(pi)
 }
 
-// pump elects the caller combiner for part and drains its ingress ring to
-// empty. Callers must hold no locks. If another goroutine already holds the
-// flag it will see our events; the handoff re-check below closes the race
-// where it gave up between our push and our CAS.
-func (b *Broker) pump(part *partition) {
-	for {
-		if !part.draining.CompareAndSwap(false, true) {
-			return
+// resultScratch is one provider reader's routing state, reused across
+// frames: decoded results bucketed by partition, and the effects copied out
+// of a partition for applyOutFx. Only that reader goroutine touches it.
+type resultScratch struct {
+	byPart [][]lifecycle.Event
+	out    []lifecycle.Effect
+}
+
+// addResult buckets one result reported by p under its tasklet's partition.
+func (b *Broker) addResult(rs *resultScratch, p *providerState, m *wire.AttemptResult) {
+	pi := b.part(m.Tasklet).idx
+	rs.byPart[pi] = append(rs.byPart[pi], lifecycle.Event{
+		Kind: lifecycle.EventResult,
+		Result: core.Result{
+			Tasklet:   m.Tasklet,
+			Attempt:   m.Attempt,
+			Provider:  p.info.ID,
+			Status:    m.Status,
+			Return:    m.Return,
+			Emitted:   m.Emitted,
+			FaultCode: m.FaultCode,
+			FaultMsg:  m.FaultMsg,
+			FuelUsed:  m.FuelUsed,
+			Exec:      time.Duration(m.ExecNanos),
+		},
+	})
+}
+
+// applyResults applies each non-empty bucket of rs as one bulk Engine.Apply
+// under its partition's lock, settles p's slot accounting for every result
+// that consumed an attempt, and wakes the scheduler once for the burst.
+// Out-of-partition effects are applied after part.mu is released. Callers
+// hold no locks.
+func (b *Broker) applyResults(p *providerState, rs *resultScratch) {
+	wake := false
+	for pi, evs := range rs.byPart {
+		if len(evs) == 0 {
+			continue
 		}
-		for {
-			n := 0
-			if part.inScratch == nil {
-				part.inScratch = make([]partEvent, ingressRingSize)
+		part := b.parts[pi]
+		part.mu.Lock()
+		fx := part.life.Apply(evs)
+		for k := range evs {
+			disp := evs[k].Disp
+			if disp == lifecycle.ResultStale {
+				continue // unknown attempt or wrong provider; no slot was consumed
 			}
-			for n < len(part.inScratch) && part.ring.pop(&part.inScratch[n]) {
-				n++
+			p.free.Add(1)
+			p.backlog.Add(-1)
+			p.finished.Add(1)
+			b.markProviderDirty(p)
+			wake = true
+			if disp != lifecycle.ResultConsumed {
+				continue
 			}
-			if n == 0 {
-				break
+			r := &evs[k].Result
+			switch r.Status {
+			case core.StatusOK:
+				part.cOK.Inc()
+			case core.StatusFault:
+				part.cFlt.Inc()
+			default:
+				part.cOth.Inc()
 			}
-			b.processBatch(part, part.inScratch[:n])
+			part.hExec.Observe(float64(r.Exec) / 1e6)
 		}
-		part.draining.Store(false)
-		if !part.ring.hasData() {
-			return
-		}
+		var launched bool
+		rs.out, launched = b.applyPartFxLocked(part, fx, rs.out[:0])
+		part.mu.Unlock()
+		b.applyOutFx(rs.out)
+		wake = wake || launched
+		rs.byPart[pi] = evs[:0]
+	}
+	if wake {
+		b.schedule()
 	}
 }
 
-// processBatch applies one drained burst to the partition: runs of results
-// become one bulk Engine.Apply, wheel firings are applied in arrival order.
-// Out-of-partition effects are copied and applied after part.mu is
-// released; the scheduler is woken once for the burst.
-func (b *Broker) processBatch(part *partition, evs []partEvent) {
-	out := part.outScratch[:0]
-	wake := false
-
+// expireDeadline is a deadline timer's callback: it finalizes tid as a
+// deadline fault if the tasklet is still live. A timer that lost the race
+// with delivery or cancellation finds the tasklet gone and does nothing.
+func (b *Broker) expireDeadline(part *partition, tid core.TaskletID) {
+	if b.closed.Load() {
+		return
+	}
 	part.mu.Lock()
-	i := 0
-	for i < len(evs) {
-		switch evs[i].kind {
-		case peResult:
-			j := i
-			lev := part.evScratch[:0]
-			for j < len(evs) && evs[j].kind == peResult {
-				lev = append(lev, lifecycle.Event{Kind: lifecycle.EventResult, Result: evs[j].res})
-				j++
-			}
-			fx := part.life.Apply(lev)
-			for k := range lev {
-				disp := lev[k].Disp
-				if disp == lifecycle.ResultStale {
-					continue // unknown attempt or wrong provider; no slot was consumed
-				}
-				pr := evs[i+k].prov
-				pr.free.Add(1)
-				pr.backlog.Add(-1)
-				pr.finished.Add(1)
-				b.markProviderDirty(pr)
-				wake = true
-				if disp != lifecycle.ResultConsumed {
-					continue
-				}
-				r := &evs[i+k].res
-				switch r.Status {
-				case core.StatusOK:
-					part.cOK.Inc()
-				case core.StatusFault:
-					part.cFlt.Inc()
-				default:
-					part.cOth.Inc()
-				}
-				part.hExec.Observe(float64(r.Exec) / 1e6)
-			}
-			var launched bool
-			out, launched = b.applyPartFxLocked(part, fx, out)
-			wake = wake || launched
-			part.evScratch = lev[:0]
-			i = j
-		case peDeadline:
-			expired, fx := part.life.Deadline(evs[i].tid)
-			if expired {
-				part.cDeadlineExp.Inc()
-				out, _ = b.applyPartFxLocked(part, fx, out)
-				// A deadlined leader's dissolved flight re-queues its
-				// waiters.
-				wake = true
-			}
-			i++
-		case peLaunchReady:
-			// Backoff re-issue became eligible: queue only if the tasklet
-			// is still live.
-			if !b.closed.Load() && part.life.Live(evs[i].tid) {
-				b.appendPendingLocked(part, evs[i].tid)
-				wake = true
-			}
-			i++
-		default:
-			i++
-		}
+	expired, fx := part.life.Deadline(tid)
+	var out []lifecycle.Effect
+	if expired {
+		part.cDeadlineExp.Inc()
+		out, _ = b.applyPartFxLocked(part, fx, nil)
 	}
 	part.mu.Unlock()
-
-	b.applyOutFx(out)
-	part.outScratch = out[:0]
-	if wake {
+	if expired {
+		b.applyOutFx(out)
+		// A deadlined leader's dissolved flight re-queues its waiters.
 		b.schedule()
+	}
+}
+
+// launchReady is a backoff timer's callback: the delayed re-issue of tid
+// becomes eligible for placement if the tasklet is still live.
+func (b *Broker) launchReady(part *partition, tid core.TaskletID) {
+	if b.closed.Load() {
+		return
+	}
+	part.mu.Lock()
+	live := part.life.Live(tid)
+	if live {
+		b.appendPendingLocked(part, tid)
+	}
+	part.mu.Unlock()
+	if live {
+		b.schedule()
+	}
+}
+
+// stopDeadlineLocked disarms and forgets tid's deadline timer, if any.
+// Callers hold part.mu.
+func (part *partition) stopDeadlineLocked(tid core.TaskletID) {
+	if tm, ok := part.deadlines[tid]; ok {
+		tm.Stop()
+		delete(part.deadlines, tid)
 	}
 }
 
@@ -217,10 +226,9 @@ func (b *Broker) appendPendingLocked(part *partition, tid core.TaskletID) {
 }
 
 // applyPartFxLocked executes the partition-local half of an effect slice —
-// pending-queue appends and timer-wheel arming — and copies the effects
-// that need broker-wide state (CancelAttempt, Deliver) into out for
-// applyOutFx. Callers hold part.mu; launched reports whether placement work
-// was queued.
+// pending-queue appends and timer arming — and copies the effects that need
+// broker-wide state (CancelAttempt, Deliver) into out for applyOutFx.
+// Callers hold part.mu; launched reports whether placement work was queued.
 func (b *Broker) applyPartFxLocked(part *partition, fx []lifecycle.Effect, out []lifecycle.Effect) ([]lifecycle.Effect, bool) {
 	launched := false
 	for i := range fx {
@@ -228,21 +236,23 @@ func (b *Broker) applyPartFxLocked(part *partition, fx []lifecycle.Effect, out [
 		switch ef.Kind {
 		case lifecycle.EffectLaunch:
 			if ef.Delay > 0 {
-				// Backoff re-issue: the partition wheel re-queues it after
-				// the delay (no per-retry AfterFunc goroutine).
-				part.wheel.armLaunch(ef.Tasklet, ef.Delay)
+				// Backoff re-issue: queued once the delay has passed. Not
+				// cancellable; launchReady re-checks liveness.
+				tid := ef.Tasklet
+				time.AfterFunc(ef.Delay, func() { b.launchReady(part, tid) })
 			} else {
 				b.appendPendingLocked(part, ef.Tasklet)
 				launched = true
 			}
 		case lifecycle.EffectSetDeadline:
-			part.wheel.armDeadline(ef.Tasklet, ef.Delay)
+			tid := ef.Tasklet
+			part.deadlines[tid] = time.AfterFunc(ef.Delay, func() { b.expireDeadline(part, tid) })
 		case lifecycle.EffectCancelAttempt:
 			out = append(out, *ef)
 		case lifecycle.EffectDeliver:
 			// The tasklet is finalized; disarm its deadline while we still
 			// hold its partition.
-			part.wheel.stopDeadline(ef.Tasklet)
+			part.stopDeadlineLocked(ef.Tasklet)
 			out = append(out, *ef)
 		case lifecycle.EffectMemoStore, lifecycle.EffectCoalesced:
 			// Informational; the memo package maintains its own counters.
@@ -293,7 +303,7 @@ func (b *Broker) cancelOne(tid core.TaskletID) bool {
 	dropped, fx := part.life.Cancel(tid)
 	var out []lifecycle.Effect
 	if dropped {
-		part.wheel.stopDeadline(tid)
+		part.stopDeadlineLocked(tid)
 		out, _ = b.applyPartFxLocked(part, fx, nil)
 	}
 	part.mu.Unlock()

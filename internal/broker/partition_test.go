@@ -164,8 +164,9 @@ func TestDifferentialPartitionsMemoCoalescing(t *testing.T) {
 // loss, then asserts the two partition-safety invariants: no tasklet is
 // finalized twice (every surviving job yields exactly one result per index)
 // and no attempt leaks (all lifecycle state drains to zero once the dust
-// settles). Run it under -race and the ingress rings, timer wheels, combiner
-// handoff and striped counters are all exercised across stripes.
+// settles, and every deadline timer is stopped and forgotten). Run it under
+// -race and the per-reader result routing, deadline and backoff timer
+// callbacks and striped counters are all exercised across stripes.
 func TestPartitionStressInterleaved(t *testing.T) {
 	b := New(Options{Partitions: 4, RetryBackoff: time.Millisecond})
 	addr, err := b.Listen("127.0.0.1:0")
@@ -185,7 +186,7 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	// Slow providers keep attempts in flight long enough for deadlines and
 	// cancels to catch them. "crawler" stays up all run (so late deadline
 	// jobs still have attempts that blow their budget); "doomed" dies mid-run
-	// to exercise ProviderLost re-issues (with backoff, so the timer wheel's
+	// to exercise ProviderLost re-issues (with backoff, so the delayed
 	// launch path runs too). doomed is slow enough (1000x) that nothing it
 	// is given finishes before it dies; a cancel still frees its slots at
 	// once, so abandoned attempts do not hold up the leak check below.
@@ -208,7 +209,7 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	// Compiled once on the test goroutine; workers copy them (compileJob uses
 	// t.Fatal, which must not run off the test goroutine). Deadline jobs use
 	// a ~20x heavier loop so their 3ms budget is unmeetable even on a fast
-	// idle provider — every run drives expirations through the wheel.
+	// idle provider — every run drives expirations through the timers.
 	baseSpec := compileJob(t, slowSrc, intRows(n)...)
 	heavySrc := `func main(n int) int {
 		var s int = 0;
@@ -257,7 +258,7 @@ func TestPartitionStressInterleaved(t *testing.T) {
 				spec := baseSpec
 				switch j % 3 {
 				case 1:
-					// Tight deadline: tasklets expire on the wheel (the work
+					// Tight deadline: tasklets expire on their timer (the work
 					// outlasts the budget); every index must still settle
 					// exactly once.
 					spec = heavySpec
@@ -319,30 +320,44 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	checkSquares(t, res, n) // the lost attempts were re-issued, each index settled once
 
 	// Attempt-leak check: with every consumer gone (cancelled jobs die with
-	// their consumer) the engines and queues must drain to zero. The window
+	// their consumer) the engines and queues must drain to zero, and so must
+	// the deadline-timer maps: delivered, cancelled and expired tasklets all
+	// stop and forget their timer. The window
 	// is generous because abandoned attempts settle only when their provider
 	// reports in, and the throttled provider stretches race-slowed
 	// executions considerably.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		s := b.Snapshot()
-		if s.Pending == 0 && s.InFlight == 0 && s.Jobs == 0 {
+		armed := armedDeadlines(b)
+		if s.Pending == 0 && s.InFlight == 0 && s.Jobs == 0 && armed == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leaked state after stress: pending=%d inflight=%d jobs=%d",
-				s.Pending, s.InFlight, s.Jobs)
+			t.Fatalf("leaked state after stress: pending=%d inflight=%d jobs=%d deadline timers=%d",
+				s.Pending, s.InFlight, s.Jobs, armed)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
 	m := b.Metrics()
 	if m.Counter("tasklets.deadline_expired").Value() == 0 {
-		t.Error("stress never expired a deadline (wheel path not exercised)")
+		t.Error("stress never expired a deadline (timer path not exercised)")
 	}
 	if m.Counter("attempts.lost").Value() == 0 {
 		t.Error("provider loss produced no lost attempts")
 	}
+}
+
+// armedDeadlines counts the deadline timers the partitions still hold.
+func armedDeadlines(b *Broker) int {
+	n := 0
+	for _, part := range b.parts {
+		part.mu.Lock()
+		n += len(part.deadlines)
+		part.mu.Unlock()
+	}
+	return n
 }
 
 // liveAttemptsOn counts the attempts running on pid whose outcome still

@@ -433,7 +433,7 @@ func (b *Broker) onGossip(ps *peerState, m *wire.ShardGossip) {
 
 // onMigrateRequest answers a peer's pull with queued tasklets, newest
 // first (the back of a queue has waited least; the front is about to
-// place anyway). Only queued work with no attempts in flight and no armed
+// place anyway). Only queued work with no attempts in flight and no QoC
 // deadline moves; each is cancelled locally before it travels. The scan
 // nests partition locks under exMu (the one allowed exMu → part.mu
 // nesting); holding exMu throughout pins ps alive across the enqueues.
@@ -464,7 +464,7 @@ func (b *Broker) onMigrateRequest(ps *peerState, m *wire.MigrateRequest) {
 			if t == nil {
 				continue
 			}
-			if part.wheel.hasDeadline(tid) {
+			if t.QoC.Deadline > 0 {
 				continue // the local deadline timer stays authoritative
 			}
 			if _, isAdopted := b.adopted[tid]; isAdopted {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/consumer"
 	"repro/internal/core"
+	"repro/internal/lifecycle"
 	"repro/internal/provider"
 	"repro/internal/shard"
 	"repro/internal/tvm"
@@ -237,6 +238,52 @@ func TestMigrateRequestSkipsAdopted(t *testing.T) {
 	case m := <-third.out:
 		t.Fatalf("shard 3 was offered %s for adopted work", m.Type())
 	default:
+	}
+}
+
+// TestMigrateRequestSkipsDeadlineTasklets: a tasklet whose QoC carries a
+// deadline never migrates — its timer is armed on this shard and stays
+// authoritative — while a plain tasklet queued beside it does.
+func TestMigrateRequestSkipsDeadlineTasklets(t *testing.T) {
+	b := New(Options{ShardID: 1, Exchange: true, GossipInterval: time.Hour})
+	defer b.Close()
+
+	pid := core.HashProgram([]byte("queued-program"))
+	for _, qoc := range []core.QoC{{Deadline: time.Hour}, {}} {
+		ev, pi := b.submitEvent(core.Tasklet{
+			Program: pid, Params: []tvm.Value{tvm.Int(int64(qoc.Deadline))},
+			QoC: qoc, Fuel: 1 << 20, Submitted: time.Now(),
+		}, b.nextTasklet.Add(1))
+		b.feedPartition(b.parts[pi], []lifecycle.Event{ev})
+	}
+	if n := b.pendingN.Load(); n != 2 {
+		t.Fatalf("setup: pending=%d, want 2", n)
+	}
+
+	dst := fakePeer(t, 2)
+	b.exMu.Lock()
+	b.links[dst] = true
+	b.peers[2] = dst
+	b.exMu.Unlock()
+	b.onMigrateRequest(dst, &wire.MigrateRequest{Shard: 2, Max: 8})
+
+	b.exMu.Lock()
+	defer b.exMu.Unlock()
+	if len(b.migrated) != 1 || b.pendingN.Load() != 1 {
+		t.Fatalf("migrated=%d pending=%d, want 1 and 1", len(b.migrated), b.pendingN.Load())
+	}
+	for _, rec := range b.migrated {
+		if rec.t.QoC.Deadline != 0 {
+			t.Fatalf("deadline tasklet %d was migrated", rec.t.ID)
+		}
+	}
+	select {
+	case m := <-dst.out:
+		if mt, ok := m.(*wire.MigrateTasklet); !ok || mt.QoC.Deadline != 0 {
+			t.Fatalf("shard 2 was sent %+v, want the plain tasklet", m)
+		}
+	default:
+		t.Fatal("shard 2 was sent nothing")
 	}
 }
 

@@ -47,7 +47,7 @@ func e13Config(partitions, n int, seed uint64) sim.ShardedConfig {
 }
 
 // RunE13 evaluates the partitioned broker core (lock-striped lifecycle
-// partitions with per-partition ingress rings and timer wheels): saturation
+// partitions, each applying its results under its own mutex): saturation
 // throughput on a result-bound shard as the partition count sweeps 1, 2, 4,
 // 8, where P=1 is the fully serialized legacy core. Simulated numbers are
 // deterministic and carry the claim — the P=8 speedup must be at least

@@ -15,7 +15,7 @@ type WriterOpts struct {
 	Fold func([]Message) []Message
 	// Done, when non-nil, terminates the loop when closed (peers whose out
 	// channel stays open for the process lifetime). When nil, the loop runs
-	// until out is closed, and on a send error it keeps draining out so
+	// until out is closed, and on a send error it keeps emptying out so
 	// enqueuers never block.
 	Done <-chan struct{}
 	// Closer is closed on a send error, unblocking the connection's reader

@@ -31,9 +31,9 @@ check:
 	# Batching smoke under race: a job through the batched control plane
 	# must come back right, live and sharded with the work exchange.
 	$(GO) test -race -run 'TestDifferentialBatching' -count 1 ./internal/broker/
-	# Partitioned-core smoke under race: -partitions=1 must stay
-	# event-identical to the legacy serialized broker, and the cross-stripe
-	# stress (interleaved submit/result/deadline/cancel plus a provider loss)
+	# Partitioned-core smoke under race: a job must come back
+	# result-identical at 1 and 4 partitions, with the same memo hit and
+	# coalescing counts, and the cross-stripe stress (interleaved submit/result/deadline/cancel plus a provider loss)
 	# must finalize every tasklet exactly once and leak no attempts and no
 	# deadline timers.
 	$(GO) test -race -run 'TestDifferentialPartitions|TestPartitionStress' -count 1 ./internal/broker/

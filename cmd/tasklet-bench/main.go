@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e11, e13) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (e1..e11; e13 = live -partitions=1 vs GOMAXPROCS ablation) or 'all'")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast pass")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	quiet := flag.Bool("q", false, "suppress progress logs")

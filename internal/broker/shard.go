@@ -433,8 +433,8 @@ func (b *Broker) onGossip(ps *peerState, m *wire.ShardGossip) {
 
 // onMigrateRequest answers a peer's pull with queued tasklets, newest
 // first (the back of a queue has waited least; the front is about to
-// place anyway). Only queued work with no attempts in flight and no QoC
-// deadline moves; each is cancelled locally before it travels. The scan
+// place anyway). lifecycle.Engine.Migrate decides what may move and
+// cancels it locally before it travels; adopted work stays put. The scan
 // nests partition locks under exMu (the one allowed exMu → part.mu
 // nesting); holding exMu throughout pins ps alive across the enqueues.
 func (b *Broker) onMigrateRequest(ps *peerState, m *wire.MigrateRequest) {
@@ -457,34 +457,23 @@ func (b *Broker) onMigrateRequest(ps *peerState, m *wire.MigrateRequest) {
 		var taken map[core.TaskletID]bool
 		for i := len(part.pending) - 1; i >= 0 && picked < lim; i-- {
 			tid := part.pending[i]
-			if taken[tid] {
-				continue // voting fan-out queues one entry per replica
-			}
-			t := part.life.Tasklet(tid)
-			if t == nil {
-				continue
-			}
-			if t.QoC.Deadline > 0 {
-				continue // the local deadline timer stays authoritative
-			}
 			if _, isAdopted := b.adopted[tid]; isAdopted {
 				// Adopted work never re-migrates: its only job accounting lives
 				// at the origin shard, so a failed onward hop could not be
 				// re-submitted here (no local job record to hang it on).
 				continue
 			}
-			if len(part.life.AppendActiveProviders(tid, nil)) > 0 {
-				continue // partially in flight (voting); never migrate those
+			// A voting fan-out queues one entry per replica; once the first
+			// has moved the tasklet is no longer live and the rest are refused.
+			tc, fx, ok := part.life.Migrate(tid)
+			if !ok {
+				continue
 			}
 			if taken == nil {
 				taken = map[core.TaskletID]bool{}
 			}
 			taken[tid] = true
-			// Copy before Cancel: the engine recycles tasklet state.
-			tc := *t
-			if _, fx := part.life.Cancel(tid); fx != nil {
-				out, _ = b.applyPartFxLocked(part, fx, out)
-			}
+			out, _ = b.applyPartFxLocked(part, fx, out)
 			b.migrated[tid] = migratedRec{t: tc, peer: m.Shard, link: ps}
 			b.enqueue(ps.out, &wire.MigrateTasklet{
 				Origin:      tid,

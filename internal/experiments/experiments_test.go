@@ -283,22 +283,28 @@ func TestE9DataPlaneShape(t *testing.T) {
 func TestE13PartitionShape(t *testing.T) {
 	res, err := RunE13(quick())
 	if err != nil {
-		t.Fatal(err) // RunE13 hard-fails below 1.5x simulated P=8/P=1
+		// RunE13 fails on any non-OK result, and on a >= 8-way host below
+		// a 1.5x live speedup.
+		t.Fatal(err)
 	}
-	tput := res.Series[0]
-	if !strings.Contains(tput.Name, "tasklets/s") {
-		t.Fatalf("series order changed: %s", tput.Name)
-	}
-	// P=1 is the serialized legacy core; striping result processing must
-	// never slow the broker down, and the sweep ends at least 2x up.
-	for i := 1; i < tput.Len(); i++ {
-		if tput.Y[i] < tput.Y[i-1]*0.99 {
-			t.Fatalf("throughput regressed at P=%v: %v", tput.X[i], tput.Y)
+	live := 0
+	for _, row := range res.Rows {
+		if !strings.HasPrefix(row[0], "live loopback") {
+			continue
+		}
+		live++
+		var tput float64
+		if _, err := fmt.Sscanf(row[1], "%f tasklets/s", &tput); err != nil {
+			t.Fatalf("row %q unparseable: %v", row[1], err)
+		}
+		// Noop tasklets over loopback: anything under 1k/s means the broker
+		// core broke, not that the machine is slow.
+		if tput < 1000 {
+			t.Fatalf("%s: %.0f tasklets/s, implausibly low", row[0], tput)
 		}
 	}
-	if last := tput.Len() - 1; tput.Y[last] < 2*tput.Y[0] {
-		t.Fatalf("P=%v throughput %.0f/s under 2x the serialized %.0f/s",
-			tput.X[last], tput.Y[last], tput.Y[0])
+	if live != 2 {
+		t.Fatalf("%d live rows, want -partitions=1 and GOMAXPROCS: %v", live, res.Rows)
 	}
 }
 

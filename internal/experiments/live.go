@@ -30,8 +30,8 @@ func newLiveStack(nProviders, slots int) (*liveStack, error) {
 }
 
 // newLiveStackPartitions additionally pins the broker's lock-striped
-// partition count (0 = GOMAXPROCS, 1 = single-stripe legacy core); E13
-// ablates it.
+// partition count (0 = GOMAXPROCS, 1 = one stripe); E13 runs one stack at
+// each end and alternates noop bursts between them.
 func newLiveStackPartitions(nProviders, slots, partitions int) (*liveStack, error) {
 	// E1/E2/E7/E9 measure the raw dispatch path with repeated identical
 	// tasklets; the result memo would serve those from cache and measure

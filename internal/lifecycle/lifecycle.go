@@ -5,13 +5,13 @@
 // finalization → memo store.
 //
 // The engine is pure event-in/effects-out: callers feed events (Submit,
-// Result, ProviderLost, Deadline, Cancel, Launched) and execute the returned
-// Effects (queue a placement, cancel an attempt, deliver a final, arm a
-// deadline timer). It holds no clock, no RNG, no sockets and no goroutines —
-// the live broker drives it under its mutex against wall time, and the
-// discrete-event simulator drives the very same code against virtual time,
-// so the two can no longer drift apart (they used to carry independent
-// copies of this logic, kept equal only by differential tests).
+// Result, ProviderLost, Deadline, Cancel, Migrate, Launched) and execute the
+// returned Effects (queue a placement, cancel an attempt, deliver a final,
+// arm a deadline timer). It holds no clock, no RNG, no sockets and no
+// goroutines — the live broker drives it under its mutex against wall time,
+// and the discrete-event simulator drives the very same code against
+// virtual time, so the two can no longer drift apart (they used to carry
+// independent copies of this logic, kept equal only by differential tests).
 //
 // On top of the QoC tracker's per-tasklet retry budget the engine enforces
 // an optional global per-tasklet attempt cap (Options.MaxAttempts) with
@@ -331,6 +331,24 @@ func (e *Engine) Cancel(tid core.TaskletID) (dropped bool, fx []Effect) {
 	delete(e.tasklets, tid)
 	e.recycle(ts)
 	return true, e.fx
+}
+
+// Migrate hands tid to another engine (a peer shard) if it may move: it
+// must be live, carry no QoC deadline (the timer is armed by this engine's
+// driver and cannot follow it), and have no provider running an attempt or
+// holding a vote (a started fan-out never moves). A movable tasklet is
+// cancelled here, exactly as Cancel does, and returned as a copy taken
+// before its state is recycled; fx are the cancellation's effects — a
+// promoted coalescing waiter's launches. ok is false, with the engine
+// untouched, when the tasklet may not move.
+func (e *Engine) Migrate(tid core.TaskletID) (t core.Tasklet, fx []Effect, ok bool) {
+	ts := e.tasklets[tid]
+	if ts == nil || ts.tracker.Goal().Deadline > 0 || ts.tracker.Engaged() {
+		return core.Tasklet{}, nil, false
+	}
+	t = ts.t
+	_, fx = e.Cancel(tid)
+	return t, fx, true
 }
 
 // ---------- accessors ----------

@@ -169,6 +169,11 @@ func (tr *Tracker) AppendActiveProviders(buf []core.ProviderID) []core.ProviderI
 	return buf
 }
 
+// Engaged reports whether any provider is running one of the tasklet's
+// attempts or has its vote on record — whether AppendActiveProviders would
+// append anything — without building the list.
+func (tr *Tracker) Engaged() bool { return len(tr.attempts) > 0 || len(tr.votes) > 0 }
+
 // Start returns the initial decision: launch the replica set — or, under
 // voting, only the majority that can decide it; the rest of the set is
 // launched if and when a disagreement, fault or loss leaves a deficit.

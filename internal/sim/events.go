@@ -6,6 +6,13 @@
 // policies (internal/scheduler) and QoC engine (internal/qoc) as the live
 // broker, so simulated and live behaviour differ only in the transport.
 //
+// The broker itself costs nothing in virtual time unless RunSharded's
+// BrokerOverhead charges a cost per dispatch and per result on one
+// serialized line. That is the simulator's only model of broker internals,
+// and its constant is chosen by the scenario, not measured from the live
+// broker: the simulator answers fleet, churn and policy questions, and
+// broker costs are measured on the real stack (benchmark/, E7, E13).
+//
 // Everything is driven by a binary-heap event queue over virtual time;
 // given a seed, runs are bit-for-bit reproducible.
 package sim

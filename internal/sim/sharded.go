@@ -24,6 +24,8 @@ type ShardedConfig struct {
 
 	// Shards is the cluster size. 1 reproduces Run exactly (the
 	// differential tests pin this), with devices and tasks unpartitioned.
+	// Above 1 every shard places with its own work_steal policy (policies
+	// are stateful) and Base.Policy is not used.
 	Shards int
 
 	// Multihome splits every device into this many sub-providers
@@ -33,37 +35,13 @@ type ShardedConfig struct {
 	Multihome int
 
 	// BrokerOverhead is the serialized dispatcher CPU cost charged per
-	// placement dispatch and per result processed, per shard. Virtual-time
-	// execution has no intrinsic broker cost, so this is what makes the
-	// broker a bottleneck that sharding can relieve; zero disables the
-	// model (then sharding only redistributes device capacity).
+	// placement dispatch and per result processed, per shard, on one line.
+	// Virtual-time execution has no intrinsic broker cost, so this is what
+	// makes the broker a bottleneck that sharding can relieve; zero disables
+	// the model (then sharding only redistributes device capacity). It is a
+	// chosen constant, not a measured one: E11 uses 50µs, where the live
+	// stack spends about 9µs of CPU per noop tasklet end to end.
 	BrokerOverhead time.Duration
-
-	// FrameOverhead is the per-wire-frame serialized cost (encode, syscall,
-	// decode) added on top of BrokerOverhead for each frame the dispatcher
-	// handles; zero disables the frame model, keeping runs bit-identical to
-	// the pre-batching simulator. Frames are counted the way the live
-	// broker's batched control plane sends them: a placement pass pays one
-	// frame per destination device (AssignBatch) and a result pays a frame
-	// only when the dispatcher is idle (AttemptResultBatch folding).
-	FrameOverhead time.Duration
-
-	// Partitions models the broker's lock-striped lifecycle partitions
-	// (broker.Options.Partitions): with P > 1, result processing (the result
-	// op plus its frame) is served by P parallel partition servers keyed by
-	// tasklet ID instead of the one serialized dispatcher line, while
-	// placement dispatch stays serialized (the live scheduler goroutine is
-	// single-writer). 0 or 1 keeps the fully serialized model, bit-identical
-	// to the pre-partitioning simulator — the E13 ablation pins that.
-	Partitions int
-
-	// ResultOverhead overrides the per-result dispatcher cost when set;
-	// zero charges BrokerOverhead for results too (the legacy model).
-	// Results are the broker's hot path (decode, lifecycle, QoC, metrics),
-	// typically costlier than a dispatch, and they are what partitioning
-	// parallelizes — E13 sets this to put the bottleneck where the live
-	// broker has it.
-	ResultOverhead time.Duration
 
 	// Exchange enables gossip-driven work migration between shards;
 	// GossipInterval is the load-snapshot period (default 10ms), and
@@ -71,15 +49,6 @@ type ShardedConfig struct {
 	Exchange       bool
 	GossipInterval time.Duration
 	ExchangePolicy shard.Policy
-
-	// PolicyFor supplies one placement policy per shard (policies are
-	// stateful, so shards must not share one). Nil gives every shard a
-	// fresh work_steal unless Base.Policy is set, which is then shared —
-	// only valid for Shards==1 (the differential configuration).
-	PolicyFor func(i int) scheduler.Policy
-
-	// Vnodes overrides the ring's virtual-node count (0 = default).
-	Vnodes int
 }
 
 // ShardStat is one shard's slice of a sharded run.
@@ -122,7 +91,6 @@ type shardWorld struct {
 	total  int
 	stats  ShardedStats
 	lat    *metrics.Histogram
-	qd     *metrics.Histogram
 }
 
 // routeKey is the consistent-hash routing key for task i.
@@ -162,11 +130,10 @@ func RunSharded(cfg ShardedConfig) (*ShardedStats, error) {
 	w := &shardWorld{
 		cfg:   cfg,
 		eng:   newEngine(base.Seed),
-		ring:  shard.NewRing(cfg.Vnodes),
+		ring:  shard.NewRing(0),
 		xpol:  cfg.ExchangePolicy.Normalize(),
 		total: len(base.Tasks),
 		lat:   &metrics.Histogram{},
-		qd:    &metrics.Histogram{},
 	}
 
 	// Partition devices: device i contributes Multihome sub-providers to
@@ -195,10 +162,8 @@ func RunSharded(cfg ShardedConfig) (*ShardedStats, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		scfg := base
 		scfg.Devices = perShard[i]
-		if cfg.PolicyFor != nil {
-			scfg.Policy = cfg.PolicyFor(i)
-		} else if cfg.Shards > 1 {
-			scfg.Policy = scheduler.NewWorkSteal()
+		if cfg.Shards > 1 {
+			scfg.Policy = scheduler.NewWorkSteal() // policies are stateful: one each
 		}
 		world, err := newSim(scfg, w.eng)
 		if err != nil {
@@ -206,14 +171,8 @@ func RunSharded(cfg ShardedConfig) (*ShardedStats, error) {
 		}
 		ss := &shardSim{sim: world, pos: i}
 		ss.overhead = cfg.BrokerOverhead
-		ss.frameOverhead = cfg.FrameOverhead
-		ss.resultOverhead = cfg.ResultOverhead
-		if cfg.Partitions > 1 {
-			ss.partitions = cfg.Partitions
-			ss.partBusy = make([]time.Duration, cfg.Partitions)
-		}
-		// All shards observe into the world's shared distributions.
-		ss.latency, ss.queueDelay = w.lat, w.qd
+		// All shards observe into the world's shared latency distribution.
+		ss.latency = w.lat
 		w.shards = append(w.shards, ss)
 		w.ring.Add(uint64(i + 1))
 	}
@@ -284,18 +243,8 @@ func (w *shardWorld) gossipTick() {
 		} else {
 			ss.rate = shard.EWMA(ss.rate, sample)
 		}
-		free := 0
-		if ss.index != nil {
-			free = ss.index.FreeSlots()
-		} else {
-			for _, d := range ss.devices {
-				if d.up {
-					free += d.free
-				}
-			}
-		}
 		loads[i] = shard.Load{
-			Shard: uint64(i + 1), Queue: len(ss.pending), Free: free, Rate: ss.rate,
+			Shard: uint64(i + 1), Queue: len(ss.pending), Free: ss.index.FreeSlots(), Rate: ss.rate,
 		}
 	}
 	for i := range w.shards {
@@ -311,62 +260,50 @@ func (w *shardWorld) gossipTick() {
 	w.eng.after(w.cfg.GossipInterval, w.gossipTick)
 }
 
-// migrate is the source shard's side of a pull: pick up to max queued,
-// never-in-flight tasklets off the back of the placement queue, Cancel
-// them locally, and hand the batch to the destination one latency later
-// (the MigrateTasklet flight). Eligibility is re-checked here, not at plan
+// migrate is the source shard's side of a pull: walk the placement queue
+// from the back and hand up to max tasklets that lifecycle.Engine.Migrate
+// lets go (cancelling each locally) to the destination one latency later
+// (the MigrateTasklet flight). Eligibility is checked here, not at plan
 // time — the queue may have drained since the gossip snapshot.
 func (w *shardWorld) migrate(src, dst *shardSim, max int) {
 	var picked []core.Tasklet
 	taken := make(map[core.TaskletID]bool)
+	launched := false
+	// A promoted waiter's launch appends behind the walk, never into it.
 	for i := len(src.pending) - 1; i >= 0 && len(picked) < max; i-- {
-		tid := src.pending[i].tasklet
-		if taken[tid] {
-			continue // voting fan-out queues one tid multiple times
-		}
-		t := src.life.Tasklet(tid)
-		if t == nil {
+		// A voting fan-out queues one tid per replica; once the first entry
+		// has moved the tasklet is no longer live and the rest are refused.
+		t, fx, ok := src.life.Migrate(src.pending[i])
+		if !ok {
 			continue
 		}
-		// Deadline timers are armed on the source engine and cannot move;
-		// in-flight fan-outs are never migrated by design.
-		if t.QoC.Deadline > 0 {
-			continue
+		taken[t.ID] = true
+		picked = append(picked, t)
+		if src.apply(fx) { // a cancelled flight leader promotes a waiter
+			launched = true
 		}
-		if len(src.life.AppendActiveProviders(tid, src.excl[:0])) > 0 {
-			continue
-		}
-		taken[tid] = true
-		picked = append(picked, *t) // copy before Cancel recycles the state
 	}
 	if len(picked) == 0 {
 		return
 	}
 	kept := src.pending[:0]
-	for _, pe := range src.pending {
-		if !taken[pe.tasklet] {
-			kept = append(kept, pe)
+	for _, tid := range src.pending {
+		if !taken[tid] {
+			kept = append(kept, tid)
 		}
 	}
 	src.pending = kept
-	launched := false
-	for i := range picked {
-		_, fx := src.life.Cancel(picked[i].ID)
-		if src.apply(fx) { // a cancelled flight leader promotes a waiter
-			launched = true
-		}
-	}
 	if launched {
 		src.schedule()
 	}
-	// The batch transfer costs each dispatcher one serialized operation and
-	// one frame — migration frames batch like writer-loop sends, they are
-	// not charged per tasklet.
-	src.gate(true)
+	// The batch transfer costs each dispatcher one serialized operation —
+	// migration frames batch like writer-loop sends, they are not charged
+	// per tasklet.
+	src.gate()
 	src.out += len(picked)
 	w.stats.Migrated += len(picked)
 	w.eng.after(w.cfg.Base.Latency, func() {
-		if d := dst.gate(true); d > 0 {
+		if d := dst.gate(); d > 0 {
 			w.eng.after(d, func() { w.admit(dst, picked) })
 			return
 		}
@@ -432,6 +369,5 @@ func (w *shardWorld) merge(firstArr time.Duration) *ShardedStats {
 	sort.SliceStable(out.Trace, func(i, j int) bool { return out.Trace[i].At < out.Trace[j].At })
 	out.Makespan = lastDone - firstArr
 	out.Latency = w.lat.Snapshot()
-	out.QueueDelay = w.qd.Snapshot()
 	return out
 }

@@ -112,8 +112,6 @@ type Stats struct {
 	// Latency is the per-tasklet submission-to-final-result distribution
 	// (milliseconds of virtual time).
 	Latency metrics.Summary
-	// QueueDelay is the per-attempt placement delay distribution (ms).
-	QueueDelay metrics.Summary
 	// BusyTime is each device's cumulative execution time.
 	BusyTime []time.Duration
 	// DeviceExecuted counts attempts finished per device.
@@ -166,10 +164,6 @@ type deviceState struct {
 	backlog int
 	busy    time.Duration
 	done    int
-	// lastFramePass marks the placement pass that last charged this device
-	// an assignment frame: all of a pass's launches to one device share one
-	// AssignBatch frame.
-	lastFramePass uint64
 }
 
 // sim is the running world: a virtual-time driver of the shared lifecycle
@@ -182,7 +176,7 @@ type sim struct {
 	life    *lifecycle.Engine
 	devices []*deviceState
 	attempt map[core.AttemptID]*attemptRec
-	pending []pendingEntry
+	pending []core.TaskletID
 	memoOn  bool
 
 	// index is the incremental placement index. Down devices stay indexed
@@ -192,12 +186,11 @@ type sim struct {
 	// excl is the placement exclusion-list scratch, reused across picks.
 	excl []core.ProviderID
 
-	stats      Stats
-	latency    *metrics.Histogram
-	queueDelay *metrics.Histogram
-	lastDone   time.Duration
-	firstArr   time.Duration
-	remaining  int
+	stats     Stats
+	latency   *metrics.Histogram
+	lastDone  time.Duration
+	firstArr  time.Duration
+	remaining int
 
 	// overhead models the broker dispatcher's serialized CPU cost per
 	// placement dispatch and per result processed; busyUntil is the virtual
@@ -207,30 +200,6 @@ type sim struct {
 	// actually buys throughput (see sharded.go).
 	overhead  time.Duration
 	busyUntil time.Duration
-	// frameOverhead extends the overhead model with a per-wire-frame cost
-	// (encode + syscall + decode) on top of the per-operation cost, charged
-	// the way the batched control plane sends frames: a placement pass pays
-	// one frame per destination device (AssignBatch), and a result pays a
-	// frame only when the dispatcher is idle — results that arrive while it
-	// is busy fold into the batch already being drained
-	// (AttemptResultBatch). Zero frameOverhead charges nothing.
-	frameOverhead time.Duration
-	passSeq       uint64
-	// partitions/partBusy/resultOverhead model the lock-striped partitioned
-	// broker core (ShardedConfig.Partitions): with partitions > 1, result
-	// processing is served by one of partitions parallel servers keyed by
-	// tasklet ID while dispatch stays on the serialized busyUntil line.
-	// resultOverhead overrides the per-result op cost (zero = overhead).
-	// partitions <= 1 leaves every path untouched — bit-identical to the
-	// serialized model.
-	partitions     int
-	partBusy       []time.Duration
-	resultOverhead time.Duration
-}
-
-type pendingEntry struct {
-	tasklet core.TaskletID
-	since   time.Duration
 }
 
 // normalize fills Config defaults shared by Run and RunSharded.
@@ -265,12 +234,11 @@ func newSim(cfg Config, eng *engine) (*sim, error) {
 		return nil, err
 	}
 	s := &sim{
-		index:      index,
-		cfg:        cfg,
-		eng:        eng,
-		attempt:    map[core.AttemptID]*attemptRec{},
-		latency:    &metrics.Histogram{},
-		queueDelay: &metrics.Histogram{},
+		index:   index,
+		cfg:     cfg,
+		eng:     eng,
+		attempt: map[core.AttemptID]*attemptRec{},
+		latency: &metrics.Histogram{},
 	}
 	var opts lifecycle.Options
 	opts.MaxAttempts = cfg.MaxAttempts
@@ -362,7 +330,6 @@ func Run(cfg Config) (*Stats, error) {
 
 	s.stats.Makespan = s.lastDone - s.firstArr
 	s.stats.Latency = s.latency.Snapshot()
-	s.stats.QueueDelay = s.queueDelay.Snapshot()
 	for i, d := range s.devices {
 		s.stats.BusyTime[i] = d.busy
 		s.stats.DeviceExecuted[i] = d.done
@@ -385,11 +352,11 @@ func (s *sim) apply(fx []lifecycle.Effect) (launched bool) {
 					if !s.life.Live(tid) {
 						return
 					}
-					s.pending = append(s.pending, pendingEntry{tasklet: tid, since: s.eng.now})
+					s.pending = append(s.pending, tid)
 					s.schedule()
 				})
 			} else {
-				s.pending = append(s.pending, pendingEntry{tasklet: ef.Tasklet, since: s.eng.now})
+				s.pending = append(s.pending, ef.Tasklet)
 				launched = true
 			}
 		case lifecycle.EffectSetDeadline:
@@ -457,29 +424,27 @@ func (s *sim) schedule() {
 	if len(s.pending) == 0 {
 		return
 	}
-	s.passSeq++ // new pass: each device's first launch charges a fresh frame
 	remaining := s.pending[:0]
-	for idx, pe := range s.pending {
+	for idx, tid := range s.pending {
 		if s.index.FreeSlots() <= 0 {
 			remaining = append(remaining, s.pending[idx:]...)
 			break
 		}
-		t := s.life.Tasklet(pe.tasklet)
+		t := s.life.Tasklet(tid)
 		if t == nil {
 			continue
 		}
-		s.excl = s.life.AppendActiveProviders(pe.tasklet, s.excl[:0])
+		s.excl = s.life.AppendActiveProviders(tid, s.excl[:0])
 		pid, ok := s.index.Pick(t, s.excl)
 		if !ok {
-			remaining = append(remaining, pe)
+			remaining = append(remaining, tid)
 			continue
 		}
 		dev := s.devices[int(pid)-1]
 		if !dev.up || dev.free <= 0 {
-			remaining = append(remaining, pe)
+			remaining = append(remaining, tid)
 			continue
 		}
-		s.queueDelay.Observe(float64(s.eng.now-pe.since) / 1e6)
 		s.launch(t, dev)
 	}
 	s.pending = remaining
@@ -507,87 +472,24 @@ func (s *sim) launch(t *core.Tasklet, dev *deviceState) {
 	exec := execTime(t.Fuel, dev.info.Speed)
 	total := 2*s.cfg.Latency + exec
 	// The dispatch itself consumes serialized broker CPU before the Assign
-	// leaves the broker (no-op when the overhead model is off). Only the
-	// pass's first launch onto this device pays the frame cost — the rest
-	// ride the same AssignBatch.
-	frame := dev.lastFramePass != s.passSeq
-	dev.lastFramePass = s.passSeq
-	total += s.gate(frame)
+	// leaves the broker (no-op when the overhead model is off).
+	total += s.gate()
 	s.eng.after(total, func() { s.onComplete(rec, exec) })
 }
 
-// gate charges one dispatcher operation — plus one wire frame when frame is
-// set — against the broker-CPU model and returns how long the caller must
-// wait for its turn. With no cost configured it returns 0 without touching
-// any state.
-func (s *sim) gate(frame bool) time.Duration {
-	cost := s.overhead
-	if frame {
-		cost += s.frameOverhead
-	}
-	if cost <= 0 {
+// gate charges one dispatcher operation against the broker-CPU model and
+// returns how long the caller must wait for its turn. With no cost
+// configured it returns 0 without touching any state.
+func (s *sim) gate() time.Duration {
+	if s.overhead <= 0 {
 		return 0
 	}
 	start := s.busyUntil
 	if start < s.eng.now {
 		start = s.eng.now
 	}
-	s.busyUntil = start + cost
+	s.busyUntil = start + s.overhead
 	return s.busyUntil - s.eng.now
-}
-
-// resultCost is the per-result dispatcher op cost (the override, else the
-// shared op cost).
-func (s *sim) resultCost() time.Duration {
-	if s.resultOverhead > 0 {
-		return s.resultOverhead
-	}
-	return s.overhead
-}
-
-// partFor returns the partition server owning tid's results.
-func (s *sim) partFor(tid core.TaskletID) int {
-	return int(uint64(tid) % uint64(s.partitions))
-}
-
-// resultIdle reports whether tid's result-processing line is idle (a result
-// is charged a frame only then; later results fold into the batch being
-// drained).
-func (s *sim) resultIdle(tid core.TaskletID) bool {
-	if s.partitions > 1 {
-		return s.partBusy[s.partFor(tid)] <= s.eng.now
-	}
-	return s.busyUntil <= s.eng.now
-}
-
-// gateResult charges one result-processing operation — plus one wire frame
-// when frame is set — and returns the wait. With partitions > 1 the cost
-// lands on tid's partition server; otherwise on the serialized dispatcher
-// line (identical arithmetic to gate, so partitions <= 1 with no result
-// override reproduces the legacy model exactly).
-func (s *sim) gateResult(tid core.TaskletID, frame bool) time.Duration {
-	cost := s.resultCost()
-	if frame {
-		cost += s.frameOverhead
-	}
-	if cost <= 0 {
-		return 0
-	}
-	if s.partitions <= 1 {
-		start := s.busyUntil
-		if start < s.eng.now {
-			start = s.eng.now
-		}
-		s.busyUntil = start + cost
-		return s.busyUntil - s.eng.now
-	}
-	p := s.partFor(tid)
-	start := s.partBusy[p]
-	if start < s.eng.now {
-		start = s.eng.now
-	}
-	s.partBusy[p] = start + cost
-	return s.partBusy[p] - s.eng.now
 }
 
 // execTime converts fuel to wall time at the given speed.
@@ -606,10 +508,7 @@ func (s *sim) onComplete(rec *attemptRec, exec time.Duration) {
 	if rec.finished || s.devices[rec.device].epoch != rec.epoch {
 		return // device died mid-execution; loss handled by detection
 	}
-	// A result arriving while its processing line is busy folds into the
-	// AttemptResultBatch already being drained, so only a result that finds
-	// the line idle pays its own frame.
-	if d := s.gateResult(rec.tasklet, s.resultIdle(rec.tasklet)); d > 0 {
+	if d := s.gate(); d > 0 {
 		s.eng.after(d, func() { s.completeReady(rec, exec) })
 		return
 	}

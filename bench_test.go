@@ -428,13 +428,12 @@ func BenchmarkAblation_OptimizeOff(b *testing.B) { benchAblationOptimize(b, true
 // throughput gap is the ablation's headline.
 func benchAblationMemo(b *testing.B, memoOn bool) {
 	var opts broker.Options
-	var pOpts provider.Options
 	if !memoOn {
-		// Disable both tiers: the baseline is "no memoization anywhere".
+		// The broker memo is the only tier, so the baseline is "no
+		// memoization anywhere".
 		opts.MemoEntries, opts.MemoBytes, opts.MemoTTL = -1, -1, -1
-		pOpts.MemoEntries, pOpts.MemoBytes, pOpts.MemoTTL = -1, -1, -1
 	}
-	br := newBrokerForBench(b, opts, pOpts)
+	br := newBrokerForBench(b, opts)
 	defer br.Close()
 	spin, err := stdtasks.Bytecode("spin")
 	if err != nil {
@@ -466,8 +465,8 @@ func BenchmarkAblation_MemoOff(b *testing.B) { benchAblationMemo(b, false) }
 // pushes on every connection.
 func BenchmarkBrokerThroughput(b *testing.B) {
 	const nConsumers, nProviders, perJob = 4, 4, 256
-	// Memo off at both tiers: repeated identical noop tasklets must traverse
-	// the full data plane every iteration.
+	// Memo off: repeated identical noop tasklets must traverse the full data
+	// plane every iteration.
 	br := broker.New(broker.Options{
 		MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
 	})
@@ -477,10 +476,7 @@ func BenchmarkBrokerThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < nProviders; i++ {
-		p, err := provider.Connect(provider.Options{
-			BrokerAddr: addr, Slots: 8, Speed: 100,
-			MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
-		})
+		p, err := provider.Connect(provider.Options{BrokerAddr: addr, Slots: 8, Speed: 100})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -542,7 +538,7 @@ type benchStack struct {
 	client *consumer.Client
 }
 
-func newBrokerForBench(tb testing.TB, opts broker.Options, pOpts provider.Options) *benchStack {
+func newBrokerForBench(tb testing.TB, opts broker.Options) *benchStack {
 	tb.Helper()
 	s := &benchStack{b: broker.New(opts)}
 	addr, err := s.b.Listen("127.0.0.1:0")
@@ -550,10 +546,7 @@ func newBrokerForBench(tb testing.TB, opts broker.Options, pOpts provider.Option
 		tb.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		po := pOpts
-		po.BrokerAddr = addr
-		po.Slots, po.Speed = 4, 100
-		p, err := provider.Connect(po)
+		p, err := provider.Connect(provider.Options{BrokerAddr: addr, Slots: 4, Speed: 100})
 		if err != nil {
 			tb.Fatal(err)
 		}

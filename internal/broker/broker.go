@@ -70,11 +70,11 @@ type Options struct {
 	// at 64.
 	Partitions int
 
-	// MemoEntries, MemoBytes, and MemoTTL configure the broker-tier result
-	// memo (content-addressed cache of QoC-finalized results, plus
-	// coalescing of identical in-flight tasklets). Zero selects the memo
-	// package defaults (memo.DefaultMaxEntries etc.); any negative value
-	// disables memoization and coalescing entirely.
+	// MemoEntries, MemoBytes, and MemoTTL configure the result memo, the
+	// system's only result cache (content-addressed cache of QoC-finalized
+	// results, plus coalescing of identical in-flight tasklets). Zero
+	// selects the memo package defaults (memo.DefaultMaxEntries etc.); any
+	// negative value disables memoization and coalescing entirely.
 	MemoEntries int
 	MemoBytes   int
 	MemoTTL     time.Duration
@@ -218,10 +218,7 @@ type Broker struct {
 	wg   sync.WaitGroup
 
 	// Hot-path metric handles, resolved once at construction so the
-	// per-result path never takes the registry lock. The per-attempt and
-	// per-tasklet counters are additionally lock-striped: each partition
-	// increments its own cell (cached in the partition struct) and Value()
-	// merges.
+	// per-result path never takes the registry lock.
 	mSendDropped   *metrics.Counter
 	mAttemptsOK    *metrics.Counter
 	mAttemptsFlt   *metrics.Counter
@@ -397,14 +394,6 @@ func New(opts Options) *Broker {
 	}
 
 	p := opts.Partitions
-	b.mAttemptsOK.Shard(p)
-	b.mAttemptsFlt.Shard(p)
-	b.mAttemptsOth.Shard(p)
-	b.mCompleted.Shard(p)
-	b.mFailed.Shard(p)
-	b.mDeadlineExp.Shard(p)
-	b.mExecMS.Shard(p)
-	b.mLatencyMS.Shard(p)
 	b.parts = make([]*partition, p)
 	for i := range b.parts {
 		po := lopts
@@ -414,17 +403,9 @@ func New(opts Options) *Broker {
 			po.Flights = memo.NewFlightTable(reg, "memo.")
 		}
 		b.parts[i] = &partition{
-			idx:          i,
-			life:         lifecycle.New(po),
-			deadlines:    map[core.TaskletID]*time.Timer{},
-			cOK:          b.mAttemptsOK.Cell(i),
-			cFlt:         b.mAttemptsFlt.Cell(i),
-			cOth:         b.mAttemptsOth.Cell(i),
-			cCompleted:   b.mCompleted.Cell(i),
-			cFailed:      b.mFailed.Cell(i),
-			cDeadlineExp: b.mDeadlineExp.Cell(i),
-			hExec:        b.mExecMS.Cell(i),
-			hLatency:     b.mLatencyMS.Cell(i),
+			idx:       i,
+			life:      lifecycle.New(po),
+			deadlines: map[core.TaskletID]*time.Timer{},
 		}
 	}
 	return b
@@ -1114,10 +1095,6 @@ func (b *Broker) launchAttemptLocked(part *partition, t *core.Tasklet, p *provid
 		Params:  t.Params,
 		Fuel:    t.Fuel,
 		Seed:    t.Seed,
-		// A provider that never advertised the flags tail can't decode it;
-		// drop the flag rather than the peer — a legacy provider has no
-		// result memo for NoCache to bypass anyway.
-		NoCache: t.QoC.NoCache && p.caps&wire.CapFlagsTail != 0,
 	}
 	var progData []byte
 	if !p.sent[t.Program] {

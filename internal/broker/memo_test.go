@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/consumer"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/provider"
 	"repro/internal/wire"
 )
@@ -323,6 +324,68 @@ func TestBrokerMemoDisabledByOptions(t *testing.T) {
 	}
 	if got := b.Metrics().Counter("attempts.launched").Value(); got != 2 {
 		t.Fatalf("attempts.launched = %d, want 2 with memo disabled", got)
+	}
+}
+
+// TestBrokerMemoOffExecutesEveryRepeat pins that the broker memo is the only
+// result cache: with it disabled, identical content submitted again and again
+// runs on a provider every time. Each reported execution time must cover a
+// real run of the loop, which an answer replayed from a cache never does.
+func TestBrokerMemoOffExecutesEveryRepeat(t *testing.T) {
+	const n = 5
+	b := New(Options{MemoEntries: -1})
+	addr, err := b.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	preg := &metrics.Registry{}
+	p, err := provider.Connect(provider.Options{BrokerAddr: addr, Speed: 100, Metrics: preg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	c, err := consumer.Connect(addr, "repeat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// 200k iterations are milliseconds of TVM work on any host.
+	spec := compileJob(t, `func main(iters int) int {
+		var acc int = 0;
+		for (var i int = 0; i < iters; i = i + 1) { acc = acc + i % 7; }
+		return acc;
+	}`, []int64{200_000})
+	var first consumer.TaskResult
+	for i := 0; i < n; i++ {
+		job, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := job.Collect(ctxT(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := res[0]
+		if !r.OK() || r.Attempts != 1 {
+			t.Fatalf("run %d: %+v", i, r)
+		}
+		if i == 0 {
+			first = r
+		} else if !r.Return.Equal(first.Return) {
+			t.Fatalf("run %d returned %s, first run %s", i, r.Return, first.Return)
+		}
+		if r.Exec < 200*time.Microsecond {
+			t.Fatalf("run %d reported %v of execution: answered without running", i, r.Exec)
+		}
+	}
+	// The provider counts an execution just after queueing its result.
+	executed := preg.Counter("provider.attempts.executed")
+	for start := time.Now(); executed.Value() != n; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("provider.attempts.executed = %d, want %d", executed.Value(), n)
+		}
 	}
 }
 

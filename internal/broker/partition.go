@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lifecycle"
 	"repro/internal/memo"
-	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -46,13 +45,6 @@ type partition struct {
 	// here that has one; it is stopped and forgotten when the tasklet is
 	// delivered or cancelled.
 	deadlines map[core.TaskletID]*time.Timer
-
-	// Striped metric cells: the hot attempts.*/tasklets.* counters do not
-	// false-share one cache line across partitions.
-	cOK, cFlt, cOth     *metrics.CounterCell
-	cCompleted, cFailed *metrics.CounterCell
-	cDeadlineExp        *metrics.CounterCell
-	hExec, hLatency     *metrics.Histogram
 }
 
 // mix64 is the splitmix64 finalizer; it spreads sequence numbers and content
@@ -151,13 +143,13 @@ func (b *Broker) applyResults(p *providerState, rs *resultScratch) {
 			r := &evs[k].Result
 			switch r.Status {
 			case core.StatusOK:
-				part.cOK.Inc()
+				b.mAttemptsOK.Inc()
 			case core.StatusFault:
-				part.cFlt.Inc()
+				b.mAttemptsFlt.Inc()
 			default:
-				part.cOth.Inc()
+				b.mAttemptsOth.Inc()
 			}
-			part.hExec.Observe(float64(r.Exec) / 1e6)
+			b.mExecMS.Observe(float64(r.Exec) / 1e6)
 		}
 		var launched bool
 		rs.out, launched = b.applyPartFxLocked(part, fx, rs.out[:0])
@@ -182,7 +174,7 @@ func (b *Broker) expireDeadline(part *partition, tid core.TaskletID) {
 	expired, fx := part.life.Deadline(tid)
 	var out []lifecycle.Effect
 	if expired {
-		part.cDeadlineExp.Inc()
+		b.mDeadlineExp.Inc()
 		out, _ = b.applyPartFxLocked(part, fx, nil)
 	}
 	part.mu.Unlock()
@@ -382,7 +374,6 @@ func (b *Broker) deliver(ef *lifecycle.Effect) {
 		b.exMu.Unlock()
 	}
 	final := ef.Final
-	part := b.part(ef.Tasklet)
 
 	b.jobMu.Lock()
 	defer b.jobMu.Unlock()
@@ -392,12 +383,12 @@ func (b *Broker) deliver(ef *lifecycle.Effect) {
 	}
 	if final.OK() {
 		job.completed++
-		part.cCompleted.Inc()
+		b.mCompleted.Inc()
 	} else {
 		job.failed++
-		part.cFailed.Inc()
+		b.mFailed.Inc()
 	}
-	part.hLatency.ObserveDuration(time.Since(ef.Submitted))
+	b.mLatencyMS.ObserveDuration(time.Since(ef.Submitted))
 
 	c := b.consumers[job.consumer]
 	if c == nil || c.gone {

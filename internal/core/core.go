@@ -101,10 +101,10 @@ type QoC struct {
 	// network or no network.
 	LocalFallback bool
 
-	// NoCache opts the tasklet out of result memoization end to end: the
-	// broker neither serves it from nor stores it into the result cache,
-	// does not coalesce it with identical in-flight work, and providers
-	// always execute it. Use for calibration runs and ablation.
+	// NoCache opts the tasklet out of result memoization: the broker neither
+	// serves it from nor stores it into the result cache, and does not
+	// coalesce it with identical in-flight work. Use for calibration runs and
+	// ablation.
 	NoCache bool
 }
 

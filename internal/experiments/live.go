@@ -47,8 +47,7 @@ func newLiveStackPartitions(nProviders, slots, partitions int) (*liveStack, erro
 	for i := 0; i < nProviders; i++ {
 		p, err := provider.Connect(provider.Options{
 			BrokerAddr: addr, Slots: slots, Speed: 100,
-			Name:        fmt.Sprintf("bench-%d", i),
-			MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
+			Name: fmt.Sprintf("bench-%d", i),
 		})
 		if err != nil {
 			s.close()

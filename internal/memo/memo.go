@@ -174,8 +174,7 @@ type Config struct {
 	// gauges. Nil disables reporting.
 	Metrics *metrics.Registry
 
-	// Prefix namespaces the metric names (e.g. "memo." or "provider.memo.").
-	// Empty means "memo.".
+	// Prefix namespaces the metric names. Empty means "memo.".
 	Prefix string
 }
 

@@ -17,11 +17,9 @@ import (
 )
 
 // Counter is a monotonically increasing counter. The zero value is ready to
-// use. Hot counters can be lock-striped with Shard/Cell (see striped.go);
-// Value always returns the merged total.
+// use.
 type Counter struct {
-	v     atomic.Int64
-	cells atomic.Pointer[[]*CounterCell]
+	v atomic.Int64
 }
 
 // Inc adds one to the counter.
@@ -35,8 +33,8 @@ func (c *Counter) Add(delta int64) {
 	}
 }
 
-// Value returns the current count, including every stripe.
-func (c *Counter) Value() int64 { return c.v.Load() + c.cellSum() }
+// Value returns the current count.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous value that can move in both directions. The zero
 // value is ready to use.
@@ -62,8 +60,6 @@ type Histogram struct {
 	sorted bool
 	vals   []float64
 	sum    float64
-	// cells holds lock stripes (see striped.go); parent reads drain them.
-	cells []*Histogram
 }
 
 // Observe records one sample.
@@ -83,7 +79,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int {
 	h.mu.Lock()
-	h.drainCellsLocked()
 	defer h.mu.Unlock()
 	return len(h.vals)
 }
@@ -91,7 +86,6 @@ func (h *Histogram) Count() int {
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
-	h.drainCellsLocked()
 	defer h.mu.Unlock()
 	return h.sum
 }
@@ -100,7 +94,6 @@ func (h *Histogram) Sum() float64 {
 // histogram.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
-	h.drainCellsLocked()
 	defer h.mu.Unlock()
 	if len(h.vals) == 0 {
 		return 0
@@ -120,7 +113,6 @@ func (h *Histogram) ensureSortedLocked() {
 // interpolation, or 0 for an empty histogram. Out-of-range q is clamped.
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
-	h.drainCellsLocked()
 	defer h.mu.Unlock()
 	n := len(h.vals)
 	if n == 0 {
@@ -149,66 +141,32 @@ func (h *Histogram) Min() float64 { return h.Quantile(0) }
 // Max returns the largest sample, or 0 for an empty histogram.
 func (h *Histogram) Max() float64 { return h.Quantile(1) }
 
-// Stddev returns the population standard deviation of the samples.
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	h.drainCellsLocked()
-	defer h.mu.Unlock()
-	n := len(h.vals)
-	if n == 0 {
-		return 0
-	}
-	mean := h.sum / float64(n)
-	var ss float64
-	for _, v := range h.vals {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, c := range h.cells {
-		c.Reset()
-	}
-	h.vals = h.vals[:0]
-	h.sum = 0
-	h.sorted = true
-}
-
 // Summary is an immutable snapshot of a histogram's distribution.
 type Summary struct {
-	Count  int
-	Mean   float64
-	Min    float64
-	P50    float64
-	P90    float64
-	P99    float64
-	Max    float64
-	Stddev float64
+	Count int
+	Mean  float64
+	Min   float64
+	P50   float64
+	P99   float64
+	Max   float64
 }
 
 // Snapshot computes a Summary of the current samples.
 func (h *Histogram) Snapshot() Summary {
 	return Summary{
-		Count:  h.Count(),
-		Mean:   h.Mean(),
-		Min:    h.Min(),
-		P50:    h.Quantile(0.50),
-		P90:    h.Quantile(0.90),
-		P99:    h.Quantile(0.99),
-		Max:    h.Max(),
-		Stddev: h.Stddev(),
+		Count: h.Count(),
+		Mean:  h.Mean(),
+		Min:   h.Min(),
+		P50:   h.Quantile(0.50),
+		P99:   h.Quantile(0.99),
+		Max:   h.Max(),
 	}
 }
 
 // String renders the summary in a fixed human-readable layout.
 func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f sd=%.3f",
-		s.Count, s.Mean, s.Min, s.P50, s.P90, s.P99, s.Max, s.Stddev)
+	return fmt.Sprintf("n=%d mean=%.3f min=%.3f p50=%.3f p99=%.3f max=%.3f",
+		s.Count, s.Mean, s.Min, s.P50, s.P99, s.Max)
 }
 
 // Series is an ordered collection of (x, y) points for one experiment curve,

@@ -25,9 +25,6 @@ type lruEntry struct {
 }
 
 func newProgramLRU(capacity int) *programLRU {
-	if capacity <= 0 {
-		capacity = defaultProgramCacheSize
-	}
 	return &programLRU{
 		cap:     capacity,
 		order:   list.New(),

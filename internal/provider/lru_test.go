@@ -47,7 +47,7 @@ func TestProgramLRUOverwriteKeepsSingleEntry(t *testing.T) {
 }
 
 func TestProgramLRUDefaultCapacity(t *testing.T) {
-	c := newProgramLRU(0)
+	c := newProgramLRU(defaultProgramCacheSize)
 	for i := 0; i < defaultProgramCacheSize+10; i++ {
 		c.put(core.ProgramID(i), &tvm.Program{})
 	}
@@ -62,7 +62,10 @@ func TestProgramLRUDefaultCapacity(t *testing.T) {
 // re-decodes and executes correctly.
 func TestProviderCacheEvictionRoundTrip(t *testing.T) {
 	fb := newFakeBroker(t)
-	startProvider(t, fb, Options{Slots: 1, CacheSize: 1})
+	p := startProvider(t, fb, Options{Slots: 1})
+	p.mu.Lock()
+	p.cache = newProgramLRU(1)
+	p.mu.Unlock()
 
 	assignNoop := func(attempt core.AttemptID, includeProgram bool) *wire.Assign {
 		data, err := stdtasks.Bytecode("noop")

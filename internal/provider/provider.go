@@ -5,6 +5,8 @@
 // by Slots persistent slot workers fed from one bounded queue; each worker
 // keeps its VM and re-arms it for the next attempt of the same program, so
 // the steady state starts no goroutine and allocates no VM per attempt.
+// Every assigned attempt runs: a provider keeps decoded programs but no
+// results, because result memoization belongs to the broker alone.
 //
 // Heterogeneity hooks: a Throttle factor slows execution to emulate weaker
 // device classes on a fast test machine, and FailAfter makes the provider
@@ -21,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/speedbench"
 	"repro/internal/tvm"
@@ -53,38 +54,15 @@ type Options struct {
 	Logger *log.Logger
 	// FailAfter, when positive, makes the provider abruptly close its
 	// connection after executing that many tasklets (churn injection).
-	// Only real TVM executions count — attempts answered from the local
-	// result memo don't, so fault-injection timing is identical whether
-	// the memo is enabled or not.
 	FailAfter int
-	// CacheSize bounds the decoded-program LRU cache. Zero selects
-	// defaultProgramCacheSize.
-	CacheSize int
-	// MemoEntries, MemoBytes and MemoTTL bound the local result memo:
-	// attempts whose (program, seed, params) this node already executed
-	// successfully are answered from cache without running the TVM, with
-	// the original FuelUsed so accounting is unchanged. Zero selects the
-	// provider defaults (512 entries, 4 MiB, memo.DefaultTTL); any
-	// negative value disables the memo. Assignments flagged NoCache
-	// bypass it either way.
-	MemoEntries int
-	MemoBytes   int
-	MemoTTL     time.Duration
-	// Metrics receives provider counters ("provider.memo.*" plus the
-	// "provider.attempts.*" family) when non-nil.
+	// Metrics receives the "provider.attempts.*" and "provider.batches.*"
+	// counters when non-nil.
 	Metrics *metrics.Registry
 }
 
-// Local result memo defaults: deliberately smaller than the broker tier —
-// a donated device keeps a modest footprint.
-const (
-	defaultMemoEntries = 512
-	defaultMemoBytes   = 4 << 20
-)
-
-// defaultProgramCacheSize bounds the program cache when Options.CacheSize is
-// zero. 64 decoded programs comfortably cover the working set of every
-// workload in this repo while keeping a small provider's memory bounded.
+// defaultProgramCacheSize bounds the decoded-program cache. 64 decoded
+// programs comfortably cover the working set of every workload in this repo
+// while keeping a small provider's memory bounded.
 const defaultProgramCacheSize = 64
 
 // Provider is a running provider instance.
@@ -101,25 +79,21 @@ type Provider struct {
 	free     chan *slotToken
 	work     chan attempt // claimed attempts awaiting a slot worker
 	out      chan wire.Message
-	executed atomic.Int64 // attempts finished, memo-served included
-	ran      atomic.Int64 // real TVM executions only; drives FailAfter
+	executed atomic.Int64 // attempts finished; drives FailAfter
 	closed   atomic.Bool
 
 	mu      sync.Mutex
 	cancels map[core.AttemptID]*slotToken
 	cache   *programLRU
-	memo    *memo.Cache // nil when disabled; guarded by mu
 
 	wg   sync.WaitGroup
 	done chan struct{}
 
 	// Hot-path metric handles, resolved once at Connect so the per-attempt
-	// path never takes the registry lock (the memo cache resolves its
-	// "provider.memo.*" handles the same way at construction).
-	mExecuted   *metrics.Counter
-	mMemoServed *metrics.Counter
-	mRejected   *metrics.Counter
-	mBatches    *metrics.Counter
+	// path never takes the registry lock.
+	mExecuted *metrics.Counter
+	mRejected *metrics.Counter
+	mBatches  *metrics.Counter
 }
 
 // Connect dials the broker, performs the handshake, measures (or adopts)
@@ -185,7 +159,7 @@ func Connect(opts Options) (*Provider, error) {
 		work:    make(chan attempt, opts.Slots), // one per claimed slot: admit never blocks
 		out:     make(chan wire.Message, 1024),
 		cancels: map[core.AttemptID]*slotToken{},
-		cache:   newProgramLRU(opts.CacheSize),
+		cache:   newProgramLRU(defaultProgramCacheSize),
 		done:    make(chan struct{}),
 	}
 	reg := opts.Metrics
@@ -193,25 +167,8 @@ func Connect(opts Options) (*Provider, error) {
 		reg = &metrics.Registry{} // private sink; keeps handles non-nil
 	}
 	p.mExecuted = reg.Counter("provider.attempts.executed")
-	p.mMemoServed = reg.Counter("provider.attempts.memo_served")
 	p.mRejected = reg.Counter("provider.attempts.rejected")
 	p.mBatches = reg.Counter("provider.batches.received")
-	if opts.MemoEntries >= 0 && opts.MemoBytes >= 0 && opts.MemoTTL >= 0 {
-		entries, bytes := opts.MemoEntries, opts.MemoBytes
-		if entries == 0 {
-			entries = defaultMemoEntries
-		}
-		if bytes == 0 {
-			bytes = defaultMemoBytes
-		}
-		p.memo = memo.New(memo.Config{
-			MaxEntries: entries,
-			MaxBytes:   bytes,
-			TTL:        opts.MemoTTL,
-			Metrics:    opts.Metrics,
-			Prefix:     "provider.memo.",
-		})
-	}
 
 	if err := conn.Send(&wire.Register{Slots: opts.Slots, Class: opts.Class, Speed: speed}); err != nil {
 		nc.Close()
@@ -436,14 +393,11 @@ type attempt struct {
 	cancel *slotToken // the claimed slot's token; returned to p.free when done
 }
 
-// admit takes one resolved assignment: memo short-circuit, slot claim, then
-// hand-off to the slot workers. The broker never over-commits a provider's
-// slots, so an empty free list indicates state drift; such attempts are
-// rejected rather than queued to keep accounting exact.
+// admit takes one resolved assignment: slot claim, then hand-off to the slot
+// workers. The broker never over-commits a provider's slots, so an empty
+// free list indicates state drift; such attempts are rejected rather than
+// queued to keep accounting exact.
 func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {
-	if p.memoServe(m) {
-		return
-	}
 	var cancel *slotToken
 	select {
 	case cancel = <-p.free:
@@ -527,44 +481,6 @@ func (p *Provider) resolveProgram(m *wire.Assign) (*tvm.Program, error) {
 	return &prog, nil
 }
 
-// memoServe answers an assignment from the local result memo when this node
-// has already executed identical content, skipping the TVM entirely. The
-// reply carries the original FuelUsed (accounting unchanged) and the actual
-// near-zero serve time in ExecNanos. Reports whether the attempt was served.
-func (p *Provider) memoServe(m *wire.Assign) bool {
-	if p.memo == nil || m.NoCache {
-		return false
-	}
-	key, ok := memo.KeyFor(uint64(m.Program), m.Seed, m.Params)
-	if !ok {
-		return false
-	}
-	fuel := m.Fuel
-	if fuel == 0 {
-		fuel = tvm.DefaultConfig().Fuel
-	}
-	start := time.Now()
-	p.mu.Lock()
-	e := p.memo.Get(key, 0, fuel)
-	p.mu.Unlock()
-	if e == nil {
-		return false
-	}
-	ret, em := e.CachedResult()
-	p.send(&wire.AttemptResult{
-		Attempt: m.Attempt, Tasklet: m.Tasklet, Status: core.StatusOK,
-		Return: ret, Emitted: em, FuelUsed: e.FuelUsed,
-		ExecNanos: int64(time.Since(start)),
-	})
-	// A memo hit finishes the attempt without running the TVM: it counts
-	// toward Executed but not toward the FailAfter churn threshold, which
-	// models failures of real executions.
-	p.executed.Add(1)
-	p.mExecuted.Inc()
-	p.mMemoServed.Inc()
-	return true
-}
-
 // execute runs one attempt on a VM armed for it and builds the report. The
 // timed window is Run alone: Throttle multiplies it, so VM set-up stays out.
 // stretch is the calling slot worker's idle timer.
@@ -613,16 +529,6 @@ func (p *Provider) execute(a attempt, vm *tvm.VM, stretch *time.Timer) *wire.Att
 		out.Return = res.Return
 		out.Emitted = res.Emitted
 		out.FuelUsed = res.FuelUsed
-		// Remember our own successful executions only — a pure function of
-		// content, so replaying one later is indistinguishable from
-		// re-running it (voting replicas still land on distinct nodes).
-		if p.memo != nil && !m.NoCache {
-			if key, ok := memo.KeyFor(uint64(m.Program), m.Seed, m.Params); ok {
-				p.mu.Lock()
-				p.memo.Put(key, res.Return, res.Emitted, res.FuelUsed, elapsed, 0)
-				p.mu.Unlock()
-			}
-		}
 	}
 	return out
 }
@@ -630,9 +536,8 @@ func (p *Provider) execute(a attempt, vm *tvm.VM, stretch *time.Timer) *wire.Att
 // noteFinished counts a completed execution and fires the FailAfter churn
 // injection when armed.
 func (p *Provider) noteFinished() {
-	p.executed.Add(1)
 	p.mExecuted.Inc()
-	n := p.ran.Add(1)
+	n := p.executed.Add(1)
 	if p.opts.FailAfter > 0 && int(n) >= p.opts.FailAfter && !p.closed.Swap(true) {
 		p.logf("provider %d: injected failure after %d tasklets", p.id, n)
 		close(p.done)

@@ -21,8 +21,8 @@ import (
 // finish() rejects trailing bytes. A set bit can only reach a peer that
 // can decode it: client->broker messages may always carry a tail (the
 // broker is at least as new as its clients), while broker->client
-// messages carry one only to peers that advertised CapFlagsTail in their
-// Hello — the broker masks the flags otherwise. Future compatible
+// messages may carry one only to peers that advertised CapFlagsTail in
+// their Hello (brokers currently set no Assign flag at all). Future compatible
 // additions must follow the same append-only, capability-gated
 // discipline.
 const ProtocolVersion = 1
@@ -176,9 +176,10 @@ type Assign struct {
 	Fuel        uint64
 	Seed        uint64
 
-	// NoCache tells the provider not to serve this attempt from (or store
-	// it into) its local result memo. Carried in the optional flags tail;
-	// absent on old-format frames, defaulting to false.
+	// NoCache is kept for frame-format compatibility: it is carried in the
+	// optional flags tail (absent on old-format frames, defaulting to
+	// false), but brokers no longer set it and providers ignore it, since
+	// providers cache no results.
 	NoCache bool
 }
 

@@ -18,12 +18,18 @@
 // same mutex. Placement stays single-writer: events set a dirty flag and
 // wake the scheduler goroutine, which owns scheduler.Index exclusively and
 // drains partition queues in index order, so a burst of events costs one
-// placement pass instead of one per event. Heartbeats bypass every lock
-// (atomic timestamp per provider). Writer goroutines drain their queue in
-// batches so one socket flush covers a burst of Assigns or ResultPushes
-// (see wire.Conn for the flush policy). Options.Partitions = 1 collapses
-// the striping to a single partition whose observable behavior is pinned
-// event-identical to the pre-partitioned broker by the differential tests.
+// placement pass instead of one per event. Placement gives a provider as
+// many attempts as it has credits: its free slots, plus one queued attempt
+// per slot while it advertises wire.CapQueue and an exponentially weighted
+// mean of its results' execution times stays below wire.TinyExecNanos. So
+// near-instant work keeps every slot busy across the broker round trip,
+// while longer work is never queued behind a busy provider as another idles.
+// Heartbeats bypass every lock (atomic timestamp per provider). Writer
+// goroutines drain their queue in batches so one socket flush covers a
+// burst of Assigns or ResultPushes (see wire.Conn for the flush policy).
+// Options.Partitions = 1 collapses the striping to a single partition whose
+// observable behavior is pinned event-identical to the pre-partitioned
+// broker by the differential tests.
 package broker
 
 import (
@@ -251,11 +257,17 @@ type providerState struct {
 	// free/backlog/finished are atomics: the provider's reader settles them
 	// under a partition lock as results arrive while the scheduler reads
 	// them under b.mu. assigned and the reliability estimate inside info
-	// stay scheduler-only.
+	// stay scheduler-only. free is Slots minus outstanding attempts, so it
+	// goes negative while attempts queue on a CapQueue provider.
 	free     atomic.Int64
 	backlog  atomic.Int64
 	finished atomic.Int64 // attempts that returned any result
 	assigned int          // under b.mu
+	// execMean is an exponentially weighted mean of the ExecNanos in this
+	// provider's results, written only by its reader. It starts at
+	// wire.TinyExecNanos, so the queue gate (credits) opens only once
+	// results have shown tiny attempts.
+	execMean atomic.Int64
 
 	sent map[core.ProgramID]bool // programs already shipped; under b.mu
 
@@ -659,6 +671,7 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 		sent:  map[core.ProgramID]bool{},
 	}
 	p.lastBeat.Store(now.UnixNano())
+	p.execMean.Store(wire.TinyExecNanos)
 	b.pmu.Lock()
 	b.providers[id] = p
 	b.pmu.Unlock()
@@ -689,7 +702,7 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 			p.info.Class = m.Class
 			p.info.Speed = m.Speed
 			p.free.Store(int64(m.Slots))
-			b.index.Upsert(&p.info, m.Slots, int(p.backlog.Load()))
+			b.index.Upsert(&p.info, p.credits(), int(p.backlog.Load()))
 			b.mu.Unlock()
 			b.schedule()
 			b.logf("broker: provider %d registered: %d slots, %.1f Mops/s, class %s",
@@ -756,6 +769,27 @@ func (b *Broker) removeProvider(p *providerState) {
 	}
 	b.applyOutFx(out)
 	b.schedule()
+}
+
+// credits is how many more attempts placement may give p: its free slots,
+// plus Slots queued attempts while the queue gate is open — p advertised
+// wire.CapQueue and its recent attempts were tiny. Never negative, so the
+// index's fleet-wide total counts only capacity that can take work. Callers
+// hold b.mu (info.Slots is scheduler-owned).
+func (p *providerState) credits() int {
+	c := int(p.free.Load())
+	if p.caps&wire.CapQueue != 0 && p.execMean.Load() < wire.TinyExecNanos {
+		c += p.info.Slots
+	}
+	return max(c, 0)
+}
+
+// noteExec folds one result's execution time into p.execMean with weight
+// 1/8: one long result closes the gate, and it takes a run of tiny ones to
+// open it again. Called only by p's reader.
+func (p *providerState) noteExec(d time.Duration) {
+	m := p.execMean.Load()
+	p.execMean.Store(m + (int64(d)-m)/8)
 }
 
 // updateReliabilityLocked refreshes the completion-ratio estimate. Callers
@@ -1059,7 +1093,7 @@ func (b *Broker) drainPartitionLocked(part *partition) int {
 			continue
 		}
 		p := b.providers[pid]
-		if p == nil || p.free.Load() <= 0 {
+		if p == nil || p.credits() <= 0 {
 			remaining = append(remaining, tid)
 			continue
 		}
@@ -1174,7 +1208,7 @@ func (b *Broker) fleetInfo() *wire.FleetInfo {
 			ID:          p.info.ID,
 			Class:       p.info.Class,
 			Slots:       p.info.Slots,
-			FreeSlots:   int(p.free.Load()),
+			FreeSlots:   max(0, int(p.free.Load())), // idle slots; queued attempts are not free
 			Speed:       p.info.Speed,
 			Reliability: p.info.Reliability,
 			Executed:    p.finished.Load(),

@@ -132,6 +132,10 @@ func (b *Broker) applyResults(p *providerState, rs *resultScratch) {
 			if disp == lifecycle.ResultStale {
 				continue // unknown attempt or wrong provider; no slot was consumed
 			}
+			r := &evs[k].Result
+			if r.Status != core.StatusRejected {
+				p.noteExec(r.Exec) // before the dirty mark, so the resync sees it
+			}
 			p.free.Add(1)
 			p.backlog.Add(-1)
 			p.finished.Add(1)
@@ -140,7 +144,6 @@ func (b *Broker) applyResults(p *providerState, rs *resultScratch) {
 			if disp != lifecycle.ResultConsumed {
 				continue
 			}
-			r := &evs[k].Result
 			switch r.Status {
 			case core.StatusOK:
 				b.mAttemptsOK.Inc()
@@ -351,7 +354,7 @@ func (b *Broker) syncDirtyProvidersLocked() {
 			continue
 		}
 		b.updateReliabilityLocked(p)
-		b.index.Upsert(&p.info, int(p.free.Load()), int(p.backlog.Load()))
+		b.index.Upsert(&p.info, p.credits(), int(p.backlog.Load()))
 	}
 }
 

@@ -279,8 +279,8 @@ func RunE2(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// e7BatchesPerPoint is how many timed batches make one point of E7's sweep.
-const e7BatchesPerPoint = 5
+// e7Rounds is how many timed units make one point of E7's sweep.
+const e7Rounds = 5
 
 // RunE7 measures broker throughput and queueing (Figure 6): batches of
 // empty tasklets through a live stack; tasklets/second versus batch size.
@@ -305,26 +305,38 @@ func RunE7(opts Options) (*Result, error) {
 	if _, _, err := stack.runBatch(noopData, make([][]tvm.Value, sizes[0]), core.QoC{}, 0); err != nil {
 		return nil, err
 	}
+	// Every timed unit is the same work: maxN tasklets, as maxN/n back-to-back
+	// batches of n. On a host shared with other busy processes, a unit shorter
+	// than the OS time slice runs uncontended while a longer one runs at its
+	// fair share of the CPUs, so units of unequal length would read a
+	// several-fold gap between batch sizes that is only the competition
+	// around them. Rounds run every size once, and a point is its size's
+	// median round, so a disturbance lasting a round hits every point alike.
+	maxN := sizes[len(sizes)-1]
+	times := make([][]time.Duration, len(sizes))
+	for round := 0; round < e7Rounds; round++ {
+		for i, n := range sizes {
+			var unit time.Duration
+			for k := 0; k < maxN/n; k++ {
+				el, results, err := stack.runBatch(noopData, make([][]tvm.Value, n), core.QoC{}, 0)
+				if err != nil {
+					return nil, err
+				}
+				for _, r := range results {
+					if !r.OK() {
+						return nil, fmt.Errorf("e7: batch of %d: tasklet %d failed: %s", n, r.Index, r.Fault)
+					}
+				}
+				unit += el
+			}
+			times[i] = append(times[i], unit/time.Duration(maxN/n))
+		}
+	}
 	tput := &metrics.Series{Name: "tasklets/s", XLabel: "batch size"}
 	lat := &metrics.Series{Name: "mean latency ms", XLabel: "batch size"}
-	for _, n := range sizes {
-		// A batch lasts a few milliseconds, so one scheduler hiccup on a small
-		// host reads as a several-fold collapse: a point is the median batch.
-		times := make([]time.Duration, e7BatchesPerPoint)
-		for i := range times {
-			el, results, err := stack.runBatch(noopData, make([][]tvm.Value, n), core.QoC{}, 0)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range results {
-				if !r.OK() {
-					return nil, fmt.Errorf("e7: batch of %d: tasklet %d failed: %s", n, r.Index, r.Fault)
-				}
-			}
-			times[i] = el
-		}
-		slices.Sort(times)
-		el := times[len(times)/2]
+	for i, n := range sizes {
+		slices.Sort(times[i])
+		el := times[i][len(times[i])/2]
 		tput.Append(float64(n), float64(n)/el.Seconds())
 		lat.Append(float64(n), el.Seconds()*1e3/float64(n))
 		opts.logf("e7: batch %d -> %.0f tasklets/s", n, float64(n)/el.Seconds())

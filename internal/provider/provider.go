@@ -8,6 +8,13 @@
 // Every assigned attempt runs: a provider keeps decoded programs but no
 // results, because result memoization belongs to the broker alone.
 //
+// A provider admits 2×Slots attempts: one queued behind each running slot,
+// so a worker that finishes a near-instant attempt starts the next at once
+// instead of idling for a broker round trip. It says so with wire.CapQueue;
+// the broker uses the queue only while this provider's attempts are tiny.
+// A queued attempt cancelled before it starts reports FaultCancelled
+// without running.
+//
 // Heterogeneity hooks: a Throttle factor slows execution to emulate weaker
 // device classes on a fast test machine, and FailAfter makes the provider
 // vanish mid-workload for churn experiments.
@@ -74,8 +81,9 @@ type Provider struct {
 	nc   net.Conn
 	id   core.ProviderID
 
-	// free holds one token per idle slot. The token is the slot's cancel
-	// state, so claiming a slot and arming its cancellation allocate nothing.
+	// free holds one token per unclaimed place: 2×Slots places, Slots of
+	// them running and Slots queued. The token is the attempt's cancel
+	// state, so claiming a place and arming its cancellation allocate nothing.
 	free     chan *slotToken
 	work     chan attempt // claimed attempts awaiting a slot worker
 	out      chan wire.Message
@@ -133,7 +141,7 @@ func Connect(opts Options) (*Provider, error) {
 	conn := wire.NewConn(nc)
 	if err := conn.Send(&wire.Hello{
 		Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: opts.Name,
-		Caps: wire.CapFlagsTail | wire.CapBatch,
+		Caps: wire.CapFlagsTail | wire.CapBatch | wire.CapQueue,
 	}); err != nil {
 		nc.Close()
 		return nil, err
@@ -155,8 +163,8 @@ func Connect(opts Options) (*Provider, error) {
 		conn:    conn,
 		nc:      nc,
 		id:      core.ProviderID(welcome.ID),
-		free:    make(chan *slotToken, opts.Slots),
-		work:    make(chan attempt, opts.Slots), // one per claimed slot: admit never blocks
+		free:    make(chan *slotToken, 2*opts.Slots),
+		work:    make(chan attempt, 2*opts.Slots), // one per claimed token: admit never blocks
 		out:     make(chan wire.Message, 1024),
 		cancels: map[core.AttemptID]*slotToken{},
 		cache:   newProgramLRU(defaultProgramCacheSize),
@@ -177,8 +185,10 @@ func Connect(opts Options) (*Provider, error) {
 	logf("provider %d: registered %d slots at %.1f Mops/s", p.id, opts.Slots, speed)
 
 	p.wg.Add(3 + opts.Slots)
-	for i := 0; i < opts.Slots; i++ {
+	for i := 0; i < 2*opts.Slots; i++ {
 		p.free <- newSlotToken()
+	}
+	for i := 0; i < opts.Slots; i++ {
 		go func() { defer p.wg.Done(); p.slotWorker() }()
 	}
 	go func() { defer p.wg.Done(); p.writerLoop() }()
@@ -236,7 +246,8 @@ func (p *Provider) heartbeatLoop() {
 	for {
 		select {
 		case <-tick.C:
-			p.send(&wire.Heartbeat{FreeSlots: len(p.free)})
+			// Idle workers: the queued places are not free slots.
+			p.send(&wire.Heartbeat{FreeSlots: max(0, len(p.free)-p.opts.Slots)})
 		case <-p.done:
 			return
 		}
@@ -356,8 +367,9 @@ func (p *Provider) reject(m *wire.Assign, why string) {
 	})
 }
 
-// slotToken is one slot's cancellation state: the flag a running VM polls,
-// and a wake-up for the throttle stretch, which sleeps instead of polling.
+// slotToken is one admitted attempt's cancellation state: the flag a running
+// VM polls, and a wake-up for the throttle stretch, which sleeps instead of
+// polling.
 type slotToken struct {
 	flag atomic.Bool
 	// wake holds at most one pending wake-up (hence the buffer of one), so a
@@ -367,8 +379,9 @@ type slotToken struct {
 
 func newSlotToken() *slotToken { return &slotToken{wake: make(chan struct{}, 1)} }
 
-// cancel aborts whatever the slot is doing. Callers hold p.mu and found the
-// token in p.cancels, so it never hits a slot that was already released.
+// cancel aborts the attempt holding the token, running or queued. Callers
+// hold p.mu and found the token in p.cancels, so it never hits a token that
+// was already released.
 func (s *slotToken) cancel() {
 	s.flag.Store(true)
 	select {
@@ -377,7 +390,7 @@ func (s *slotToken) cancel() {
 	}
 }
 
-// reset re-arms the token for the slot's next attempt.
+// reset re-arms the token for its next attempt.
 func (s *slotToken) reset() {
 	s.flag.Store(false)
 	select {
@@ -390,13 +403,14 @@ func (s *slotToken) reset() {
 type attempt struct {
 	m      *wire.Assign
 	prog   *tvm.Program
-	cancel *slotToken // the claimed slot's token; returned to p.free when done
+	cancel *slotToken // the claimed token; returned to p.free when done
 }
 
-// admit takes one resolved assignment: slot claim, then hand-off to the slot
-// workers. The broker never over-commits a provider's slots, so an empty
-// free list indicates state drift; such attempts are rejected rather than
-// queued to keep accounting exact.
+// admit takes one resolved assignment: token claim, then hand-off to the
+// slot workers, where it runs at once on an idle worker or queues behind a
+// busy one. The broker never places more than 2×Slots attempts here, so an
+// empty free list indicates state drift; such attempts are rejected rather
+// than queued deeper, to keep accounting exact.
 func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {
 	var cancel *slotToken
 	select {
@@ -416,8 +430,8 @@ func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {
 
 // slotWorker is one of the Slots persistent execution loops. It keeps the VM
 // of the last program it ran and re-arms it when the next attempt runs the
-// same program. The slot is released before the result is queued, so the
-// broker can never learn of a free slot the provider has not freed yet.
+// same program. The token is released before the result is queued, so the
+// broker can never learn of a free place the provider has not freed yet.
 func (p *Provider) slotWorker() {
 	var vm *tvm.VM
 	var loaded *tvm.Program
@@ -433,18 +447,29 @@ func (p *Provider) slotWorker() {
 		case <-p.done:
 			return
 		}
-		cfg := tvm.DefaultConfig()
-		if a.m.Fuel > 0 {
-			cfg.Fuel = a.m.Fuel
-		}
-		cfg.Seed = a.m.Seed
-		cfg.Cancel = &a.cancel.flag
-		if loaded == a.prog {
-			vm.Reset(cfg)
+		// An attempt cancelled while it queued reports FaultCancelled without
+		// running; it is no execution, so FailAfter's tally does not move.
+		ran := !a.cancel.flag.Load()
+		var out *wire.AttemptResult
+		if ran {
+			cfg := tvm.DefaultConfig()
+			if a.m.Fuel > 0 {
+				cfg.Fuel = a.m.Fuel
+			}
+			cfg.Seed = a.m.Seed
+			cfg.Cancel = &a.cancel.flag
+			if loaded == a.prog {
+				vm.Reset(cfg)
+			} else {
+				vm, loaded = tvm.New(a.prog, cfg), a.prog
+			}
+			out = p.execute(a, vm, stretch)
 		} else {
-			vm, loaded = tvm.New(a.prog, cfg), a.prog
+			out = &wire.AttemptResult{
+				Attempt: a.m.Attempt, Tasklet: a.m.Tasklet, Status: core.StatusFault,
+				FaultCode: errCancelled.Code, FaultMsg: errCancelled.Msg,
+			}
 		}
-		out := p.execute(a, vm, stretch)
 
 		p.mu.Lock()
 		delete(p.cancels, a.m.Attempt)
@@ -452,9 +477,16 @@ func (p *Provider) slotWorker() {
 		a.cancel.reset()
 		p.free <- a.cancel
 		p.send(out)
-		p.noteFinished()
+		if ran {
+			p.noteFinished()
+		}
 	}
 }
+
+// errCancelled is the fault of an attempt the host cancelled outside the VM:
+// during the throttle stretch, or before it started. It reads like the VM's
+// own cancel fault.
+var errCancelled = &tvm.Fault{Code: tvm.FaultCancelled, Msg: "execution cancelled by host"}
 
 // resolveProgram returns the cached or freshly-decoded program.
 func (p *Provider) resolveProgram(m *wire.Assign) (*tvm.Program, error) {
@@ -503,7 +535,7 @@ func (p *Provider) execute(a attempt, vm *tvm.VM, stretch *time.Timer) *wire.Att
 		case <-a.cancel.wake:
 			elapsed = time.Since(start)
 			if err == nil {
-				err = &tvm.Fault{Code: tvm.FaultCancelled, Msg: "execution cancelled by host"}
+				err = errCancelled
 			}
 		case <-p.done:
 		}

@@ -21,6 +21,8 @@ type fakeBroker struct {
 	conn *wire.Conn
 
 	welcomed chan *wire.Register
+	// results holds the rest of a received AttemptResultBatch for recvResult.
+	results []wire.AttemptResult
 }
 
 func newFakeBroker(t *testing.T) *fakeBroker {
@@ -103,6 +105,35 @@ func recvType[T wire.Message](fb *fakeBroker) T {
 			continue
 		}
 	}
+}
+
+// recvResult returns the next attempt result, whether it arrived alone or
+// folded into an AttemptResultBatch, skipping heartbeats.
+func (fb *fakeBroker) recvResult() wire.AttemptResult {
+	fb.t.Helper()
+	fb.conn.ReadTimeout = 10 * time.Second
+	for len(fb.results) == 0 {
+		msg, err := fb.conn.Recv()
+		if err != nil {
+			fb.t.Fatalf("recv: %v", err)
+		}
+		switch m := msg.(type) {
+		case *wire.AttemptResult:
+			fb.results = append(fb.results, *m)
+		case *wire.AttemptResultBatch:
+			fb.results = append(fb.results, m.Results...)
+		}
+	}
+	r := fb.results[0]
+	fb.results = fb.results[1:]
+	return r
+}
+
+// longSpin is an attempt that runs until it is cancelled.
+func longSpin(attempt core.AttemptID, includeProgram bool) *wire.Assign {
+	a := assignSpin(attempt, 1<<40, includeProgram)
+	a.Fuel = 1 << 50
+	return a
 }
 
 func assignSpin(attempt core.AttemptID, iters int64, includeProgram bool) *wire.Assign {
@@ -261,22 +292,104 @@ func TestProviderRejectsHashMismatch(t *testing.T) {
 	}
 }
 
+// TestProviderRejectsOverCommit: a provider admits 2×Slots attempts — Slots
+// running, one queued behind each — runs at most Slots at once, and rejects
+// the next. Two endless attempts hold both workers; two short ones queue
+// behind them; the fifth is rejected. The short ones must not finish before
+// a worker frees: they run only after the first endless attempt is cancelled,
+// one after the other on the worker it leaves.
 func TestProviderRejectsOverCommit(t *testing.T) {
 	fb := newFakeBroker(t)
-	startProvider(t, fb, Options{Slots: 1})
-	// Fill the single slot with a long-running tasklet, then over-commit.
-	long := assignSpin(1, 50_000_000, true)
-	long.Fuel = 1 << 40
-	if err := fb.conn.Send(long); err != nil {
+	reg := &metrics.Registry{}
+	startProvider(t, fb, Options{Slots: 2, Metrics: reg})
+	for i := core.AttemptID(1); i <= 2; i++ {
+		if err := fb.conn.Send(longSpin(i, i == 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := core.AttemptID(3); i <= 5; i++ {
+		if err := fb.conn.Send(assignSpin(i, 10, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := fb.recvResult(); res.Attempt != 5 || res.Status != core.StatusRejected {
+		t.Fatalf("first result = %+v, want attempt 5 rejected", res)
+	}
+	if err := fb.conn.Send(&wire.CancelAttempt{Attempt: 1}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let it start
-	if err := fb.conn.Send(assignSpin(2, 10, false)); err != nil {
+	if res := fb.recvResult(); res.Attempt != 1 || res.FaultCode != tvm.FaultCancelled {
+		t.Fatalf("result = %+v, want attempt 1 cancelled before any queued attempt ran", res)
+	}
+	for i := core.AttemptID(3); i <= 4; i++ {
+		if res := fb.recvResult(); res.Attempt != i || res.Status != core.StatusOK {
+			t.Fatalf("result = %+v, want queued attempt %d done", res, i)
+		}
+	}
+	if err := fb.conn.Send(&wire.CancelAttempt{Attempt: 2}); err != nil {
 		t.Fatal(err)
 	}
-	res := recvType[*wire.AttemptResult](fb)
-	if res.Attempt != 2 || res.Status != core.StatusRejected {
-		t.Fatalf("over-commit result = %+v", res)
+	if res := fb.recvResult(); res.Attempt != 2 || res.FaultCode != tvm.FaultCancelled {
+		t.Fatalf("result = %+v, want attempt 2 cancelled", res)
+	}
+	if got := reg.Counter("provider.attempts.rejected").Value(); got != 1 {
+		t.Fatalf("provider.attempts.rejected = %d, want 1", got)
+	}
+}
+
+// TestProviderCancelsQueuedAttemptWithoutRunning: an attempt cancelled while
+// it waits behind a busy worker reports FaultCancelled when the worker
+// reaches it, without running — no execution time, and no step toward
+// FailAfter, which only the next real execution trips.
+func TestProviderCancelsQueuedAttemptWithoutRunning(t *testing.T) {
+	fb := newFakeBroker(t)
+	reg := &metrics.Registry{}
+	p := startProvider(t, fb, Options{Slots: 1, FailAfter: 2, Metrics: reg})
+	if err := fb.conn.Send(longSpin(1, true)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.conn.Send(assignSpin(2, 200_000, false)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let attempt 1 start
+	for _, a := range []core.AttemptID{2, 1} {
+		if err := fb.conn.Send(&wire.CancelAttempt{Attempt: a}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := fb.recvResult(); res.Attempt != 1 || res.FaultCode != tvm.FaultCancelled || res.ExecNanos <= 0 {
+		t.Fatalf("result = %+v, want the running attempt 1 cancelled", res)
+	}
+	res := fb.recvResult()
+	if res.Attempt != 2 || res.Status != core.StatusFault || res.FaultCode != tvm.FaultCancelled {
+		t.Fatalf("result = %+v, want the queued attempt 2 cancelled", res)
+	}
+	if res.ExecNanos != 0 || res.FuelUsed != 0 {
+		t.Fatalf("queued attempt reports %dns and %d fuel: it ran", res.ExecNanos, res.FuelUsed)
+	}
+	for start := time.Now(); p.Executed() != 1; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("executed = %d, want 1", p.Executed())
+		}
+	}
+	// Attempt 1 was the first execution; attempt 3 is the second and trips
+	// FailAfter. Had the cancelled attempt 2 counted, the provider would
+	// already be gone.
+	if err := fb.conn.Send(assignSpin(3, 10, false)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { p.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("provider did not fail after its second execution")
+	}
+	if p.Executed() != 2 {
+		t.Fatalf("executed = %d, want 2", p.Executed())
+	}
+	if got := reg.Counter("provider.attempts.executed").Value(); got != 2 {
+		t.Fatalf("provider.attempts.executed = %d, want 2", got)
 	}
 }
 
@@ -544,13 +657,38 @@ func TestProviderCloseCancelsRunningVMs(t *testing.T) {
 	}
 }
 
+// TestProviderHeartbeats: a heartbeat's FreeSlots counts idle workers. The
+// queued places behind busy workers are not free slots, so the count never
+// goes below zero however many attempts wait.
 func TestProviderHeartbeats(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 2, HeartbeatInterval: 20 * time.Millisecond})
 	hb := recvType[*wire.Heartbeat](fb)
 	if hb.FreeSlots != 2 {
-		t.Fatalf("free slots = %d", hb.FreeSlots)
+		t.Fatalf("free slots = %d, want 2 while idle", hb.FreeSlots)
 	}
+	awaitFree := func(want int) {
+		t.Helper()
+		for start := time.Now(); ; {
+			hb := recvType[*wire.Heartbeat](fb)
+			if hb.FreeSlots == want {
+				return
+			}
+			if hb.FreeSlots < 0 || time.Since(start) > 5*time.Second {
+				t.Fatalf("free slots = %d, want %d", hb.FreeSlots, want)
+			}
+		}
+	}
+	if err := fb.conn.Send(longSpin(1, true)); err != nil {
+		t.Fatal(err)
+	}
+	awaitFree(1)
+	for i := core.AttemptID(2); i <= 3; i++ {
+		if err := fb.conn.Send(longSpin(i, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitFree(0) // two running, one queued
 }
 
 func TestProviderValidatesOptions(t *testing.T) {

@@ -199,24 +199,26 @@ func TestFoldBatchFrames(t *testing.T) {
 	})
 }
 
-// TestCapBatchBit pins the capability bit assignment.
+// TestCapBatchBit pins the capability bit assignment: bits are append-only,
+// and a provider's full set survives the Hello caps tail.
 func TestCapBatchBit(t *testing.T) {
-	if CapBatch != 1<<1 || CapFlagsTail != 1<<0 {
-		t.Fatalf("capability bits moved: CapFlagsTail=%#x CapBatch=%#x", CapFlagsTail, CapBatch)
+	if CapBatch != 1<<1 || CapFlagsTail != 1<<0 || CapQueue != 1<<2 {
+		t.Fatalf("capability bits moved: CapFlagsTail=%#x CapBatch=%#x CapQueue=%#x", CapFlagsTail, CapBatch, CapQueue)
 	}
-	h := &Hello{Version: ProtocolVersion, Role: RoleProvider, Name: "n", Caps: CapFlagsTail | CapBatch}
+	const caps = CapFlagsTail | CapBatch | CapQueue
+	h := &Hello{Version: ProtocolVersion, Role: RoleProvider, Name: "n", Caps: caps}
 	frame, err := Marshal(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tail := frame[len(frame)-1]; tail != CapFlagsTail|CapBatch {
-		t.Fatalf("caps tail = %#x, want %#x", tail, CapFlagsTail|CapBatch)
+	if tail := frame[len(frame)-1]; tail != caps {
+		t.Fatalf("caps tail = %#x, want %#x", tail, caps)
 	}
 	got, err := Unmarshal(TypeHello, frame[5:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.(*Hello).Caps != CapFlagsTail|CapBatch {
+	if got.(*Hello).Caps != caps {
 		t.Fatal("caps lost in round trip")
 	}
 }

@@ -39,6 +39,11 @@ const (
 	// to peers that advertised this bit; peers without it keep receiving
 	// single frames byte-identical to the pre-batch revision.
 	CapBatch uint8 = 1 << 1
+	// CapQueue: the sender is a provider that holds one queued attempt per
+	// slot beyond the ones it runs (2×Slots outstanding in all). The broker
+	// places past Slots only on providers that advertised this bit, and only
+	// while their recent attempts ran for less than TinyExecNanos.
+	CapQueue uint8 = 1 << 2
 )
 
 // Flag bits carried in the optional tail of SubmitJob and Assign.

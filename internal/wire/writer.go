@@ -23,12 +23,15 @@ type WriterOpts struct {
 	Closer io.Closer
 }
 
-// tinyExecNanos is the execution time below which an AttemptResult may wait
-// one scheduler turn for its siblings. 50 µs is about ten loopback flushes: a
-// result that ran for less gains more from sharing a write than the turn
-// costs it. A constant, not an option: one value serves every workload,
-// because anything that ran longer never waits.
-const tinyExecNanos = 50_000
+// TinyExecNanos is the execution time below which an attempt counts as tiny:
+// its cost is the round trip around it, not the run. The writer lets a tiny
+// AttemptResult wait one scheduler turn for its siblings, and the broker
+// queues attempts behind a CapQueue provider's slots while that provider's
+// attempts stay tiny. 50 µs is about ten loopback flushes: a result that ran
+// for less gains more from sharing a write than the turn costs it. A
+// constant, not an option: one value serves every workload, because anything
+// that ran longer never waits.
+const TinyExecNanos = 50_000
 
 // yield gives the processor to the goroutines queued behind the writer.
 // Tests replace it to observe when the writer waits.
@@ -43,7 +46,7 @@ var yield = runtime.Gosched
 // The first send on out readies this goroutine ahead of the sender's
 // siblings, so a burst of near-instant tasklets would otherwise be flushed
 // one or two results at a time. When the drained burst is not full and holds
-// only AttemptResults that each ran for less than tinyExecNanos, the loop
+// only AttemptResults that each ran for less than TinyExecNanos, the loop
 // yields the processor once and drains again before sending (grpc-go's
 // loopy-writer idiom). Longer results and every other frame type are flushed
 // at once: a result that took milliseconds never waits behind CPU-bound
@@ -105,11 +108,11 @@ func drainQueued(out <-chan Message, batch []Message, limit int) []Message {
 }
 
 // allTinyResults reports whether batch holds nothing but AttemptResults of
-// executions shorter than tinyExecNanos.
+// executions shorter than TinyExecNanos.
 func allTinyResults(batch []Message) bool {
 	for _, m := range batch {
 		r, ok := m.(*AttemptResult)
-		if !ok || r.ExecNanos >= tinyExecNanos {
+		if !ok || r.ExecNanos >= TinyExecNanos {
 			return false
 		}
 	}

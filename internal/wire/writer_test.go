@@ -12,8 +12,8 @@ import (
 // a long result, any other frame type, a full burst and the zero-value
 // options (burst limit one: a frame per write) are flushed without yielding.
 func TestWriterLoopWaitsOneTurnForTinyResultsOnly(t *testing.T) {
-	tiny := &AttemptResult{Attempt: 1, Tasklet: 1, ExecNanos: tinyExecNanos - 1}
-	long := &AttemptResult{Attempt: 2, Tasklet: 2, ExecNanos: tinyExecNanos}
+	tiny := &AttemptResult{Attempt: 1, Tasklet: 1, ExecNanos: TinyExecNanos - 1}
+	long := &AttemptResult{Attempt: 2, Tasklet: 2, ExecNanos: TinyExecNanos}
 	late := &AttemptResult{Attempt: 3, Tasklet: 3, ExecNanos: 7}
 	cases := []struct {
 		name   string

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-vm bench-smoke profile fuzz fuzz-smoke flaky clean
+.PHONY: all build vet test race check bench bench-vm bench-smoke bench-pairs profile fuzz fuzz-smoke flaky clean
 
 all: check
 
@@ -78,6 +78,20 @@ profile:
 		-blockprofile $(PROFILEDIR)/block.out \
 		-o $(PROFILEDIR)/bench.test .
 
+# bench-pairs compares git revision BASE with the working tree on the live
+# benchmark (BENCHMARK.json): it builds both with benchmark/run.sh, runs
+# PAIRS alternating pairs per workload on SEEDS, and prints each side's
+# median [quartiles], the ratio, wins/losses and a verdict per workload and
+# end-to-end metric (TRACE=1: per-layer metrics of traced runs). A claimed
+# gain needs ≥ 9/10 wins and a median gap past the base's quartile spread.
+BASE ?= HEAD
+PAIRS ?= 10
+SEEDS ?= 1
+WORKLOADS ?= all
+TRACE ?= 0
+bench-pairs:
+	$(GO) run ./cmd/bench-pairs -base '$(BASE)' -pairs $(PAIRS) -seeds '$(SEEDS)' -workloads '$(WORKLOADS)' -trace $(TRACE)
+
 # bench-smoke compiles and runs every throughput/ablation benchmark and every
 # VM benchmark exactly once (-benchtime=1x) — the CI gate that keeps the bench
 # harness building and executing without paying for statistically meaningful
@@ -112,14 +126,15 @@ fuzz-smoke:
 # twenty (the stress test's provider loss fired on a timer and could find
 # the provider idle; E7's points were batches of unequal length, so sibling
 # load on a small host skewed them by size), the timing-bound tests of the
-# provider's queued attempts and the broker's queue gate, and the concurrent
+# provider's queued attempts and the broker's work-budgeted queue depth
+# (including the loss of a provider holding a full queue), and the concurrent
 # and legacy-consumer submission tests (client-numbered job IDs must match
 # the broker's under any interleaving): every run must pass.
 flaky:
 	$(GO) test -count 20 -run 'TestPartitionStress' ./internal/broker/
 	$(GO) test -count 20 -run TestE7ThroughputShape ./internal/experiments/
 	$(GO) test -count 20 -run 'TestProviderRejectsOverCommit|TestProviderHeartbeats|TestProviderCancelsQueuedAttemptWithoutRunning' ./internal/provider/
-	$(GO) test -count 20 -run 'TestBrokerQueuesBehindTinyAttempts|TestBrokerStopsQueueingAfterLongAttempts|TestBrokerNeverQueuesOnLegacyProvider' ./internal/broker/
+	$(GO) test -count 20 -run 'TestBrokerQueuesBehindTinyAttempts|TestBrokerStopsQueueingAfterLongAttempts|TestBrokerNeverQueuesOnLegacyProvider|TestBrokerQueueDepthFollowsExecTime|TestBrokerShrinksQueueOnLongResult|TestBrokerQueuesOneDeepWithoutQueueTail|TestProviderLossWithDeepQueue' ./internal/broker/
 	$(GO) test -race -count 20 -run 'TestConcurrentSubmitsOnOneClient|TestLegacyConsumerGetsJobAccepted' ./internal/broker/
 
 clean:

@@ -19,11 +19,13 @@
 // wake the scheduler goroutine, which owns scheduler.Index exclusively and
 // drains partition queues in index order, so a burst of events costs one
 // placement pass instead of one per event. Placement gives a provider as
-// many attempts as it has credits: its free slots, plus one queued attempt
-// per slot while it advertises wire.CapQueue and an exponentially weighted
-// mean of its results' execution times stays below wire.TinyExecNanos. So
-// near-instant work keeps every slot busy across the broker round trip,
-// while longer work is never queued behind a busy provider as another idles.
+// many attempts as it has credits: its free slots, plus queued credits for a
+// provider that advertises wire.CapQueue — as many attempts per slot as fit
+// in wire.TinyExecNanos of expected work, by an exponentially weighted mean
+// of its results' execution times, up to the queue the provider advertised.
+// So near-instant work keeps every slot busy across the broker round trip,
+// while work of TinyExecNanos or longer is never queued behind a busy
+// provider as another idles.
 // Heartbeats bypass every lock (atomic timestamp per provider). Writer
 // goroutines drain their queue in batches so one socket flush covers a
 // burst of Assigns or ResultPushes (see wire.Conn for the flush policy).
@@ -266,9 +268,13 @@ type providerState struct {
 	assigned int          // under b.mu
 	// execMean is an exponentially weighted mean of the ExecNanos in this
 	// provider's results, written only by its reader. It starts at
-	// wire.TinyExecNanos, so the queue gate (credits) opens only once
-	// results have shown tiny attempts.
+	// wire.TinyExecNanos, so credits grants no queued attempt until results
+	// have shown tiny ones.
 	execMean atomic.Int64
+	// queue is how many queued places the provider holds beyond its Slots:
+	// Register.Queue, Slots for a CapQueue provider that sent no queue tail,
+	// and 0 without CapQueue. Under b.mu, like info.Slots.
+	queue int
 
 	sent map[core.ProgramID]bool // programs already shipped; under b.mu
 
@@ -303,6 +309,10 @@ type consumerState struct {
 	// included; the n-th is job id<<32 | n. Only the consumer's reader
 	// touches it.
 	submitted uint32
+	// staged is acceptJob's per-partition submit-event scratch, reused by
+	// every job and cleared once fed, so it holds no tasklet's Params.
+	// Only the consumer's reader touches it.
+	staged [][]lifecycle.Event
 
 	dropWarned atomic.Bool
 }
@@ -714,6 +724,13 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 			p.info.Slots = m.Slots
 			p.info.Class = m.Class
 			p.info.Speed = m.Speed
+			p.queue = 0
+			if p.caps&wire.CapQueue != 0 {
+				p.queue = m.Queue
+				if p.queue == 0 {
+					p.queue = m.Slots // the first CapQueue revision: one per slot
+				}
+			}
 			p.free.Store(int64(m.Slots))
 			b.index.Upsert(&p.info, p.credits(), int(p.backlog.Load()))
 			b.mu.Unlock()
@@ -785,21 +802,24 @@ func (b *Broker) removeProvider(p *providerState) {
 }
 
 // credits is how many more attempts placement may give p: its free slots,
-// plus Slots queued attempts while the queue gate is open — p advertised
-// wire.CapQueue and its recent attempts were tiny. Never negative, so the
-// index's fleet-wide total counts only capacity that can take work. Callers
-// hold b.mu (info.Slots is scheduler-owned).
+// plus queued credits worth at most wire.TinyExecNanos of expected work per
+// slot, Slots × ⌊TinyExecNanos / execMean⌋, capped by the queue p
+// advertised. That is no queued credit once execMean reaches TinyExecNanos,
+// one per slot from half of it, and deeper only for attempts of a few µs,
+// whose cost is the broker round trip rather than the run. Never negative,
+// so the index's fleet-wide total counts only capacity that can take work.
+// Callers hold b.mu (info.Slots and queue are scheduler-owned).
 func (p *providerState) credits() int {
 	c := int(p.free.Load())
-	if p.caps&wire.CapQueue != 0 && p.execMean.Load() < wire.TinyExecNanos {
-		c += p.info.Slots
+	if m := p.execMean.Load(); m < wire.TinyExecNanos && p.queue > 0 {
+		c += min(p.queue, p.info.Slots*int(wire.TinyExecNanos/max(m, 1)))
 	}
 	return max(c, 0)
 }
 
 // noteExec folds one result's execution time into p.execMean with weight
-// 1/8: one long result closes the gate, and it takes a run of tiny ones to
-// open it again. Called only by p's reader.
+// 1/8: one long result shrinks the queued credits at once, and it takes a
+// run of tiny ones to deepen them again. Called only by p's reader.
 func (p *providerState) noteExec(d time.Duration) {
 	m := p.execMean.Load()
 	p.execMean.Store(m + (int64(d)-m)/8)
@@ -945,7 +965,7 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 		return fmt.Errorf("broker: consumer queue limit %d exceeded", b.opts.MaxPendingPerConsumer)
 	}
 
-	job := &jobState{id: id, consumer: c.id, total: n}
+	job := &jobState{id: id, consumer: c.id, total: n, tasklets: make([]core.TaskletID, 0, n)}
 	b.jobs[job.id] = job
 	c.jobs[job.id] = true
 	c.pending += n
@@ -961,7 +981,10 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 	// push on c.out.
 	base := b.nextTasklet.Add(uint64(n)) - uint64(n)
 	now := time.Now()
-	groups := make([][]lifecycle.Event, len(b.parts))
+	if c.staged == nil {
+		c.staged = make([][]lifecycle.Event, len(b.parts))
+	}
+	groups := c.staged
 	for i, params := range m.Params {
 		ev, pi := b.submitEvent(core.Tasklet{
 			Job: job.id, Index: i,
@@ -979,6 +1002,8 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 
 	for pi, evs := range groups {
 		b.feedPartition(b.parts[pi], evs)
+		clear(evs)
+		groups[pi] = evs[:0]
 	}
 	b.logf("broker: job %d accepted: %d tasklets, qoc %s", job.id, job.total, m.QoC.Mode)
 	b.schedule()

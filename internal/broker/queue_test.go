@@ -2,6 +2,7 @@ package broker
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -136,15 +137,26 @@ func cancelAndCheck(t *testing.T, c *consumer.Client, job *consumer.Job, reg *me
 	}
 }
 
+// creditsOf reads p's placement credits as the scheduler would.
+func creditsOf(b *Broker, p *providerState) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return p.credits()
+}
+
 // TestBrokerQueuesBehindTinyAttempts: a CapQueue provider whose recent
-// attempts were tiny is given one queued attempt per slot beyond the ones
-// it runs — 2×Slots outstanding, no more — and rejects none of them.
+// attempts were tiny is given queued attempts beyond the ones it runs —
+// exactly its credits, no more — and rejects none of them.
 func TestBrokerQueuesBehindTinyAttempts(t *testing.T) {
 	const slots = 2
 	b, reg, c := queueStack(t, slots)
 	p := soleProvider(t, b)
 	openGate(t, c, p)
-	job := holdEndless(t, b, c, p, 10, 2*slots)
+	want := creditsOf(b, p)
+	if want <= slots {
+		t.Fatalf("credits %d at a mean execution of %dns, want more than the %d slots", want, p.execMean.Load(), slots)
+	}
+	job := holdEndless(t, b, c, p, want+8, want)
 	cancelAndCheck(t, c, job, reg)
 }
 
@@ -165,109 +177,367 @@ func TestBrokerStopsQueueingAfterLongAttempts(t *testing.T) {
 	cancelAndCheck(t, c, job, reg)
 }
 
-// TestBrokerNeverQueuesOnLegacyProvider: a provider that did not advertise
-// wire.CapQueue never has more than Slots attempts outstanding, however tiny
-// its attempts. The raw-wire provider here admits like one from before the
-// queue, so any attempt past its Slots fails the test as a rejection would;
-// it reports every attempt as a 1 µs execution once it holds Slots of them.
-func TestBrokerNeverQueuesOnLegacyProvider(t *testing.T) {
-	const slots, n = 2, 40
+// fakeProvider is a raw-wire provider driven by hand. It holds every
+// attempt it is given until the test answers it, and fails the test if the
+// broker gives it more than it admits: that attempt would be rejected.
+type fakeProvider struct {
+	t     *testing.T
+	nc    net.Conn
+	conn  *wire.Conn
+	msgs  chan wire.Message
+	limit int // attempts admitted at once
+	held  []wire.Assign
+}
+
+// dialFakeProvider registers a provider with the given Hello capabilities
+// and Register frame, admitting limit attempts at once.
+func dialFakeProvider(t *testing.T, addr string, caps uint8, reg wire.Register, limit int) *fakeProvider {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	f := &fakeProvider{t: t, nc: nc, conn: wire.NewConn(nc), msgs: make(chan wire.Message, 1024), limit: limit}
+	if err := f.conn.Send(&wire.Hello{Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: "fake", Caps: caps}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := f.conn.Recv(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := msg.(*wire.Welcome); !ok {
+		t.Fatalf("handshake reply = %T", msg)
+	}
+	if err := f.conn.Send(&reg); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer close(f.msgs)
+		for {
+			msg, err := f.conn.Recv()
+			if err != nil {
+				return
+			}
+			f.msgs <- msg
+		}
+	}()
+	return f
+}
+
+// recv takes the next broker message within wait, holding the attempts it
+// carries; false means none came.
+func (f *fakeProvider) recv(wait time.Duration) bool {
+	f.t.Helper()
+	select {
+	case msg, ok := <-f.msgs:
+		if !ok {
+			f.t.Fatal("broker closed the provider connection")
+		}
+		switch m := msg.(type) {
+		case *wire.Assign:
+			f.hold(m)
+		case *wire.AssignBatch:
+			for i := range m.Assigns {
+				f.hold(&m.Assigns[i])
+			}
+		}
+		return true
+	case <-time.After(wait):
+		return false
+	}
+}
+
+func (f *fakeProvider) hold(a *wire.Assign) {
+	f.t.Helper()
+	if len(f.held) == f.limit {
+		f.t.Fatalf("attempt %d placed on a provider holding the %d it admits: it would be rejected", a.Attempt, f.limit)
+	}
+	f.held = append(f.held, *a)
+}
+
+// settle holds attempts until it holds want, then through a quiet spell in
+// which any further placement would land, and returns how many it holds.
+func (f *fakeProvider) settle(want int) int {
+	f.t.Helper()
+	for start := time.Now(); len(f.held) < want && time.Since(start) < 10*time.Second; {
+		f.recv(10 * time.Millisecond)
+	}
+	for f.recv(100 * time.Millisecond) {
+	}
+	return len(f.held)
+}
+
+// answer reports the first n held attempts as squares of their parameter
+// that each ran for exec.
+func (f *fakeProvider) answer(n int, exec time.Duration) {
+	f.t.Helper()
+	for _, a := range f.held[:n] {
+		x := a.Params[0].I
+		if err := f.conn.Send(&wire.AttemptResult{
+			Attempt: a.Attempt, Tasklet: a.Tasklet, Status: core.StatusOK,
+			Return: tvm.Int(x * x), FuelUsed: 1, ExecNanos: int64(exec),
+		}); err != nil {
+			f.t.Fatal(err)
+		}
+	}
+	f.held = append(f.held[:0], f.held[n:]...)
+}
+
+// serve answers every attempt as it arrives, each run for exec, until job
+// has all its results, and checks them.
+func (f *fakeProvider) serve(job *consumer.Job, exec time.Duration) {
+	f.t.Helper()
+	for start := time.Now(); ; {
+		if done, failed := job.Counts(); done+failed == job.Tasklets {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			f.t.Fatal("job did not finish")
+		}
+		f.recv(5 * time.Millisecond)
+		f.answer(len(f.held), exec)
+	}
+	res, err := job.Collect(ctxT(f.t))
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	checkSquares(f.t, res, job.Tasklets)
+}
+
+// fakeQueueStack starts a memo-less broker, a fake provider and a consumer,
+// and runs a 64-tasklet job whose every attempt the provider reports as
+// running for exec, so the broker's mean execution time for it settles
+// there.
+func fakeQueueStack(t *testing.T, caps uint8, reg wire.Register, limit int, exec time.Duration) (*Broker, *fakeProvider, *consumer.Client) {
+	t.Helper()
 	b := New(Options{MemoEntries: -1})
 	addr, err := b.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	nc, err := net.Dial("tcp", addr)
+	f := dialFakeProvider(t, addr, caps, reg, limit)
+	c, err := consumer.Connect(addr, "queue")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { nc.Close() })
-	pc := wire.NewConn(nc)
-	if err := pc.Send(&wire.Hello{
-		Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: "pre-queue",
-		Caps: wire.CapFlagsTail | wire.CapBatch,
-	}); err != nil {
+	t.Cleanup(func() { c.Close() })
+	job, err := c.Submit(compileJob(t, squareSrc, intRows(64)...))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := pc.Recv(); err != nil {
-		t.Fatal(err)
-	} else if _, ok := msg.(*wire.Welcome); !ok {
-		t.Fatalf("handshake reply = %T", msg)
-	}
-	if err := pc.Send(&wire.Register{Slots: slots, Speed: 100}); err != nil {
-		t.Fatal(err)
-	}
+	f.serve(job, exec)
+	return b, f, c
+}
 
-	c, err := consumer.Connect(addr, "legacy")
-	if err != nil {
-		t.Fatal(err)
+const queueCaps = wire.CapFlagsTail | wire.CapBatch | wire.CapQueue
+
+// TestBrokerQueueDepthFollowsExecTime: queued credits are Slots ×
+// ⌊TinyExecNanos / mean execution⌋, capped by the queue the provider
+// advertised — the whole advertised queue for 1 µs attempts, two per slot
+// at 20 µs, one at 30 µs, none from TinyExecNanos on.
+func TestBrokerQueueDepthFollowsExecTime(t *testing.T) {
+	const slots, queue, n = 2, 10, 40
+	for _, tc := range []struct {
+		exec   time.Duration
+		queued int
+	}{
+		{time.Microsecond, queue},
+		{20 * time.Microsecond, 2 * slots},
+		{30 * time.Microsecond, slots},
+		{wire.TinyExecNanos, 0},
+		{time.Millisecond, 0},
+	} {
+		t.Run(tc.exec.String(), func(t *testing.T) {
+			reg := wire.Register{Slots: slots, Speed: 100, Queue: queue}
+			b, f, c := fakeQueueStack(t, queueCaps, reg, slots+queue, tc.exec)
+			job, err := c.Submit(compileJob(t, squareSrc, intRows(n)...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := slots + tc.queued
+			if got := f.settle(want); got != want {
+				t.Fatalf("provider holds %d attempts at a mean execution of %dns, want %d",
+					got, soleProvider(t, b).execMean.Load(), want)
+			}
+			if got := b.Snapshot().Pending; got != n-want {
+				t.Fatalf("%d tasklets pending, want %d", got, n-want)
+			}
+			f.serve(job, tc.exec)
+		})
 	}
-	defer c.Close()
+}
+
+// TestBrokerShrinksQueueOnLongResult: one 1 ms result on a provider holding
+// a deep queue of 1 µs attempts takes its queued credits to zero at once —
+// no attempt replaces the one it finished, and none is placed past what the
+// provider admits — and once its queue drains it holds only Slots.
+func TestBrokerShrinksQueueOnLongResult(t *testing.T) {
+	const slots, queue, n = 2, 10, 40
+	reg := wire.Register{Slots: slots, Speed: 100, Queue: queue}
+	b, f, c := fakeQueueStack(t, queueCaps, reg, slots+queue, time.Microsecond)
+	p := soleProvider(t, b)
 	job, err := c.Submit(compileJob(t, squareSrc, intRows(n)...))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := f.settle(slots + queue); got != slots+queue {
+		t.Fatalf("provider holds %d attempts, want %d", got, slots+queue)
+	}
+	f.answer(1, time.Millisecond)
+	if got := f.settle(slots + queue - 1); got != slots+queue-1 {
+		t.Fatalf("provider holds %d attempts after a 1 ms result, want %d", got, slots+queue-1)
+	}
+	if m := p.execMean.Load(); m < wire.TinyExecNanos {
+		t.Fatalf("mean execution %dns after a 1 ms result, want ≥ %d", m, wire.TinyExecNanos)
+	}
+	if got := creditsOf(b, p); got != 0 {
+		t.Fatalf("credits = %d after a 1 ms result, want 0", got)
+	}
+	f.answer(len(f.held), time.Millisecond)
+	if got := f.settle(slots); got != slots {
+		t.Fatalf("provider holds %d attempts after millisecond results, want %d", got, slots)
+	}
+	f.serve(job, time.Millisecond)
+}
 
-	msgs := make(chan wire.Message, 64)
-	go func() {
-		defer close(msgs)
-		for {
-			msg, err := pc.Recv()
-			if err != nil {
-				return
-			}
-			msgs <- msg
-		}
-	}()
-	var held []wire.Assign
-	done := 0
-	admit := func(a *wire.Assign) {
-		if len(held) == slots {
-			t.Fatalf("attempt %d placed on a legacy provider holding its %d slots: it would be rejected", a.Attempt, slots)
-		}
-		held = append(held, *a)
-	}
-	for done < n {
-		wait := 10 * time.Second
-		full := len(held) == slots || done+len(held) == n
-		if full {
-			wait = 5 * time.Millisecond // time for the broker to over-place
-		}
-		var msg wire.Message
-		select {
-		case msg = <-msgs:
-		case <-time.After(wait):
-			if !full {
-				t.Fatalf("no attempt for %v after %d results", wait, done)
-			}
-			for _, a := range held {
-				x := a.Params[0].I
-				if err := pc.Send(&wire.AttemptResult{
-					Attempt: a.Attempt, Tasklet: a.Tasklet, Status: core.StatusOK,
-					Return: tvm.Int(x * x), FuelUsed: 1, ExecNanos: 1000,
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			done += len(held)
-			held = held[:0]
-			continue
-		}
-		switch m := msg.(type) {
-		case nil:
-			t.Fatalf("connection closed after %d results", done)
-		case *wire.Assign:
-			admit(m)
-		case *wire.AssignBatch:
-			for i := range m.Assigns {
-				admit(&m.Assigns[i])
-			}
-		}
-	}
-	res, err := job.Collect(ctxT(t))
+// TestBrokerQueuesOneDeepWithoutQueueTail: a CapQueue provider whose
+// Register carries no queue tail (the first revision of the bit) holds one
+// queued place per slot, and is never given more, however tiny its
+// attempts.
+func TestBrokerQueuesOneDeepWithoutQueueTail(t *testing.T) {
+	const slots, n = 2, 40
+	b, f, c := fakeQueueStack(t, queueCaps, wire.Register{Slots: slots, Speed: 100}, 2*slots, time.Microsecond)
+	job, err := c.Submit(compileJob(t, squareSrc, intRows(n)...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSquares(t, res, n)
+	if got := f.settle(2 * slots); got != 2*slots {
+		t.Fatalf("provider holds %d attempts, want %d", got, 2*slots)
+	}
+	if got := b.Snapshot().Pending; got != n-2*slots {
+		t.Fatalf("%d tasklets pending, want %d", got, n-2*slots)
+	}
+	f.serve(job, time.Microsecond)
+}
+
+// TestBrokerNeverQueuesOnLegacyProvider: a provider that did not advertise
+// wire.CapQueue never has more than Slots attempts outstanding, however tiny
+// its attempts — even if its Register carries a queue tail.
+func TestBrokerNeverQueuesOnLegacyProvider(t *testing.T) {
+	const slots, n = 2, 40
+	reg := wire.Register{Slots: slots, Speed: 100, Queue: 8}
+	_, f, c := fakeQueueStack(t, wire.CapFlagsTail|wire.CapBatch, reg, slots, time.Microsecond)
+	job, err := c.Submit(compileJob(t, squareSrc, intRows(n)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.settle(slots); got != slots {
+		t.Fatalf("provider holds %d attempts, want %d", got, slots)
+	}
+	f.serve(job, time.Microsecond)
+}
+
+// TestProviderLossWithDeepQueue kills a provider holding a full deep queue
+// mid-burst. Every tasklet must finalize exactly once with the right value
+// on the provider that replaces it, every attempt the dead provider held
+// must count as lost, the attempt and deadline maps must drain, and the
+// broker must return to its idle goroutine count.
+func TestProviderLossWithDeepQueue(t *testing.T) {
+	const slots, queue, n = 2, 10, 64
+	before := runtime.NumGoroutine()
+	b := New(Options{MemoEntries: -1})
+	addr, err := b.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	f := dialFakeProvider(t, addr, queueCaps, wire.Register{Slots: slots, Speed: 100, Queue: queue}, slots+queue)
+	c, err := consumer.Connect(addr, "loss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := c.Submit(compileJob(t, squareSrc, intRows(64)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.serve(warm, time.Microsecond)
+	m := b.Metrics()
+	completed := m.Counter("tasklets.completed").Value()
+
+	spec := compileJob(t, squareSrc, intRows(n)...)
+	spec.QoC.Deadline = time.Minute // arms a deadline timer per tasklet
+	job, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mid-burst: answer some, let the queue refill, then die holding it.
+	if got := f.settle(slots + queue); got != slots+queue {
+		t.Fatalf("provider holds %d attempts, want %d", got, slots+queue)
+	}
+	f.answer(5, time.Microsecond)
+	if got := f.settle(slots + queue); got != slots+queue {
+		t.Fatalf("provider holds %d attempts after 5 results, want %d", got, slots+queue)
+	}
+	f.nc.Close()
+	for start := time.Now(); m.Counter("providers.lost").Value() != 1; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("broker never noticed the provider's loss")
+		}
+	}
+	if got := m.Counter("attempts.lost").Value(); got != slots+queue {
+		t.Fatalf("attempts.lost = %d, want the %d the provider held", got, slots+queue)
+	}
+
+	p, err := provider.Connect(provider.Options{BrokerAddr: addr, Slots: slots, Speed: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]int, n)
+	for r := range job.Results() {
+		seen[r.Index]++
+		if !r.OK() || r.Return.I != int64(r.Index*r.Index) {
+			t.Fatalf("result %+v, want %d", r, r.Index*r.Index)
+		}
+	}
+	if err := job.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range seen {
+		if k != 1 {
+			t.Fatalf("tasklet %d finalized %d times", i, k)
+		}
+	}
+	if got := m.Counter("tasklets.completed").Value() - completed; got != n {
+		t.Fatalf("tasklets.completed rose by %d, want %d", got, n)
+	}
+
+	for start := time.Now(); ; time.Sleep(5 * time.Millisecond) {
+		s := b.Snapshot()
+		attempts := 0
+		for _, part := range b.parts {
+			part.mu.Lock()
+			part.life.VisitAttempts(func(core.AttemptID, core.TaskletID, core.ProviderID, bool) { attempts++ })
+			part.mu.Unlock()
+		}
+		armed := armedDeadlines(b)
+		if s.Pending == 0 && s.InFlight == 0 && s.Jobs == 0 && attempts == 0 && armed == 0 {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("leaked state: pending=%d inflight=%d jobs=%d attempts=%d deadline timers=%d",
+				s.Pending, s.InFlight, s.Jobs, attempts, armed)
+		}
+	}
+
+	p.Close()
+	c.Close()
+	for start := time.Now(); ; time.Sleep(10 * time.Millisecond) {
+		extra := runtime.NumGoroutine() - before
+		if extra <= 3 { // TestIdleBrokerGoroutines' idle broker
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("broker runs %d goroutines after its peers left, want the idle 3", extra)
+		}
+	}
 }

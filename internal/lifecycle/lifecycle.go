@@ -126,8 +126,11 @@ type Engine struct {
 	// fx is the effect scratch returned by event methods; valid until the
 	// next call.
 	fx []Effect
-	// freeStates pools finalized taskletState records for reuse.
+	// freeStates pools finalized taskletState records for reuse, up to
+	// liveHigh: the most tasklets this engine has held at once, so a
+	// steady load of any job size reuses every record it ever allocated.
 	freeStates []*taskletState
+	liveHigh   int
 	// lostScratch stages ProviderLost's doomed attempt IDs (feeding a loss
 	// can cancel other attempts, so collection and mutation are split).
 	lostScratch []core.AttemptID
@@ -166,6 +169,7 @@ func (e *Engine) Submit(t core.Tasklet, key memo.Key, haveKey bool) []Effect {
 func (e *Engine) submit(t core.Tasklet, key memo.Key, haveKey bool) {
 	ts := e.newState(t)
 	e.tasklets[t.ID] = ts
+	e.liveHigh = max(e.liveHigh, len(e.tasklets))
 	goal := ts.tracker.Goal()
 
 	memoOn := (e.opts.Memo != nil || e.opts.Flights != nil) && haveKey && !goal.NoCache
@@ -418,7 +422,7 @@ func (e *Engine) newState(t core.Tasklet) *taskletState {
 }
 
 func (e *Engine) recycle(ts *taskletState) {
-	if len(e.freeStates) < 64 {
+	if len(e.freeStates) < e.liveHigh {
 		e.freeStates = append(e.freeStates, ts)
 	}
 }

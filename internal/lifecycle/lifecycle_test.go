@@ -499,3 +499,39 @@ func TestMigrateLeaderPromotesWaiter(t *testing.T) {
 		t.Fatalf("liveness after migration: leader=%v waiter=%v", e.Live(1), e.Live(2))
 	}
 }
+
+// TestEngineReusesStatesAcrossLargeJobs: the state pool keeps every record
+// the engine's live high-water mark needed, so once one 2 048-tasklet job has
+// run, the next identical job's submit→launch→result cycle allocates
+// nothing — past the 64th tasklet too.
+func TestEngineReusesStatesAcrossLargeJobs(t *testing.T) {
+	const n = 2048
+	e := New(Options{})
+	evs := make([]Event, n)
+	next := core.TaskletID(1)
+	cycle := func() {
+		base := next
+		for i := range evs {
+			evs[i] = Event{Kind: EventSubmit, Tasklet: core.Tasklet{ID: next, Job: 1, Index: i, Fuel: 100}}
+			next++
+		}
+		e.Apply(evs)
+		for i := range evs {
+			tid := base + core.TaskletID(i)
+			aid, ok := e.Launched(tid, 1)
+			if !ok {
+				t.Fatalf("launch of %d refused", tid)
+			}
+			evs[i] = Event{Kind: EventResult, Result: core.Result{
+				Attempt: aid, Tasklet: tid, Provider: 1, Status: core.StatusOK, Return: tvm.Int(1),
+			}}
+		}
+		if fx := e.Apply(evs); len(fx) != n {
+			t.Fatalf("%d effects for %d results", len(fx), n)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
+		t.Fatalf("a warm %d-tasklet cycle allocates %.0f times", n, allocs)
+	}
+}

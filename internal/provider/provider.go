@@ -8,10 +8,12 @@
 // Every assigned attempt runs: a provider keeps decoded programs but no
 // results, because result memoization belongs to the broker alone.
 //
-// A provider admits 2×Slots attempts: one queued behind each running slot,
-// so a worker that finishes a near-instant attempt starts the next at once
-// instead of idling for a broker round trip. It says so with wire.CapQueue;
-// the broker uses the queue only while this provider's attempts are tiny.
+// A provider admits Slots×(1+queuePerSlot) attempts: queuePerSlot queued
+// behind each running slot, so a worker that finishes a near-instant attempt
+// starts the next at once instead of idling for a broker round trip. It says
+// so with wire.CapQueue and states its queued places in Register.Queue; the
+// broker fills them only as deep as about wire.TinyExecNanos of this
+// provider's recent attempts per slot, so only tiny attempts queue at all.
 // A queued attempt cancelled before it starts reports FaultCancelled
 // without running.
 //
@@ -49,6 +51,17 @@ type Options struct {
 	// execution by sleeping (1/Throttle - 1) times the compute time,
 	// emulating a slower device; a cancellation ends the sleep as it would
 	// end the run. Zero selects 1 (no throttle).
+	//
+	// The emulation distorts in two measured ways (a per-attempt trace of
+	// the benchmark's hetero_vote workload, 2-vCPU host, GOMAXPROCS 2):
+	// the compute time is vm.Run's wall time, so host preemption during
+	// the run is stretched too, by up to 49× at Throttle 0.02; and a sub-ms
+	// sleep overshoots by a median of 180–530 µs per attempt, because the
+	// runtime's netpoller waits in whole milliseconds. Together 0.2–0.5 %
+	// of attempts carry more than 5 ms of excess (mean 12–30 ms), and those
+	// set the slowest jobs' tails. The behaviour is kept as is: removing
+	// the distortion would move hetero_vote for a reason that is no gain of
+	// the system under test.
 	Throttle float64
 	// Speed overrides the measured benchmark score when positive (tests
 	// and deterministic experiments set it; real deployments measure).
@@ -67,6 +80,14 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
+// queuePerSlot is how many attempts a provider queues behind each slot.
+// The broker decides how many of those places to fill (at most
+// wire.TinyExecNanos of expected work per slot), so this only bounds the
+// depth that attempts of a few µs reach. Chosen by a sweep over
+// {4, 8, 16, 32} on noop_flood: the smallest within 5 % of the best
+// throughput (DESIGN.md).
+const queuePerSlot = 32
+
 // defaultProgramCacheSize bounds the decoded-program cache. 64 decoded
 // programs comfortably cover the working set of every workload in this repo
 // while keeping a small provider's memory bounded.
@@ -81,9 +102,10 @@ type Provider struct {
 	nc   net.Conn
 	id   core.ProviderID
 
-	// free holds one token per unclaimed place: 2×Slots places, Slots of
-	// them running and Slots queued. The token is the attempt's cancel
-	// state, so claiming a place and arming its cancellation allocate nothing.
+	// free holds one token per unclaimed place: Slots×(1+queuePerSlot)
+	// places, Slots of them running and the rest queued. The token is the
+	// attempt's cancel state, so claiming a place and arming its
+	// cancellation allocate nothing.
 	free     chan *slotToken
 	work     chan attempt // claimed attempts awaiting a slot worker
 	out      chan wire.Message
@@ -157,14 +179,16 @@ func Connect(opts Options) (*Provider, error) {
 		return nil, fmt.Errorf("provider: handshake: unexpected %s", msg.Type())
 	}
 
+	queued := queuePerSlot * opts.Slots
+	places := opts.Slots + queued
 	p := &Provider{
 		opts:    opts,
 		logf:    logf,
 		conn:    conn,
 		nc:      nc,
 		id:      core.ProviderID(welcome.ID),
-		free:    make(chan *slotToken, 2*opts.Slots),
-		work:    make(chan attempt, 2*opts.Slots), // one per claimed token: admit never blocks
+		free:    make(chan *slotToken, places),
+		work:    make(chan attempt, places), // one per claimed token: admit never blocks
 		out:     make(chan wire.Message, 1024),
 		cancels: map[core.AttemptID]*slotToken{},
 		cache:   newProgramLRU(defaultProgramCacheSize),
@@ -178,14 +202,14 @@ func Connect(opts Options) (*Provider, error) {
 	p.mRejected = reg.Counter("provider.attempts.rejected")
 	p.mBatches = reg.Counter("provider.batches.received")
 
-	if err := conn.Send(&wire.Register{Slots: opts.Slots, Class: opts.Class, Speed: speed}); err != nil {
+	if err := conn.Send(&wire.Register{Slots: opts.Slots, Class: opts.Class, Speed: speed, Queue: queued}); err != nil {
 		nc.Close()
 		return nil, err
 	}
 	logf("provider %d: registered %d slots at %.1f Mops/s", p.id, opts.Slots, speed)
 
 	p.wg.Add(3 + opts.Slots)
-	for i := 0; i < 2*opts.Slots; i++ {
+	for i := 0; i < places; i++ {
 		p.free <- newSlotToken()
 	}
 	for i := 0; i < opts.Slots; i++ {
@@ -247,7 +271,7 @@ func (p *Provider) heartbeatLoop() {
 		select {
 		case <-tick.C:
 			// Idle workers: the queued places are not free slots.
-			p.send(&wire.Heartbeat{FreeSlots: max(0, len(p.free)-p.opts.Slots)})
+			p.send(&wire.Heartbeat{FreeSlots: max(0, len(p.free)-queuePerSlot*p.opts.Slots)})
 		case <-p.done:
 			return
 		}
@@ -408,9 +432,9 @@ type attempt struct {
 
 // admit takes one resolved assignment: token claim, then hand-off to the
 // slot workers, where it runs at once on an idle worker or queues behind a
-// busy one. The broker never places more than 2×Slots attempts here, so an
-// empty free list indicates state drift; such attempts are rejected rather
-// than queued deeper, to keep accounting exact.
+// busy one. The broker never places more than Slots×(1+queuePerSlot)
+// attempts here, so an empty free list indicates state drift; such attempts
+// are rejected rather than queued deeper, to keep accounting exact.
 func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {
 	var cancel *slotToken
 	select {

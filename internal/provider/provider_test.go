@@ -175,7 +175,7 @@ func TestProviderRegistersAdvertisedCapacity(t *testing.T) {
 	}
 	defer p.Close()
 	reg := fb.waitRegistered()
-	if reg.Slots != 3 || reg.Speed != 55 || reg.Class != core.ClassLaptop {
+	if reg.Slots != 3 || reg.Speed != 55 || reg.Class != core.ClassLaptop || reg.Queue != 3*queuePerSlot {
 		t.Fatalf("register = %+v", reg)
 	}
 	if p.ID() != 7 {
@@ -292,28 +292,31 @@ func TestProviderRejectsHashMismatch(t *testing.T) {
 	}
 }
 
-// TestProviderRejectsOverCommit: a provider admits 2×Slots attempts — Slots
-// running, one queued behind each — runs at most Slots at once, and rejects
-// the next. Two endless attempts hold both workers; two short ones queue
-// behind them; the fifth is rejected. The short ones must not finish before
-// a worker frees: they run only after the first endless attempt is cancelled,
-// one after the other on the worker it leaves.
+// TestProviderRejectsOverCommit: a provider admits exactly
+// Slots×(1+queuePerSlot) attempts — Slots running, queuePerSlot queued behind
+// each — runs at most Slots at once, and rejects the next. Two endless
+// attempts hold both workers; 2×queuePerSlot short ones queue behind them;
+// the one after is rejected. The short ones must not finish before a worker
+// frees: they run only after the first endless attempt is cancelled, one
+// after the other in arrival order on the worker it leaves.
 func TestProviderRejectsOverCommit(t *testing.T) {
+	const slots = 2
 	fb := newFakeBroker(t)
 	reg := &metrics.Registry{}
-	startProvider(t, fb, Options{Slots: 2, Metrics: reg})
-	for i := core.AttemptID(1); i <= 2; i++ {
+	startProvider(t, fb, Options{Slots: slots, Metrics: reg})
+	for i := core.AttemptID(1); i <= slots; i++ {
 		if err := fb.conn.Send(longSpin(i, i == 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := core.AttemptID(3); i <= 5; i++ {
+	last := core.AttemptID(slots * (1 + queuePerSlot)) // the last admitted
+	for i := core.AttemptID(slots + 1); i <= last+1; i++ {
 		if err := fb.conn.Send(assignSpin(i, 10, false)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if res := fb.recvResult(); res.Attempt != 5 || res.Status != core.StatusRejected {
-		t.Fatalf("first result = %+v, want attempt 5 rejected", res)
+	if res := fb.recvResult(); res.Attempt != last+1 || res.Status != core.StatusRejected {
+		t.Fatalf("first result = %+v, want attempt %d rejected", res, last+1)
 	}
 	if err := fb.conn.Send(&wire.CancelAttempt{Attempt: 1}); err != nil {
 		t.Fatal(err)
@@ -321,7 +324,7 @@ func TestProviderRejectsOverCommit(t *testing.T) {
 	if res := fb.recvResult(); res.Attempt != 1 || res.FaultCode != tvm.FaultCancelled {
 		t.Fatalf("result = %+v, want attempt 1 cancelled before any queued attempt ran", res)
 	}
-	for i := core.AttemptID(3); i <= 4; i++ {
+	for i := core.AttemptID(slots + 1); i <= last; i++ {
 		if res := fb.recvResult(); res.Attempt != i || res.Status != core.StatusOK {
 			t.Fatalf("result = %+v, want queued attempt %d done", res, i)
 		}

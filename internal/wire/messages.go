@@ -23,7 +23,8 @@ import (
 // broker is at least as new as its clients), while broker->client
 // messages may carry one only to peers that advertised CapFlagsTail in
 // their Hello (brokers currently set no Assign flag at all). ErrorMsg's
-// optional job tail is capability-gated the same way (CapImplicitJob).
+// optional job tail is capability-gated the same way (CapImplicitJob);
+// Register's optional queue tail travels provider->broker and needs no gate.
 // Future compatible additions must follow the same append-only,
 // capability-gated discipline.
 const ProtocolVersion = 1
@@ -40,10 +41,11 @@ const (
 	// to peers that advertised this bit; peers without it keep receiving
 	// single frames byte-identical to the pre-batch revision.
 	CapBatch uint8 = 1 << 1
-	// CapQueue: the sender is a provider that holds one queued attempt per
-	// slot beyond the ones it runs (2×Slots outstanding in all). The broker
-	// places past Slots only on providers that advertised this bit, and only
-	// while their recent attempts ran for less than TinyExecNanos.
+	// CapQueue: the sender is a provider that holds queued attempts behind
+	// the ones it runs: Register.Queue places, or Slots when Register carries
+	// no tail (the first revision of the bit). The broker places past Slots
+	// only on providers that advertised this bit, and only as deep as about
+	// TinyExecNanos of their recent attempts' work per slot.
 	CapQueue uint8 = 1 << 2
 	// CapImplicitJob: the sender is a consumer that numbers its own jobs and
 	// does not wait for JobAccepted. The n-th SubmitJob on consumer
@@ -174,6 +176,12 @@ type Register struct {
 	Slots int
 	Class core.DeviceClass
 	Speed float64 // self-measured mega-ops/sec (see internal/speedbench)
+
+	// Queue is how many queued places a CapQueue provider holds beyond its
+	// Slots, so it admits Slots+Queue attempts at once. Carried in an
+	// optional u32 tail, omitted when zero; a CapQueue provider that sends
+	// no tail holds Slots queued places.
+	Queue int
 }
 
 // Heartbeat is sent periodically by providers; the broker marks providers
@@ -437,12 +445,18 @@ func (m *Register) encode(e *enc) {
 	e.u32(uint32(m.Slots))
 	e.u8(uint8(m.Class))
 	e.f64(m.Speed)
+	if m.Queue != 0 { // optional tail; omitted when empty for legacy peers
+		e.u32(uint32(m.Queue))
+	}
 }
 
 func (m *Register) decode(d *dec) {
 	m.Slots = int(d.u32())
 	m.Class = core.DeviceClass(d.u8())
 	m.Speed = d.f64()
+	if d.err == nil && d.remaining() > 0 { // optional tail (new in work-budget rev)
+		m.Queue = int(d.u32())
+	}
 }
 
 func (m *Heartbeat) encode(e *enc) { e.u32(uint32(m.FreeSlots)) }

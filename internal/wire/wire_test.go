@@ -63,6 +63,7 @@ func allMessages() []Message {
 		&ErrorMsg{Code: ErrCodeBadJob, Msg: "no such program"},
 		&ErrorMsg{Code: ErrCodeBadJob, Msg: "queue limit", Job: 3<<32 | 7},
 		&Register{Slots: 4, Class: core.ClassLaptop, Speed: 123.5},
+		&Register{Slots: 4, Class: core.ClassLaptop, Speed: 123.5, Queue: 64},
 		&Heartbeat{FreeSlots: 2},
 		&Assign{
 			Attempt: 9, Tasklet: 8, Program: 77,
@@ -201,7 +202,8 @@ func TestMarshalRoundTripAllTypes(t *testing.T) {
 
 // optionalTailLen is the length of the optional tail a message instance
 // encodes with: 1 byte of caps on Hello or flags on SubmitJob/Assign, 8
-// bytes of job ID on ErrorMsg, 0 when absent.
+// bytes of job ID on ErrorMsg, 4 bytes of queued places on Register, 0 when
+// absent.
 func optionalTailLen(m Message) int {
 	switch v := m.(type) {
 	case *Hello:
@@ -219,6 +221,10 @@ func optionalTailLen(m Message) int {
 	case *ErrorMsg:
 		if v.Job != 0 {
 			return 8
+		}
+	case *Register:
+		if v.Queue != 0 {
+			return 4
 		}
 	}
 	return 0
@@ -312,6 +318,46 @@ func TestTaillessFramesMatchLegacyFormat(t *testing.T) {
 		if !sameMessage(p.tailless, got) {
 			t.Fatalf("%s zero-tail decode:\n in: %#v\nout: %#v", p.name, p.tailless, got)
 		}
+	}
+}
+
+// TestRegisterQueueTail: Register's queue tail is a u32 after the fixed
+// fields, present only when Queue is non-zero. A tailless frame is the
+// pre-tail format byte for byte and decodes with Queue 0 — the broker reads
+// that as the first CapQueue revision's one place per slot — and a tailed
+// frame round-trips its Queue.
+func TestRegisterQueueTail(t *testing.T) {
+	plain, err := Marshal(&Register{Slots: 2, Class: core.ClassLaptop, Speed: 9.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pre-tail layout: 5-byte header, u32 slots, u8 class, f64 speed.
+	if len(plain) != 5+4+1+8 {
+		t.Fatalf("tailless Register is %d bytes, want the pre-tail 18", len(plain))
+	}
+	got, err := Unmarshal(TypeRegister, plain[5:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got.(*Register); r.Queue != 0 || r.Slots != 2 || r.Speed != 9.5 {
+		t.Fatalf("tailless decode = %+v", r)
+	}
+	tailed, err := Marshal(&Register{Slots: 2, Class: core.ClassLaptop, Speed: 9.5, Queue: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tailed) != len(plain)+4 || !bytes.Equal(tailed[5:len(plain)], plain[5:]) {
+		t.Fatalf("tailed Register = %x, want the tailless payload %x plus a u32", tailed, plain)
+	}
+	got, err = Unmarshal(TypeRegister, tailed[5:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got.(*Register); r.Queue != 32 || r.Slots != 2 || r.Class != core.ClassLaptop {
+		t.Fatalf("tailed decode = %+v", r)
+	}
+	if _, err := Unmarshal(TypeRegister, tailed[5:len(tailed)-1]); err == nil {
+		t.Fatal("truncated queue tail accepted")
 	}
 }
 

@@ -127,14 +127,15 @@ fuzz-smoke:
 # the provider idle; E7's points were batches of unequal length, so sibling
 # load on a small host skewed them by size), the timing-bound tests of the
 # provider's queued attempts and the broker's work-budgeted queue depth
-# (including the loss of a provider holding a full queue), and the concurrent
+# (including the loss of a provider holding a full queue, and the credits
+# a shard gossips while its workers are busy), and the concurrent
 # and legacy-consumer submission tests (client-numbered job IDs must match
 # the broker's under any interleaving): every run must pass.
 flaky:
 	$(GO) test -count 20 -run 'TestPartitionStress' ./internal/broker/
 	$(GO) test -count 20 -run TestE7ThroughputShape ./internal/experiments/
 	$(GO) test -count 20 -run 'TestProviderRejectsOverCommit|TestProviderHeartbeats|TestProviderCancelsQueuedAttemptWithoutRunning' ./internal/provider/
-	$(GO) test -count 20 -run 'TestBrokerQueuesBehindTinyAttempts|TestBrokerStopsQueueingAfterLongAttempts|TestBrokerNeverQueuesOnLegacyProvider|TestBrokerQueueDepthFollowsExecTime|TestBrokerShrinksQueueOnLongResult|TestBrokerQueuesOneDeepWithoutQueueTail|TestProviderLossWithDeepQueue' ./internal/broker/
+	$(GO) test -count 20 -run 'TestBrokerQueuesBehindTinyAttempts|TestBrokerStopsQueueingAfterLongAttempts|TestBrokerNeverQueuesOnLegacyProvider|TestBrokerQueueDepthFollowsExecTime|TestBrokerShrinksQueueOnLongResult|TestBrokerQueuesOneDeepWithoutQueueTail|TestProviderLossWithDeepQueue|TestGossipCountsQueuedCredits' ./internal/broker/
 	$(GO) test -race -count 20 -run 'TestConcurrentSubmitsOnOneClient|TestLegacyConsumerGetsJobAccepted' ./internal/broker/
 
 clean:

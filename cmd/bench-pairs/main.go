@@ -4,7 +4,8 @@
 // It extracts the base revision into a temporary directory with git
 // archive, builds both sides with benchmark/run.sh (a short smoke run of the
 // first workload), then runs N pairs per workload, alternating which side
-// goes first and cycling through the seeds given. For each workload ×
+// goes first and cycling through the seeds given; every run lasts
+// BENCHMARK.json's run_seconds. For each workload ×
 // metric it prints both sides' median [quartiles], the change/base ratio of
 // the medians, the pairs the change won and lost, and a verdict (see
 // judge). Run it from the root of a checkout:
@@ -60,14 +61,12 @@ func run(args []string, out, logw io.Writer) error {
 	pairs := fs.Int("pairs", 10, "pairs of runs per workload")
 	seeds := fs.String("seeds", "1", "comma-separated seeds; pair i runs seed i mod len")
 	names := fs.String("workloads", "all", "comma-separated workloads, or all")
-	seconds := fs.Float64("seconds", 0, "measured seconds per run; 0 takes BENCHMARK.json's run_seconds")
 	trace := fs.String("trace", "0", "0: end-to-end metrics of untraced runs; 1: per-layer metrics of traced runs")
-	rawPath := fs.String("json", "", "also write every run's metrics here")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *base == "" || *pairs <= 0 || fs.NArg() != 0 {
-		return errors.New("usage: bench-pairs -base <rev> [-pairs n] [-seeds a,b] [-workloads w,x] [-seconds s] [-trace 0|1] [-json file]")
+		return errors.New("usage: bench-pairs -base <rev> [-pairs n] [-seeds a,b] [-workloads w,x] [-trace 0|1]")
 	}
 	if *trace != "0" && *trace != "1" {
 		return fmt.Errorf("-trace %q: want 0 or 1", *trace)
@@ -83,9 +82,6 @@ func run(args []string, out, logw io.Writer) error {
 	specs := bf.EndToEnd
 	if *trace == "1" {
 		specs = bf.PerLayer
-	}
-	if *seconds == 0 {
-		*seconds = bf.RunSeconds
 	}
 	var workloads []string
 	if *names == "all" {
@@ -120,8 +116,6 @@ func run(args []string, out, logw io.Writer) error {
 		}
 	}
 
-	// raw[workload][side][metric] lists one value per pair.
-	raw := map[string][2]map[string][]float64{}
 	tw := tabwriter.NewWriter(out, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tmetric\tunit\tbase median [q1, q3]\tchange median [q1, q3]\tchange/base\twins/losses\tverdict")
 	for _, w := range workloads {
@@ -133,7 +127,7 @@ func run(args []string, out, logw io.Writer) error {
 				order = []int{1, 0}
 			}
 			for _, side := range order {
-				line, err := runOnce(sides[side].dir, w, seed, *seconds, *trace)
+				line, err := runOnce(sides[side].dir, w, seed, bf.RunSeconds, *trace)
 				if err != nil {
 					return fmt.Errorf("%s %s seed %s: %w", sides[side].name, w, seed, err)
 				}
@@ -143,7 +137,6 @@ func run(args []string, out, logw io.Writer) error {
 			}
 			fmt.Fprintf(logw, "%s: pair %d/%d done\n", w, i+1, *pairs)
 		}
-		raw[w] = vals
 		for _, spec := range specs {
 			a, b := vals[0][spec.Name], vals[1][spec.Name]
 			if len(a) != *pairs || len(b) != *pairs {
@@ -155,17 +148,7 @@ func run(args []string, out, logw io.Writer) error {
 				fmtQ(r.Base), fmtQ(r.Change), r.Ratio, r.Wins, r.Losses, r.Verdict)
 		}
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if *rawPath != "" {
-		data, err := json.MarshalIndent(raw, "", " ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(*rawPath, append(data, '\n'), 0o644)
-	}
-	return nil
+	return tw.Flush()
 }
 
 // extract writes the tree of rev into dir.

@@ -124,6 +124,11 @@ const sendQueueDepth = 4096
 // one flush.
 const writerBatchMax = 128
 
+// maxStagedEvents bounds the submit events a consumer's staging scratch keeps
+// between jobs (an Event is about 300 bytes): jobs of a few thousand tasklets
+// reuse it, larger ones stage in slices freed after their feed.
+const maxStagedEvents = 4096
+
 // maxPartitions caps Options.Partitions: more stripes than cores buys no
 // parallelism, and every placement pass and result burst walks them all.
 const maxPartitions = 64
@@ -310,8 +315,10 @@ type consumerState struct {
 	// touches it.
 	submitted uint32
 	// staged is acceptJob's per-partition submit-event scratch, reused by
-	// every job and cleared once fed, so it holds no tasklet's Params.
-	// Only the consumer's reader touches it.
+	// every job and cleared once fed, so it holds no tasklet's Params. It is
+	// dropped after a job that grew it past maxStagedEvents in all, so one
+	// large job does not pin its size for the session. Only the consumer's
+	// reader touches it.
 	staged [][]lifecycle.Event
 
 	dropWarned atomic.Bool
@@ -1000,10 +1007,15 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 	}
 	b.jobMu.Unlock()
 
+	kept := 0
 	for pi, evs := range groups {
 		b.feedPartition(b.parts[pi], evs)
 		clear(evs)
 		groups[pi] = evs[:0]
+		kept += cap(evs)
+	}
+	if kept > maxStagedEvents {
+		c.staged = nil
 	}
 	b.logf("broker: job %d accepted: %d tasklets, qoc %s", job.id, job.total, m.QoC.Mode)
 	b.schedule()

@@ -721,3 +721,43 @@ func TestMultipleConsumersInterleave(t *testing.T) {
 		}
 	}
 }
+
+// TestStagingScratchBounded: acceptJob's per-consumer staging scratch is
+// cleared after the feed, so it keeps no tasklet's Params, and a job that
+// grows it past maxStagedEvents leaves none of it behind.
+func TestStagingScratchBounded(t *testing.T) {
+	b := New(Options{MemoEntries: -1, Partitions: 2})
+	t.Cleanup(func() { b.Close() })
+	c := &consumerState{
+		id: 1, out: make(chan wire.Message, 16), label: "consumer 1",
+		caps: wire.CapImplicitJob, jobs: map[core.JobID]bool{},
+	}
+	submit := func(id core.JobID, n int) {
+		t.Helper()
+		spec := compileJob(t, squareSrc, intRows(n)...)
+		if err := b.acceptJob(c, id, &wire.SubmitJob{Program: spec.Program, Params: spec.Params, Seed: spec.Seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(1, 64)
+	if c.staged == nil {
+		t.Fatal("a 64-tasklet job left no staging scratch to reuse")
+	}
+	for pi, evs := range c.staged {
+		if len(evs) != 0 {
+			t.Fatalf("partition %d scratch holds %d events after the feed", pi, len(evs))
+		}
+		for _, ev := range evs[:cap(evs)] {
+			if ev.Tasklet.Params != nil {
+				t.Fatalf("partition %d scratch keeps tasklet %d's Params", pi, ev.Tasklet.ID)
+			}
+		}
+	}
+	submit(2, maxStagedEvents+1)
+	if c.staged != nil {
+		t.Fatalf("a %d-tasklet job left its staging scratch behind", maxStagedEvents+1)
+	}
+	if got := b.Snapshot().Pending; got != 64+maxStagedEvents+1 {
+		t.Fatalf("%d tasklets pending, want %d", got, 64+maxStagedEvents+1)
+	}
+}

@@ -541,3 +541,38 @@ func TestProviderLossWithDeepQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestGossipCountsQueuedCredits: the free slots a shard gossips are its
+// placement credits — with every worker busy on tiny attempts, the queued
+// places the work budget leaves open; none once those are taken too.
+func TestGossipCountsQueuedCredits(t *testing.T) {
+	const slots, queue = 2, 10
+	reg := wire.Register{Slots: slots, Speed: 100, Queue: queue}
+	b, f, c := fakeQueueStack(t, queueCaps, reg, slots+queue, time.Microsecond)
+	p := soleProvider(t, b)
+	if got, want := b.freeSlotsSample(), slots+queue; got != want {
+		t.Fatalf("idle provider gossips %d free slots, want %d", got, want)
+	}
+	job, err := c.Submit(compileJob(t, squareSrc, intRows(slots)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.settle(slots); got != slots {
+		t.Fatalf("provider holds %d attempts, want %d", got, slots)
+	}
+	if got := b.freeSlotsSample(); got != queue || got != creditsOf(b, p) {
+		t.Fatalf("provider with every worker busy gossips %d free slots, want its %d queued credits", got, queue)
+	}
+	f.serve(job, time.Microsecond)
+	job, err = c.Submit(compileJob(t, squareSrc, intRows(slots+queue)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.settle(slots + queue); got != slots+queue {
+		t.Fatalf("provider holds %d attempts, want %d", got, slots+queue)
+	}
+	if got := b.freeSlotsSample(); got != 0 {
+		t.Fatalf("provider with a full queue gossips %d free slots, want 0", got)
+	}
+	f.serve(job, time.Microsecond)
+}

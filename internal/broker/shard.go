@@ -356,7 +356,10 @@ func (b *Broker) gossipLoop() {
 	}
 }
 
-// freeSlotsSample reads the fleet's free-slot total for gossip. Takes b.mu
+// freeSlotsSample reads the fleet's free-slot total for gossip: the index's
+// placement credits, idle slots plus the queued places the work budget
+// leaves open (see shard.Policy.Underloaded), not heartbeat's and
+// fleet_info's idle workers. Takes b.mu
 // (the index belongs to the scheduler); callers must not hold exMu — the
 // sample is taken before the gossip section to keep b.mu and exMu disjoint.
 func (b *Broker) freeSlotsSample() int {

@@ -126,11 +126,9 @@ type Engine struct {
 	// fx is the effect scratch returned by event methods; valid until the
 	// next call.
 	fx []Effect
-	// freeStates pools finalized taskletState records for reuse, up to
-	// liveHigh: the most tasklets this engine has held at once, so a
-	// steady load of any job size reuses every record it ever allocated.
+	// freeStates pools finalized taskletState records for reuse, at most
+	// statePoolCap of them.
 	freeStates []*taskletState
-	liveHigh   int
 	// lostScratch stages ProviderLost's doomed attempt IDs (feeding a loss
 	// can cancel other attempts, so collection and mutation are split).
 	lostScratch []core.AttemptID
@@ -169,7 +167,6 @@ func (e *Engine) Submit(t core.Tasklet, key memo.Key, haveKey bool) []Effect {
 func (e *Engine) submit(t core.Tasklet, key memo.Key, haveKey bool) {
 	ts := e.newState(t)
 	e.tasklets[t.ID] = ts
-	e.liveHigh = max(e.liveHigh, len(e.tasklets))
 	goal := ts.tracker.Goal()
 
 	memoOn := (e.opts.Memo != nil || e.opts.Flights != nil) && haveKey && !goal.NoCache
@@ -421,10 +418,22 @@ func (e *Engine) newState(t core.Tasklet) *taskletState {
 	return ts
 }
 
+// statePoolCap bounds the state pool. A record is allocated only when the
+// pool is empty, so the pool never holds more records than were once live at
+// the same time: a steady load of up to statePoolCap live tasklets reuses
+// every record it allocated, and a larger burst leaves at most statePoolCap
+// records (a few MB) behind instead of pinning its peak.
+const statePoolCap = 4096
+
+// recycle pools ts, first dropping everything it references — the tasklet's
+// Params and the tracker's results — so a pooled record keeps nothing alive.
 func (e *Engine) recycle(ts *taskletState) {
-	if len(e.freeStates) < e.liveHigh {
-		e.freeStates = append(e.freeStates, ts)
+	if len(e.freeStates) >= statePoolCap {
+		return
 	}
+	ts.t = core.Tasklet{}
+	ts.tracker.Reset(&ts.t)
+	e.freeStates = append(e.freeStates, ts)
 }
 
 // abandonAttempts marks every live attempt of tid abandoned and emits cancel

@@ -535,3 +535,46 @@ func TestEngineReusesStatesAcrossLargeJobs(t *testing.T) {
 		t.Fatalf("a warm %d-tasklet cycle allocates %.0f times", n, allocs)
 	}
 }
+
+// TestPooledStatesHoldNothing: a finalized record goes back to the pool with
+// its tasklet's Params and the tracker's results dropped, and a burst larger
+// than statePoolCap leaves at most statePoolCap records pooled.
+func TestPooledStatesHoldNothing(t *testing.T) {
+	const n = statePoolCap + 100
+	e := New(Options{})
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{Kind: EventSubmit, Tasklet: core.Tasklet{
+			ID: core.TaskletID(i + 1), Job: 1, Index: i, Fuel: 100,
+			Params: []tvm.Value{tvm.Str("payload")},
+		}}
+	}
+	e.Apply(evs)
+	for i := range evs {
+		tid := core.TaskletID(i + 1)
+		aid, ok := e.Launched(tid, 1)
+		if !ok {
+			t.Fatalf("launch of %d refused", tid)
+		}
+		evs[i] = Event{Kind: EventResult, Result: core.Result{
+			Attempt: aid, Tasklet: tid, Provider: 1, Status: core.StatusOK, Return: tvm.Str("result"),
+		}}
+	}
+	if fx := e.Apply(evs); len(fx) != n {
+		t.Fatalf("%d effects for %d results", len(fx), n)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d tasklets pending after every result", e.Pending())
+	}
+	if len(e.freeStates) != statePoolCap {
+		t.Fatalf("pool holds %d records after a %d-tasklet burst, want %d", len(e.freeStates), n, statePoolCap)
+	}
+	for _, ts := range e.freeStates {
+		if !reflect.DeepEqual(ts.t, core.Tasklet{}) {
+			t.Fatalf("pooled record keeps tasklet %+v", ts.t)
+		}
+		if ts.tracker.Done() || !reflect.DeepEqual(ts.tracker.Final(), core.Result{}) {
+			t.Fatalf("pooled record keeps final %+v", ts.tracker.Final())
+		}
+	}
+}

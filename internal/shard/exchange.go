@@ -1,7 +1,7 @@
 package shard
 
 // Load is one shard's gossiped load snapshot: instantaneous queue depth and
-// free provider slots, plus an EWMA of the shard's service rate
+// free placement credits (see Policy.Underloaded), plus an EWMA of the shard's service rate
 // (tasklets finalized per second). Queue and Free drive the pull decision;
 // Rate rides along so operators and future policies can reason about
 // throughput, and it breaks ties between equally deep peers.
@@ -51,8 +51,14 @@ func (p Policy) Normalize() Policy {
 }
 
 // Underloaded reports whether a shard with the given load should consider
-// pulling: it has idle provider slots and less queued work than slots to
-// fill, so pulled tasklets can launch immediately instead of re-queueing.
+// pulling: it has free placement credits and less queued work than credits
+// to fill, so pulled tasklets are placed immediately instead of re-queueing.
+// Free counts credits, not only idle workers: it includes the queued places
+// a provider running tiny attempts still has open, each worth at most
+// wire.TinyExecNanos of work per slot (up to 32 per slot for attempts of a
+// few µs), so a shard whose workers are busy with tiny work but whose
+// providers' queues have room is underloaded too — work it pulls starts
+// within that budget.
 func (p Policy) Underloaded(self Load) bool {
 	return self.Free > 0 && self.Queue < self.Free
 }

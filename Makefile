@@ -57,12 +57,13 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkRing|BenchmarkPlanPull' -benchmem ./internal/shard/
 
 # bench-vm is the interpreter's before/after measurement: every VM benchmark,
-# ten times each with allocation reporting, in the format benchstat reads.
-# Run it on both commits (`make bench-vm > old.txt`, ... `> new.txt`) and
-# compare with `benchstat old.txt new.txt`.
+# ten times each with allocation reporting, in the format benchstat reads,
+# and E1's native spin loop from its own VM-free package. Run it on both
+# commits (`make bench-vm > old.txt`, ... `> new.txt`) and compare with
+# `benchstat old.txt new.txt`.
 VMBENCH = BenchmarkVM_|BenchmarkE1_Spin
 bench-vm:
-	$(GO) test -run XXX -bench '$(VMBENCH)' -benchmem -count 10 .
+	$(GO) test -run XXX -bench '$(VMBENCH)' -benchmem -count 10 . ./internal/stdtasks/native/
 
 # profile captures CPU, mutex and block profiles from the saturating
 # broker-throughput benchmark — the partitioned core's hot path. Inspect
@@ -98,7 +99,7 @@ bench-pairs:
 # timings.
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkBrokerThroughput|BenchmarkAblation_' -benchtime 1x .
-	$(GO) test -run XXX -bench '$(VMBENCH)' -benchtime 1x .
+	$(GO) test -run XXX -bench '$(VMBENCH)' -benchtime 1x . ./internal/stdtasks/native/
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/wire/
 	$(GO) test -run XXX -bench BenchmarkSchedulerPick -benchtime 1x ./internal/scheduler/
 	$(GO) test -run XXX -bench 'BenchmarkBrokerPlacement/P=(100|1000)$$' -benchtime 1x ./internal/broker/

@@ -75,14 +75,8 @@ func BenchmarkE1_SpinVM(b *testing.B) {
 	}
 }
 
-func BenchmarkE1_SpinNative(b *testing.B) {
-	const iters = 100_000
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink = stdtasks.RefSpin(iters)
-	}
-	_ = sink
-}
+// E1's native side, BenchmarkE1_SpinNative, lives in internal/stdtasks/native,
+// whose test binary links no interpreter.
 
 func BenchmarkE1_Table(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -10,6 +10,7 @@ package qoc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/tvm"
@@ -23,8 +24,9 @@ type Decision struct {
 	// Launch is the number of new attempts to schedule now.
 	Launch int
 	// Cancel lists outstanding attempts that became redundant (their
-	// results can no longer affect the outcome); the caller should send
-	// best-effort cancellations.
+	// results can no longer affect the outcome), in launch order; the
+	// caller should send best-effort cancellations. It is the tracker's
+	// scratch, valid until the tracker's next Reset.
 	Cancel []core.AttemptID
 	// Done reports that the tasklet reached a final state; Final is valid.
 	Done bool
@@ -40,6 +42,12 @@ type vote struct {
 	provider core.ProviderID
 }
 
+// inflight is one attempt in flight and the provider running it.
+type inflight struct {
+	attempt  core.AttemptID
+	provider core.ProviderID
+}
+
 // Tracker manages the attempt lifecycle of a single tasklet.
 // It is not safe for concurrent use; the broker serializes per-tasklet
 // events through its scheduling loop.
@@ -47,8 +55,12 @@ type Tracker struct {
 	tasklet *core.Tasklet
 	goal    core.QoC
 
-	// attempts maps every attempt in flight to the provider running it.
-	attempts map[core.AttemptID]core.ProviderID
+	// attempts lists every attempt in flight, in launch order. It holds
+	// at most Replicas+MaxRetries entries, so a linear search beats a map,
+	// and its storage is reused across Reset. cancel is complete's scratch
+	// for Decision.Cancel.
+	attempts []inflight
+	cancel   []core.AttemptID
 	// asked counts launches handed out in a Decision that the caller has not
 	// yet placed (OnLaunched) or handed back (Refuse). Together with attempts
 	// it is everything that can still report, so "has everything reported?"
@@ -94,11 +106,7 @@ func (tr *Tracker) Reset(t *core.Tasklet) {
 	}
 	tr.tasklet = t
 	tr.goal = goal
-	if tr.attempts == nil {
-		tr.attempts = make(map[core.AttemptID]core.ProviderID, goal.Replicas)
-	} else {
-		clear(tr.attempts)
-	}
+	tr.attempts = tr.attempts[:0]
 	tr.asked = 0
 	tr.votes = tr.votes[:0]
 	tr.best = 0
@@ -160,8 +168,8 @@ func (tr *Tracker) LastFailure() (core.Result, bool) {
 // provider must not vote twice) — and returns the extended slice. Callers
 // pass a scratch slice (typically buf[:0]) reused across placement attempts.
 func (tr *Tracker) AppendActiveProviders(buf []core.ProviderID) []core.ProviderID {
-	for _, p := range tr.attempts {
-		buf = append(buf, p)
+	for _, a := range tr.attempts {
+		buf = append(buf, a.provider)
 	}
 	for _, v := range tr.votes {
 		buf = append(buf, v.provider)
@@ -197,7 +205,7 @@ func (tr *Tracker) ask(n int) Decision {
 
 // OnLaunched records that the caller placed an attempt on a provider.
 func (tr *Tracker) OnLaunched(id core.AttemptID, p core.ProviderID) {
-	tr.attempts[id] = p
+	tr.attempts = append(tr.attempts, inflight{id, p})
 	tr.launched++
 	if tr.asked > 0 {
 		tr.asked--
@@ -210,11 +218,12 @@ func (tr *Tracker) OnResult(res core.Result) Decision {
 	if tr.done {
 		return Decision{Done: true, Final: tr.final}
 	}
-	provider, known := tr.attempts[res.Attempt]
-	if !known {
+	i := slices.IndexFunc(tr.attempts, func(a inflight) bool { return a.attempt == res.Attempt })
+	if i < 0 {
 		return Decision{}
 	}
-	delete(tr.attempts, res.Attempt)
+	provider := tr.attempts[i].provider
+	tr.attempts = slices.Delete(tr.attempts, i, i+1)
 
 	// need is how many agreeing OK results complete the tasklet.
 	voting, need := tr.goal.Mode == core.QoCVoting, 1
@@ -285,13 +294,13 @@ func (tr *Tracker) complete(res core.Result) Decision {
 	tr.final.Tasklet = tr.tasklet.ID
 	tr.final.Job = tr.tasklet.Job
 	tr.final.Index = tr.tasklet.Index
-	cancel := make([]core.AttemptID, 0, len(tr.attempts))
-	for id := range tr.attempts {
-		cancel = append(cancel, id)
+	tr.cancel = tr.cancel[:0]
+	for _, a := range tr.attempts {
+		tr.cancel = append(tr.cancel, a.attempt)
 	}
-	clear(tr.attempts)
+	tr.attempts = tr.attempts[:0]
 	tr.asked = 0
-	return Decision{Done: true, Final: tr.final, Cancel: cancel}
+	return Decision{Done: true, Final: tr.final, Cancel: tr.cancel}
 }
 
 func (tr *Tracker) fail(res core.Result, msg string) Decision {

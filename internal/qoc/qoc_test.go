@@ -557,3 +557,40 @@ func TestPooledVotingCycleDoesNotAllocate(t *testing.T) {
 		t.Fatalf("steady-state voting cycle allocates %.1f times", allocs)
 	}
 }
+
+// TestPooledRetryCycleDoesNotAllocate drives a warm tracker through a whole
+// budget's worth of attempts — Replicas + MaxRetries, the losses spending the
+// retries — and expects no allocation, and a cancel list of exactly the
+// attempts still in flight, in launch order.
+func TestPooledRetryCycleDoesNotAllocate(t *testing.T) {
+	task := newTasklet(core.QoC{Mode: core.QoCRedundant, Replicas: 3, MaxRetries: 2})
+	tr := NewTracker(task)
+	var cancel []core.AttemptID
+	cycle := func() {
+		tr.Reset(task)
+		if d := tr.Start(); d.Launch != 3 {
+			t.Fatalf("start launched %d, want 3", d.Launch)
+		}
+		for a := core.AttemptID(1); a <= 3; a++ {
+			tr.OnLaunched(a, core.ProviderID(a+10))
+		}
+		for _, lost := range [...]core.AttemptID{1, 2} {
+			if d := tr.OnResult(lostResult(lost)); d.Launch != 1 {
+				t.Fatalf("loss of %d launched %d, want 1", lost, d.Launch)
+			}
+			tr.OnLaunched(lost+3, core.ProviderID(lost+20))
+		}
+		d := tr.OnResult(okResult(4, 7))
+		if !d.Done || tr.Attempts() != 5 {
+			t.Fatalf("done=%v after %d attempts, want done after 5", d.Done, tr.Attempts())
+		}
+		cancel = d.Cancel
+	}
+	cycle() // grows the attempt and cancel slices once
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state retry cycle allocates %.1f times", allocs)
+	}
+	if want := []core.AttemptID{3, 5}; !slices.Equal(cancel, want) {
+		t.Fatalf("cancel list %v, want the outstanding attempts %v", cancel, want)
+	}
+}

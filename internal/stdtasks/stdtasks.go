@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/stdtasks/native"
 	"repro/internal/tasklang"
 	"repro/internal/tvm"
 )
@@ -389,13 +390,7 @@ func RefNQueens(n int) int {
 }
 
 // RefSpin mirrors the spin tasklet.
-func RefSpin(iters int64) int64 {
-	var acc int64
-	for i := int64(0); i < iters; i++ {
-		acc += i % 7
-	}
-	return acc
-}
+func RefSpin(iters int64) int64 { return native.Spin(iters) }
 
 // SpinFuel estimates the fuel the spin tasklet consumes for the given
 // iteration count (measured constant per loop iteration plus prologue).

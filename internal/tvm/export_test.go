@@ -38,7 +38,9 @@ func RunReference(prog *Program, cfg Config, params ...Value) (*Result, error) {
 // FusedLoopLen returns how many dispatches the entry function's fused stream
 // makes for one trip around its first loop: the instructions from the target
 // of the first backward jump to that jump, less the loop test when the jump
-// runs it itself. It is 0 for a function without a backward jump.
+// runs it itself. A kind-proved twin counts as the one dispatch of the
+// superinstruction it stands in for. It is 0 for a function without a
+// backward jump.
 func FusedLoopLen(p *Program) int {
 	p.Optimize()
 	stream := p.EntryFunc().opt
@@ -47,7 +49,7 @@ func FusedLoopLen(p *Program) int {
 		switch stream[i].op {
 		case OpJump:
 			target = int(stream[i].a)
-		case opLocIntArithStoreJmp:
+		case opLocIntArithStoreJmp, opLocIntArithStoreJmpInt:
 			target = int(stream[i+4].a)
 		}
 		if target < 0 || target > i {
@@ -63,4 +65,19 @@ func FusedLoopLen(p *Program) int {
 		return n
 	}
 	return 0
+}
+
+// Twins counts the kind-proved twins in the fused streams of all of p's
+// functions.
+func Twins(p *Program) int {
+	p.Optimize()
+	n := 0
+	for _, f := range p.Funcs {
+		for i := 0; i < len(f.opt); i += int(f.opt[i].n) {
+			if op := f.opt[i].op; op == opLocLocIntArith2StoreInt || op == opLocIntArithStoreJmpInt {
+				n++
+			}
+		}
+	}
+	return n
 }

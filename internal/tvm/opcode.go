@@ -92,7 +92,13 @@ const (
 	// tail slots, which keep their straight translation.
 	opLocLocIntArith2Store // loadl a; loadl b; pushi k; arith₁; arith₂; storel c → locals[c] = a arith₂ (b arith₁ k)
 	opLocIntArithStoreJmp  // loadl a; pushi b; arith; storel c; jmp T          → locals[c], pc = T
-	opIllegal              // sanitized unknown opcode (a = original byte)
+	// Kind-proved twins of the two statements: the same windows, emitted
+	// only where the load-time kind analysis proves that every local the
+	// window touches holds an int and that its arithmetic cannot fail. They
+	// check no kinds, never decline, and write only the result's I.
+	opLocLocIntArith2StoreInt
+	opLocIntArithStoreJmpInt
+	opIllegal // sanitized unknown opcode (a = original byte)
 )
 
 var fusedNames = map[Op]string{
@@ -109,7 +115,10 @@ var fusedNames = map[Op]string{
 
 	opLocLocIntArith2Store: "loc.loc.int.arith2.store",
 	opLocIntArithStoreJmp:  "loc.int.arith.store.jmp",
-	opIllegal:              "illegal",
+
+	opLocLocIntArith2StoreInt: "loc.loc.int.arith2.store.proved",
+	opLocIntArithStoreJmpInt:  "loc.int.arith.store.jmp.proved",
+	opIllegal:                 "illegal",
 }
 
 var opNames = map[Op]string{

@@ -1,6 +1,9 @@
 package tvm
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // This file implements the TVM's load-time bytecode optimization pass.
 //
@@ -29,6 +32,12 @@ import "sync"
 //     superinstruction charges that one-instruction block and evaluates it
 //     in the same dispatch (vm.go, loop). This needs nothing from the pass
 //     beyond the fused test itself.
+//   - Kind-proved twins: a forward dataflow over Code (intLocals) proves
+//     which locals hold an int at each pc, and where it proves every local
+//     of one of the two statement windows an int, and the window's
+//     arithmetic cannot fail (add, sub, mul, or div/mod by a non-zero
+//     pushi), the fuser emits the statement's twin opcode instead, which
+//     runs with no kind checks at all.
 //
 // Invariants (differentially tested against the straight stream):
 //
@@ -36,7 +45,9 @@ import "sync"
 //     the exact sum of the per-instruction costs the reference charges.
 //   - Fault codes, messages and pcs are identical. A superinstruction never
 //     faults: whatever would, it leaves to the unfused window, whose
-//     instructions fault at their own pcs. When a block's fuel or stack
+//     instructions fault at their own pcs. A kind-proved twin never faults
+//     and never declines either: it is emitted only where its window
+//     provably cannot fault. When a block's fuel or stack
 //     margin cannot be pre-verified the VM deoptimizes to the straight
 //     stream at the block leader, which reproduces the reference fault
 //     exactly.
@@ -129,9 +140,10 @@ func (p *Program) Optimize() {
 	if p.optimized {
 		return
 	}
+	work := 0 // the kind analysis' cell visits, over all functions
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
-		f.opt = fuse(f.Code, f.fast)
+		f.opt = fuse(f.Code, f.fast, p.intLocals(f, &work))
 		annotateBlocks(f.opt)
 	}
 	p.optimized = true
@@ -148,7 +160,7 @@ func isBranch(op Op) bool {
 func isTerminator(op Op) bool {
 	switch op {
 	case OpJump, OpJumpIfFalse, OpJumpIfTrue, OpCall, OpReturn, OpReturn0,
-		opCmpBr, opLocIntCmpBr, opLocLocCmpBr, opLocIntArithStoreJmp:
+		opCmpBr, opLocIntCmpBr, opLocLocCmpBr, opLocIntArithStoreJmp, opLocIntArithStoreJmpInt:
 		return true
 	}
 	return false
@@ -177,8 +189,11 @@ func leaders(code []Instr) []bool {
 // tail of a superinstruction keep their straight translation: no jump target
 // lands inside a fused window and the leading superinstruction steps over
 // them, but they hold the operands that do not fit in it, and they are what
-// runs when it declines its operands.
-func fuse(code []Instr, straight []optInstr) []optInstr {
+// runs when it declines its operands. ints is the kind analysis' proof
+// (intLocals; nil proves nothing): a statement window whose locals are all
+// proved ints at its head, and whose arithmetic cannot fail, becomes the
+// statement's kind-proved twin.
+func fuse(code []Instr, straight []optInstr, ints [][]bool) []optInstr {
 	out := make([]optInstr, len(straight))
 	copy(out, straight)
 	lead := leaders(code)
@@ -205,6 +220,9 @@ func fuse(code []Instr, straight []optInstr) []optInstr {
 			// k and arith₂ stay in tail slots i+2 and i+4.
 			fi = optInstr{op: opLocLocIntArith2Store, sub: code[i+3].Op, a: in.Arg, b: code[i+1].Arg, c: code[i+5].Arg}
 			n = 6
+			if provedInts(ints, i, fi.a, fi.b, fi.c) && cannotFail(fi.sub, code[i+2].Arg) && code[i+4].Op <= OpMul {
+				fi.op = opLocLocIntArith2StoreInt
+			}
 		}
 		if n == 0 && in.Op == OpLoadLocal && i+5 <= len(code) && interiorFree(i, 5) &&
 			code[i+1].Op == OpPushInt && isArith(code[i+2].Op) &&
@@ -212,6 +230,9 @@ func fuse(code []Instr, straight []optInstr) []optInstr {
 			// The jump target stays in tail slot i+4.
 			fi = optInstr{op: opLocIntArithStoreJmp, sub: code[i+2].Op, a: in.Arg, b: code[i+1].Arg, c: code[i+3].Arg}
 			n = 5
+			if provedInts(ints, i, fi.a, fi.c) && cannotFail(fi.sub, fi.b) {
+				fi.op = opLocIntArithStoreJmpInt
+			}
 		}
 		if n == 0 && in.Op == OpLoadLocal && i+4 <= len(code) && interiorFree(i, 4) {
 			i1, i2, i3 := code[i+1], code[i+2], code[i+3]
@@ -279,10 +300,164 @@ func fuse(code []Instr, straight []optInstr) []optInstr {
 	return out
 }
 
+// kindBudget bounds the kind analysis. A function whose code length times
+// local count exceeds it is not analysed, and the analysis gives up once it
+// has visited four times that many local and operand-stack cells, over all
+// passes and all of a program's functions: a frame may have MaxLocals
+// locals, and hostile code may be long, so unbounded it would make Optimize
+// quadratic. Compiled loops need a few passes over a few hundred cells.
+const kindBudget = 1 << 20
+
+// intLocals is the kind analysis: a forward dataflow over f.Code that
+// returns, for every pc it reaches, which locals provably hold an int
+// whenever that instruction runs (unreached pcs are nil), or nil when it
+// proves nothing. Its state is one flag per local and per operand-stack
+// slot, int or other. At entry every local is other: parameters are wire
+// input, and the rest start as nil. pushi, an int pushc and len push int,
+// and add/sub/mul/div/mod of two ints push int (or fault); loadl and storel
+// move a flag between stack and local; everything else pushes other. At a
+// join a slot is int only if it is int on every incoming edge. A stack
+// underflow or a stack-height mismatch at a join, which no compiled program
+// has, gives up, as does kindBudget; work counts the cells visited.
+func (p *Program) intLocals(f *FuncProto, work *int) [][]bool {
+	code, nl := f.Code, f.NumLocals
+	if len(code) == 0 || len(code)*max(nl, 1) > kindBudget {
+		return nil
+	}
+	in := make([][]bool, len(code))
+	dirty := make([]bool, len(code))
+	in[0], dirty[0] = make([]bool, nl), true
+	var s []bool // the state on the way out of the instruction at pc
+	pc, again := 0, true
+	// join merges s into the state on entry to pc t and marks t for a visit,
+	// in this pass or, behind pc, the next; it fails on a stack-height
+	// mismatch.
+	join := func(t int) bool {
+		*work += len(s)
+		if t == len(code) { // the implicit ret0
+			return true
+		}
+		d := in[t]
+		if d == nil {
+			d = slices.Clone(s)
+			in[t], dirty[t] = d, true
+		}
+		if len(d) != len(s) {
+			return false
+		}
+		for i, k := range s {
+			if d[i] && !k {
+				d[i], dirty[t] = false, true
+			}
+		}
+		again = again || dirty[t] && t <= pc
+		return true
+	}
+	for again {
+		again = false
+		for pc = range code {
+			ins := code[pc]
+			if !dirty[pc] {
+				continue
+			}
+			dirty[pc] = false
+			if *work += len(in[pc]); *work > 4*kindBudget {
+				return nil
+			}
+			s = append(s[:0], in[pc]...)
+			need, pops, push := 0, 0, -1 // push: -1 nothing, 0 other, 1 int
+			next, target := true, -1
+			switch ins.Op {
+			case OpNop:
+			case OpPushConst:
+				push = b2i(p.Consts[ins.Arg].Kind == KindInt)
+			case OpPushInt:
+				push = 1
+			case OpPushNil, OpPushTrue, OpPushFalse:
+				push = 0
+			case OpPop, OpStoreLocal:
+				pops = 1
+			case OpDup:
+				need, push = 1, 0
+			case OpLoadLocal:
+				push = b2i(s[ins.Arg])
+			case OpAdd, OpSub, OpMul, OpDiv, OpMod:
+				pops, push = 2, 0
+				if n := len(s); n-nl >= 2 && s[n-2] && s[n-1] {
+					push = 1
+				}
+			case OpNeg, OpNot:
+				pops, push = 1, 0
+			case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpIndex, OpAppend:
+				pops, push = 2, 0
+			case OpLen:
+				pops, push = 1, 1
+			case OpJump:
+				next, target = false, int(ins.Arg)
+			case OpJumpIfFalse, OpJumpIfTrue:
+				pops, target = 1, int(ins.Arg)
+			case OpCall:
+				pops, push = p.Funcs[ins.Arg].NumParams, 0
+			case OpCallB:
+				pops, push = int(ins.Arg&0xff), 0
+			case OpNewArray:
+				pops, push = int(ins.Arg), 0
+			case OpSetIndex:
+				pops = 3
+			case OpReturn:
+				need, next = 1, false
+			default: // ret0, and unknown opcodes, which fault
+				next = false
+			}
+			if len(s)-nl < max(need, pops) {
+				return nil
+			}
+			if ins.Op == OpStoreLocal {
+				s[ins.Arg] = s[len(s)-1]
+			}
+			s = s[:len(s)-pops]
+			if push >= 0 {
+				s = append(s, push == 1)
+			}
+			if next && !join(pc+1) || target >= 0 && !join(target) {
+				return nil
+			}
+		}
+	}
+	return in
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// provedInts reports whether the kind analysis proved every one of locals
+// an int on entry to pc.
+func provedInts(ints [][]bool, pc int, locals ...int32) bool {
+	if ints == nil || ints[pc] == nil {
+		return false
+	}
+	for _, l := range locals {
+		if !ints[pc][l] {
+			return false
+		}
+	}
+	return true
+}
+
+// cannotFail reports whether int arithmetic op with the immediate right
+// operand k always succeeds: add, sub and mul do, and div and mod do when k
+// is not 0 (Go defines MinInt64 / -1).
+func cannotFail(op Op, k int32) bool { return op <= OpMul || k != 0 }
+
 // stackEffect returns the maximum transient operand-stack growth an
 // instruction can cause and its net stack delta. Overestimating grow is
 // safe (it only forces a deoptimization that re-checks exactly);
-// underestimating is not.
+// underestimating is not. A kind-proved twin touches no stack, but it is
+// charged its window's growth, which the straight stream would make.
 func stackEffect(oi *optInstr) (grow, net int) {
 	switch oi.op {
 	case OpPushConst, OpPushInt, OpPushNil, OpPushTrue, OpPushFalse,
@@ -313,9 +488,9 @@ func stackEffect(oi *optInstr) (grow, net int) {
 		return 0, 0
 	case opLocIntArith, opLocConstArith, opLocLocArith, opLocIntCmp, opLocLocCmp:
 		return 2, 1
-	case opLocIntArithStore, opLocIntArithStoreJmp, opLocIntCmpBr, opLocLocCmpBr:
+	case opLocIntArithStore, opLocIntArithStoreJmp, opLocIntArithStoreJmpInt, opLocIntCmpBr, opLocLocCmpBr:
 		return 2, 0
-	case opLocLocIntArith2Store:
+	case opLocLocIntArith2Store, opLocLocIntArith2StoreInt:
 		return 3, 0
 	case opArithStore, opCmpBr:
 		return 0, -2
@@ -330,7 +505,7 @@ func instrFuel(oi *optInstr) uint64 {
 	switch oi.op {
 	case opLocIntArith, opLocConstArith, opLocLocArith, opLocIntCmp, opLocLocCmp,
 		opLocIntArithStore, opArithStore, opCmpBr, opLocIntCmpBr, opLocLocCmpBr,
-		opLocLocIntArith2Store, opLocIntArithStoreJmp:
+		opLocLocIntArith2Store, opLocIntArithStoreJmp, opLocLocIntArith2StoreInt, opLocIntArithStoreJmpInt:
 		return uint64(oi.n)
 	default:
 		return fuelCost(oi.op)
@@ -361,7 +536,7 @@ func annotateBlocks(stream []optInstr) {
 			lead[oi.a] = true
 		case opLocIntCmpBr, opLocLocCmpBr:
 			lead[oi.c] = true
-		case opLocIntArithStoreJmp:
+		case opLocIntArithStoreJmp, opLocIntArithStoreJmpInt:
 			lead[stream[i+4].a] = true
 		}
 		n := int(oi.n)

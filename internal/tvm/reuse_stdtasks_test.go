@@ -72,10 +72,26 @@ func TestLoopMatchesStepOnStdtasks(t *testing.T) {
 // TestSpinLoopStaysFused is the deterministic guard behind the spin_compute
 // benchmark: one iteration of spin's loop is two dispatches — the statement
 // `acc = acc + i % 7`, and the increment with the back-edge, which runs the
-// loop's compare-and-branch itself. A peephole edit that un-fuses any of
-// them fails here, not in a timing.
+// loop's compare-and-branch itself — both kind-proved twins
+// (TestStdtasksGetTwins). A peephole edit that un-fuses any of them fails
+// here, not in a timing.
 func TestSpinLoopStaysFused(t *testing.T) {
 	if got := tvm.FusedLoopLen(stdtasks.MustProgram("spin")); got != 2 {
 		t.Fatalf("spin's loop is %d dispatches per iteration, want 2", got)
+	}
+}
+
+// TestStdtasksGetTwins pins how many of each standard tasklet's statement
+// superinstructions the kind analysis proves int-only: every loop-bearing
+// tasklet gets at least one twin, and spin both of its loop's dispatches.
+func TestStdtasksGetTwins(t *testing.T) {
+	want := map[string]int{
+		"grep": 1, "mandelbrot": 2, "matmul": 2, "montecarlo": 1, "noop": 0,
+		"nqueens": 3, "primes": 1, "sortcheck": 4, "spin": 2, "wordcount": 1,
+	}
+	for _, name := range stdtasks.Names() {
+		if got := tvm.Twins(stdtasks.MustProgram(name)); got != want[name] {
+			t.Errorf("%s: %d kind-proved twins, want %d", name, got, want[name])
+		}
 	}
 }

@@ -421,6 +421,10 @@ func TestBackEdgeNestedLoops(t *testing.T) {
 	if got := FusedLoopLen(prog); got != 2 {
 		t.Fatalf("inner loop is %d dispatches per trip, want 2: %v", got, optOps(prog))
 	}
+	// j is int on both ways into the inner loop: its back-edge is a twin.
+	if got := Twins(prog); got != 1 {
+		t.Fatalf("%d kind-proved twins, want the inner back-edge: %v", got, optOps(prog))
+	}
 	full, err := runBothModes(t, prog, DefaultConfig(), Int(5))
 	if err != nil {
 		t.Fatal(err)

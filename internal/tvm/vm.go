@@ -346,7 +346,8 @@ func (vm *VM) hotStack() []Value {
 // compiler keeps that state in registers across dispatches instead of spilling
 // it around calls. A fast path that applies ends in `continue`; one that does
 // not — another operand kind, a zero divisor, an empty or full stack — falls
-// out of the switch, as does every instruction without one. What follows the
+// out of the switch, as does every instruction without one; a kind-proved
+// twin (optimize.go) checks nothing and always applies. What follows the
 // switch is the complete, plain implementation: a declined superinstruction
 // first steps down to the straight instruction in its head slot (the rest of
 // its window still holds the straight translation, already paid for and not a
@@ -543,12 +544,15 @@ next:
 						}
 					}
 				case opLocIntArithStoreJmp:
-					x := &locals[oi.a]
-					r, ok := intArith(oi.sub, x.I, int64(oi.b))
-					if x.Kind != KindInt || !ok {
+					if locals[oi.a].Kind != KindInt || oi.b == 0 && oi.sub >= OpDiv {
 						break
 					}
-					locals[oi.c].setInt(r)
+					locals[oi.c].Kind, locals[oi.c].p = KindInt, nil
+					fallthrough
+				case opLocIntArithStoreJmpInt:
+					// Kind-proved (or checked above): a and c hold ints and a
+					// divisor b is not 0, so only c's I changes.
+					locals[oi.c].I, _ = intArith(oi.sub, locals[oi.a].I, int64(oi.b))
 					pc += 4
 					oi = &code[pc] // the window's jmp
 					fallthrough
@@ -590,6 +594,13 @@ next:
 							}
 						}
 					}
+				case opLocLocIntArith2StoreInt:
+					// Kind-proved: a, b and c hold ints, k is not 0 and
+					// arith₂ is add, sub or mul.
+					t, _ := intArith(oi.sub, locals[oi.b].I, int64(code[pc+2].a))
+					locals[oi.c].I, _ = intArith(code[pc+4].op, locals[oi.a].I, t)
+					pc += 6
+					continue next
 				case opArithStore:
 					if n := len(stack); n >= 2 {
 						x, y := &stack[n-2], &stack[n-1]
@@ -971,42 +982,20 @@ func arithVals(op Op, a, b Value) (Value, *Fault) {
 		return Value{}, newFault(FaultTypeMismatch, "%s wants numbers, got %s, %s", op, a.Kind, b.Kind)
 	}
 	if a.Kind == KindInt && b.Kind == KindInt {
-		switch op {
-		case OpAdd:
-			return Int(a.I + b.I), nil
-		case OpSub:
-			return Int(a.I - b.I), nil
-		case OpMul:
-			return Int(a.I * b.I), nil
-		case OpDiv:
-			if b.I == 0 {
-				return Value{}, newFault(FaultDivByZero, "integer division by zero")
-			}
-			return Int(a.I / b.I), nil
-		case OpMod:
-			if b.I == 0 {
-				return Value{}, newFault(FaultDivByZero, "modulo by zero")
-			}
-			return Int(a.I % b.I), nil
+		if r, ok := intArith(op, a.I, b.I); ok {
+			return Int(r), nil
 		}
+		if op == OpDiv {
+			return Value{}, newFault(FaultDivByZero, "integer division by zero")
+		}
+		return Value{}, newFault(FaultDivByZero, "modulo by zero")
 	}
 	if op == OpMod {
 		return Value{}, newFault(FaultTypeMismatch, "mod wants ints, got %s, %s", a.Kind, b.Kind)
 	}
-	x, y := a.AsFloat(), b.AsFloat()
-	switch op {
-	case OpAdd:
-		return Float(x + y), nil
-	case OpSub:
-		return Float(x - y), nil
-	case OpMul:
-		return Float(x * y), nil
-	case OpDiv:
-		// IEEE semantics: float division by zero yields ±Inf/NaN, which is
-		// deterministic and therefore allowed.
-		return Float(x / y), nil
-	}
-	return Value{}, newFault(FaultBadProgram, "unreachable arithmetic op %s", op)
+	// IEEE semantics: float division by zero yields ±Inf/NaN, which is
+	// deterministic and therefore allowed.
+	return Float(floatArith(op, a.AsFloat(), b.AsFloat())), nil
 }
 
 // cmpVals implements the six comparison ops. Equality works on any pair of

@@ -58,6 +58,8 @@ func TestKindProofRefusals(t *testing.T) {
 	}
 	xPlusIMod3 := stmtWin(2, 1, 2, OpMod, OpAdd, 3)
 	callee := FuncProto{Name: "f", Code: []Instr{{OpPushInt, 4}, {OpReturn, 0}}}
+	// y = the operand pushed under a call
+	underCall := withWindows(seq(xyInts, []Instr{{OpPushInt, 1}, {OpCall, 1}, {OpPop, 0}, {OpStoreLocal, 3}}), 3, 3, 2)
 
 	cases := []struct {
 		name   string
@@ -72,6 +74,7 @@ func TestKindProofRefusals(t *testing.T) {
 		// x is nil until the statement makes it an int, which proves the increment.
 		{"written local nil", withWindows(xyInts[2:], 3, 3, 2), nil, 1},
 		{"from a call", withWindows(seq(xyInts, []Instr{{OpCall, 1}, {OpStoreLocal, 3}}), 3, 3, 2), nil, 0},
+		{"under a call", underCall, nil, 0},
 		{"from a builtin", withWindows(seq(xyInts, []Instr{{OpPushInt, 5}, {OpCallB, int32(BAbs)<<8 | 1}, {OpStoreLocal, 3}}), 3, 3, 2), nil, 0},
 		{"from an index", withWindows(seq(xyInts, []Instr{{OpPushInt, 7}, {OpNewArray, 1}, {OpPushInt, 0}, {OpIndex, 0}, {OpStoreLocal, 3}}), 3, 3, 2), nil, 0},
 		{"from a float", withWindows(seq(xyInts, []Instr{{OpPushConst, 0}, {OpStoreLocal, 3}}), 3, 3, 2), []Value{Float(1.5)}, 0},
@@ -119,22 +122,35 @@ func TestKindProofRefusals(t *testing.T) {
 		{"stack underflow", seq(xyInts, []Instr{{OpLoadLocal, 0}, {OpJumpIfFalse, 8}, {OpPop, 0}, {OpPop, 0}},
 			incWin(8, 3, 2, OpAdd, 1), []Instr{{OpLoadLocal, 2}, {OpReturn, 0}}), nil, 0},
 	}
+	check := func(t *testing.T, prog *Program, twins int) {
+		if err := prog.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got := Twins(prog); got != twins {
+			t.Fatalf("%d twins, want %d: %v", got, twins, optOps(prog))
+		}
+		for _, p := range []Value{Int(0), Int(2), Float(1), Str("p"), Nil()} {
+			runBothModes(t, prog, DefaultConfig(), p)
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prog := &Program{Consts: tc.consts, Funcs: []FuncProto{
+			check(t, &Program{Consts: tc.consts, Funcs: []FuncProto{
 				{Name: "main", NumParams: 1, NumLocals: 4, Code: tc.code}, callee,
-			}}
-			if err := prog.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if got := Twins(prog); got != tc.twins {
-				t.Fatalf("%d twins, want %d: %v", got, tc.twins, optOps(prog))
-			}
-			for _, p := range []Value{Int(0), Int(2), Float(1), Str("p"), Nil()} {
-				runBothModes(t, prog, DefaultConfig(), p)
-			}
+			}}, tc.twins)
 		})
 	}
+
+	// The callee pops below its frame and leaves a string in the caller's
+	// slot under the call, which then reaches y: the VM checks a pop
+	// against the bottom of the whole stack, not of the frame, so no
+	// operand the caller pushed is proved past a call.
+	t.Run("under a hostile call", func(t *testing.T) {
+		hostile := FuncProto{Name: "f", Code: []Instr{{OpPop, 0}, {OpPushConst, 0}, {OpPushInt, 0}, {OpReturn, 0}}}
+		check(t, &Program{Consts: []Value{Str("s")}, Funcs: []FuncProto{
+			{Name: "main", NumParams: 1, NumLocals: 4, Code: underCall}, hostile,
+		}}, 0)
+	})
 }
 
 // TestTwinsAgreeOnEveryOperator runs both windows, proved, over every
@@ -168,8 +184,9 @@ func TestTwinsAgreeOnEveryOperator(t *testing.T) {
 
 // TestKindProofBudget gives Optimize functions whose analysis would cost far
 // more than kindBudget — MaxLocals locals with long code, code that piles up
-// a deep operand stack, and many functions that each fit the budget but
-// together do not — each full of windows that are provable: past the budget
+// a deep operand stack, code that needs a pass per pc, and many functions
+// that each fit the budget but together do not — each full of windows that
+// are provable: past the budget
 // it must emit no twins and allocate no more than the budget allows, while
 // the same code in a small frame gets its twins.
 func TestKindProofBudget(t *testing.T) {
@@ -184,6 +201,18 @@ func TestKindProofBudget(t *testing.T) {
 	}
 	deep = append(deep, incWin(len(deep), 1, 1, OpAdd, 1)...)
 	deep = append(deep, Instr{OpLoadLocal, 1}, Instr{OpReturn, 0})
+
+	// chain jumps to the last of links jumps that each go back one pc, so
+	// the analysis reaches the next only in a new pass over the whole code,
+	// and the first jumps to a window.
+	chain := func(links int32) []Instr {
+		code := []Instr{{OpPushInt, 0}, {OpStoreLocal, 1}, {OpJump, 2 + links}, {OpJump, 3 + links}}
+		for int32(len(code)) < 3+links {
+			code = append(code, Instr{OpJump, int32(len(code) - 1)})
+		}
+		code = append(code, incWin(len(code), 1, 1, OpAdd, 1)...)
+		return append(code, Instr{OpLoadLocal, 1}, Instr{OpReturn, 0})
+	}
 
 	// A 1 000-deep stack costs about a quarter of 4 × kindBudget to
 	// analyse (two cells per slot per pc), so the first four of sixteen
@@ -201,6 +230,8 @@ func TestKindProofBudget(t *testing.T) {
 		{"MaxLocals", mainProg(0, MaxLocals, long), 0},
 		{"small frame", mainProg(0, 2, long), (len(long) - 4) / 5},
 		{"deep stack", mainProg(0, 2, deep), 0},
+		{"backward chain", mainProg(0, 2, chain(4000)), 0},
+		{"short backward chain", mainProg(0, 2, chain(100)), 1},
 		{"many functions", many, 4},
 	}
 	for _, tc := range cases {

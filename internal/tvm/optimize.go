@@ -300,12 +300,12 @@ func fuse(code []Instr, straight []optInstr, ints [][]bool) []optInstr {
 	return out
 }
 
-// kindBudget bounds the kind analysis. A function whose code length times
-// local count exceeds it is not analysed, and the analysis gives up once it
-// has visited four times that many local and operand-stack cells, over all
-// passes and all of a program's functions: a frame may have MaxLocals
-// locals, and hostile code may be long, so unbounded it would make Optimize
-// quadratic. Compiled loops need a few passes over a few hundred cells.
+// kindBudget bounds the kind analysis. It gives up once it has visited four
+// times that many local and operand-stack cells, counting each pass' scan
+// of the code as one cell per pc, over all passes and all of a program's
+// functions: a frame may have MaxLocals locals, and hostile code may be long
+// and need a pass per pc, so unbounded it would make Optimize quadratic.
+// Compiled loops need a few passes over a few hundred cells.
 const kindBudget = 1 << 20
 
 // intLocals is the kind analysis: a forward dataflow over f.Code that
@@ -315,13 +315,14 @@ const kindBudget = 1 << 20
 // slot, int or other. At entry every local is other: parameters are wire
 // input, and the rest start as nil. pushi, an int pushc and len push int,
 // and add/sub/mul/div/mod of two ints push int (or fault); loadl and storel
-// move a flag between stack and local; everything else pushes other. At a
-// join a slot is int only if it is int on every incoming edge. A stack
-// underflow or a stack-height mismatch at a join, which no compiled program
-// has, gives up, as does kindBudget; work counts the cells visited.
+// move a flag between stack and local; everything else pushes other, and a
+// call also makes every operand under its arguments other. At a join a slot
+// is int only if it is int on every incoming edge. A stack underflow or a
+// stack-height mismatch at a join, which no compiled program has, gives up,
+// as does kindBudget; work counts the cells visited.
 func (p *Program) intLocals(f *FuncProto, work *int) [][]bool {
 	code, nl := f.Code, f.NumLocals
-	if len(code) == 0 || len(code)*max(nl, 1) > kindBudget {
+	if len(code) == 0 {
 		return nil
 	}
 	in := make([][]bool, len(code))
@@ -355,6 +356,7 @@ func (p *Program) intLocals(f *FuncProto, work *int) [][]bool {
 	}
 	for again {
 		again = false
+		*work += len(code)
 		for pc = range code {
 			ins := code[pc]
 			if !dirty[pc] {
@@ -397,7 +399,12 @@ func (p *Program) intLocals(f *FuncProto, work *int) [][]bool {
 			case OpJumpIfFalse, OpJumpIfTrue:
 				pops, target = 1, int(ins.Arg)
 			case OpCall:
+				// The VM checks a pop against the bottom of the whole
+				// stack, not of the frame, so a hostile callee can pop
+				// below its frame and leave anything in the caller's
+				// slots: none stays proved past a call.
 				pops, push = p.Funcs[ins.Arg].NumParams, 0
+				clear(s[nl:])
 			case OpCallB:
 				pops, push = int(ins.Arg&0xff), 0
 			case OpNewArray:

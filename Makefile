@@ -24,12 +24,8 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	# Multi-shard smoke: two peered brokers, skewed submission, asserts at
-	# least one migration and every job completing (also part of the suite
-	# above; kept explicit so sharding regressions fail loudly).
-	$(GO) test -race -run 'TestShardGroupExchangeSmoke' -count 1 ./internal/broker/
 	# Batching smoke under race: a job through the batched control plane
-	# must come back right, live and sharded with the work exchange.
+	# must come back right.
 	$(GO) test -race -run 'TestDifferentialBatching' -count 1 ./internal/broker/
 	# Partitioned-core smoke under race: a job must come back
 	# result-identical at 1 and 4 partitions, with the same memo hit and
@@ -54,7 +50,6 @@ bench:
 	$(GO) test -run XXX -bench BenchmarkSchedulerPick -benchmem ./internal/scheduler/
 	$(GO) test -run XXX -bench BenchmarkBrokerPlacement -benchmem ./internal/broker/
 	$(GO) test -run XXX -bench BenchmarkLifecycleEngine -benchmem ./internal/lifecycle/
-	$(GO) test -run XXX -bench 'BenchmarkRing|BenchmarkPlanPull' -benchmem ./internal/shard/
 
 # bench-vm is the interpreter's before/after measurement: every VM benchmark,
 # ten times each with allocation reporting, in the format benchstat reads,
@@ -104,7 +99,6 @@ bench-smoke:
 	$(GO) test -run XXX -bench BenchmarkSchedulerPick -benchtime 1x ./internal/scheduler/
 	$(GO) test -run XXX -bench 'BenchmarkBrokerPlacement/P=(100|1000)$$' -benchtime 1x ./internal/broker/
 	$(GO) test -run XXX -bench BenchmarkLifecycleEngine -benchtime 1x ./internal/lifecycle/
-	$(GO) test -run XXX -bench . -benchtime 1x ./internal/shard/
 
 # fuzz gives the program decoder + differential interpreter fuzzer a short
 # budget; lengthen FUZZTIME for deeper runs.
@@ -128,15 +122,14 @@ fuzz-smoke:
 # the provider idle; E7's points were batches of unequal length, so sibling
 # load on a small host skewed them by size), the timing-bound tests of the
 # provider's queued attempts and the broker's work-budgeted queue depth
-# (including the loss of a provider holding a full queue, and the credits
-# a shard gossips while its workers are busy), and the concurrent
+# (including the loss of a provider holding a full queue), and the concurrent
 # and legacy-consumer submission tests (client-numbered job IDs must match
 # the broker's under any interleaving): every run must pass.
 flaky:
 	$(GO) test -count 20 -run 'TestPartitionStress' ./internal/broker/
 	$(GO) test -count 20 -run TestE7ThroughputShape ./internal/experiments/
 	$(GO) test -count 20 -run 'TestProviderRejectsOverCommit|TestProviderHeartbeats|TestProviderCancelsQueuedAttemptWithoutRunning' ./internal/provider/
-	$(GO) test -count 20 -run 'TestBrokerQueuesBehindTinyAttempts|TestBrokerStopsQueueingAfterLongAttempts|TestBrokerNeverQueuesOnLegacyProvider|TestBrokerQueueDepthFollowsExecTime|TestBrokerShrinksQueueOnLongResult|TestBrokerQueuesOneDeepWithoutQueueTail|TestProviderLossWithDeepQueue|TestGossipCountsQueuedCredits' ./internal/broker/
+	$(GO) test -count 20 -run 'TestBrokerQueuesBehindTinyAttempts|TestBrokerStopsQueueingAfterLongAttempts|TestBrokerNeverQueuesOnLegacyProvider|TestBrokerQueueDepthFollowsExecTime|TestBrokerShrinksQueueOnLongResult|TestBrokerQueuesOneDeepWithoutQueueTail|TestProviderLossWithDeepQueue' ./internal/broker/
 	$(GO) test -race -count 20 -run 'TestConcurrentSubmitsOnOneClient|TestLegacyConsumerGetsJobAccepted' ./internal/broker/
 
 clean:

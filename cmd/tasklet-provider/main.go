@@ -6,13 +6,6 @@
 //
 //	tasklet-provider -broker 127.0.0.1:7420 -slots 4
 //	tasklet-provider -broker ... -throttle 0.25 -class mobile   # emulate a phone
-//
-// Against a sharded broker group, pass a comma-separated address list to
-// multi-home: the provider registers with every listed shard, splitting
-// its slot budget so total concurrency is unchanged (any remainder goes to
-// the first shards in the list; more shards than slots is an error):
-//
-//	tasklet-provider -broker host:7420,host:7421 -slots 5      # 3 + 2 slots
 package main
 
 import (
@@ -21,8 +14,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -37,9 +28,8 @@ var classes = map[string]core.DeviceClass{
 }
 
 func main() {
-	brokerAddr := flag.String("broker", "127.0.0.1:7420",
-		"broker address; a comma-separated list multi-homes across a shard group, splitting -slots")
-	slots := flag.Int("slots", 1, "concurrent tasklet executions (split across multi-homed brokers)")
+	brokerAddr := flag.String("broker", "127.0.0.1:7420", "broker address")
+	slots := flag.Int("slots", 1, "concurrent tasklet executions")
 	throttle := flag.Float64("throttle", 1.0, "speed factor in (0,1] emulating a slower device")
 	class := flag.String("class", "unknown", "advertised device class (server, desktop, laptop, mobile, embedded)")
 	name := flag.String("name", "", "provider name shown in broker logs")
@@ -58,76 +48,30 @@ func main() {
 		logger = nil
 	}
 
-	var addrs []string
-	for _, a := range strings.Split(*brokerAddr, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
+	opts := provider.Options{
+		BrokerAddr: *brokerAddr,
+		Slots:      *slots,
+		Class:      cls,
+		Throttle:   *throttle,
+		Name:       *name,
+		Logger:     logger,
+		FailAfter:  *failAfter,
 	}
-	if len(addrs) == 0 {
-		fmt.Fprintln(os.Stderr, "no broker address given")
-		os.Exit(2)
-	}
-	if *slots < 1 {
-		fmt.Fprintln(os.Stderr, "-slots must be at least 1")
-		os.Exit(2)
-	}
-	if len(addrs) > *slots {
-		fmt.Fprintf(os.Stderr, "-slots %d cannot cover %d brokers (each home needs at least one slot); raise -slots or list fewer brokers\n",
-			*slots, len(addrs))
-		os.Exit(2)
-	}
-	// Multi-homing splits the slot budget so total concurrency matches
-	// -slots exactly: every home gets the base share and the first
-	// slots%len(addrs) homes absorb the remainder.
-	base, rem := *slots/len(addrs), *slots%len(addrs)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
 
-	for i, addr := range addrs {
-		perHome := base
-		if i < rem {
-			perHome++
-		}
-		opts := provider.Options{
-			BrokerAddr: addr,
-			Slots:      perHome,
-			Class:      cls,
-			Throttle:   *throttle,
-			Name:       *name,
-			Logger:     logger,
-			FailAfter:  *failAfter,
-		}
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			serveBroker(opts, *reconnect, stop)
-		}(addr)
-	}
-
-	<-sig
-	fmt.Println("shutting down")
-	close(stop)
-	wg.Wait()
-}
-
-// serveBroker keeps one broker connection alive until stop closes (or the
-// connection ends with -reconnect off).
-func serveBroker(opts provider.Options, reconnect bool, stop <-chan struct{}) {
 	backoff := time.Second
 	for {
 		p, err := provider.Connect(opts)
 		if err != nil {
-			if !reconnect {
+			if !*reconnect {
 				fmt.Fprintln(os.Stderr, err)
-				return
+				os.Exit(1)
 			}
-			fmt.Fprintf(os.Stderr, "connect %s failed (%v); retrying in %v\n", opts.BrokerAddr, err, backoff)
+			fmt.Fprintf(os.Stderr, "connect failed (%v); retrying in %v\n", err, backoff)
 			select {
-			case <-stop:
+			case <-sig:
 				return
 			case <-time.After(backoff):
 			}
@@ -137,7 +81,7 @@ func serveBroker(opts provider.Options, reconnect bool, stop <-chan struct{}) {
 			continue
 		}
 		backoff = time.Second
-		fmt.Printf("tasklet-provider %d connected to %s (%d slots)\n", p.ID(), opts.BrokerAddr, opts.Slots)
+		fmt.Printf("tasklet-provider %d connected to %s (%d slots)\n", p.ID(), *brokerAddr, *slots)
 
 		done := make(chan struct{})
 		go func() {
@@ -145,12 +89,13 @@ func serveBroker(opts provider.Options, reconnect bool, stop <-chan struct{}) {
 			close(done)
 		}()
 		select {
-		case <-stop:
+		case <-sig:
+			fmt.Println("shutting down")
 			p.Close()
 			return
 		case <-done:
-			fmt.Printf("connection to %s ended after %d tasklets\n", opts.BrokerAddr, p.Executed())
-			if !reconnect {
+			fmt.Printf("connection ended after %d tasklets\n", p.Executed())
+			if !*reconnect {
 				return
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/provider"
-	"repro/internal/shard"
 	"repro/internal/tvm"
 	"repro/internal/wire"
 )
@@ -51,36 +50,6 @@ func TestDifferentialBatchingBitIdentical(t *testing.T) {
 	if batches == 0 {
 		t.Fatal("batch-capable providers decoded no AssignBatch frames")
 	}
-}
-
-// TestDifferentialBatchingSharded repeats the check on a 2-shard group with
-// work exchange migrating tasklets between shards: adoption, migrated
-// results and re-delivery must all come out right under batch frames.
-func TestDifferentialBatchingSharded(t *testing.T) {
-	_, addrs := shardGroup(t, 2, Options{
-		Exchange:       true,
-		GossipInterval: 5 * time.Millisecond,
-		ExchangePolicy: shard.Policy{MinGap: 1},
-	})
-	addProvider(t, addrs[0], provider.Options{Slots: 1, Speed: 100, Throttle: 0.05, Name: "slow"})
-	addProvider(t, addrs[1], provider.Options{Slots: 4, Speed: 100, Name: "fast"})
-
-	c, err := consumer.Connect(addrs[0], "sharded-diff")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const n = 48
-	job, err := c.Submit(compileJob(t, slowSrc, intRows(n)...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := job.Collect(ctxT(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSquares(t, res, n)
 }
 
 // TestBatchBrokerLegacyProviderInterop tests capability fallback against

@@ -52,7 +52,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/scheduler"
-	"repro/internal/shard"
 	"repro/internal/tvm"
 	"repro/internal/wire"
 )
@@ -97,23 +96,6 @@ type Options struct {
 	// RetryBackoff delays the n-th re-issue of a lost tasklet by
 	// RetryBackoff << min(n-1, 6); zero re-issues immediately.
 	RetryBackoff time.Duration
-
-	// ShardID names this broker within a shard group; zero means unsharded
-	// and peer connections are refused. Consistent-hash routing happens on
-	// the client (or in ShardGroup): brokers accept whatever they are handed
-	// and rebalance queued work through the exchange. See internal/shard.
-	ShardID uint64
-	// GossipInterval is how often shard load gossip is emitted on every peer
-	// link and exchange pulls are planned. Zero selects 100ms.
-	GossipInterval time.Duration
-	// Exchange enables pull-based migration toward this shard when it is
-	// underloaded. Even with Exchange off the broker still answers peers'
-	// MigrateRequests and emits gossip, so exchange can be enabled on any
-	// subset of a group.
-	Exchange bool
-	// ExchangePolicy tunes the pull policy; zero fields take the shard
-	// package defaults.
-	ExchangePolicy shard.Policy
 }
 
 // sendQueueDepth bounds per-connection outgoing messages. A peer that
@@ -138,10 +120,10 @@ const maxPartitions = 64
 // Locking: b.mu guards the listener, the provider registry structure and
 // all scheduler state (index, staged batches, scratch); jobMu guards
 // consumers/jobs and their accounting (the delivery path); progMu guards
-// the program store; exMu guards the shard-exchange state (shard.go); pmu
-// is a read gate on the providers map for partition-side cancel sends; each
-// partition has its own mutex (partition.go documents the full lock order).
-// No goroutine ever holds two of {b.mu, jobMu, exMu} at once.
+// the program store; pmu is a read gate on the providers map for
+// partition-side cancel sends; each partition has its own mutex
+// (partition.go documents the full lock order). No goroutine ever holds
+// b.mu and jobMu at once.
 type Broker struct {
 	opts Options
 	reg  *metrics.Registry
@@ -203,28 +185,6 @@ type Broker struct {
 	schedDirty atomic.Bool
 	schedWake  chan struct{}
 
-	// peers maps remote shard IDs to their bound peer links; links holds
-	// every live peer connection, including inbound ones not yet named by a
-	// first gossip. migrated records tasklets handed to a peer under
-	// Cancel-before-launch — enough to re-Submit locally if the peer rejects
-	// or dies, and to route the MigrateResult back into job accounting.
-	// adopted records tasklets accepted from a peer, keyed by their fresh
-	// local ID, so their finals return as MigrateResult instead of a
-	// consumer push. All five live under exMu; see shard.go.
-	exMu     sync.Mutex
-	peers    map[uint64]*peerState
-	links    map[*peerState]bool
-	migrated map[core.TaskletID]migratedRec
-	adopted  map[core.TaskletID]adoptedRec
-
-	gossipSeq  uint64
-	lastFinal  int64
-	exchRate   float64
-	exchRateOK bool
-	// finalizedN counts finals processed (local + adopted); feeds the
-	// gossip rate. Atomic: partitions bump it, gossipTick reads it.
-	finalizedN atomic.Int64
-
 	nextProvider core.ProviderID // under b.mu
 	nextTasklet  atomic.Uint64
 
@@ -249,10 +209,6 @@ type Broker struct {
 	mSchedPassNS   *metrics.Histogram
 	mPendingDep    *metrics.Gauge
 	mPlaced        *metrics.Counter
-	mExchMigrated  *metrics.Counter
-	mExchRequests  *metrics.Counter
-	mExchAdopted   *metrics.Counter
-	mShardQueue    *metrics.Gauge
 }
 
 type providerState struct {
@@ -325,8 +281,7 @@ type consumerState struct {
 }
 
 // storedProgram is one entry of the broker's program store: the bytecode
-// providers run, and its entry function's parameter count (-1 until a
-// submission has decoded it; programs adopted from a peer arrive undecoded).
+// providers run, and its entry function's parameter count.
 type storedProgram struct {
 	data   []byte
 	params int
@@ -354,9 +309,6 @@ func New(opts Options) *Broker {
 	if opts.MaxPendingPerConsumer <= 0 {
 		opts.MaxPendingPerConsumer = 1 << 20
 	}
-	if opts.GossipInterval <= 0 {
-		opts.GossipInterval = 100 * time.Millisecond
-	}
 	if opts.Partitions == 0 {
 		opts.Partitions = runtime.GOMAXPROCS(0)
 	}
@@ -366,7 +318,6 @@ func New(opts Options) *Broker {
 	if opts.Partitions > maxPartitions {
 		opts.Partitions = maxPartitions
 	}
-	opts.ExchangePolicy = opts.ExchangePolicy.Normalize()
 	reg := opts.Metrics
 	if reg == nil {
 		reg = &metrics.Registry{}
@@ -383,10 +334,6 @@ func New(opts Options) *Broker {
 		consumers: map[core.ConsumerID]*consumerState{},
 		jobs:      map[core.JobID]*jobState{},
 		programs:  map[core.ProgramID]storedProgram{},
-		peers:     map[uint64]*peerState{},
-		links:     map[*peerState]bool{},
-		migrated:  map[core.TaskletID]migratedRec{},
-		adopted:   map[core.TaskletID]adoptedRec{},
 		schedWake: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
@@ -406,10 +353,6 @@ func New(opts Options) *Broker {
 	b.mSchedPassNS = reg.Histogram("broker.sched_pass_ns")
 	b.mPendingDep = reg.Gauge("broker.pending_depth")
 	b.mPlaced = reg.Counter("broker.placed_per_pass")
-	b.mExchMigrated = reg.Counter("broker.exchange.migrated")
-	b.mExchRequests = reg.Counter("broker.exchange.requests")
-	b.mExchAdopted = reg.Counter("broker.exchange.adopted")
-	b.mShardQueue = reg.Gauge("broker.shard.queue_depth")
 	ix, err := scheduler.NewIndexFor(opts.Policy)
 	if err != nil {
 		panic("broker: " + err.Error())
@@ -485,13 +428,6 @@ func (b *Broker) Listen(addr string) (string, error) {
 		defer b.wg.Done()
 		b.schedLoop()
 	}()
-	if b.opts.ShardID != 0 {
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			b.gossipLoop()
-		}()
-	}
 	return ln.Addr().String(), nil
 }
 
@@ -516,11 +452,6 @@ func (b *Broker) Close() error {
 		conns = append(conns, c.nc)
 	}
 	b.jobMu.Unlock()
-	b.exMu.Lock()
-	for ps := range b.links {
-		conns = append(conns, ps.nc)
-	}
-	b.exMu.Unlock()
 
 	if ln != nil {
 		ln.Close()
@@ -607,8 +538,6 @@ func (b *Broker) handleConn(nc net.Conn) {
 		b.serveProvider(nc, conn, hello)
 	case wire.RoleConsumer:
 		b.serveConsumer(nc, conn, hello)
-	case wire.RolePeer:
-		b.servePeer(nc, conn, hello)
 	default:
 		_ = conn.Send(&wire.ErrorMsg{Code: wire.ErrCodeProtocol, Msg: "unknown role"})
 	}
@@ -936,7 +865,7 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 	b.progMu.RLock()
 	sp, ok := b.programs[progID]
 	b.progMu.RUnlock()
-	if ok && sp.params >= 0 {
+	if ok {
 		if err := spec.ValidateRows(sp.params); err != nil {
 			return err
 		}
@@ -947,13 +876,12 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 		var prog tvm.Program
 		_ = prog.UnmarshalBinary(m.Program) // cannot fail: Validate decoded it
 		b.progMu.Lock()
-		sp, ok = b.programs[progID]
-		if !ok {
-			sp.data = make([]byte, len(m.Program))
-			copy(sp.data, m.Program)
+		if _, ok := b.programs[progID]; !ok {
+			b.programs[progID] = storedProgram{
+				data:   append([]byte(nil), m.Program...),
+				params: prog.EntryFunc().NumParams,
+			}
 		}
-		sp.params = prog.EntryFunc().NumParams
-		b.programs[progID] = sp
 		b.progMu.Unlock()
 	}
 	fuel := m.Fuel
@@ -1034,28 +962,8 @@ func (b *Broker) cancelJob(c *consumerState, id core.JobID) {
 	tids := append([]core.TaskletID(nil), job.tasklets...)
 	b.jobMu.Unlock()
 
-	// Migrated tasklets die here: the origin-side record is the unit of
-	// ownership; the peer's copy runs to waste and its MigrateResult will
-	// find no record.
-	migN := 0
-	wasMigrated := map[core.TaskletID]bool{}
-	if b.opts.ShardID != 0 {
-		b.exMu.Lock()
-		for _, tid := range tids {
-			if _, ok := b.migrated[tid]; ok {
-				delete(b.migrated, tid)
-				wasMigrated[tid] = true
-				migN++
-			}
-		}
-		b.exMu.Unlock()
-	}
-
 	dropped := 0
 	for _, tid := range tids {
-		if wasMigrated[tid] {
-			continue
-		}
 		if b.cancelOne(tid) {
 			dropped++
 		}
@@ -1067,8 +975,8 @@ func (b *Broker) cancelJob(c *consumerState, id core.JobID) {
 	// A racing final delivery may have completed the job and sent its
 	// JobDone already; only account and reply if the job record survived.
 	if b.jobs[id] == job {
-		job.failed += dropped + migN
-		c.pending -= dropped + migN
+		job.failed += dropped
+		c.pending -= dropped
 		if !c.gone {
 			b.enqueue(c.out, &wire.JobDone{Job: job.id, Completed: job.completed, Failed: job.failed}, c.nc, &c.dropWarned, c.label)
 		}
@@ -1098,13 +1006,6 @@ func (b *Broker) removeConsumer(c *consumerState) {
 	}
 	b.jobMu.Unlock()
 
-	if b.opts.ShardID != 0 && len(tids) > 0 {
-		b.exMu.Lock()
-		for _, tid := range tids {
-			delete(b.migrated, tid)
-		}
-		b.exMu.Unlock()
-	}
 	for _, tid := range tids {
 		// Deliver effects from promoted waiters find their jobs deleted and
 		// no-op; cancels of in-flight attempts still go out.

@@ -72,6 +72,45 @@ func ctxT(t *testing.T) context.Context {
 
 const squareSrc = `func main(n int) int { return n * n; }`
 
+// slowSrc burns enough interpreter time that attempts stay in flight while
+// other events arrive.
+const slowSrc = `func main(n int) int {
+	var s int = 0;
+	for (var i int = 0; i < 20000; i = i + 1) { s = s + i; }
+	return n * n;
+}`
+
+func addProvider(t *testing.T, addr string, po provider.Options) *provider.Provider {
+	t.Helper()
+	po.BrokerAddr = addr
+	p, err := provider.Connect(po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+func intRows(n int) [][]int64 {
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{int64(i)}
+	}
+	return rows
+}
+
+func checkSquares(t *testing.T, res []consumer.TaskResult, n int) {
+	t.Helper()
+	if len(res) != n {
+		t.Fatalf("got %d results, want %d", len(res), n)
+	}
+	for i, r := range res {
+		if !r.OK() || r.Return.I != int64(i*i) {
+			t.Fatalf("result[%d] = %+v, want %d", i, r, i*i)
+		}
+	}
+}
+
 func TestEndToEndSingleTasklet(t *testing.T) {
 	addr := testStack(t, Options{}, 1, nil)
 	c, err := consumer.Connect(addr, "test")
@@ -484,6 +523,48 @@ func TestBrokerRejectsNonHelloFirstMessage(t *testing.T) {
 	if em, ok := msg.(*wire.ErrorMsg); !ok || em.Code != wire.ErrCodeProtocol {
 		t.Fatalf("reply = %#v, want protocol error", msg)
 	}
+}
+
+// TestBrokerRefusesRetiredPeerRole: role 3 was the retired broker-to-broker
+// link. A hello with it gets a protocol error and a closed connection, and
+// the broker goes on serving consumers.
+func TestBrokerRefusesRetiredPeerRole(t *testing.T) {
+	addr := testStack(t, Options{}, 1, nil)
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	conn := wire.NewConn(nc)
+	if err := conn.Send(&wire.Hello{Version: wire.ProtocolVersion, Role: wire.Role(3), Name: "peer"}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if em, ok := msg.(*wire.ErrorMsg); !ok || em.Code != wire.ErrCodeProtocol {
+		t.Fatalf("reply = %#v, want protocol error (code 1)", msg)
+	}
+	if msg, err := conn.Recv(); err == nil {
+		t.Fatalf("connection stayed open after the refusal: got %#v", msg)
+	}
+
+	c, err := consumer.Connect(addr, "after-peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	job, err := c.Submit(compileJob(t, squareSrc, intRows(4)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Collect(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSquares(t, res, 4)
 }
 
 func TestSnapshotReflectsProviders(t *testing.T) {

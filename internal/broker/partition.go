@@ -24,11 +24,10 @@ import (
 // effect emission run on all cores.
 //
 // Lock order (outer → inner): b.mu → part.mu → dirtyMu.
-// jobMu, exMu, progMu and pmu are taken with no partition lock held; a
+// jobMu, progMu and pmu are taken with no partition lock held; a
 // partition-lock holder never takes any of them — effects that need them
 // (CancelAttempt, Deliver) are copied out under part.mu and applied after
-// release. exMu → part.mu is allowed (migrate-request scan); the reverse
-// never happens.
+// release.
 
 // partition is one lock stripe of the broker's per-tasklet state.
 type partition struct {
@@ -275,9 +274,9 @@ func (b *Broker) applyOutFx(out []lifecycle.Effect) {
 	}
 }
 
-// feedPartition applies a batch of lifecycle events (submissions, adopted
-// migrations) to one partition and fully executes the effects. Callers must
-// hold no locks and call b.schedule() afterwards.
+// feedPartition applies a batch of lifecycle submissions to one partition
+// and fully executes the effects. Callers must hold no locks and call
+// b.schedule() afterwards.
 func (b *Broker) feedPartition(part *partition, evs []lifecycle.Event) {
 	if len(evs) == 0 {
 		return
@@ -362,20 +361,6 @@ func (b *Broker) syncDirtyProvidersLocked() {
 // Callers must hold no locks; the tasklet's deadline is already disarmed
 // (applyPartFxLocked does it under the partition lock).
 func (b *Broker) deliver(ef *lifecycle.Effect) {
-	b.finalizedN.Add(1)
-	if b.opts.ShardID != 0 {
-		b.exMu.Lock()
-		if rec, ok := b.adopted[ef.Tasklet]; ok {
-			// An adopted tasklet's final goes home as a MigrateResult: the
-			// origin shard owns the consumer connection and the job
-			// accounting.
-			delete(b.adopted, ef.Tasklet)
-			b.returnAdoptedExLocked(rec, ef)
-			b.exMu.Unlock()
-			return
-		}
-		b.exMu.Unlock()
-	}
 	final := ef.Final
 
 	b.jobMu.Lock()

@@ -360,6 +360,17 @@ func armedDeadlines(b *Broker) int {
 	return n
 }
 
+// liveTasklets counts the tasklets still pending a final in any partition.
+func liveTasklets(b *Broker) int {
+	n := 0
+	for _, part := range b.parts {
+		part.mu.Lock()
+		n += part.life.Pending()
+		part.mu.Unlock()
+	}
+	return n
+}
+
 // liveAttemptsOn counts the attempts running on pid whose outcome still
 // matters to a pending tasklet — the ones a loss of pid would report lost.
 func liveAttemptsOn(b *Broker, pid core.ProviderID) int {

@@ -42,7 +42,7 @@ func TestRetryBackoffDelaysReissue(t *testing.T) {
 	// The survivor registers before the loss, so only the backoff can hold
 	// the re-issue back.
 	survivor := addProvider(t, addr, provider.Options{Slots: 1, Speed: 100, Name: "survivor"})
-	for start := time.Now(); len(b.Snapshot().Providers) < 2 || b.freeSlotsSample() < 1; time.Sleep(time.Millisecond) {
+	for start := time.Now(); len(b.Snapshot().Providers) < 2 || freeCredits(b) < 1; time.Sleep(time.Millisecond) {
 		if time.Since(start) > 10*time.Second {
 			t.Fatal("survivor never registered")
 		}
@@ -134,12 +134,12 @@ func TestCloseWithArmedTimers(t *testing.T) {
 	if d := time.Since(start); d > backoff/2 {
 		t.Fatalf("Close took %v with timers armed", d)
 	}
-	finals := b.finalizedN.Load()
+	live := liveTasklets(b)
 
 	// Let the backoff timer fire into the closed broker.
 	time.Sleep(time.Until(lost.Add(backoff + 200*time.Millisecond)))
-	if got := b.finalizedN.Load(); got != finals {
-		t.Fatalf("%d finals delivered after Close", got-finals)
+	if got := liveTasklets(b); got != live {
+		t.Fatalf("%d tasklets finalized after Close", live-got)
 	}
 	if got := b.pendingN.Load(); got != 0 {
 		t.Fatalf("pending = %d after Close, want 0", got)
@@ -149,8 +149,8 @@ func TestCloseWithArmedTimers(t *testing.T) {
 	}
 }
 
-// TestIdleBrokerGoroutines pins the background goroutines of a listening,
-// unsharded broker: accept, reaper and scheduler, however many partitions
+// TestIdleBrokerGoroutines pins the background goroutines of a listening
+// broker: accept, reaper and scheduler, however many partitions
 // it stripes its state over.
 func TestIdleBrokerGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()

@@ -102,7 +102,6 @@ func init() {
 		"e8":  {"Figure 7 — result memoization on Zipf-repeated workloads", RunE8},
 		"e9":  {"Figure 8 — data-plane throughput and p99 vs offered load", RunE9},
 		"e10": {"Figure 9 — placement latency vs fleet size (scheduler index vs reference scan)", RunE10},
-		"e11": {"Figure 10 — broker sharding: aggregate throughput and work-exchange recovery", RunE11},
 		"e13": {"Figure 12 — partitioned broker core: live loopback throughput, -partitions=1 vs GOMAXPROCS", RunE13},
 	}
 }

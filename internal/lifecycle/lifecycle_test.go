@@ -431,75 +431,6 @@ func TestAttemptIDsMonotonic(t *testing.T) {
 	}
 }
 
-// Migrate moves only a tasklet no provider has touched and no deadline
-// timer holds: refused candidates stay live and cost no allocation, an
-// accepted one leaves the engine as an exact copy, and a migrated flight
-// leader hands its flight to a waiter.
-func TestMigrateEligibility(t *testing.T) {
-	e := New(Options{})
-	e.Submit(core.Tasklet{ID: 1, QoC: core.QoC{Deadline: time.Second}, Fuel: 100}, "", false)
-	e.Submit(core.Tasklet{ID: 2, Fuel: 100}, "", false)
-	launchOne(t, e, 2, 1) // in flight
-	e.Submit(core.Tasklet{ID: 3, QoC: core.QoC{Mode: core.QoCVoting, Replicas: 3}, Fuel: 100}, "", false)
-	a1, a2 := launchOne(t, e, 3, 1), launchOne(t, e, 3, 2)
-	e.Result(core.Result{Attempt: a1, Provider: 1, Status: core.StatusOK, Return: tvm.Int(5)})
-	e.Result(core.Result{Attempt: a2, Provider: 2, Status: core.StatusOK, Return: tvm.Int(9)})
-	// Tasklet 3 now waits for its tie-breaker with nothing in flight, but
-	// two votes on record.
-	for _, tid := range []core.TaskletID{1, 2, 3, 99} {
-		if _, fx, ok := e.Migrate(tid); ok || fx != nil {
-			t.Fatalf("Migrate(%d) accepted (fx %v)", tid, fx)
-		}
-	}
-	for _, tid := range []core.TaskletID{1, 2, 3} {
-		if !e.Live(tid) {
-			t.Fatalf("refused tasklet %d is no longer live", tid)
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for tid := core.TaskletID(1); tid <= 3; tid++ {
-			e.Migrate(tid)
-		}
-	}); allocs != 0 {
-		t.Fatalf("refused Migrate allocates %.1f times per round", allocs)
-	}
-
-	orig := core.Tasklet{
-		ID: 4, Job: 2, Index: 7, Program: core.HashProgram([]byte("p")),
-		Params: []tvm.Value{tvm.Int(3)}, QoC: core.QoC{Mode: core.QoCRedundant, Replicas: 2},
-		Fuel: 100, Seed: 11, Submitted: time.Unix(5, 0),
-	}
-	e.Submit(orig, "", false)
-	got, fx, ok := e.Migrate(4)
-	if !ok || len(fx) != 0 {
-		t.Fatalf("Migrate(queued tasklet) = ok %v, fx %v", ok, fx)
-	}
-	if e.Live(4) {
-		t.Fatal("migrated tasklet still live")
-	}
-	if !reflect.DeepEqual(got, orig) {
-		t.Fatalf("migrated copy = %+v, want %+v", got, orig)
-	}
-}
-
-func TestMigrateLeaderPromotesWaiter(t *testing.T) {
-	e := newMemoEngine(0, 0)
-	key, _ := memo.KeyFor(15, 1, nil)
-	e.Submit(core.Tasklet{ID: 1, Fuel: 100}, key, true)
-	e.Submit(core.Tasklet{ID: 2, Fuel: 100}, key, true)
-
-	_, fx, ok := e.Migrate(1)
-	if !ok {
-		t.Fatal("queued flight leader refused")
-	}
-	if countKind(fx, EffectLaunch) != 1 || firstKind(t, fx, EffectLaunch).Tasklet != 2 {
-		t.Fatalf("leader migration effects = %v, want the promoted waiter's launch", fx)
-	}
-	if e.Live(1) || !e.Live(2) {
-		t.Fatalf("liveness after migration: leader=%v waiter=%v", e.Live(1), e.Live(2))
-	}
-}
-
 // TestEngineReusesStatesAcrossLargeJobs: the state pool keeps every record
 // the engine's live high-water mark needed, so once one 2 048-tasklet job has
 // run, the next identical job's submit→launch→result cycle allocates

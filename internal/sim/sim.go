@@ -52,10 +52,6 @@ type TaskSpec struct {
 	// content (never memoized). A correct execution of a keyed tasklet
 	// returns Int(Key), so repeats are bit-identical, as purity guarantees.
 	Key uint64
-	// Program is the tasklet's program hash, used only by the sharded
-	// simulator as the consistent-hash routing key (RunSharded). Zero falls
-	// back to Key, then to a per-task spread. Single-shard Run ignores it.
-	Program uint64
 }
 
 // Config is a complete simulation scenario.
@@ -191,18 +187,9 @@ type sim struct {
 	lastDone  time.Duration
 	firstArr  time.Duration
 	remaining int
-
-	// overhead models the broker dispatcher's serialized CPU cost per
-	// placement dispatch and per result processed; busyUntil is the virtual
-	// time the dispatcher frees up. Zero overhead (plain Run) adds no events
-	// and no delay, keeping single-broker behavior bit-identical. The
-	// sharded simulator sets it so that splitting one dispatcher into N
-	// actually buys throughput (see sharded.go).
-	overhead  time.Duration
-	busyUntil time.Duration
 }
 
-// normalize fills Config defaults shared by Run and RunSharded.
+// normalize fills Config defaults.
 func (cfg Config) normalize() (Config, error) {
 	if len(cfg.Devices) == 0 {
 		return cfg, errors.New("sim: no devices")
@@ -222,13 +209,10 @@ func (cfg Config) normalize() (Config, error) {
 	return cfg, nil
 }
 
-// newSim builds one broker world — lifecycle engine, memo, devices, index —
-// on the given event engine. Run uses exactly one; RunSharded builds one
-// per shard over a shared engine. cfg must be normalized and its Devices
-// are this world's devices only (Tasks stays the full list: shards need
-// arrival/key lookups for any task index that migrates to them). It fails
-// only for a policy without a placement index.
-func newSim(cfg Config, eng *engine) (*sim, error) {
+// newSim builds the broker world — event engine, lifecycle engine, memo,
+// devices, index. cfg must be normalized. It fails only for a policy
+// without a placement index.
+func newSim(cfg Config) (*sim, error) {
 	index, err := scheduler.NewIndexFor(cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -236,7 +220,7 @@ func newSim(cfg Config, eng *engine) (*sim, error) {
 	s := &sim{
 		index:   index,
 		cfg:     cfg,
-		eng:     eng,
+		eng:     newEngine(cfg.Seed),
 		attempt: map[core.AttemptID]*attemptRec{},
 		latency: &metrics.Histogram{},
 	}
@@ -294,7 +278,7 @@ func Run(cfg Config) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := newSim(cfg, newEngine(cfg.Seed))
+	s, err := newSim(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -470,26 +454,7 @@ func (s *sim) launch(t *core.Tasklet, dev *deviceState) {
 	s.trace(TraceLaunch, devIdx, t.Index, int(aid), false)
 
 	exec := execTime(t.Fuel, dev.info.Speed)
-	total := 2*s.cfg.Latency + exec
-	// The dispatch itself consumes serialized broker CPU before the Assign
-	// leaves the broker (no-op when the overhead model is off).
-	total += s.gate()
-	s.eng.after(total, func() { s.onComplete(rec, exec) })
-}
-
-// gate charges one dispatcher operation against the broker-CPU model and
-// returns how long the caller must wait for its turn. With no cost
-// configured it returns 0 without touching any state.
-func (s *sim) gate() time.Duration {
-	if s.overhead <= 0 {
-		return 0
-	}
-	start := s.busyUntil
-	if start < s.eng.now {
-		start = s.eng.now
-	}
-	s.busyUntil = start + s.overhead
-	return s.busyUntil - s.eng.now
+	s.eng.after(2*s.cfg.Latency+exec, func() { s.onComplete(rec, exec) })
 }
 
 // execTime converts fuel to wall time at the given speed.
@@ -501,24 +466,10 @@ func execTime(fuel uint64, mopsPerSec float64) time.Duration {
 }
 
 // onComplete fires when an attempt's result would arrive at the broker.
-// Result processing consumes serialized broker CPU: under the overhead
-// model the booking is deferred until the dispatcher frees up, otherwise it
-// runs inline (no extra event, keeping plain Run bit-identical).
 func (s *sim) onComplete(rec *attemptRec, exec time.Duration) {
-	if rec.finished || s.devices[rec.device].epoch != rec.epoch {
-		return // device died mid-execution; loss handled by detection
-	}
-	if d := s.gate(); d > 0 {
-		s.eng.after(d, func() { s.completeReady(rec, exec) })
-		return
-	}
-	s.completeReady(rec, exec)
-}
-
-func (s *sim) completeReady(rec *attemptRec, exec time.Duration) {
 	dev := s.devices[rec.device]
 	if rec.finished || dev.epoch != rec.epoch {
-		return // device died while the result sat in the dispatcher queue
+		return // device died mid-execution; loss handled by detection
 	}
 	rec.finished = true
 	delete(s.attempt, rec.id)

@@ -30,7 +30,7 @@ type ProgramBlob struct {
 // Entries reuse the Assign struct but NOT its single-frame encoding: an
 // Assign's optional flags tail is detected by buffer exhaustion, which is
 // meaningless mid-frame, so batch entries always encode the flags byte
-// (like MigrateTasklet — every CapBatch peer is post-flags-revision). Entry
+// (every CapBatch peer is post-flags-revision). Entry
 // ProgramData is always empty; bytecode travels only in the table.
 type AssignBatch struct {
 	Programs []ProgramBlob

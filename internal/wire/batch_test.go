@@ -10,7 +10,7 @@ import (
 
 // TestMsgTypeNumbersPinned pins every frame type's wire number. The protocol
 // is append-only: these values may never change, and new frames may only
-// extend the tail.
+// extend the tail. 17–21 are reserved (the retired peer frames).
 func TestMsgTypeNumbersPinned(t *testing.T) {
 	pinned := map[MsgType]uint8{
 		TypeHello: 1, TypeWelcome: 2, TypeError: 3,
@@ -19,8 +19,6 @@ func TestMsgTypeNumbersPinned(t *testing.T) {
 		TypeSubmitJob: 9, TypeJobAccepted: 10, TypeResultPush: 11,
 		TypeJobDone: 12, TypeCancelJob: 13, TypeBye: 14,
 		TypeQueryFleet: 15, TypeFleetInfo: 16,
-		TypeShardGossip: 17, TypeMigrateRequest: 18, TypeMigrateTasklet: 19,
-		TypeMigrateAck: 20, TypeMigrateResult: 21,
 		TypeAssignBatch: 22, TypeAttemptResultBatch: 23, TypeResultPushBatch: 24,
 	}
 	for mt, want := range pinned {

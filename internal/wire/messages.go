@@ -83,11 +83,14 @@ const (
 	TypeBye
 	TypeQueryFleet
 	TypeFleetInfo
-	TypeShardGossip
-	TypeMigrateRequest
-	TypeMigrateTasklet
-	TypeMigrateAck
-	TypeMigrateResult
+	// Types 17–21 carried the retired broker-to-broker (RolePeer) protocol:
+	// shard gossip and tasklet migration. They stay reserved, so a frame of
+	// one of them is an unknown type and later types keep their numbers.
+	_
+	_
+	_
+	_
+	_
 	TypeAssignBatch
 	TypeAttemptResultBatch
 	TypeResultPushBatch
@@ -103,9 +106,7 @@ func (t MsgType) String() string {
 		TypeJobAccepted: "job_accepted", TypeResultPush: "result_push",
 		TypeJobDone: "job_done", TypeCancelJob: "cancel_job", TypeBye: "bye",
 		TypeQueryFleet: "query_fleet", TypeFleetInfo: "fleet_info",
-		TypeShardGossip: "shard_gossip", TypeMigrateRequest: "migrate_request",
-		TypeMigrateTasklet: "migrate_tasklet", TypeMigrateAck: "migrate_ack",
-		TypeMigrateResult: "migrate_result", TypeAssignBatch: "assign_batch",
+		TypeAssignBatch:        "assign_batch",
 		TypeAttemptResultBatch: "attempt_result_batch",
 		TypeResultPushBatch:    "result_push_batch",
 	}
@@ -122,9 +123,9 @@ type Role uint8
 const (
 	RoleConsumer Role = iota + 1
 	RoleProvider
-	// RolePeer identifies a broker-to-broker link in a sharded cluster.
-	// Peer links carry only gossip and migration frames.
-	RolePeer
+	// Role 3 was the retired broker-to-broker (peer) role; it stays
+	// reserved, and a broker refuses it as an unknown role.
+	_
 )
 
 // Message is implemented by every protocol message.
@@ -293,67 +294,6 @@ type FleetInfo struct {
 	Pending   int // tasklets awaiting placement
 }
 
-// ShardGossip advertises one shard's load to a peer. Sent periodically on
-// every peer link; the first gossip on a link also identifies the sending
-// shard to an accepting broker. Seq increases monotonically per sender so
-// receivers can discard reordered snapshots.
-type ShardGossip struct {
-	Shard      uint64
-	Seq        uint64
-	QueueDepth int
-	FreeSlots  int
-	Rate       float64 // EWMA tasklets finalized per second
-}
-
-// MigrateRequest is an underloaded shard's pull: "send me up to Max of
-// your queued tasklets". The receiver decides which (if any) tasklets
-// actually move; in-flight work never does.
-type MigrateRequest struct {
-	Shard uint64 // requesting shard
-	Max   int
-}
-
-// MigrateTasklet transfers one queued tasklet to the requesting shard. It
-// carries everything the receiving lifecycle engine needs for a fresh
-// Submit — program, params, QoC, fuel, seed — plus the origin-side
-// TaskletID so results can be routed back. The sender has already
-// Cancelled the tasklet locally (Cancel-before-launch), so exactly one
-// shard owns it at any instant.
-type MigrateTasklet struct {
-	Origin      core.TaskletID // sender-side ID, echoed in Ack/Result
-	Program     core.ProgramID
-	ProgramData []byte
-	Params      []tvm.Value
-	QoC         core.QoC
-	Fuel        uint64
-	Seed        uint64
-}
-
-// MigrateAck accepts or rejects a MigrateTasklet. A rejection (or a peer
-// loss before the Ack) makes the origin shard re-Submit locally, so a
-// migration can delay a tasklet but never lose it.
-type MigrateAck struct {
-	Shard    uint64 // acking shard
-	Origin   core.TaskletID
-	Accepted bool
-}
-
-// MigrateResult routes a migrated tasklet's final result back to its
-// origin shard, which still owns the consumer connection and the job
-// accounting. Mirrors ResultPush minus the job/index fields, which only
-// the origin knows.
-type MigrateResult struct {
-	Origin    core.TaskletID
-	Status    core.ResultStatus
-	Return    tvm.Value
-	Emitted   []tvm.Value
-	FaultCode tvm.FaultCode
-	FaultMsg  string
-	Provider  core.ProviderID
-	Attempts  int
-	ExecNanos int64
-}
-
 // Interface compliance.
 var (
 	_ Message = (*Hello)(nil)
@@ -372,11 +312,6 @@ var (
 	_ Message = (*Bye)(nil)
 	_ Message = (*QueryFleet)(nil)
 	_ Message = (*FleetInfo)(nil)
-	_ Message = (*ShardGossip)(nil)
-	_ Message = (*MigrateRequest)(nil)
-	_ Message = (*MigrateTasklet)(nil)
-	_ Message = (*MigrateAck)(nil)
-	_ Message = (*MigrateResult)(nil)
 )
 
 // Type implementations.
@@ -397,12 +332,6 @@ func (*CancelJob) Type() MsgType     { return TypeCancelJob }
 func (*Bye) Type() MsgType           { return TypeBye }
 func (*QueryFleet) Type() MsgType    { return TypeQueryFleet }
 func (*FleetInfo) Type() MsgType     { return TypeFleetInfo }
-
-func (*ShardGossip) Type() MsgType    { return TypeShardGossip }
-func (*MigrateRequest) Type() MsgType { return TypeMigrateRequest }
-func (*MigrateTasklet) Type() MsgType { return TypeMigrateTasklet }
-func (*MigrateAck) Type() MsgType     { return TypeMigrateAck }
-func (*MigrateResult) Type() MsgType  { return TypeMigrateResult }
 
 func (m *Hello) encode(e *enc) {
 	e.u16(m.Version)
@@ -660,107 +589,6 @@ func (m *FleetInfo) decode(d *dec) {
 	m.Pending = int(d.u32())
 }
 
-func (m *ShardGossip) encode(e *enc) {
-	e.u64(m.Shard)
-	e.u64(m.Seq)
-	e.u32(uint32(m.QueueDepth))
-	e.u32(uint32(m.FreeSlots))
-	e.f64(m.Rate)
-}
-
-func (m *ShardGossip) decode(d *dec) {
-	m.Shard = d.u64()
-	m.Seq = d.u64()
-	m.QueueDepth = int(d.u32())
-	m.FreeSlots = int(d.u32())
-	m.Rate = d.f64()
-}
-
-func (m *MigrateRequest) encode(e *enc) {
-	e.u64(m.Shard)
-	e.u32(uint32(m.Max))
-}
-
-func (m *MigrateRequest) decode(d *dec) {
-	m.Shard = d.u64()
-	m.Max = int(d.u32())
-}
-
-// MigrateTasklet is a post-flags-revision frame: unlike SubmitJob it always
-// emits the QoC flags byte — peers in a shard group run the same binary,
-// so there is no legacy decoder to stay byte-compatible with.
-func (m *MigrateTasklet) encode(e *enc) {
-	e.u64(uint64(m.Origin))
-	e.u64(uint64(m.Program))
-	e.bytes(m.ProgramData)
-	e.values(m.Params)
-	e.u8(uint8(m.QoC.Mode))
-	e.u32(uint32(m.QoC.Replicas))
-	e.u32(uint32(m.QoC.MaxRetries))
-	e.i64(int64(m.QoC.Deadline))
-	e.boolv(m.QoC.PreferFast)
-	e.boolv(m.QoC.LocalFallback)
-	var fl uint8
-	if m.QoC.NoCache {
-		fl |= flagNoCache
-	}
-	e.u8(fl)
-	e.u64(m.Fuel)
-	e.u64(m.Seed)
-}
-
-func (m *MigrateTasklet) decode(d *dec) {
-	m.Origin = core.TaskletID(d.u64())
-	m.Program = core.ProgramID(d.u64())
-	m.ProgramData = d.bytesv()
-	m.Params = d.values()
-	m.QoC.Mode = core.QoCMode(d.u8())
-	m.QoC.Replicas = int(d.u32())
-	m.QoC.MaxRetries = int(d.u32())
-	m.QoC.Deadline = time.Duration(d.i64())
-	m.QoC.PreferFast = d.boolv()
-	m.QoC.LocalFallback = d.boolv()
-	m.QoC.NoCache = d.u8()&flagNoCache != 0
-	m.Fuel = d.u64()
-	m.Seed = d.u64()
-}
-
-func (m *MigrateAck) encode(e *enc) {
-	e.u64(m.Shard)
-	e.u64(uint64(m.Origin))
-	e.boolv(m.Accepted)
-}
-
-func (m *MigrateAck) decode(d *dec) {
-	m.Shard = d.u64()
-	m.Origin = core.TaskletID(d.u64())
-	m.Accepted = d.boolv()
-}
-
-func (m *MigrateResult) encode(e *enc) {
-	e.u64(uint64(m.Origin))
-	e.u8(uint8(m.Status))
-	e.value(m.Return)
-	e.values(m.Emitted)
-	e.u8(uint8(m.FaultCode))
-	e.str(m.FaultMsg)
-	e.u64(uint64(m.Provider))
-	e.u32(uint32(m.Attempts))
-	e.i64(m.ExecNanos)
-}
-
-func (m *MigrateResult) decode(d *dec) {
-	m.Origin = core.TaskletID(d.u64())
-	m.Status = core.ResultStatus(d.u8())
-	m.Return = d.value()
-	m.Emitted = d.values()
-	m.FaultCode = tvm.FaultCode(d.u8())
-	m.FaultMsg = d.str()
-	m.Provider = core.ProviderID(d.u64())
-	m.Attempts = int(d.u32())
-	m.ExecNanos = d.i64()
-}
-
 // newMessage allocates the struct for a frame's message type.
 func newMessage(t MsgType) (Message, error) {
 	switch t {
@@ -796,16 +624,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &QueryFleet{}, nil
 	case TypeFleetInfo:
 		return &FleetInfo{}, nil
-	case TypeShardGossip:
-		return &ShardGossip{}, nil
-	case TypeMigrateRequest:
-		return &MigrateRequest{}, nil
-	case TypeMigrateTasklet:
-		return &MigrateTasklet{}, nil
-	case TypeMigrateAck:
-		return &MigrateAck{}, nil
-	case TypeMigrateResult:
-		return &MigrateResult{}, nil
 	case TypeAssignBatch:
 		return &AssignBatch{}, nil
 	case TypeAttemptResultBatch:

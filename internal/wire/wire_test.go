@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -119,35 +120,8 @@ func allMessages() []Message {
 			},
 			Pending: 7,
 		},
-		&Hello{Version: ProtocolVersion, Role: RolePeer, Name: "shard-2"},
-		&ShardGossip{Shard: 2, Seq: 41, QueueDepth: 120, FreeSlots: 3, Rate: 812.5},
-		&MigrateRequest{Shard: 1, Max: 32},
-		&MigrateTasklet{
-			Origin: 55, Program: 77,
-			ProgramData: []byte{1, 2, 3},
-			Params:      []tvm.Value{tvm.Int(9), tvm.Str("k")},
-			QoC: core.QoC{
-				Mode: core.QoCVoting, Replicas: 3, MaxRetries: 2,
-				Deadline: time.Second, PreferFast: true, NoCache: true,
-			},
-			Fuel: 5000, Seed: 11,
-		},
-		&MigrateTasklet{Origin: 56, Program: 77, ProgramData: []byte{}, Params: []tvm.Value{}},
-		&MigrateAck{Shard: 2, Origin: 55, Accepted: true},
-		&MigrateAck{Shard: 2, Origin: 56},
-		&MigrateResult{
-			Origin: 55, Status: core.StatusOK,
-			Return:   tvm.Int(81),
-			Emitted:  []tvm.Value{tvm.Str("log")},
-			Provider: 4, Attempts: 1, ExecNanos: 4242,
-		},
-		&MigrateResult{
-			Origin: 56, Status: core.StatusFault,
-			Return:    tvm.Nil(),
-			Emitted:   []tvm.Value{},
-			FaultCode: tvm.FaultOutOfFuel, FaultMsg: "budget exhausted",
-			Attempts: 3,
-		},
+		// A reserved role decodes intact: refusing it is the broker's job.
+		&Hello{Version: ProtocolVersion, Role: Role(3), Name: "reserved-role"},
 		&AssignBatch{
 			Programs: []ProgramBlob{{ID: 77, Data: []byte{1, 2, 3}}, {ID: 78, Data: []byte{}}},
 			Assigns: []Assign{
@@ -425,9 +399,17 @@ func TestUnmarshalRejectsTrailing(t *testing.T) {
 	}
 }
 
+// TestUnmarshalUnknownType: a frame of an unassigned type fails to decode
+// as an unknown type, with or without a payload. Types 17–21 carried the
+// retired peer protocol and stay reserved, so they are unknown too.
 func TestUnmarshalUnknownType(t *testing.T) {
-	if _, err := Unmarshal(MsgType(250), nil); err == nil {
-		t.Fatal("unknown type accepted")
+	for _, mt := range []MsgType{17, 18, 19, 20, 21, 250} {
+		for _, payload := range [][]byte{nil, make([]byte, 8)} {
+			_, err := Unmarshal(mt, payload)
+			if err == nil || !strings.Contains(err.Error(), "unknown message type") {
+				t.Fatalf("type %d with %d payload bytes: err %v, want unknown message type", mt, len(payload), err)
+			}
+		}
 	}
 }
 

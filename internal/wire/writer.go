@@ -40,7 +40,7 @@ var yield = runtime.Gosched
 // WriterLoop drains a connection's outgoing queue onto conn. It folds
 // whatever burst is queued (up to Max) into one SendBatch, so a single
 // flush — one syscall — covers the burst. It is the one copy of the drain
-// logic shared by the broker (provider, consumer and peer links) and the
+// logic shared by the broker (provider and consumer links) and the
 // provider (broker link).
 //
 // The first send on out readies this goroutine ahead of the sender's

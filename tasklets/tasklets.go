@@ -39,7 +39,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/provider"
 	"repro/internal/scheduler"
-	"repro/internal/shard"
 	"repro/internal/tasklang"
 	"repro/internal/tvm"
 )
@@ -344,64 +343,3 @@ type FleetProvider = consumer.FleetProvider
 // their class, capacity, measured speed and reliability, plus the number of
 // tasklets currently awaiting placement.
 func (c *Client) Fleet() ([]FleetProvider, int, error) { return c.c.Fleet() }
-
-// ---------- sharded consumer ----------
-
-// ShardedClient routes jobs across a broker shard group by consistent
-// hash of the program, matching the brokers' own partitioning: identical
-// tasklets always land on the same shard, so that shard's result memo and
-// flight table see every repeat. Work submitted to a busy shard still
-// spreads — the brokers' pull-based exchange migrates queued tasklets to
-// underloaded peers.
-type ShardedClient struct {
-	ring    *shard.Ring
-	clients []*Client
-}
-
-// DialSharded connects one consumer session per shard. Addresses must be
-// listed in shard-ID order — the order ShardGroup.Listen returned them, or
-// ports P..P+N-1 for a `tasklet-broker -shards N -addr :P` group — and the
-// list must match across every client for routing to agree.
-func DialSharded(addrs ...string) (*ShardedClient, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("tasklets: DialSharded needs at least one address")
-	}
-	s := &ShardedClient{ring: shard.NewRing(0)}
-	for i, a := range addrs {
-		c, err := Dial(a)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("tasklets: shard %d (%s): %w", i+1, a, err)
-		}
-		s.clients = append(s.clients, c)
-		s.ring.Add(uint64(i + 1))
-	}
-	return s, nil
-}
-
-// ClientFor returns the session for the shard owning a program.
-func (s *ShardedClient) ClientFor(p *Program) *Client {
-	owner, _ := s.ring.Owner(uint64(core.HashProgram(p.Bytecode())))
-	return s.clients[owner-1]
-}
-
-// Map submits one tasklet per parameter set on the program's owning shard.
-func (s *ShardedClient) Map(p *Program, params [][]Value, opts JobOptions) (*Job, error) {
-	return s.ClientFor(p).Map(p, params, opts)
-}
-
-// Run submits a single tasklet on the owning shard and waits for it.
-func (s *ShardedClient) Run(p *Program, params []Value, opts JobOptions) (TaskResult, error) {
-	return s.ClientFor(p).Run(p, params, opts)
-}
-
-// Close ends every shard session.
-func (s *ShardedClient) Close() error {
-	var first error
-	for _, c := range s.clients {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

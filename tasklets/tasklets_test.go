@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/broker"
 )
 
 // stack brings up a broker and n providers for a test.
@@ -355,49 +353,5 @@ func TestFleetQuery(t *testing.T) {
 	}
 	if executed != 8 {
 		t.Fatalf("executed total = %d, want 8", executed)
-	}
-}
-
-// TestDialShardedRoutesAndCompletes runs a 3-shard group end to end
-// through the facade: the client's ring must agree with the group's, and
-// jobs for distinct programs must complete on whichever shard owns them.
-func TestDialShardedRoutesAndCompletes(t *testing.T) {
-	g := broker.NewShardGroup(3, broker.Options{})
-	addrs, err := g.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { g.Close() })
-	for _, a := range addrs {
-		p, err := StartProvider(ProviderOptions{Broker: a, Slots: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-	}
-
-	sc, err := DialSharded(addrs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-
-	for i := 0; i < 5; i++ {
-		prog, err := Compile(fmt.Sprintf("func main(n int) int { return n * n + %d; }", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, a := range addrs {
-			if g.AddrFor(prog.Bytecode()) == a && sc.ClientFor(prog) != sc.clients[j] {
-				t.Fatalf("program %d: facade routed to a different shard than the group ring", i)
-			}
-		}
-		res, err := sc.Run(prog, []Value{Int(7)}, JobOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.OK() || res.Return.I != int64(49+i) {
-			t.Fatalf("program %d: result %+v, want %d", i, res, 49+i)
-		}
 	}
 }

@@ -123,14 +123,14 @@ fuzz-smoke:
 # load on a small host skewed them by size), the timing-bound tests of the
 # provider's queued attempts and the broker's work-budgeted queue depth
 # (including the loss of a provider holding a full queue), and the concurrent
-# and legacy-consumer submission tests (client-numbered job IDs must match
-# the broker's under any interleaving): every run must pass.
+# and refused submission tests (client-numbered job IDs must match the
+# broker's under any interleaving): every run must pass.
 flaky:
 	$(GO) test -count 20 -run 'TestPartitionStress' ./internal/broker/
 	$(GO) test -count 20 -run TestE7ThroughputShape ./internal/experiments/
 	$(GO) test -count 20 -run 'TestProviderRejectsOverCommit|TestProviderHeartbeats|TestProviderCancelsQueuedAttemptWithoutRunning' ./internal/provider/
-	$(GO) test -count 20 -run 'TestBrokerQueuesBehindTinyAttempts|TestBrokerStopsQueueingAfterLongAttempts|TestBrokerNeverQueuesOnLegacyProvider|TestBrokerQueueDepthFollowsExecTime|TestBrokerShrinksQueueOnLongResult|TestBrokerQueuesOneDeepWithoutQueueTail|TestProviderLossWithDeepQueue' ./internal/broker/
-	$(GO) test -race -count 20 -run 'TestConcurrentSubmitsOnOneClient|TestLegacyConsumerGetsJobAccepted' ./internal/broker/
+	$(GO) test -count 20 -run 'TestBrokerQueuesBehindTinyAttempts|TestBrokerStopsQueueingAfterLongAttempts|TestBrokerNeverQueuesWithoutQueue|TestBrokerQueueDepthFollowsExecTime|TestBrokerShrinksQueueOnLongResult|TestProviderLossWithDeepQueue' ./internal/broker/
+	$(GO) test -race -count 20 -run 'TestConcurrentSubmitsOnOneClient|TestKnownProgramWrongArityRefused' ./internal/broker/
 
 clean:
 	$(GO) clean ./...

@@ -19,10 +19,10 @@
 // wake the scheduler goroutine, which owns scheduler.Index exclusively and
 // drains partition queues in index order, so a burst of events costs one
 // placement pass instead of one per event. Placement gives a provider as
-// many attempts as it has credits: its free slots, plus queued credits for a
-// provider that advertises wire.CapQueue — as many attempts per slot as fit
-// in wire.TinyExecNanos of expected work, by an exponentially weighted mean
-// of its results' execution times, up to the queue the provider advertised.
+// many attempts as it has credits: its free slots, plus queued credits — as
+// many attempts per slot as fit in wire.TinyExecNanos of expected work, by
+// an exponentially weighted mean of its results' execution times, up to the
+// queue the provider advertised.
 // So near-instant work keeps every slot busy across the broker round trip,
 // while work of TinyExecNanos or longer is never queued behind a busy
 // provider as another idles.
@@ -111,6 +111,11 @@ const writerBatchMax = 128
 // reuse it, larger ones stage in slices freed after their feed.
 const maxStagedEvents = 4096
 
+// maxProgramMemo bounds the program-arity memo. Past it, a new program
+// evicts an arbitrary entry, so memory stays constant however many distinct
+// programs a long-lived broker sees.
+const maxProgramMemo = 1024
+
 // maxPartitions caps Options.Partitions: more stripes than cores buys no
 // parallelism, and every placement pass and result burst walks them all.
 const maxPartitions = 64
@@ -120,7 +125,7 @@ const maxPartitions = 64
 // Locking: b.mu guards the listener, the provider registry structure and
 // all scheduler state (index, staged batches, scratch); jobMu guards
 // consumers/jobs and their accounting (the delivery path); progMu guards
-// the program store; pmu is a read gate on the providers map for
+// the program-arity memo; pmu is a read gate on the providers map for
 // partition-side cancel sends; each partition has its own mutex
 // (partition.go documents the full lock order). No goroutine ever holds
 // b.mu and jobMu at once.
@@ -148,8 +153,12 @@ type Broker struct {
 	jobs         map[core.JobID]*jobState
 	nextConsumer core.ConsumerID
 
-	progMu   sync.RWMutex
-	programs map[core.ProgramID]storedProgram
+	// arity memoizes the entry-function parameter count of recently
+	// submitted programs, so a job whose program is known skips decoding it.
+	// It holds at most maxProgramMemo entries, and a miss costs only that
+	// decode: attempts carry their bytes from the tasklet, never from here.
+	progMu sync.RWMutex
+	arity  map[core.ProgramID]int
 
 	// parts holds the lock-striped lifecycle partitions; see partition.go.
 	parts []*partition
@@ -216,13 +225,12 @@ type providerState struct {
 	out   chan wire.Message
 	nc    net.Conn
 	label string // "provider N", precomputed for hot-path logs
-	caps  uint8  // protocol extensions advertised in Hello
 
 	// free/backlog/finished are atomics: the provider's reader settles them
 	// under a partition lock as results arrive while the scheduler reads
 	// them under b.mu. assigned and the reliability estimate inside info
 	// stay scheduler-only. free is Slots minus outstanding attempts, so it
-	// goes negative while attempts queue on a CapQueue provider.
+	// goes negative while attempts queue behind the slots.
 	free     atomic.Int64
 	backlog  atomic.Int64
 	finished atomic.Int64 // attempts that returned any result
@@ -232,21 +240,18 @@ type providerState struct {
 	// wire.TinyExecNanos, so credits grants no queued attempt until results
 	// have shown tiny ones.
 	execMean atomic.Int64
-	// queue is how many queued places the provider holds beyond its Slots:
-	// Register.Queue, Slots for a CapQueue provider that sent no queue tail,
-	// and 0 without CapQueue. Under b.mu, like info.Slots.
+	// queue is how many queued places the provider holds beyond its Slots
+	// (Register.Queue). Under b.mu, like info.Slots.
 	queue int
-
-	sent map[core.ProgramID]bool // programs already shipped; under b.mu
 
 	gone atomic.Bool
 	// dirty marks membership in the broker's dirty-provider list (one
 	// index resync per pass however many results arrived).
 	dirty atomic.Bool
 
-	// staged accumulates this pass's assignments into one AssignBatch frame
-	// (batch-capable providers only); flushed at the end of every placement
-	// pass. Only touched under b.mu by the scheduler goroutine.
+	// staged accumulates this pass's assignments into one AssignBatch frame,
+	// flushed at the end of every placement pass. Only touched under b.mu by
+	// the scheduler goroutine.
 	staged *wire.AssignBatch
 
 	// lastBeat is the UnixNano timestamp of the latest heartbeat, updated
@@ -262,7 +267,6 @@ type consumerState struct {
 	out     chan wire.Message
 	nc      net.Conn
 	label   string // "consumer N", precomputed for hot-path logs
-	caps    uint8  // protocol extensions advertised in Hello
 	jobs    map[core.JobID]bool
 	pending int // queued tasklets across this consumer's jobs
 	gone    bool
@@ -278,13 +282,6 @@ type consumerState struct {
 	staged [][]lifecycle.Event
 
 	dropWarned atomic.Bool
-}
-
-// storedProgram is one entry of the broker's program store: the bytecode
-// providers run, and its entry function's parameter count.
-type storedProgram struct {
-	data   []byte
-	params int
 }
 
 type jobState struct {
@@ -333,7 +330,7 @@ func New(opts Options) *Broker {
 		providers: map[core.ProviderID]*providerState{},
 		consumers: map[core.ConsumerID]*consumerState{},
 		jobs:      map[core.JobID]*jobState{},
-		programs:  map[core.ProgramID]storedProgram{},
+		arity:     map[core.ProgramID]int{},
 		schedWake: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
@@ -579,7 +576,7 @@ func (b *Broker) schedule() {
 
 // writerLoop drains a connection's outgoing queue through the shared
 // wire.WriterLoop. fold, when non-nil, rewrites each drained burst before it
-// is sent (batch-frame folding on capable consumer links).
+// is sent (batch-frame folding on consumer links).
 func (b *Broker) writerLoop(conn *wire.Conn, out <-chan wire.Message, nc net.Conn, fold func([]wire.Message) []wire.Message) {
 	wire.WriterLoop(conn, out, wire.WriterOpts{
 		Max:    writerBatchMax,
@@ -626,8 +623,6 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 		out:   make(chan wire.Message, sendQueueDepth),
 		nc:    nc,
 		label: fmt.Sprintf("provider %d", id),
-		caps:  hello.Caps,
-		sent:  map[core.ProgramID]bool{},
 	}
 	p.lastBeat.Store(now.UnixNano())
 	p.execMean.Store(wire.TinyExecNanos)
@@ -660,13 +655,7 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 			p.info.Slots = m.Slots
 			p.info.Class = m.Class
 			p.info.Speed = m.Speed
-			p.queue = 0
-			if p.caps&wire.CapQueue != 0 {
-				p.queue = m.Queue
-				if p.queue == 0 {
-					p.queue = m.Slots // the first CapQueue revision: one per slot
-				}
-			}
+			p.queue = m.Queue
 			p.free.Store(int64(m.Slots))
 			b.index.Upsert(&p.info, p.credits(), int(p.backlog.Load()))
 			b.mu.Unlock()
@@ -792,23 +781,17 @@ func (b *Broker) serveConsumer(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 		out:   make(chan wire.Message, sendQueueDepth),
 		nc:    nc,
 		label: fmt.Sprintf("consumer %d", id),
-		caps:  hello.Caps,
 		jobs:  map[core.JobID]bool{},
 	}
 	b.consumers[id] = c
 	b.jobMu.Unlock()
 
-	// Batch-capable consumers get each writer burst's run of ResultPushes
-	// folded into one ResultPushBatch frame; legacy consumers keep receiving
-	// byte-identical single frames.
-	var fold func([]wire.Message) []wire.Message
-	if c.caps&wire.CapBatch != 0 {
-		fold = wire.FoldBatchFrames
-	}
+	// Each writer burst's run of ResultPushes is folded into one
+	// ResultPushBatch frame.
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		b.writerLoop(conn, c.out, nc, fold)
+		b.writerLoop(conn, c.out, nc, wire.FoldBatchFrames)
 	}()
 
 	b.enqueue(c.out, &wire.Welcome{ID: uint64(id)}, nc, &c.dropWarned, c.label)
@@ -829,10 +812,7 @@ func (b *Broker) serveConsumer(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 			c.submitted++
 			jid := core.JobID(uint64(id)<<32 | uint64(c.submitted))
 			if err := b.acceptJob(c, jid, m); err != nil {
-				em := &wire.ErrorMsg{Code: wire.ErrCodeBadJob, Msg: err.Error()}
-				if c.caps&wire.CapImplicitJob != 0 {
-					em.Job = jid
-				}
+				em := &wire.ErrorMsg{Code: wire.ErrCodeBadJob, Msg: err.Error(), Job: jid}
 				b.enqueue(c.out, em, nc, &c.dropWarned, c.label)
 			}
 		case *wire.CancelJob:
@@ -858,15 +838,15 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 	spec := core.JobSpec{
 		Program: m.Program, Params: m.Params, QoC: m.QoC, Fuel: m.Fuel, Seed: m.Seed,
 	}
-	// Only a program not seen before is decoded. Rows of a stored one are
-	// checked against its stored entry arity, which is the arity of the
-	// bytes providers run.
+	// Only a program missing from the arity memo is decoded. Rows of a
+	// memoized one are checked against its entry arity, which is the arity
+	// of the bytes providers run: the memo is keyed by their hash.
 	progID := core.HashProgram(m.Program)
 	b.progMu.RLock()
-	sp, ok := b.programs[progID]
+	params, ok := b.arity[progID]
 	b.progMu.RUnlock()
 	if ok {
-		if err := spec.ValidateRows(sp.params); err != nil {
+		if err := spec.ValidateRows(params); err != nil {
 			return err
 		}
 	} else {
@@ -876,12 +856,13 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 		var prog tvm.Program
 		_ = prog.UnmarshalBinary(m.Program) // cannot fail: Validate decoded it
 		b.progMu.Lock()
-		if _, ok := b.programs[progID]; !ok {
-			b.programs[progID] = storedProgram{
-				data:   append([]byte(nil), m.Program...),
-				params: prog.EntryFunc().NumParams,
+		if len(b.arity) >= maxProgramMemo {
+			for id := range b.arity {
+				delete(b.arity, id)
+				break
 			}
 		}
+		b.arity[progID] = prog.EntryFunc().NumParams
 		b.progMu.Unlock()
 	}
 	fuel := m.Fuel
@@ -909,11 +890,9 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 	// legacy ID sequence, then the whole job is grouped per partition: each
 	// group is one bulk Apply under its partition's effect-scratch reset
 	// (one group — the legacy single bulk Submit — when Partitions is 1).
-	// Cache hits deliver ResultPushes from the partition walk below. A
-	// CapImplicitJob consumer registered the job before it sent SubmitJob,
-	// so no push can beat registration; a legacy consumer learns the ID from
-	// JobAccepted, queued here before any engine runs and so ahead of every
-	// push on c.out.
+	// Cache hits deliver ResultPushes from the partition walk below; the
+	// consumer registered the job before it sent SubmitJob, so no push can
+	// beat registration.
 	base := b.nextTasklet.Add(uint64(n)) - uint64(n)
 	now := time.Now()
 	if c.staged == nil {
@@ -923,16 +902,13 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 	for i, params := range m.Params {
 		ev, pi := b.submitEvent(core.Tasklet{
 			Job: job.id, Index: i,
-			Program: progID, Params: params,
+			Program: progID, ProgramData: m.Program, Params: params,
 			QoC: m.QoC, Fuel: fuel, Seed: m.Seed, Submitted: now,
 		}, base+uint64(i)+1)
 		job.tasklets = append(job.tasklets, ev.Tasklet.ID)
 		groups[pi] = append(groups[pi], ev)
 	}
 	b.mSubmitted.Add(int64(n))
-	if c.caps&wire.CapImplicitJob == 0 {
-		b.enqueue(c.out, &wire.JobAccepted{Job: job.id, Tasklets: job.total}, c.nc, &c.dropWarned, c.label)
-	}
 	b.jobMu.Unlock()
 
 	kept := 0
@@ -1091,11 +1067,10 @@ func (b *Broker) drainPartitionLocked(part *partition) int {
 	return placed
 }
 
-// launchAttemptLocked creates and dispatches one attempt. For
-// batch-capable providers the assignment is staged into the provider's
-// per-pass AssignBatch (flushed by flushAssignBatchesLocked at the end of
-// the placement pass) instead of sent as its own frame. Callers hold b.mu
-// and the partition lock of t's partition.
+// launchAttemptLocked creates one attempt and stages it into the
+// provider's per-pass AssignBatch, flushed by flushAssignBatchesLocked at the
+// end of the placement pass. Callers hold b.mu and the partition lock of t's
+// partition.
 func (b *Broker) launchAttemptLocked(part *partition, t *core.Tasklet, p *providerState) bool {
 	aid, ok := part.life.Launched(t.ID, p.info.ID)
 	if !ok {
@@ -1107,51 +1082,31 @@ func (b *Broker) launchAttemptLocked(part *partition, t *core.Tasklet, p *provid
 	b.updateReliabilityLocked(p)
 	b.index.Assign(p.info.ID) // after the reliability update so rank refreshes
 
-	a := wire.Assign{
+	if p.staged == nil {
+		p.staged = &wire.AssignBatch{}
+		b.stagedScratch = append(b.stagedScratch, p)
+	}
+	if !batchHasProgram(p.staged, t.Program) {
+		// Every frame carries the bytes of every program its entries use,
+		// once each, so the provider needs nothing from an earlier frame.
+		p.staged.Programs = append(p.staged.Programs, wire.ProgramBlob{ID: t.Program, Data: t.ProgramData})
+	}
+	p.staged.Assigns = append(p.staged.Assigns, wire.Assign{
 		Attempt: aid,
 		Tasklet: t.ID,
 		Program: t.Program,
 		Params:  t.Params,
 		Fuel:    t.Fuel,
 		Seed:    t.Seed,
-	}
-	var progData []byte
-	if !p.sent[t.Program] {
-		progData = b.program(t.Program)
-		p.sent[t.Program] = true
-	}
-
-	if p.caps&wire.CapBatch != 0 {
-		if p.staged == nil {
-			p.staged = &wire.AssignBatch{}
-			b.stagedScratch = append(b.stagedScratch, p)
-		}
-		if len(progData) > 0 && !batchHasProgram(p.staged, t.Program) {
-			// Program bytes are deduplicated within the frame: shipped once
-			// in the table however many entries reference them.
-			p.staged.Programs = append(p.staged.Programs, wire.ProgramBlob{ID: t.Program, Data: progData})
-		}
-		p.staged.Assigns = append(p.staged.Assigns, a)
-		return true
-	}
-	a.ProgramData = progData
-	b.enqueue(p.out, &a, p.nc, &p.dropWarned, p.label)
+	})
 	return true
 }
 
-// program returns the stored bytecode for id (nil if unknown).
-func (b *Broker) program(id core.ProgramID) []byte {
-	b.progMu.RLock()
-	data := b.programs[id].data
-	b.progMu.RUnlock()
-	return data
-}
-
 // batchHasProgram reports whether the staged batch's program table already
-// carries id. Tables hold the pass's distinct fresh programs — almost
-// always zero or one entry — so a linear scan wins over any map.
+// carries id. Tables hold the pass's distinct programs — almost always one
+// entry — so a linear scan, newest first, wins over any map.
 func batchHasProgram(ab *wire.AssignBatch, id core.ProgramID) bool {
-	for i := range ab.Programs {
+	for i := len(ab.Programs) - 1; i >= 0; i-- {
 		if ab.Programs[i].ID == id {
 			return true
 		}
@@ -1161,8 +1116,8 @@ func batchHasProgram(ab *wire.AssignBatch, id core.ProgramID) bool {
 
 // flushAssignBatchesLocked ships every staged AssignBatch accumulated by
 // the current placement pass: one frame per provider per pass. A batch that
-// holds a single assignment degenerates to a plain Assign frame, so
-// low-rate traffic stays byte-identical to the pre-batch revision.
+// holds a single assignment goes out as a plain Assign frame carrying its
+// program's bytes.
 func (b *Broker) flushAssignBatchesLocked() {
 	for _, p := range b.stagedScratch {
 		ab := p.staged
@@ -1172,9 +1127,7 @@ func (b *Broker) flushAssignBatchesLocked() {
 		}
 		if len(ab.Assigns) == 1 {
 			a := ab.Assigns[0]
-			if len(ab.Programs) == 1 {
-				a.ProgramData = ab.Programs[0].Data
-			}
+			a.ProgramData = ab.Programs[0].Data
 			b.enqueue(p.out, &a, p.nc, &p.dropWarned, p.label)
 			continue
 		}

@@ -187,10 +187,10 @@ func TestEndToEndProgramShippedOnce(t *testing.T) {
 	if _, err := job.Collect(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
-	// A second job with the same program reuses the provider cache: no way
-	// to observe directly from here, but completing fast with one provider
-	// shows the flow works; the dedup behaviour itself is unit-tested via
-	// the wire Assign.ProgramData contract in provider tests.
+	// Each assign frame ships the program's bytes once, however many of its
+	// entries run it, and the provider decodes them once into its decode
+	// cache; the frame-level behaviour is unit-tested in the provider
+	// package (TestProviderCachesProgram, TestBatchResolvesFromItsOwnTable).
 }
 
 func TestEndToEndFaultReported(t *testing.T) {
@@ -472,6 +472,9 @@ func TestBadJobRejected(t *testing.T) {
 	}
 }
 
+// TestBrokerRejectsWrongVersion: a hello of another protocol version, among
+// them a protocol-1 hello without its caps byte, gets a version error and a
+// closed connection.
 func TestBrokerRejectsWrongVersion(t *testing.T) {
 	b := New(Options{})
 	addr, err := b.Listen("127.0.0.1:0")
@@ -480,22 +483,27 @@ func TestBrokerRejectsWrongVersion(t *testing.T) {
 	}
 	defer b.Close()
 
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	conn := wire.NewConn(nc)
-	if err := conn.Send(&wire.Hello{Version: 99, Role: wire.RoleConsumer}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, ok := msg.(*wire.ErrorMsg)
-	if !ok || em.Code != wire.ErrCodeVersion {
-		t.Fatalf("reply = %#v, want version error", msg)
+	for _, version := range []uint16{1, 99} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		conn := wire.NewConn(nc)
+		if err := conn.Send(&wire.Hello{Version: version, Role: wire.RoleConsumer}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		em, ok := msg.(*wire.ErrorMsg)
+		if !ok || em.Code != wire.ErrCodeVersion {
+			t.Fatalf("version %d: reply = %#v, want version error", version, msg)
+		}
+		if msg, err := conn.Recv(); err == nil {
+			t.Fatalf("version %d: connection stayed open after the refusal: got %#v", version, msg)
+		}
 	}
 }
 
@@ -804,14 +812,14 @@ func TestMultipleConsumersInterleave(t *testing.T) {
 }
 
 // TestStagingScratchBounded: acceptJob's per-consumer staging scratch is
-// cleared after the feed, so it keeps no tasklet's Params, and a job that
+// cleared after the feed, so it keeps no tasklet's Params or program, and a job that
 // grows it past maxStagedEvents leaves none of it behind.
 func TestStagingScratchBounded(t *testing.T) {
 	b := New(Options{MemoEntries: -1, Partitions: 2})
 	t.Cleanup(func() { b.Close() })
 	c := &consumerState{
 		id: 1, out: make(chan wire.Message, 16), label: "consumer 1",
-		caps: wire.CapImplicitJob, jobs: map[core.JobID]bool{},
+		jobs: map[core.JobID]bool{},
 	}
 	submit := func(id core.JobID, n int) {
 		t.Helper()
@@ -829,8 +837,8 @@ func TestStagingScratchBounded(t *testing.T) {
 			t.Fatalf("partition %d scratch holds %d events after the feed", pi, len(evs))
 		}
 		for _, ev := range evs[:cap(evs)] {
-			if ev.Tasklet.Params != nil {
-				t.Fatalf("partition %d scratch keeps tasklet %d's Params", pi, ev.Tasklet.ID)
+			if ev.Tasklet.Params != nil || ev.Tasklet.ProgramData != nil {
+				t.Fatalf("partition %d scratch keeps tasklet %d's Params or program", pi, ev.Tasklet.ID)
 			}
 		}
 	}

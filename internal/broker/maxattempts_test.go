@@ -23,10 +23,7 @@ func silentProvider(t *testing.T, addr string, slots int) (<-chan *wire.Assign, 
 	}
 	t.Cleanup(func() { nc.Close() })
 	pc := wire.NewConn(nc)
-	if err := pc.Send(&wire.Hello{
-		Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: "silent",
-		Caps: wire.CapFlagsTail,
-	}); err != nil {
+	if err := pc.Send(&wire.Hello{Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: "silent"}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := pc.Recv(); err != nil {

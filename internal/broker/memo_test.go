@@ -197,10 +197,7 @@ func TestDeadlinedLeaderReschedulesCoalescedWaiter(t *testing.T) {
 	}
 	t.Cleanup(func() { nc.Close() })
 	pc := wire.NewConn(nc)
-	if err := pc.Send(&wire.Hello{
-		Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: "silent",
-		Caps: wire.CapFlagsTail,
-	}); err != nil {
+	if err := pc.Send(&wire.Hello{Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: "silent"}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := pc.Recv(); err != nil {

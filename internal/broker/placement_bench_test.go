@@ -46,7 +46,6 @@ func benchBroker(b *testing.B, p int) *Broker {
 			out:   make(chan wire.Message, sendQueueDepth),
 			nc:    benchConn{},
 			label: fmt.Sprintf("provider %d", id),
-			sent:  map[core.ProgramID]bool{},
 		}
 		ps.free.Store(4)
 		br.providers[id] = ps

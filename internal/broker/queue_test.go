@@ -152,7 +152,7 @@ func freeCredits(b *Broker) int {
 	return b.index.FreeSlots()
 }
 
-// TestBrokerQueuesBehindTinyAttempts: a CapQueue provider whose recent
+// TestBrokerQueuesBehindTinyAttempts: a provider whose recent
 // attempts were tiny is given queued attempts beyond the ones it runs —
 // exactly its credits, no more — and rejects none of them.
 func TestBrokerQueuesBehindTinyAttempts(t *testing.T) {
@@ -168,9 +168,9 @@ func TestBrokerQueuesBehindTinyAttempts(t *testing.T) {
 	cancelAndCheck(t, c, job, reg)
 }
 
-// TestBrokerStopsQueueingAfterLongAttempts: once a CapQueue provider reports
-// attempts longer than wire.TinyExecNanos, placement gives it no attempt past
-// its Slots, as for a provider without the queue.
+// TestBrokerStopsQueueingAfterLongAttempts: once a provider reports attempts
+// longer than wire.TinyExecNanos, placement gives it no attempt past its
+// Slots, as for a provider without a queue.
 func TestBrokerStopsQueueingAfterLongAttempts(t *testing.T) {
 	const slots = 2
 	b, reg, c := queueStack(t, slots)
@@ -197,9 +197,9 @@ type fakeProvider struct {
 	held  []wire.Assign
 }
 
-// dialFakeProvider registers a provider with the given Hello capabilities
-// and Register frame, admitting limit attempts at once.
-func dialFakeProvider(t *testing.T, addr string, caps uint8, reg wire.Register, limit int) *fakeProvider {
+// dialFakeProvider registers a provider with the given Register frame,
+// admitting limit attempts at once.
+func dialFakeProvider(t *testing.T, addr string, reg wire.Register, limit int) *fakeProvider {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -207,7 +207,7 @@ func dialFakeProvider(t *testing.T, addr string, caps uint8, reg wire.Register, 
 	}
 	t.Cleanup(func() { nc.Close() })
 	f := &fakeProvider{t: t, nc: nc, conn: wire.NewConn(nc), msgs: make(chan wire.Message, 1024), limit: limit}
-	if err := f.conn.Send(&wire.Hello{Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: "fake", Caps: caps}); err != nil {
+	if err := f.conn.Send(&wire.Hello{Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: "fake"}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := f.conn.Recv(); err != nil {
@@ -315,7 +315,7 @@ func (f *fakeProvider) serve(job *consumer.Job, exec time.Duration) {
 // and runs a 64-tasklet job whose every attempt the provider reports as
 // running for exec, so the broker's mean execution time for it settles
 // there.
-func fakeQueueStack(t *testing.T, caps uint8, reg wire.Register, limit int, exec time.Duration) (*Broker, *fakeProvider, *consumer.Client) {
+func fakeQueueStack(t *testing.T, reg wire.Register, limit int, exec time.Duration) (*Broker, *fakeProvider, *consumer.Client) {
 	t.Helper()
 	b := New(Options{MemoEntries: -1})
 	addr, err := b.Listen("127.0.0.1:0")
@@ -323,7 +323,7 @@ func fakeQueueStack(t *testing.T, caps uint8, reg wire.Register, limit int, exec
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	f := dialFakeProvider(t, addr, caps, reg, limit)
+	f := dialFakeProvider(t, addr, reg, limit)
 	c, err := consumer.Connect(addr, "queue")
 	if err != nil {
 		t.Fatal(err)
@@ -336,8 +336,6 @@ func fakeQueueStack(t *testing.T, caps uint8, reg wire.Register, limit int, exec
 	f.serve(job, exec)
 	return b, f, c
 }
-
-const queueCaps = wire.CapFlagsTail | wire.CapBatch | wire.CapQueue
 
 // TestBrokerQueueDepthFollowsExecTime: queued credits are Slots ×
 // ⌊TinyExecNanos / mean execution⌋, capped by the queue the provider
@@ -357,7 +355,7 @@ func TestBrokerQueueDepthFollowsExecTime(t *testing.T) {
 	} {
 		t.Run(tc.exec.String(), func(t *testing.T) {
 			reg := wire.Register{Slots: slots, Speed: 100, Queue: queue}
-			b, f, c := fakeQueueStack(t, queueCaps, reg, slots+queue, tc.exec)
+			b, f, c := fakeQueueStack(t, reg, slots+queue, tc.exec)
 			job, err := c.Submit(compileJob(t, squareSrc, intRows(n)...))
 			if err != nil {
 				t.Fatal(err)
@@ -382,7 +380,7 @@ func TestBrokerQueueDepthFollowsExecTime(t *testing.T) {
 func TestBrokerShrinksQueueOnLongResult(t *testing.T) {
 	const slots, queue, n = 2, 10, 40
 	reg := wire.Register{Slots: slots, Speed: 100, Queue: queue}
-	b, f, c := fakeQueueStack(t, queueCaps, reg, slots+queue, time.Microsecond)
+	b, f, c := fakeQueueStack(t, reg, slots+queue, time.Microsecond)
 	p := soleProvider(t, b)
 	job, err := c.Submit(compileJob(t, squareSrc, intRows(n)...))
 	if err != nil {
@@ -408,33 +406,12 @@ func TestBrokerShrinksQueueOnLongResult(t *testing.T) {
 	f.serve(job, time.Millisecond)
 }
 
-// TestBrokerQueuesOneDeepWithoutQueueTail: a CapQueue provider whose
-// Register carries no queue tail (the first revision of the bit) holds one
-// queued place per slot, and is never given more, however tiny its
+// TestBrokerNeverQueuesWithoutQueue: a provider that registers no queued
+// places never has more than Slots attempts outstanding, however tiny its
 // attempts.
-func TestBrokerQueuesOneDeepWithoutQueueTail(t *testing.T) {
+func TestBrokerNeverQueuesWithoutQueue(t *testing.T) {
 	const slots, n = 2, 40
-	b, f, c := fakeQueueStack(t, queueCaps, wire.Register{Slots: slots, Speed: 100}, 2*slots, time.Microsecond)
-	job, err := c.Submit(compileJob(t, squareSrc, intRows(n)...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.settle(2 * slots); got != 2*slots {
-		t.Fatalf("provider holds %d attempts, want %d", got, 2*slots)
-	}
-	if got := b.Snapshot().Pending; got != n-2*slots {
-		t.Fatalf("%d tasklets pending, want %d", got, n-2*slots)
-	}
-	f.serve(job, time.Microsecond)
-}
-
-// TestBrokerNeverQueuesOnLegacyProvider: a provider that did not advertise
-// wire.CapQueue never has more than Slots attempts outstanding, however tiny
-// its attempts — even if its Register carries a queue tail.
-func TestBrokerNeverQueuesOnLegacyProvider(t *testing.T) {
-	const slots, n = 2, 40
-	reg := wire.Register{Slots: slots, Speed: 100, Queue: 8}
-	_, f, c := fakeQueueStack(t, wire.CapFlagsTail|wire.CapBatch, reg, slots, time.Microsecond)
+	_, f, c := fakeQueueStack(t, wire.Register{Slots: slots, Speed: 100}, slots, time.Microsecond)
 	job, err := c.Submit(compileJob(t, squareSrc, intRows(n)...))
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +436,7 @@ func TestProviderLossWithDeepQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	f := dialFakeProvider(t, addr, queueCaps, wire.Register{Slots: slots, Speed: 100, Queue: queue}, slots+queue)
+	f := dialFakeProvider(t, addr, wire.Register{Slots: slots, Speed: 100, Queue: queue}, slots+queue)
 	c, err := consumer.Connect(addr, "loss")
 	if err != nil {
 		t.Fatal(err)

@@ -74,9 +74,9 @@ func TestConcurrentSubmitsOnOneClient(t *testing.T) {
 	}
 }
 
-// rawConsumer opens a consumer session by hand, advertising caps, and
-// returns the connection and the broker-assigned consumer ID.
-func rawConsumer(t *testing.T, addr string, caps uint8) (*wire.Conn, uint64) {
+// rawConsumer opens a consumer session by hand and returns the connection
+// and the broker-assigned consumer ID.
+func rawConsumer(t *testing.T, addr string) (*wire.Conn, uint64) {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -85,7 +85,7 @@ func rawConsumer(t *testing.T, addr string, caps uint8) (*wire.Conn, uint64) {
 	t.Cleanup(func() { nc.Close() })
 	conn := wire.NewConn(nc)
 	conn.ReadTimeout = 10 * time.Second
-	if err := conn.Send(&wire.Hello{Version: wire.ProtocolVersion, Role: wire.RoleConsumer, Name: "raw", Caps: caps}); err != nil {
+	if err := conn.Send(&wire.Hello{Version: wire.ProtocolVersion, Role: wire.RoleConsumer, Name: "raw"}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv()
@@ -112,64 +112,14 @@ func recvT(t *testing.T, conn *wire.Conn) wire.Message {
 	return msg
 }
 
-// TestLegacyConsumerGetsJobAccepted: a consumer whose Hello lacks
-// CapImplicitJob still gets job_accepted ahead of its results, under the
-// same id<<32 | n numbering, and an untagged error for a refused job, which
-// still counts toward n.
-func TestLegacyConsumerGetsJobAccepted(t *testing.T) {
-	addr := testStack(t, Options{}, 1, nil)
-	conn, cid := rawConsumer(t, addr, 0)
-	good := compileJob(t, squareSrc, []int64{3}, []int64{4})
-
-	if err := conn.Send(submitMsg(good)); err != nil {
-		t.Fatal(err)
-	}
-	first := core.JobID(cid<<32 | 1)
-	if m, ok := recvT(t, conn).(*wire.JobAccepted); !ok || m.Job != first || m.Tasklets != 2 {
-		t.Fatalf("first reply = %#v, want job_accepted for job %d with 2 tasklets", m, first)
-	}
-	got := map[int]int64{}
-	for done := false; !done; {
-		switch m := recvT(t, conn).(type) {
-		case *wire.ResultPush:
-			if m.Job != first {
-				t.Fatalf("result for job %d, want %d", m.Job, first)
-			}
-			got[m.Index] = m.Return.I
-		case *wire.JobDone:
-			done = m.Job == first
-		default:
-			t.Fatalf("unexpected %#v", m)
-		}
-	}
-	if got[0] != 9 || got[1] != 16 {
-		t.Fatalf("results = %v", got)
-	}
-
-	bad := compileJob(t, squareSrc, []int64{1, 2})
-	if err := conn.Send(submitMsg(bad)); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := recvT(t, conn).(*wire.ErrorMsg); !ok || m.Code != wire.ErrCodeBadJob || m.Job != 0 {
-		t.Fatalf("reply to a bad job = %#v, want an untagged bad-job error", m)
-	}
-	if err := conn.Send(submitMsg(good)); err != nil {
-		t.Fatal(err)
-	}
-	third := core.JobID(cid<<32 | 3)
-	if m, ok := recvT(t, conn).(*wire.JobAccepted); !ok || m.Job != third {
-		t.Fatalf("third reply = %#v, want job_accepted for job %d", m, third)
-	}
-}
-
 // TestKnownProgramWrongArityRefused: the broker decodes a program only the
 // first time it sees it and checks later jobs' rows against the stored
 // entry arity, so a second job with a known program and the wrong row width
 // is still refused, with Validate's message and tagged with its job ID.
-// No job_accepted reaches a CapImplicitJob consumer.
+// Nothing but results, the refusal and job_done reaches the consumer.
 func TestKnownProgramWrongArityRefused(t *testing.T) {
 	addr := testStack(t, Options{}, 1, nil)
-	conn, cid := rawConsumer(t, addr, wire.CapImplicitJob)
+	conn, cid := rawConsumer(t, addr)
 	good := compileJob(t, squareSrc, []int64{5})
 	bad := compileJob(t, squareSrc, []int64{5, 6})
 	want := bad.Validate()

@@ -3,10 +3,9 @@
 // shared QoC goals), and streams final results back as they complete.
 //
 // Submission is one-way. The client numbers its jobs the way the broker
-// does (wire.CapImplicitJob: the n-th submit_job on the session is job
-// id<<32 | n), so Submit returns once the frame is written, without a
-// job_accepted round trip. A job the broker refuses ends with the broker's
-// message as its Err.
+// does (the n-th submit_job on the session is job id<<32 | n), so Submit
+// returns once the frame is written, without a round trip. A job the broker
+// refuses ends with the broker's message as its Err.
 package consumer
 
 import (
@@ -96,14 +95,7 @@ func Connect(addr, name string) (*Client, error) {
 		return nil, fmt.Errorf("consumer: dial broker: %w", err)
 	}
 	conn := wire.NewConn(nc)
-	// CapBatch lets the broker fold a burst of completed results into one
-	// ResultPushBatch frame; the per-result payloads are identical, so the
-	// application sees the same stream either way. CapImplicitJob drops the
-	// JobAccepted reply: Submit numbers its jobs itself.
-	if err := conn.Send(&wire.Hello{
-		Version: wire.ProtocolVersion, Role: wire.RoleConsumer, Name: name,
-		Caps: wire.CapFlagsTail | wire.CapBatch | wire.CapImplicitJob,
-	}); err != nil {
+	if err := conn.Send(&wire.Hello{Version: wire.ProtocolVersion, Role: wire.RoleConsumer, Name: name}); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -313,7 +305,7 @@ out:
 }
 
 // onRefused ends the job a broker error names. An error naming no known
-// job is ignored, as readLoop ignores a stray JobAccepted.
+// job is ignored.
 func (c *Client) onRefused(m *wire.ErrorMsg) {
 	c.mu.Lock()
 	job := c.jobs[m.Job]

@@ -40,13 +40,9 @@ func newFakeBroker(t *testing.T) *fakeBroker {
 			return
 		}
 		hello, ok := msg.(*wire.Hello)
-		if !ok {
-			fb.t.Errorf("first message = %T", msg)
+		if !ok || hello.Version != wire.ProtocolVersion {
+			fb.t.Errorf("first message = %#v, want a version %d hello", msg, wire.ProtocolVersion)
 			return
-		}
-		// The client numbers its own jobs; the broker must know it does.
-		if hello.Caps&wire.CapImplicitJob == 0 {
-			fb.t.Errorf("hello caps %#x lack CapImplicitJob", hello.Caps)
 		}
 		if err := conn.Send(&wire.Welcome{ID: 9}); err != nil {
 			return
@@ -125,10 +121,10 @@ func TestSubmitDeliversResultsInCompletionOrder(t *testing.T) {
 		if err != nil {
 			return
 		}
-		sub := msg.(*wire.SubmitJob)
-		// A stray JobAccepted, as a broker sends to legacy consumers, is
-		// ignored.
-		_ = conn.Send(&wire.JobAccepted{Job: jobID(1), Tasklets: len(sub.Params)})
+		if _, ok := msg.(*wire.SubmitJob); !ok {
+			t.Errorf("got %T, want SubmitJob", msg)
+			return
+		}
 		// Deliver results out of index order.
 		for _, idx := range []int{2, 0, 1} {
 			_ = conn.Send(&wire.ResultPush{

@@ -167,8 +167,11 @@ type Tasklet struct {
 	Job     JobID
 	Index   int // position within the job, used by consumers to order results
 	Program ProgramID
-	Params  []tvm.Value
-	QoC     QoC
+	// ProgramData is the program's bytecode, shared by every tasklet of the
+	// job (it aliases the submitted bytes), so each attempt can carry it.
+	ProgramData []byte
+	Params      []tvm.Value
+	QoC         QoC
 
 	// Execution limits, forwarded into the provider's VM config.
 	Fuel uint64

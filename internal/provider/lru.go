@@ -7,10 +7,12 @@ import (
 	"repro/internal/tvm"
 )
 
-// programLRU is a bounded program cache with least-recently-used eviction.
-// Unbounded caching is unacceptable on small providers: a long-lived worker
-// sees an open-ended stream of distinct programs and each decoded program
-// retains its bytecode, constant pool and optimized streams. The zero value
+// programLRU is a bounded cache of decoded programs with least-recently-used
+// eviction. It is a decode cache only: assign frames carry their programs'
+// bytes, so an evicted program is decoded again, not lost. Unbounded
+// caching is unacceptable on small providers: a long-lived worker sees an
+// open-ended stream of distinct programs and each decoded program retains
+// its bytecode, constant pool and optimized streams. The zero value
 // is not usable; call newProgramLRU. Not safe for concurrent use — the
 // provider guards it with Provider.mu.
 type programLRU struct {

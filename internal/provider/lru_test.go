@@ -1,10 +1,12 @@
 package provider
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/stdtasks"
+	"repro/internal/tasklang"
 	"repro/internal/tvm"
 	"repro/internal/wire"
 )
@@ -115,5 +117,52 @@ func TestProviderCacheEvictionRoundTrip(t *testing.T) {
 	}
 	if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusRejected {
 		t.Fatalf("evicted noop status = %s, want rejected", res.Status)
+	}
+}
+
+// TestBatchResolvesFromItsOwnTable: one AssignBatch whose table holds more
+// distinct programs than the decode cache on a fresh provider runs every
+// entry ok, because entries resolve from their own frame's table, not from
+// the cache after the table was installed. An entry whose program is in
+// neither the table nor the cache is still rejected.
+func TestBatchResolvesFromItsOwnTable(t *testing.T) {
+	const n = defaultProgramCacheSize + 1
+	fb := newFakeBroker(t)
+	startProvider(t, fb, Options{Slots: 2})
+	ab := &wire.AssignBatch{}
+	for k := 0; k < n; k++ {
+		prog, err := tasklang.Compile(fmt.Sprintf("func main(n int) int { return n + %d; }", k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := prog.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := core.HashProgram(data)
+		ab.Programs = append(ab.Programs, wire.ProgramBlob{ID: id, Data: data})
+		ab.Assigns = append(ab.Assigns, wire.Assign{
+			Attempt: core.AttemptID(k + 1), Tasklet: core.TaskletID(k + 1), Program: id,
+			Params: []tvm.Value{tvm.Int(1)}, Fuel: 1_000_000, Seed: 1,
+		})
+	}
+	ab.Assigns = append(ab.Assigns, wire.Assign{
+		Attempt: n + 1, Tasklet: n + 1, Program: 12345, Params: []tvm.Value{tvm.Int(1)}, Fuel: 1_000_000,
+	})
+	if err := fb.conn.Send(ab); err != nil {
+		t.Fatal(err)
+	}
+	for range ab.Assigns {
+		res := fb.recvResult()
+		if res.Attempt == n+1 {
+			if res.Status != core.StatusRejected {
+				t.Fatalf("entry with an unknown program: status %s, want rejected", res.Status)
+			}
+			continue
+		}
+		if res.Status != core.StatusOK || res.Return.I != int64(res.Attempt) {
+			t.Fatalf("attempt %d: %s (%s) returned %s, want ok returning %d",
+				res.Attempt, res.Status, res.FaultMsg, res.Return, res.Attempt)
+		}
 	}
 }

@@ -10,10 +10,10 @@
 //
 // A provider admits Slots×(1+queuePerSlot) attempts: queuePerSlot queued
 // behind each running slot, so a worker that finishes a near-instant attempt
-// starts the next at once instead of idling for a broker round trip. It says
-// so with wire.CapQueue and states its queued places in Register.Queue; the
-// broker fills them only as deep as about wire.TinyExecNanos of this
-// provider's recent attempts per slot, so only tiny attempts queue at all.
+// starts the next at once instead of idling for a broker round trip. It
+// states its queued places in Register.Queue; the broker fills them only as
+// deep as about wire.TinyExecNanos of this provider's recent attempts per
+// slot, so only tiny attempts queue at all.
 // A queued attempt cancelled before it starts reports FaultCancelled
 // without running.
 //
@@ -88,9 +88,11 @@ type Options struct {
 // throughput (DESIGN.md).
 const queuePerSlot = 32
 
-// defaultProgramCacheSize bounds the decoded-program cache. 64 decoded
-// programs comfortably cover the working set of every workload in this repo
-// while keeping a small provider's memory bounded.
+// defaultProgramCacheSize bounds the decoded-program cache. It only saves
+// decodes: every assign frame carries its programs' bytes, so an eviction
+// costs a decode, never an attempt. 64 decoded programs comfortably cover
+// the working set of every workload in this repo while keeping a small
+// provider's memory bounded.
 const defaultProgramCacheSize = 64
 
 // Provider is a running provider instance.
@@ -161,10 +163,7 @@ func Connect(opts Options) (*Provider, error) {
 		return nil, fmt.Errorf("provider: dial broker: %w", err)
 	}
 	conn := wire.NewConn(nc)
-	if err := conn.Send(&wire.Hello{
-		Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: opts.Name,
-		Caps: wire.CapFlagsTail | wire.CapBatch | wire.CapQueue,
-	}); err != nil {
+	if err := conn.Send(&wire.Hello{Version: wire.ProtocolVersion, Role: wire.RoleProvider, Name: opts.Name}); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -254,8 +253,7 @@ const writerBatchMax = 128
 
 func (p *Provider) writerLoop() {
 	// Fold each flush window's run of results into one AttemptResultBatch
-	// frame; the broker always decodes batches regardless of capability
-	// negotiation (liberal ingest), so the fold needs no gate.
+	// frame.
 	wire.WriterLoop(p.conn, p.out, wire.WriterOpts{
 		Max:    writerBatchMax,
 		Fold:   wire.FoldBatchFrames,
@@ -319,7 +317,9 @@ func (p *Provider) readLoop() {
 
 // onAssign admits one execution attempt arriving as a single frame.
 func (p *Provider) onAssign(m *wire.Assign) {
-	prog, err := p.resolveProgram(m)
+	p.mu.Lock()
+	prog, err := p.loadLocked(m.Program, m.ProgramData)
+	p.mu.Unlock()
 	if err != nil {
 		p.reject(m, err.Error())
 		return
@@ -327,10 +327,9 @@ func (p *Provider) onAssign(m *wire.Assign) {
 	p.admit(m, prog)
 }
 
-// onAssignBatch admits a burst of attempts from one AssignBatch frame: the
-// frame's program table is installed and every distinct referenced program
-// resolved under ONE mutex acquisition, then each entry goes through the
-// same admission path a single Assign would.
+// onAssignBatch admits a burst of attempts from one AssignBatch frame: every
+// distinct referenced program is resolved under ONE mutex acquisition, then
+// each entry goes through the same admission path a single Assign would.
 func (p *Provider) onAssignBatch(m *wire.AssignBatch) {
 	p.mBatches.Inc()
 	progs := p.resolveBatch(m)
@@ -345,38 +344,30 @@ func (p *Provider) onAssignBatch(m *wire.AssignBatch) {
 	}
 }
 
-// resolveBatch installs the batch's program table into the cache and maps
-// every program its entries reference, holding the mutex once for the whole
-// frame. Programs that fail verification or decoding are simply absent from
-// the result, so the entries naming them get rejected individually.
+// resolveBatch maps every program the batch's entries reference, holding
+// the mutex once for the whole frame. A program in the frame's own table
+// resolves from that table (through the decode cache), never by a cache
+// lookup after the table was installed, so a table larger than the cache
+// cannot evict its own entries. An entry whose program is in neither the
+// table nor the cache, or whose bytes fail verification or decoding, maps
+// to nil and is rejected.
 func (p *Provider) resolveBatch(m *wire.AssignBatch) map[core.ProgramID]*tvm.Program {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	progs := make(map[core.ProgramID]*tvm.Program, len(m.Programs)+1)
 	for i := range m.Programs {
 		blob := &m.Programs[i]
-		if _, ok := p.cache.get(blob.ID); ok {
-			continue
+		prog, err := p.loadLocked(blob.ID, blob.Data)
+		if err != nil {
+			p.logf("provider %d: batch program %d: %v", p.id, blob.ID, err)
 		}
-		if got := core.HashProgram(blob.Data); got != blob.ID {
-			p.logf("provider %d: batch program hash mismatch: got %d want %d", p.id, got, blob.ID)
-			continue
-		}
-		var prog tvm.Program
-		if err := prog.UnmarshalBinary(blob.Data); err != nil {
-			p.logf("provider %d: batch program %d: bad bytecode: %v", p.id, blob.ID, err)
-			continue
-		}
-		prog.Optimize()
-		p.cache.put(blob.ID, &prog)
+		progs[blob.ID] = prog
 	}
-	progs := make(map[core.ProgramID]*tvm.Program, len(m.Programs)+1)
 	for i := range m.Assigns {
 		id := m.Assigns[i].Program
-		if _, seen := progs[id]; seen {
-			continue
+		if _, seen := progs[id]; !seen {
+			progs[id], _ = p.cache.get(id)
 		}
-		prog, _ := p.cache.get(id) // nil on miss → entry rejected
-		progs[id] = prog
 	}
 	return progs
 }
@@ -512,28 +503,28 @@ func (p *Provider) slotWorker() {
 // own cancel fault.
 var errCancelled = &tvm.Fault{Code: tvm.FaultCancelled, Msg: "execution cancelled by host"}
 
-// resolveProgram returns the cached or freshly-decoded program.
-func (p *Provider) resolveProgram(m *wire.Assign) (*tvm.Program, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if prog, ok := p.cache.get(m.Program); ok {
+// loadLocked returns program id from the decode cache or, on a miss,
+// verifies data against id, decodes it and caches the result. Callers hold
+// p.mu.
+func (p *Provider) loadLocked(id core.ProgramID, data []byte) (*tvm.Program, error) {
+	if prog, ok := p.cache.get(id); ok {
 		return prog, nil
 	}
-	if len(m.ProgramData) == 0 {
-		return nil, fmt.Errorf("unknown program %d and no bytecode attached", m.Program)
+	if len(data) == 0 {
+		return nil, fmt.Errorf("unknown program %d and no bytecode attached", id)
 	}
-	if got := core.HashProgram(m.ProgramData); got != m.Program {
-		return nil, fmt.Errorf("program hash mismatch: got %d want %d", got, m.Program)
+	if got := core.HashProgram(data); got != id {
+		return nil, fmt.Errorf("program hash mismatch: got %d want %d", got, id)
 	}
 	var prog tvm.Program
-	if err := prog.UnmarshalBinary(m.ProgramData); err != nil {
+	if err := prog.UnmarshalBinary(data); err != nil {
 		return nil, fmt.Errorf("bad bytecode: %w", err)
 	}
 	// Run the load-time optimization pass once at cache-insert time, while
 	// the program is still private to this goroutine; every subsequent
 	// execution shares the fused streams.
 	prog.Optimize()
-	p.cache.put(m.Program, &prog)
+	p.cache.put(id, &prog)
 	return &prog, nil
 }
 

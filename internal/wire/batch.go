@@ -4,13 +4,9 @@ import "repro/internal/core"
 
 // Batch frames coalesce the per-attempt control plane: many Assigns to one
 // provider, many AttemptResults back, many ResultPushes out to a consumer —
-// each as ONE frame, one decode, one lock acquisition at the receiver.
-//
-// They are a capability-gated compatible extension (CapBatch in the Hello
-// tail): the broker ships batches only to peers that advertised the bit,
-// and peers that did not keep receiving single frames byte-identical to the
-// pre-batch revision. The single-frame encodings themselves are untouched —
-// a batch is a new frame type wrapping them, not a change to them.
+// each as ONE frame, one decode, one lock acquisition at the receiver. A
+// batch is a frame type wrapping the single-frame encodings, not a change
+// to them.
 
 // ProgramBlob carries one program's bytecode inside an AssignBatch. Each
 // distinct program a batch needs is shipped at most once, however many
@@ -22,15 +18,12 @@ type ProgramBlob struct {
 
 // AssignBatch dispatches many execution attempts to one provider in a
 // single frame. Program bytes are deduplicated within the frame: entries
-// reference programs by ID, and the Programs table holds the bytecode for
-// any the broker believes the provider has not cached (possibly none). The
-// provider installs the table's programs once, then admits every entry with
-// a single cache lookup per distinct program.
+// reference programs by ID, and a broker's Programs table holds the
+// bytecode of every program its entries use, once each, so the frame needs
+// no state from an earlier one. The provider resolves every distinct
+// program once per frame, then admits each entry.
 //
-// Entries reuse the Assign struct but NOT its single-frame encoding: an
-// Assign's optional flags tail is detected by buffer exhaustion, which is
-// meaningless mid-frame, so batch entries always encode the flags byte
-// (every CapBatch peer is post-flags-revision). Entry
+// Entries reuse the Assign struct but not its single-frame encoding: entry
 // ProgramData is always empty; bytecode travels only in the table.
 type AssignBatch struct {
 	Programs []ProgramBlob
@@ -78,11 +71,7 @@ func (m *AssignBatch) encode(e *enc) {
 		e.values(a.Params)
 		e.u64(a.Fuel)
 		e.u64(a.Seed)
-		var fl uint8
-		if a.NoCache {
-			fl |= flagNoCache
-		}
-		e.u8(fl) // mandatory mid-frame; see the AssignBatch doc
+		e.u8(flags(a.NoCache))
 	}
 }
 

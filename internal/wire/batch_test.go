@@ -10,13 +10,14 @@ import (
 
 // TestMsgTypeNumbersPinned pins every frame type's wire number. The protocol
 // is append-only: these values may never change, and new frames may only
-// extend the tail. 17–21 are reserved (the retired peer frames).
+// extend the tail. 10 (the retired job_accepted) is reserved: no message
+// decodes under it. So are 17–21 (see TestUnmarshalUnknownType).
 func TestMsgTypeNumbersPinned(t *testing.T) {
 	pinned := map[MsgType]uint8{
 		TypeHello: 1, TypeWelcome: 2, TypeError: 3,
 		TypeRegister: 4, TypeHeartbeat: 5, TypeAssign: 6,
 		TypeCancelAttempt: 7, TypeAttemptResult: 8,
-		TypeSubmitJob: 9, TypeJobAccepted: 10, TypeResultPush: 11,
+		TypeSubmitJob: 9, TypeResultPush: 11,
 		TypeJobDone: 12, TypeCancelJob: 13, TypeBye: 14,
 		TypeQueryFleet: 15, TypeFleetInfo: 16,
 		TypeAssignBatch: 22, TypeAttemptResultBatch: 23, TypeResultPushBatch: 24,
@@ -25,6 +26,9 @@ func TestMsgTypeNumbersPinned(t *testing.T) {
 		if uint8(mt) != want {
 			t.Errorf("%s = %d, want %d", mt, uint8(mt), want)
 		}
+	}
+	if m, err := newMessage(10); err == nil {
+		t.Errorf("reserved type 10 allocates %T", m)
 	}
 }
 
@@ -82,10 +86,8 @@ func TestBatchFramesLeaveSingleFramesUntouched(t *testing.T) {
 	}
 }
 
-// TestAssignBatchEntryFlagsMandatory pins the one encoding difference
-// between a batch entry and a single Assign frame: entries always carry the
-// flags byte, even when zero, because the single frame's tail-by-buffer-
-// exhaustion trick does not work mid-frame.
+// TestAssignBatchEntryFlagsMandatory: every batch entry carries the flags
+// byte, zero or not, as the last field of its encoding.
 func TestAssignBatchEntryFlagsMandatory(t *testing.T) {
 	mk := func(noCache bool) []byte {
 		frame, err := Marshal(&AssignBatch{Assigns: []Assign{
@@ -194,28 +196,4 @@ func TestFoldBatchFrames(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestCapBatchBit pins the capability bit assignment: bits are append-only,
-// and a provider's full set survives the Hello caps tail.
-func TestCapBatchBit(t *testing.T) {
-	if CapBatch != 1<<1 || CapFlagsTail != 1<<0 || CapQueue != 1<<2 {
-		t.Fatalf("capability bits moved: CapFlagsTail=%#x CapBatch=%#x CapQueue=%#x", CapFlagsTail, CapBatch, CapQueue)
-	}
-	const caps = CapFlagsTail | CapBatch | CapQueue
-	h := &Hello{Version: ProtocolVersion, Role: RoleProvider, Name: "n", Caps: caps}
-	frame, err := Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail := frame[len(frame)-1]; tail != caps {
-		t.Fatalf("caps tail = %#x, want %#x", tail, caps)
-	}
-	got, err := Unmarshal(TypeHello, frame[5:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.(*Hello).Caps != caps {
-		t.Fatal("caps lost in round trip")
-	}
 }

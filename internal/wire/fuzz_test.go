@@ -13,22 +13,15 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		f.Add(byte(m.Type()), frame[5:])
 	}
-	// Optional-tail seeds for Hello/SubmitJob/Assign: the flag- and
-	// cap-bearing variants in allMessages seed the tail itself (emitted
-	// only when non-zero), tailless frames double as legacy-format seeds,
-	// and appending an explicit zero tail seeds the interim revision that
-	// emitted one unconditionally.
+	// Truncation seeds: every non-empty message one byte short, which must
+	// fail to decode, since every field is fixed.
 	for _, m := range allMessages() {
-		if t := m.Type(); t == TypeHello || t == TypeSubmitJob || t == TypeAssign {
-			frame, err := Marshal(m)
-			if err != nil {
-				f.Fatal(err)
-			}
-			if optionalTailLen(m) == 0 {
-				f.Add(byte(t), append(frame[5:], 0))
-			} else {
-				f.Add(byte(t), frame[5:len(frame)-1])
-			}
+		frame, err := Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if len(frame) > 5 {
+			f.Add(byte(m.Type()), frame[5:len(frame)-1])
 		}
 	}
 	f.Add(byte(99), []byte{})

@@ -9,53 +9,12 @@ import (
 )
 
 // ProtocolVersion is bumped on any incompatible change to the message
-// vocabulary; Hello carries it and the broker rejects mismatches.
-//
-// Compatible extensions do NOT bump the version. Hello, SubmitJob and
-// Assign grew an *optional tail*: one trailing byte appended after every
-// fixed field (capability bits on Hello, flag bits on SubmitJob/Assign).
-// Decoders read it only when bytes remain, and encoders emit it only when
-// it is non-zero, so default frames stay byte-identical to the previous
-// revision in both directions: old-format frames decode with all bits
-// false, and new frames without set bits decode on old peers whose strict
-// finish() rejects trailing bytes. A set bit can only reach a peer that
-// can decode it: client->broker messages may always carry a tail (the
-// broker is at least as new as its clients), while broker->client
-// messages may carry one only to peers that advertised CapFlagsTail in
-// their Hello (brokers currently set no Assign flag at all). ErrorMsg's
-// optional job tail is capability-gated the same way (CapImplicitJob);
-// Register's optional queue tail travels provider->broker and needs no gate.
-// Future compatible additions must follow the same append-only,
-// capability-gated discipline.
-const ProtocolVersion = 1
+// vocabulary; Hello carries it and the broker rejects mismatches. Version 2
+// has one session shape per role: every field is fixed, no frame has an
+// optional tail, and no peer advertises capabilities.
+const ProtocolVersion = 2
 
-// Capability bits carried in the optional tail of Hello. They declare
-// which compatible protocol extensions the sender can decode, letting the
-// broker tailor its frames per peer.
-const (
-	// CapFlagsTail: the sender decodes the optional flags tail on
-	// broker-originated messages (Assign).
-	CapFlagsTail uint8 = 1 << 0
-	// CapBatch: the sender decodes the batch frames (AssignBatch,
-	// AttemptResultBatch, ResultPushBatch). The broker sends batches only
-	// to peers that advertised this bit; peers without it keep receiving
-	// single frames byte-identical to the pre-batch revision.
-	CapBatch uint8 = 1 << 1
-	// CapQueue: the sender is a provider that holds queued attempts behind
-	// the ones it runs: Register.Queue places, or Slots when Register carries
-	// no tail (the first revision of the bit). The broker places past Slots
-	// only on providers that advertised this bit, and only as deep as about
-	// TinyExecNanos of their recent attempts' work per slot.
-	CapQueue uint8 = 1 << 2
-	// CapImplicitJob: the sender is a consumer that numbers its own jobs and
-	// does not wait for JobAccepted. The n-th SubmitJob on consumer
-	// connection c is job c<<32 | n for every consumer; the broker sends
-	// JobAccepted only to consumers without this bit, and refuses a job to a
-	// consumer with it by an ErrorMsg that carries the job's ID.
-	CapImplicitJob uint8 = 1 << 3
-)
-
-// Flag bits carried in the optional tail of SubmitJob and Assign.
+// Flag bits carried in the flags byte of SubmitJob and Assign.
 const (
 	// flagNoCache marks a tasklet/attempt excluded from result memoization.
 	flagNoCache = 1 << 0
@@ -76,7 +35,9 @@ const (
 	TypeCancelAttempt
 	TypeAttemptResult
 	TypeSubmitJob
-	TypeJobAccepted
+	// Type 10 was job_accepted, retired in protocol version 2: consumers
+	// number their own jobs. It stays reserved.
+	_
 	TypeResultPush
 	TypeJobDone
 	TypeCancelJob
@@ -103,8 +64,8 @@ func (t MsgType) String() string {
 		TypeRegister: "register", TypeHeartbeat: "heartbeat",
 		TypeAssign: "assign", TypeCancelAttempt: "cancel_attempt",
 		TypeAttemptResult: "attempt_result", TypeSubmitJob: "submit_job",
-		TypeJobAccepted: "job_accepted", TypeResultPush: "result_push",
-		TypeJobDone: "job_done", TypeCancelJob: "cancel_job", TypeBye: "bye",
+		TypeResultPush: "result_push", TypeJobDone: "job_done",
+		TypeCancelJob: "cancel_job", TypeBye: "bye",
 		TypeQueryFleet: "query_fleet", TypeFleetInfo: "fleet_info",
 		TypeAssignBatch:        "assign_batch",
 		TypeAttemptResultBatch: "attempt_result_batch",
@@ -140,11 +101,6 @@ type Hello struct {
 	Version uint16
 	Role    Role
 	Name    string // free-form client identification for logs
-
-	// Caps advertises the compatible protocol extensions this client can
-	// decode (Cap* bits). Carried in the optional tail; absent on
-	// old-format frames, defaulting to none.
-	Caps uint8
 }
 
 // Welcome acknowledges a Hello and assigns the session its ID.
@@ -158,9 +114,8 @@ type ErrorMsg struct {
 	Code uint16
 	Msg  string
 
-	// Job names the refused submission on a job-level error to a consumer
-	// that advertised CapImplicitJob. Carried in an optional u64 tail,
-	// omitted when zero; job IDs are never zero.
+	// Job names the refused submission on a job-level error; zero on
+	// session-level errors (job IDs are never zero).
 	Job core.JobID
 }
 
@@ -178,10 +133,8 @@ type Register struct {
 	Class core.DeviceClass
 	Speed float64 // self-measured mega-ops/sec (see internal/speedbench)
 
-	// Queue is how many queued places a CapQueue provider holds beyond its
-	// Slots, so it admits Slots+Queue attempts at once. Carried in an
-	// optional u32 tail, omitted when zero; a CapQueue provider that sends
-	// no tail holds Slots queued places.
+	// Queue is how many queued places the provider holds beyond its Slots,
+	// so it admits Slots+Queue attempts at once.
 	Queue int
 }
 
@@ -191,21 +144,20 @@ type Heartbeat struct {
 	FreeSlots int
 }
 
-// Assign dispatches one execution attempt to a provider. ProgramData is
-// empty when the broker knows the provider has the program cached.
+// Assign dispatches one execution attempt to a provider. A broker always
+// attaches the program's bytes, so the provider never needs state from an
+// earlier frame; its program cache only saves a decode.
 type Assign struct {
 	Attempt     core.AttemptID
 	Tasklet     core.TaskletID
 	Program     core.ProgramID
-	ProgramData []byte // empty if cached on the provider
+	ProgramData []byte
 	Params      []tvm.Value
 	Fuel        uint64
 	Seed        uint64
 
-	// NoCache is kept for frame-format compatibility: it is carried in the
-	// optional flags tail (absent on old-format frames, defaulting to
-	// false), but brokers no longer set it and providers ignore it, since
-	// providers cache no results.
+	// NoCache is the flags byte's no-cache bit. Brokers do not set it and
+	// providers ignore it, since providers cache no results.
 	NoCache bool
 }
 
@@ -235,12 +187,6 @@ type SubmitJob struct {
 	QoC     core.QoC
 	Fuel    uint64
 	Seed    uint64
-}
-
-// JobAccepted confirms a SubmitJob and assigns the job its ID.
-type JobAccepted struct {
-	Job      core.JobID
-	Tasklets int
 }
 
 // ResultPush delivers one completed tasklet's final result to the consumer.
@@ -305,7 +251,6 @@ var (
 	_ Message = (*CancelAttempt)(nil)
 	_ Message = (*AttemptResult)(nil)
 	_ Message = (*SubmitJob)(nil)
-	_ Message = (*JobAccepted)(nil)
 	_ Message = (*ResultPush)(nil)
 	_ Message = (*JobDone)(nil)
 	_ Message = (*CancelJob)(nil)
@@ -325,7 +270,6 @@ func (*Assign) Type() MsgType        { return TypeAssign }
 func (*CancelAttempt) Type() MsgType { return TypeCancelAttempt }
 func (*AttemptResult) Type() MsgType { return TypeAttemptResult }
 func (*SubmitJob) Type() MsgType     { return TypeSubmitJob }
-func (*JobAccepted) Type() MsgType   { return TypeJobAccepted }
 func (*ResultPush) Type() MsgType    { return TypeResultPush }
 func (*JobDone) Type() MsgType       { return TypeJobDone }
 func (*CancelJob) Type() MsgType     { return TypeCancelJob }
@@ -337,18 +281,12 @@ func (m *Hello) encode(e *enc) {
 	e.u16(m.Version)
 	e.u8(uint8(m.Role))
 	e.str(m.Name)
-	if m.Caps != 0 { // optional tail; omitted when empty for legacy peers
-		e.u8(m.Caps)
-	}
 }
 
 func (m *Hello) decode(d *dec) {
 	m.Version = d.u16()
 	m.Role = Role(d.u8())
 	m.Name = d.str()
-	if d.err == nil && d.remaining() > 0 { // optional tail (new in caps rev)
-		m.Caps = d.u8()
-	}
 }
 
 func (m *Welcome) encode(e *enc) { e.u64(m.ID) }
@@ -357,35 +295,27 @@ func (m *Welcome) decode(d *dec) { m.ID = d.u64() }
 func (m *ErrorMsg) encode(e *enc) {
 	e.u16(m.Code)
 	e.str(m.Msg)
-	if m.Job != 0 { // optional tail; omitted when empty for legacy peers
-		e.u64(uint64(m.Job))
-	}
+	e.u64(uint64(m.Job))
 }
 
 func (m *ErrorMsg) decode(d *dec) {
 	m.Code = d.u16()
 	m.Msg = d.str()
-	if d.err == nil && d.remaining() > 0 { // optional tail (new in implicit-job rev)
-		m.Job = core.JobID(d.u64())
-	}
+	m.Job = core.JobID(d.u64())
 }
 
 func (m *Register) encode(e *enc) {
 	e.u32(uint32(m.Slots))
 	e.u8(uint8(m.Class))
 	e.f64(m.Speed)
-	if m.Queue != 0 { // optional tail; omitted when empty for legacy peers
-		e.u32(uint32(m.Queue))
-	}
+	e.u32(uint32(m.Queue))
 }
 
 func (m *Register) decode(d *dec) {
 	m.Slots = int(d.u32())
 	m.Class = core.DeviceClass(d.u8())
 	m.Speed = d.f64()
-	if d.err == nil && d.remaining() > 0 { // optional tail (new in work-budget rev)
-		m.Queue = int(d.u32())
-	}
+	m.Queue = int(d.u32())
 }
 
 func (m *Heartbeat) encode(e *enc) { e.u32(uint32(m.FreeSlots)) }
@@ -399,13 +329,7 @@ func (m *Assign) encode(e *enc) {
 	e.values(m.Params)
 	e.u64(m.Fuel)
 	e.u64(m.Seed)
-	var fl uint8
-	if m.NoCache {
-		fl |= flagNoCache
-	}
-	if fl != 0 { // optional tail; omitted when empty for legacy peers
-		e.u8(fl)
-	}
+	e.u8(flags(m.NoCache))
 }
 
 func (m *Assign) decode(d *dec) {
@@ -416,9 +340,15 @@ func (m *Assign) decode(d *dec) {
 	m.Params = d.values()
 	m.Fuel = d.u64()
 	m.Seed = d.u64()
-	if d.err == nil && d.remaining() > 0 { // optional tail (new in flags rev)
-		m.NoCache = d.u8()&flagNoCache != 0
+	m.NoCache = d.u8()&flagNoCache != 0
+}
+
+// flags packs the flags byte of SubmitJob, Assign and AssignBatch entries.
+func flags(noCache bool) uint8 {
+	if noCache {
+		return flagNoCache
 	}
+	return 0
 }
 
 func (m *CancelAttempt) encode(e *enc) { e.u64(uint64(m.Attempt)) }
@@ -462,13 +392,7 @@ func (m *SubmitJob) encode(e *enc) {
 	e.boolv(m.QoC.LocalFallback)
 	e.u64(m.Fuel)
 	e.u64(m.Seed)
-	var fl uint8
-	if m.QoC.NoCache {
-		fl |= flagNoCache
-	}
-	if fl != 0 { // optional tail; omitted when empty for legacy peers
-		e.u8(fl)
-	}
+	e.u8(flags(m.QoC.NoCache))
 }
 
 func (m *SubmitJob) decode(d *dec) {
@@ -490,19 +414,7 @@ func (m *SubmitJob) decode(d *dec) {
 	m.QoC.LocalFallback = d.boolv()
 	m.Fuel = d.u64()
 	m.Seed = d.u64()
-	if d.err == nil && d.remaining() > 0 { // optional tail (new in flags rev)
-		m.QoC.NoCache = d.u8()&flagNoCache != 0
-	}
-}
-
-func (m *JobAccepted) encode(e *enc) {
-	e.u64(uint64(m.Job))
-	e.u32(uint32(m.Tasklets))
-}
-
-func (m *JobAccepted) decode(d *dec) {
-	m.Job = core.JobID(d.u64())
-	m.Tasklets = int(d.u32())
+	m.QoC.NoCache = d.u8()&flagNoCache != 0
 }
 
 func (m *ResultPush) encode(e *enc) {
@@ -610,8 +522,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &AttemptResult{}, nil
 	case TypeSubmitJob:
 		return &SubmitJob{}, nil
-	case TypeJobAccepted:
-		return &JobAccepted{}, nil
 	case TypeResultPush:
 		return &ResultPush{}, nil
 	case TypeJobDone:

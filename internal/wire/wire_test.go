@@ -59,7 +59,7 @@ func sameReflect(a, b reflect.Value) bool {
 func allMessages() []Message {
 	return []Message{
 		&Hello{Version: ProtocolVersion, Role: RoleProvider, Name: "node-7"},
-		&Hello{Version: ProtocolVersion, Role: RoleConsumer, Name: "app", Caps: CapFlagsTail},
+		&Hello{Version: ProtocolVersion, Role: RoleConsumer, Name: "app"},
 		&Welcome{ID: 42},
 		&ErrorMsg{Code: ErrCodeBadJob, Msg: "no such program"},
 		&ErrorMsg{Code: ErrCodeBadJob, Msg: "queue limit", Job: 3<<32 | 7},
@@ -101,7 +101,6 @@ func allMessages() []Message {
 			QoC:     core.QoC{NoCache: true},
 			Fuel:    1, Seed: 2,
 		},
-		&JobAccepted{Job: 3, Tasklets: 128},
 		&ResultPush{
 			Job: 3, Tasklet: 8, Index: 17, Status: core.StatusOK,
 			Return:   tvm.Float(3.14),
@@ -174,36 +173,6 @@ func TestMarshalRoundTripAllTypes(t *testing.T) {
 	}
 }
 
-// optionalTailLen is the length of the optional tail a message instance
-// encodes with: 1 byte of caps on Hello or flags on SubmitJob/Assign, 8
-// bytes of job ID on ErrorMsg, 4 bytes of queued places on Register, 0 when
-// absent.
-func optionalTailLen(m Message) int {
-	switch v := m.(type) {
-	case *Hello:
-		if v.Caps != 0 {
-			return 1
-		}
-	case *SubmitJob:
-		if v.QoC.NoCache {
-			return 1
-		}
-	case *Assign:
-		if v.NoCache {
-			return 1
-		}
-	case *ErrorMsg:
-		if v.Job != 0 {
-			return 8
-		}
-	case *Register:
-		if v.Queue != 0 {
-			return 4
-		}
-	}
-	return 0
-}
-
 func TestUnmarshalRejectsTruncation(t *testing.T) {
 	for _, m := range allMessages() {
 		frame, err := Marshal(m)
@@ -211,14 +180,9 @@ func TestUnmarshalRejectsTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 		payload := frame[5:]
+		// Every field is fixed: no truncation is a valid frame, including
+		// the protocol-1 layouts that lacked the then-optional last field.
 		for cut := 1; cut <= len(payload); cut++ {
-			// Removing exactly the optional tail yields a valid
-			// *old-format* frame by design (append-only protocol
-			// discipline), covered by TestTaillessFramesMatchLegacyFormat.
-			// Every other truncation must still fail.
-			if cut == optionalTailLen(m) {
-				continue
-			}
 			if _, err := Unmarshal(m.Type(), payload[:len(payload)-cut]); err == nil {
 				// Some prefixes of variable-length messages can decode by
 				// coincidence only if every field is length-guarded; any
@@ -229,165 +193,72 @@ func TestUnmarshalRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestTaillessFramesMatchLegacyFormat proves both directions of the
-// append-only discipline for Hello/SubmitJob/Assign. A frame with no set
-// bits carries no tail at all — byte-identical to the pre-tail revision, so
-// a legacy peer's strict trailing-bytes check accepts it — and is exactly
-// one byte shorter than its flagged twin. And a frame that *does* carry a
-// zero tail (the interim revision emitted one unconditionally) still
-// decodes to the same message, with every bit false.
-func TestTaillessFramesMatchLegacyFormat(t *testing.T) {
-	pairs := []struct {
-		name             string
-		tailless, tailed Message
-	}{
-		{
-			"hello",
-			&Hello{Version: ProtocolVersion, Role: RoleProvider, Name: "n"},
-			&Hello{Version: ProtocolVersion, Role: RoleProvider, Name: "n", Caps: CapFlagsTail},
-		},
-		{
-			"assign",
-			&Assign{Attempt: 1, Tasklet: 2, Program: 3, ProgramData: []byte{9},
-				Params: []tvm.Value{tvm.Int(1)}, Fuel: 4, Seed: 5},
-			&Assign{Attempt: 1, Tasklet: 2, Program: 3, ProgramData: []byte{9},
-				Params: []tvm.Value{tvm.Int(1)}, Fuel: 4, Seed: 5, NoCache: true},
-		},
-		{
-			"submit_job",
-			&SubmitJob{Program: []byte{1}, Params: [][]tvm.Value{{tvm.Int(1)}}, Fuel: 2, Seed: 3},
-			&SubmitJob{Program: []byte{1}, Params: [][]tvm.Value{{tvm.Int(1)}}, Fuel: 2, Seed: 3,
-				QoC: core.QoC{NoCache: true}},
-		},
-	}
-	for _, p := range pairs {
-		plain, err := Marshal(p.tailless)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flagged, err := Marshal(p.tailed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(flagged) != len(plain)+1 {
-			t.Fatalf("%s: tailed frame is %d bytes, tailless %d; want exactly one extra",
-				p.name, len(flagged), len(plain))
-		}
-		// A legacy frame equals the tailless encoding; decoding it must
-		// reproduce the message with all tail bits false.
-		got, err := Unmarshal(p.tailless.Type(), plain[5:])
-		if err != nil {
-			t.Fatalf("%s: legacy frame rejected: %v", p.name, err)
-		}
-		if !sameMessage(p.tailless, got) {
-			t.Fatalf("%s legacy decode:\n in: %#v\nout: %#v", p.name, p.tailless, got)
-		}
-		// The interim always-emit revision appended a zero tail; those
-		// frames must keep decoding identically.
-		withZero := append(append([]byte(nil), plain[5:]...), 0)
-		got, err = Unmarshal(p.tailless.Type(), withZero)
-		if err != nil {
-			t.Fatalf("%s: zero-tail frame rejected: %v", p.name, err)
-		}
-		if !sameMessage(p.tailless, got) {
-			t.Fatalf("%s zero-tail decode:\n in: %#v\nout: %#v", p.name, p.tailless, got)
-		}
-	}
-}
-
-// TestRegisterQueueTail: Register's queue tail is a u32 after the fixed
-// fields, present only when Queue is non-zero. A tailless frame is the
-// pre-tail format byte for byte and decodes with Queue 0 — the broker reads
-// that as the first CapQueue revision's one place per slot — and a tailed
-// frame round-trips its Queue.
+// TestRegisterQueueTail: Register's queue is a u32 after the slots, class
+// and speed, present whatever its value, and round-trips.
 func TestRegisterQueueTail(t *testing.T) {
-	plain, err := Marshal(&Register{Slots: 2, Class: core.ClassLaptop, Speed: 9.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pre-tail layout: 5-byte header, u32 slots, u8 class, f64 speed.
-	if len(plain) != 5+4+1+8 {
-		t.Fatalf("tailless Register is %d bytes, want the pre-tail 18", len(plain))
-	}
-	got, err := Unmarshal(TypeRegister, plain[5:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := got.(*Register); r.Queue != 0 || r.Slots != 2 || r.Speed != 9.5 {
-		t.Fatalf("tailless decode = %+v", r)
-	}
-	tailed, err := Marshal(&Register{Slots: 2, Class: core.ClassLaptop, Speed: 9.5, Queue: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tailed) != len(plain)+4 || !bytes.Equal(tailed[5:len(plain)], plain[5:]) {
-		t.Fatalf("tailed Register = %x, want the tailless payload %x plus a u32", tailed, plain)
-	}
-	got, err = Unmarshal(TypeRegister, tailed[5:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := got.(*Register); r.Queue != 32 || r.Slots != 2 || r.Class != core.ClassLaptop {
-		t.Fatalf("tailed decode = %+v", r)
-	}
-	if _, err := Unmarshal(TypeRegister, tailed[5:len(tailed)-1]); err == nil {
-		t.Fatal("truncated queue tail accepted")
+	for _, queue := range []int{0, 32} {
+		frame, err := Marshal(&Register{Slots: 2, Class: core.ClassLaptop, Speed: 9.5, Queue: queue})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 5-byte header, u32 slots, u8 class, f64 speed, u32 queue.
+		if len(frame) != 5+4+1+8+4 {
+			t.Fatalf("Register with queue %d is %d bytes, want 22", queue, len(frame))
+		}
+		got, err := Unmarshal(TypeRegister, frame[5:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := got.(*Register); r.Queue != queue || r.Slots != 2 || r.Class != core.ClassLaptop || r.Speed != 9.5 {
+			t.Fatalf("decode = %+v, want queue %d", r, queue)
+		}
 	}
 }
 
-// TestFlagsTailRoundTrip pins the flag bit assignments on the wire.
+// TestFlagsTailRoundTrip pins the flag bit assignments on the wire: the
+// flags byte is the last byte of SubmitJob and Assign, present when zero.
 func TestFlagsTailRoundTrip(t *testing.T) {
-	sj := &SubmitJob{
-		Program: []byte{1},
-		Params:  [][]tvm.Value{{tvm.Int(1)}},
-		QoC:     core.QoC{NoCache: true},
-		Fuel:    5, Seed: 6,
-	}
-	frame, err := Marshal(sj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail := frame[len(frame)-1]; tail != flagNoCache {
-		t.Fatalf("SubmitJob flags tail = %#x, want %#x", tail, flagNoCache)
-	}
-	got, err := Unmarshal(TypeSubmitJob, frame[5:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.(*SubmitJob).QoC.NoCache {
-		t.Fatal("SubmitJob NoCache lost in round trip")
-	}
+	for _, noCache := range []bool{false, true} {
+		want := uint8(0)
+		if noCache {
+			want = flagNoCache
+		}
+		sj := &SubmitJob{
+			Program: []byte{1},
+			Params:  [][]tvm.Value{{tvm.Int(1)}},
+			QoC:     core.QoC{NoCache: noCache},
+			Fuel:    5, Seed: 6,
+		}
+		frame, err := Marshal(sj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tail := frame[len(frame)-1]; tail != want {
+			t.Fatalf("SubmitJob flags = %#x, want %#x", tail, want)
+		}
+		got, err := Unmarshal(TypeSubmitJob, frame[5:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.(*SubmitJob).QoC.NoCache != noCache {
+			t.Fatal("SubmitJob NoCache lost in round trip")
+		}
 
-	as := &Assign{Attempt: 1, Tasklet: 2, Program: 3, Fuel: 4, Seed: 5, NoCache: true}
-	frame, err = Marshal(as)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail := frame[len(frame)-1]; tail != flagNoCache {
-		t.Fatalf("Assign flags tail = %#x, want %#x", tail, flagNoCache)
-	}
-	got, err = Unmarshal(TypeAssign, frame[5:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.(*Assign).NoCache {
-		t.Fatal("Assign NoCache lost in round trip")
-	}
-
-	h := &Hello{Version: ProtocolVersion, Role: RoleProvider, Name: "n", Caps: CapFlagsTail}
-	frame, err = Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail := frame[len(frame)-1]; tail != CapFlagsTail {
-		t.Fatalf("Hello caps tail = %#x, want %#x", tail, CapFlagsTail)
-	}
-	got, err = Unmarshal(TypeHello, frame[5:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.(*Hello).Caps != CapFlagsTail {
-		t.Fatal("Hello Caps lost in round trip")
+		as := &Assign{Attempt: 1, Tasklet: 2, Program: 3, Fuel: 4, Seed: 5, NoCache: noCache}
+		frame, err = Marshal(as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tail := frame[len(frame)-1]; tail != want {
+			t.Fatalf("Assign flags = %#x, want %#x", tail, want)
+		}
+		got, err = Unmarshal(TypeAssign, frame[5:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.(*Assign).NoCache != noCache {
+			t.Fatal("Assign NoCache lost in round trip")
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ type WriterOpts struct {
 // TinyExecNanos is the execution time below which an attempt counts as tiny:
 // its cost is the round trip around it, not the run. The writer lets a tiny
 // AttemptResult wait one scheduler turn for its siblings, and the broker
-// queues attempts behind a CapQueue provider's slots while that provider's
+// queues attempts behind a provider's slots while that provider's
 // attempts stay tiny. 50 µs is about ten loopback flushes: a result that ran
 // for less gains more from sharing a write than the turn costs it. A
 // constant, not an option: one value serves every workload, because anything
@@ -122,11 +122,9 @@ func allTinyResults(batch []Message) bool {
 // FoldBatchFrames rewrites one writer burst in place, collapsing every run
 // of two or more consecutive AttemptResult frames into one
 // AttemptResultBatch and every such run of ResultPush frames into one
-// ResultPushBatch. Lone frames pass through untouched, so low-rate traffic
-// stays byte-identical to the pre-batch revision, and relative frame order
-// is preserved — a ResultPush queued before a JobDone still arrives before
-// it. Callers must only use it on connections whose peer advertised
-// CapBatch.
+// ResultPushBatch. Lone frames pass through untouched as single frames, and
+// relative frame order is preserved — a ResultPush queued before a JobDone still arrives before
+// it.
 func FoldBatchFrames(batch []Message) []Message {
 	out := batch[:0] // in-place: the write index never passes the read index
 	for i := 0; i < len(batch); {

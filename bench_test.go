@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/provider"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/stdtasks"
 	"repro/internal/tasklang"
@@ -321,34 +320,6 @@ func BenchmarkWire_UnmarshalAssign(b *testing.B) {
 		if _, err := wire.Unmarshal(wire.TypeAssign, payload); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkScheduler_Pick(b *testing.B) {
-	for _, name := range scheduler.Names() {
-		b.Run(name, func(b *testing.B) {
-			pol, err := scheduler.New(name, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cands := make([]scheduler.Candidate, 64)
-			for i := range cands {
-				cands[i] = scheduler.Candidate{
-					Info: &core.ProviderInfo{
-						ID: core.ProviderID(i + 1), Speed: float64(10 + i), Slots: 2, Reliability: 1,
-					},
-					FreeSlots: 1 + i%2,
-					Backlog:   i % 3,
-				}
-			}
-			req := scheduler.Request{Tasklet: &core.Tasklet{Fuel: 1_000_000}}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := pol.Pick(req, cands); !ok {
-					b.Fatal("no pick")
-				}
-			}
-		})
 	}
 }
 

@@ -59,7 +59,7 @@ import (
 // Options configures a Broker. The zero value is usable: work-stealing
 // policy, 5-second heartbeat timeout, silent logger.
 type Options struct {
-	// Policy is the placement policy; nil selects work_steal.
+	// Policy is the placement policy; the zero value is work_steal.
 	Policy scheduler.Policy
 	// HeartbeatTimeout is how long a provider may stay silent before it is
 	// declared dead. Zero selects 5s.
@@ -294,12 +294,8 @@ type jobState struct {
 	cancelled bool
 }
 
-// New creates a broker with the given options. It panics if opts.Policy has
-// no placement index (every policy in internal/scheduler has one).
+// New creates a broker with the given options.
 func New(opts Options) *Broker {
-	if opts.Policy == nil {
-		opts.Policy = scheduler.NewWorkSteal()
-	}
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 5 * time.Second
 	}
@@ -350,11 +346,7 @@ func New(opts Options) *Broker {
 	b.mSchedPassNS = reg.Histogram("broker.sched_pass_ns")
 	b.mPendingDep = reg.Gauge("broker.pending_depth")
 	b.mPlaced = reg.Counter("broker.placed_per_pass")
-	ix, err := scheduler.NewIndexFor(opts.Policy)
-	if err != nil {
-		panic("broker: " + err.Error())
-	}
-	b.index = ix
+	b.index, _ = scheduler.NewIndexFor(opts.Policy) // the error is always nil
 
 	var lopts lifecycle.Options
 	lopts.MaxAttempts = opts.MaxAttempts

@@ -644,8 +644,11 @@ func TestMetricsAccounting(t *testing.T) {
 }
 
 func TestFastestPolicySendsWorkToFastProvider(t *testing.T) {
-	opts := Options{Policy: scheduler.NewFastestFree()}
-	b := New(opts)
+	pol, err := scheduler.New("fastest", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(Options{Policy: pol})
 	addr, err := b.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -12,18 +12,23 @@ import (
 )
 
 // TestBrokerIndexDifferential runs a redundant-QoC job over a heterogeneous
-// fleet through the placement index under the fastest-free policy and checks
-// every result status and value. Memoization is disabled so every tasklet
-// really goes through placement. Live timing interleaves passes and result
-// arrivals differently run to run (a redundant replica may or may not launch
-// before the first result finalizes its tracker), so attempt counts are only
-// sanity-bounded; the pick-sequence identity between the index and
-// Policy.Pick is pinned by the deterministic scheduler differential test.
+// fleet under the fastest policy and checks every result status and value.
+// Despite its name it is an end-to-end check, not a differential one: it
+// compares against no second placement path. Memoization is disabled so
+// every tasklet really goes through placement. Live timing interleaves
+// passes and result arrivals differently run to run (a redundant replica may
+// or may not launch before the first result finalizes its tracker), so
+// attempt counts are only sanity-bounded; the index's picks are checked
+// against the reference scan by internal/scheduler's differential test.
 func TestBrokerIndexDifferential(t *testing.T) {
+	pol, err := scheduler.New("fastest", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := &metrics.Registry{}
 	addr := testStack(t,
 		Options{
-			Policy:      scheduler.NewFastestFree(),
+			Policy:      pol,
 			Metrics:     reg,
 			MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
 		},

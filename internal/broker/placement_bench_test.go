@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/scheduler"
 	"repro/internal/wire"
 )
 
@@ -29,7 +28,6 @@ func (benchConn) SetWriteDeadline(time.Time) error { return nil }
 func benchBroker(b *testing.B, p int) *Broker {
 	b.Helper()
 	br := New(Options{
-		Policy:      scheduler.NewWorkSteal(),
 		Partitions:  1,
 		MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
 	})

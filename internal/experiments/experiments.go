@@ -101,13 +101,12 @@ func init() {
 		"e7":  {"Figure 6 — broker throughput and queue delay", RunE7},
 		"e8":  {"Figure 7 — result memoization on Zipf-repeated workloads", RunE8},
 		"e9":  {"Figure 8 — data-plane throughput and p99 vs offered load", RunE9},
-		"e10": {"Figure 9 — placement latency vs fleet size (scheduler index vs reference scan)", RunE10},
 		"e13": {"Figure 12 — partitioned broker core: live loopback throughput, -partitions=1 vs GOMAXPROCS", RunE13},
 	}
 }
 
-// IDs lists the experiment identifiers in numeric order (e1..e10, not
-// lexicographic, so e10 follows e9).
+// IDs lists the experiment identifiers in numeric order, not lexicographic:
+// e13 follows e9.
 func IDs() []string {
 	ids := make([]string, 0, len(registry))
 	for id := range registry {

@@ -10,7 +10,7 @@ import (
 func quick() Options { return Options{Quick: true, Seed: 7} }
 
 func TestIDsComplete(t *testing.T) {
-	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e13"}
+	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e13"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v", got)

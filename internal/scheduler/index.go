@@ -1,23 +1,18 @@
 package scheduler
 
-import (
-	"fmt"
+import "repro/internal/core"
 
-	"repro/internal/core"
-)
-
-// Index is the incremental placement index: it maintains the per-policy
-// ordered structure a policy ranks providers by, updated on provider events
+// Index is the placement index: it maintains the per-policy ordered
+// structure a policy ranks providers by, updated on provider events
 // (register, assign, complete, disconnect) instead of rebuilt on every
 // pick. A pick is then a heap peek (ranked policies) or an order-statistics
 // query (random / round_robin) instead of an O(P log P) filter-and-sort,
 // and performs zero allocations.
 //
-// The index is pick-for-pick identical to the reference scan: for the same
-// event sequence and the same stochastic seed it returns exactly the
-// provider the equivalent Policy.Pick would return (see the differential
-// tests). Exclusion (QoC replica fan-out, retry avoidance) is handled by
-// bounded pop-and-reinsert: excluded entries are popped off the heap (or
+// The tests hold the index pick for pick to a reference scan that filters
+// and ranks a fleet snapshot on every pick (index_test.go). Exclusion (QoC
+// replica fan-out, retry avoidance) is handled by bounded
+// pop-and-reinsert: excluded entries are popped off the heap (or
 // weight-masked in the selection tree), the winner is read, and the popped
 // entries are pushed back — O(|exclude| · log P) per pick with reusable
 // scratch, no allocations.
@@ -35,7 +30,7 @@ import (
 //	                      flags for O(log P) k-th-eligible selection
 //
 // An Index is not safe for concurrent use; the broker serializes access
-// under its scheduling mutex, matching the Policy contract.
+// under its scheduling mutex.
 type Index struct {
 	kind policyKind
 
@@ -45,26 +40,14 @@ type Index struct {
 	heapA ixHeap // primary ranking (unused by ring policies)
 	heapB ixHeap // deadline only: load-ratio order
 
-	rng    uint64 // random: xorshift* state, in lockstep with Random.rng
-	cursor uint64 // round_robin cursor, in lockstep with RoundRobin.cursor
+	rng    uint64 // random: xorshift* state
+	cursor uint64 // round_robin cursor
 
 	ring ixRing
 
 	stash   []*ixEntry // pop-and-reinsert scratch (heap policies)
 	restore []*ixEntry // weight-restore scratch (ring policies)
 }
-
-type policyKind uint8
-
-const (
-	kindRandom policyKind = iota
-	kindRoundRobin
-	kindFastest
-	kindLeastLoaded
-	kindWorkSteal
-	kindReliable
-	kindDeadline
-)
 
 // ixEntry is the index's record of one provider. Rank inputs (speed, slots,
 // reliability) are read through info at comparison time, so callers must
@@ -79,44 +62,35 @@ type ixEntry struct {
 	ringIdx int // slot in the selection ring; -1 when absent
 }
 
-// NewIndexFor builds an incremental index equivalent to policy p,
-// snapshotting any stochastic state (RNG, cursor) so the index's pick
-// stream continues exactly where the policy's would. A policy defined
-// outside this package has no index and gets an error. The policy instance
-// itself is not retained or mutated.
+// NewIndexFor builds an empty index that places work under policy p.
+// random's generator starts from p's seed (a zero seed is replaced by
+// defaultRandomSeed); round_robin's cursor starts at zero. The error is
+// always nil.
 func NewIndexFor(p Policy) (*Index, error) {
-	ix := &Index{entries: map[core.ProviderID]*ixEntry{}}
-	switch pp := p.(type) {
-	case *Random:
-		ix.kind = kindRandom
-		ix.rng = pp.rng
-	case *RoundRobin:
-		ix.kind = kindRoundRobin
-		ix.cursor = pp.cursor
-	case *FastestFree:
-		ix.kind = kindFastest
+	ix := &Index{kind: p.kind, entries: map[core.ProviderID]*ixEntry{}}
+	switch p.kind {
+	case kindRandom:
+		ix.rng = p.seed
+		if ix.rng == 0 {
+			ix.rng = defaultRandomSeed
+		}
+	case kindFastest:
 		ix.heapA = ixHeap{slot: 0, less: lessFastest}
-	case *LeastLoaded:
-		ix.kind = kindLeastLoaded
+	case kindLeastLoaded:
 		ix.heapA = ixHeap{slot: 0, less: lessLoad}
-	case *WorkSteal:
-		ix.kind = kindWorkSteal
+	case kindWorkSteal:
 		ix.heapA = ixHeap{slot: 0, less: lessCompletion}
-	case *Reliable:
-		ix.kind = kindReliable
+	case kindReliable:
 		ix.heapA = ixHeap{slot: 0, less: lessReliable}
-	case *Deadline:
-		ix.kind = kindDeadline
+	case kindDeadline:
 		ix.heapA = ixHeap{slot: 0, less: lessCompletion}
 		ix.heapB = ixHeap{slot: 1, less: lessLoad}
-	default:
-		return nil, fmt.Errorf("scheduler: policy %q has no incremental index", p.Name())
 	}
 	return ix, nil
 }
 
-// Heap orderings. Each delegates to the shared ranking function the legacy
-// scan uses, with the legacy tie-break (lower provider ID wins).
+// Heap orderings. Each delegates to a shared ranking function, ties broken
+// by lower provider ID.
 
 func lessFastest(a, b *ixEntry) bool {
 	return fasterCandidate(a.info.Speed, a.info.ID, b.info.Speed, b.info.ID)
@@ -284,8 +258,8 @@ func ringWeight(e *ixEntry) int {
 
 // ---------- picking ----------
 
-// Pick selects a provider for t exactly as the equivalent legacy policy
-// would, excluding the given providers. It performs no allocations after
+// Pick selects a provider for t under the index's policy, excluding the
+// given providers; it reports false when no provider is eligible. It performs no allocations after
 // scratch buffers reach steady-state capacity.
 func (ix *Index) Pick(t *core.Tasklet, exclude []core.ProviderID) (core.ProviderID, bool) {
 	switch ix.kind {
@@ -335,10 +309,9 @@ func (ix *Index) pickHeap(h *ixHeap, exclude []core.ProviderID) (core.ProviderID
 
 // pickDeadline sweeps the load-ordered heap: the first non-excluded entry
 // fast enough for the tasklet's budget is exactly the least-loaded
-// qualified provider (pop order is (load, ID), matching the legacy scan's
-// ordering over qualified candidates). If the sweep drains the heap without
-// a qualified provider, the fastest eligible seen is the legacy best-effort
-// fallback. All popped entries are reinserted.
+// qualified provider (pop order is (load, ID)). If the sweep drains the
+// heap without a qualified provider, the fastest eligible seen is the
+// best-effort fallback. All popped entries are reinserted.
 func (ix *Index) pickDeadline(t *core.Tasklet, exclude []core.ProviderID) (core.ProviderID, bool) {
 	fuel := t.Fuel
 	if fuel == 0 {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/scheduler"
 )
 
 // The golden file pins the simulator's observable behaviour bit-for-bit
@@ -45,21 +44,12 @@ type goldenRun struct {
 	Finals         []goldenFinal `json:"finals"`
 }
 
-// goldenScenarios builds the pinned scenarios fresh each call (policies are
-// stateful). They cover every lifecycle path the refactor moves: QoC voting
+// goldenScenarios builds the pinned scenarios. They cover every lifecycle path the refactor moves: QoC voting
 // with a faulty minority, memo hits and coalesced flights, deadlines,
 // redundant fan-out with cancellations, provider churn with lost-attempt
 // re-issue, and mixed arrivals over a heterogeneous fleet.
 func goldenScenarios(t *testing.T) map[string]Config {
 	t.Helper()
-	pol := func(name string) scheduler.Policy {
-		p, err := scheduler.New(name, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
 	votingFaulty := Config{
 		Devices: []DeviceSpec{
 			{Class: core.ClassDesktop, Slots: 2},
@@ -78,7 +68,7 @@ func goldenScenarios(t *testing.T) map[string]Config {
 			{Class: core.ClassDesktop, Slots: 2, Speed: 100},
 			{Class: core.ClassMobile, Slots: 1, Speed: 25},
 		},
-		Policy:  pol("fastest"),
+		Policy:  policy(t, "fastest", 42),
 		Latency: 5 * time.Millisecond,
 		Seed:    7,
 	}

@@ -8,13 +8,14 @@ import (
 	"repro/internal/scheduler"
 )
 
-// TestSimIndexMatchesLegacy runs every policy, with and without device
-// churn, through the simulator's indexed placement pass and checks the run
-// against what the scenario fixes: every tasklet finalizes, every completed
-// one carries its canonical value and a real provider, and the attempt and
-// per-device execution counts add up. (It used to compare against a second
-// run on a full-scan placement path; that path is gone, and pick-for-pick
-// identity of the index with Policy.Pick is pinned in internal/scheduler.)
+// TestSimIndexMatchesLegacy checks that every policy finalizes every
+// tasklet: it runs each policy, with and without device churn, through the
+// simulator and checks the run against what the scenario fixes — every
+// tasklet finalizes, every completed one carries its canonical value and a
+// real provider, and the attempt and per-device execution counts add up. It
+// compares against no second placement path; the index's picks are checked
+// against the reference scan in internal/scheduler. (The name is kept from
+// when it did compare two paths.)
 func TestSimIndexMatchesLegacy(t *testing.T) {
 	mixedDevices := func(churn bool) []DeviceSpec {
 		devs := []DeviceSpec{

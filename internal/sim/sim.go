@@ -58,7 +58,7 @@ type TaskSpec struct {
 type Config struct {
 	Devices []DeviceSpec
 	Tasks   []TaskSpec
-	// Policy is the placement policy; nil selects work_steal.
+	// Policy is the placement policy; the zero value is work_steal.
 	Policy scheduler.Policy
 	// Latency is the one-way broker<->provider message delay.
 	Latency time.Duration
@@ -197,9 +197,6 @@ func (cfg Config) normalize() (Config, error) {
 	if len(cfg.Tasks) == 0 {
 		return cfg, errors.New("sim: no tasks")
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = scheduler.NewWorkSteal()
-	}
 	if cfg.DetectDelay <= 0 {
 		cfg.DetectDelay = 2 * time.Second
 	}
@@ -210,13 +207,9 @@ func (cfg Config) normalize() (Config, error) {
 }
 
 // newSim builds the broker world — event engine, lifecycle engine, memo,
-// devices, index. cfg must be normalized. It fails only for a policy
-// without a placement index.
-func newSim(cfg Config) (*sim, error) {
-	index, err := scheduler.NewIndexFor(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
+// devices, index. cfg must be normalized.
+func newSim(cfg Config) *sim {
+	index, _ := scheduler.NewIndexFor(cfg.Policy) // the error is always nil
 	s := &sim{
 		index:   index,
 		cfg:     cfg,
@@ -269,7 +262,7 @@ func newSim(cfg Config) (*sim, error) {
 	s.stats.DeviceExecuted = make([]int, len(s.devices))
 	s.stats.Finals = make([]core.Result, len(cfg.Tasks))
 	s.firstArr = time.Duration(-1)
-	return s, nil
+	return s
 }
 
 // Run executes the scenario and returns its statistics.
@@ -278,10 +271,7 @@ func Run(cfg Config) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := newSim(cfg)
-	if err != nil {
-		return nil, err
-	}
+	s := newSim(cfg)
 	s.remaining = len(cfg.Tasks)
 	for i, tspec := range cfg.Tasks {
 		fuel := tspec.Fuel

@@ -114,6 +114,16 @@ func TestExponentialProperties(t *testing.T) {
 
 // --- full simulations ---
 
+// policy returns the named placement policy.
+func policy(t *testing.T, name string, seed uint64) scheduler.Policy {
+	t.Helper()
+	p, err := scheduler.New(name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func uniformTasks(n int, fuel uint64) []TaskSpec {
 	tasks := make([]TaskSpec, n)
 	for i := range tasks {
@@ -159,14 +169,13 @@ func TestSimDeterministicPerSeed(t *testing.T) {
 			{Class: core.ClassDesktop, Slots: 1},
 		},
 		Tasks:  uniformTasks(200, 50_000_000),
-		Policy: scheduler.NewRandom(3),
+		Policy: policy(t, "random", 3),
 		Seed:   99,
 	}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Policy = scheduler.NewRandom(3) // fresh policy state
 	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,8 +248,8 @@ func TestSimFastPolicyBeatsRandomOnHeterogeneousFleet(t *testing.T) {
 	for i := range tasks {
 		tasks[i].Arrival = time.Duration(i) * 400 * time.Millisecond
 	}
-	run := func(p scheduler.Policy) float64 {
-		stats, err := Run(Config{Devices: devices, Tasks: tasks, Policy: p, Seed: 5})
+	run := func(name string, seed uint64) float64 {
+		stats, err := Run(Config{Devices: devices, Tasks: tasks, Policy: policy(t, name, seed), Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,8 +258,8 @@ func TestSimFastPolicyBeatsRandomOnHeterogeneousFleet(t *testing.T) {
 		}
 		return stats.Latency.Mean
 	}
-	random := run(scheduler.NewRandom(1))
-	fastest := run(scheduler.NewFastestFree())
+	random := run("random", 1)
+	fastest := run("fastest", 0)
 	if fastest >= random {
 		t.Fatalf("fastest mean latency (%.1fms) should beat random (%.1fms)", fastest, random)
 	}

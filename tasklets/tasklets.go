@@ -150,7 +150,8 @@ func RunLocalSeeded(p *Program, seed uint64, fuel uint64, params ...Value) (*Loc
 // BrokerOptions configures a broker. The zero value works.
 type BrokerOptions struct {
 	// Policy names the scheduling policy: one of "random", "round_robin",
-	// "fastest", "least_loaded", "work_steal" (default), "reliable".
+	// "fastest", "least_loaded", "work_steal" (default), "reliable",
+	// "deadline".
 	Policy string
 	// PolicySeed seeds stochastic policies.
 	PolicySeed uint64

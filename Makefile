@@ -28,11 +28,13 @@ check:
 	# must come back right.
 	$(GO) test -race -run 'TestDifferentialBatching' -count 1 ./internal/broker/
 	# Partitioned-core smoke under race: a job must come back
-	# result-identical at 1 and 4 partitions, with the same memo hit and
-	# coalescing counts, and the cross-stripe stress (interleaved submit/result/deadline/cancel plus a provider loss)
-	# must finalize every tasklet exactly once and leak no attempts and no
-	# deadline timers.
-	$(GO) test -race -run 'TestDifferentialPartitions|TestPartitionStress' -count 1 ./internal/broker/
+	# result-identical at 1 and 4 partitions (a stripe count only tests can
+	# fix), with the same memo hit and coalescing counts; a placement pass
+	# must drain partition 0's queue before partition 1's, FIFO within each;
+	# and the cross-stripe stress (interleaved submit/result/deadline/cancel
+	# plus a provider loss) must finalize every tasklet exactly once and leak
+	# no attempts and no deadline timers.
+	$(GO) test -race -run 'TestDifferentialPartitions|TestDrainOrder|TestPartitionStress' -count 1 ./internal/broker/
 	# The benchmark is a nested module (benchmark/go.mod), invisible to the
 	# ./... patterns above: vet it and run its unit tests and its 300 ms
 	# smoke run of all five workloads against this checkout.
@@ -61,10 +63,11 @@ bench-vm:
 	$(GO) test -run XXX -bench '$(VMBENCH)' -benchmem -count 10 . ./internal/stdtasks/native/
 
 # profile captures CPU, mutex and block profiles from the saturating
-# broker-throughput benchmark — the partitioned core's hot path. Inspect
-# with `go tool pprof $(PROFILEDIR)/cpu.out` (or mutex.out / block.out) plus
-# the test binary left beside them; mutex samples on b.mu and the partition
-# stripes are the first thing to look at when scaling regresses.
+# broker-throughput benchmark — the partitioned core's hot path, at the
+# stripe count GOMAXPROCS sets. Inspect with `go tool pprof
+# $(PROFILEDIR)/cpu.out` (or mutex.out / block.out) plus the test binary
+# left beside them; mutex samples on b.mu and the partition stripes are the
+# first thing to look at when the hot path regresses.
 PROFILEDIR ?= profiles
 profile:
 	mkdir -p $(PROFILEDIR)

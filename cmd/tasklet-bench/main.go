@@ -1,5 +1,5 @@
 // Command tasklet-bench regenerates the paper's evaluation: every table and
-// figure has an experiment (e1–e13; see DESIGN.md §4) whose rows/series this
+// figure has an experiment (e1–e9; see DESIGN.md §4) whose rows/series this
 // tool prints.
 //
 // Usage:

@@ -33,8 +33,6 @@ func main() {
 		"cap total attempts per tasklet across lost-attempt re-issues (0 = unlimited); exhaustion fails the tasklet as lost")
 	retryBackoff := flag.Duration("retry-backoff", 0,
 		"base delay before re-issuing a lost attempt, doubling per re-issue (0 = immediate)")
-	partitions := flag.Int("partitions", 0,
-		"lock-striped lifecycle partitions per broker (0 = GOMAXPROCS; 1 = single-stripe ablation/legacy-equivalent)")
 	stats := flag.Duration("stats", 0, "print a status line at this interval (0 = off)")
 	quiet := flag.Bool("q", false, "suppress operational logs")
 	flag.Parse()
@@ -57,7 +55,6 @@ func main() {
 		MemoTTL:          *memoTTL,
 		MaxAttempts:      *maxAttempts,
 		RetryBackoff:     *retryBackoff,
-		Partitions:       *partitions,
 	})
 	bound, err := b.Listen(*addr)
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package broker implements the Tasklet broker: the mediator between
 // resource consumers and providers. It keeps the provider registry with
-// heartbeat-based failure detection, routes bytecode and results, and drives
-// the pluggable placement policy. The tasklet lifecycle itself — QoC attempt
-// fan-out, memoization, coalescing, re-issue of lost attempts, finalization —
-// lives in internal/lifecycle; the broker is the wire/wall-clock driver of
-// that shared engine (the simulator drives the same engine in virtual time).
+// heartbeat-based failure detection, routes bytecode and results, and places
+// attempts with one scheduler.Index built from Options.Policy. The tasklet
+// lifecycle itself — QoC attempt fan-out, memoization, coalescing, re-issue
+// of lost attempts, finalization — lives in internal/lifecycle; the broker
+// is the wire/wall-clock driver of that shared engine (the simulator drives
+// the same engine in virtual time).
 //
 // Concurrency model: one reader goroutine per connection, one writer
 // goroutine per connection (fed by a bounded queue so a slow peer cannot
@@ -29,9 +30,9 @@
 // Heartbeats bypass every lock (atomic timestamp per provider). Writer
 // goroutines drain their queue in batches so one socket flush covers a
 // burst of Assigns or ResultPushes (see wire.Conn for the flush policy).
-// Options.Partitions = 1 collapses the striping to a single partition whose
-// observable behavior is pinned event-identical to the pre-partitioned
-// broker by the differential tests.
+// The stripe count is min(GOMAXPROCS, maxPartitions); the differential
+// tests pin that it changes where lifecycle state lives, never what a
+// consumer sees.
 package broker
 
 import (
@@ -73,12 +74,6 @@ type Options struct {
 	// selects 1<<20.
 	MaxPendingPerConsumer int
 
-	// Partitions is the number of lock-striped lifecycle partitions the
-	// broker runs (see partition.go). Zero selects GOMAXPROCS; 1 is the
-	// ablation/legacy-equivalent configuration with a single stripe. Capped
-	// at 64.
-	Partitions int
-
 	// MemoEntries, MemoBytes, and MemoTTL configure the result memo, the
 	// system's only result cache (content-addressed cache of QoC-finalized
 	// results, plus coalescing of identical in-flight tasklets). Zero
@@ -96,6 +91,10 @@ type Options struct {
 	// RetryBackoff delays the n-th re-issue of a lost tasklet by
 	// RetryBackoff << min(n-1, 6); zero re-issues immediately.
 	RetryBackoff time.Duration
+
+	// partitions fixes the stripe count for tests in this package; zero
+	// selects min(GOMAXPROCS, maxPartitions).
+	partitions int
 }
 
 // sendQueueDepth bounds per-connection outgoing messages. A peer that
@@ -116,8 +115,8 @@ const maxStagedEvents = 4096
 // programs a long-lived broker sees.
 const maxProgramMemo = 1024
 
-// maxPartitions caps Options.Partitions: more stripes than cores buys no
-// parallelism, and every placement pass and result burst walks them all.
+// maxPartitions caps the stripe count on hosts with more cores: every
+// placement pass and result burst walks all the stripes.
 const maxPartitions = 64
 
 // Broker is the central coordinator. Create with New, start with Serve.
@@ -302,14 +301,8 @@ func New(opts Options) *Broker {
 	if opts.MaxPendingPerConsumer <= 0 {
 		opts.MaxPendingPerConsumer = 1 << 20
 	}
-	if opts.Partitions == 0 {
-		opts.Partitions = runtime.GOMAXPROCS(0)
-	}
-	if opts.Partitions < 1 {
-		opts.Partitions = 1
-	}
-	if opts.Partitions > maxPartitions {
-		opts.Partitions = maxPartitions
+	if opts.partitions == 0 {
+		opts.partitions = min(runtime.GOMAXPROCS(0), maxPartitions)
 	}
 	reg := opts.Metrics
 	if reg == nil {
@@ -367,7 +360,7 @@ func New(opts Options) *Broker {
 		b.memoOn = true
 	}
 
-	p := opts.Partitions
+	p := opts.partitions
 	b.parts = make([]*partition, p)
 	for i := range b.parts {
 		po := lopts
@@ -635,6 +628,7 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 
 	conn.ReadTimeout = b.opts.HeartbeatTimeout * 2
 	rs := resultScratch{byPart: make([][]lifecycle.Event, len(b.parts))}
+	registered := false
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
@@ -642,6 +636,24 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 		}
 		switch m := msg.(type) {
 		case *wire.Register:
+			// A session registers once, with a finite speed: a second
+			// register would reset the free slots under the attempts still
+			// outstanding, and a NaN or infinite speed has no place in the
+			// index's order. Either ends the session, and its attempts are
+			// re-issued as for any lost provider.
+			var refuse string
+			switch {
+			case registered:
+				refuse = "provider already registered"
+			case math.IsNaN(m.Speed) || math.IsInf(m.Speed, 0):
+				refuse = fmt.Sprintf("speed %v is not finite", m.Speed)
+			}
+			if refuse != "" {
+				b.logf("broker: provider %d refused: %s", id, refuse)
+				_ = conn.Send(&wire.ErrorMsg{Code: wire.ErrCodeProtocol, Msg: refuse}) // the session ends either way
+				goto done
+			}
+			registered = true
 			p.lastBeat.Store(time.Now().UnixNano())
 			b.mu.Lock()
 			p.info.Slots = m.Slots
@@ -878,10 +890,9 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 	c.jobs[job.id] = true
 	c.pending += n
 
-	// Sequence numbers are reserved as one contiguous run so P=1 keeps the
-	// legacy ID sequence, then the whole job is grouped per partition: each
-	// group is one bulk Apply under its partition's effect-scratch reset
-	// (one group — the legacy single bulk Submit — when Partitions is 1).
+	// Sequence numbers are reserved as one contiguous run, one atomic add
+	// per job, then the whole job is grouped per partition: each group is
+	// one bulk Apply under its partition's effect-scratch reset.
 	// Cache hits deliver ResultPushes from the partition walk below; the
 	// consumer registered the job before it sent SubmitJob, so no push can
 	// beat registration.

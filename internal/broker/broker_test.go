@@ -818,7 +818,7 @@ func TestMultipleConsumersInterleave(t *testing.T) {
 // cleared after the feed, so it keeps no tasklet's Params or program, and a job that
 // grows it past maxStagedEvents leaves none of it behind.
 func TestStagingScratchBounded(t *testing.T) {
-	b := New(Options{MemoEntries: -1, Partitions: 2})
+	b := New(Options{MemoEntries: -1, partitions: 2})
 	t.Cleanup(func() { b.Close() })
 	c := &consumerState{
 		id: 1, out: make(chan wire.Message, 16), label: "consumer 1",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,15 +13,16 @@ import (
 	"repro/internal/consumer"
 	"repro/internal/core"
 	"repro/internal/provider"
+	"repro/internal/wire"
 )
 
 // runJobWithPartitions runs one deterministic job through a fresh stack with
-// the given partition count (1 = the single-stripe legacy-equivalent core).
+// the given partition count.
 func runJobWithPartitions(t *testing.T, partitions int) []consumer.TaskResult {
 	t.Helper()
-	b := New(Options{Partitions: partitions})
+	b := New(Options{partitions: partitions})
 	if got := len(b.parts); got != partitions {
-		t.Fatalf("Partitions=%d built %d partitions", partitions, got)
+		t.Fatalf("partitions=%d built %d partitions", partitions, got)
 	}
 	addr, err := b.Listen("127.0.0.1:0")
 	if err != nil {
@@ -53,11 +55,10 @@ func runJobWithPartitions(t *testing.T, partitions int) []consumer.TaskResult {
 	return res
 }
 
-// TestDifferentialPartitionsBitIdentical is the ablation contract for the
-// partitioned core: -partitions=1 must be event-identical to the legacy
-// serialized broker, and a multi-partition run of the same job must produce
-// bit-identical results (status, return values, emits, faults) — the stripes
-// change where lifecycle state lives, never what the consumer sees.
+// TestDifferentialPartitionsBitIdentical: the same job on one stripe and on
+// four produces bit-identical results (status, return values, emits,
+// faults) — the stripes change where lifecycle state lives, never what the
+// consumer sees.
 func TestDifferentialPartitionsBitIdentical(t *testing.T) {
 	one := essences(runJobWithPartitions(t, 1))
 	four := essences(runJobWithPartitions(t, 4))
@@ -81,7 +82,7 @@ func TestDifferentialPartitionsBitIdentical(t *testing.T) {
 // does not) and attempts launched.
 func runMemoWorkloadWithPartitions(t *testing.T, partitions int) (finals [][]resultEssence, saved, launched int64) {
 	t.Helper()
-	b, addr := memoStack(t, Options{Partitions: partitions}, 3, 2)
+	b, addr := memoStack(t, Options{partitions: partitions}, 3, 2)
 
 	const consumers, rows, distinct = 4, 60, 12
 	rng := rand.New(rand.NewSource(7))
@@ -168,7 +169,7 @@ func TestDifferentialPartitionsMemoCoalescing(t *testing.T) {
 // -race and the per-reader result routing, deadline and backoff timer
 // callbacks and striped counters are all exercised across stripes.
 func TestPartitionStressInterleaved(t *testing.T) {
-	b := New(Options{Partitions: 4, RetryBackoff: time.Millisecond})
+	b := New(Options{partitions: 4, RetryBackoff: time.Millisecond})
 	addr, err := b.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -387,4 +388,61 @@ func liveAttemptsOn(b *Broker, pid core.ProviderID) int {
 		part.mu.Unlock()
 	}
 	return n
+}
+
+// TestDrainOrderPartitionZeroFirst pins the order a placement pass drains
+// the stripes in: partition 0's queue before partition 1's, FIFO within
+// each. A one-slot provider takes one attempt per pass, so the assigns
+// arrive as every even tasklet ID in ascending order, then every odd one
+// (tid = seq·P + pi). Latency percentiles depend on this order.
+func TestDrainOrderPartitionZeroFirst(t *testing.T) {
+	const n = 16
+	b := New(Options{MemoEntries: -1, partitions: 2})
+	addr, err := b.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	f := dialFakeProvider(t, addr, wire.Register{Slots: 1, Speed: 100}, 1)
+	c, err := consumer.Connect(addr, "drain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	job, err := c.Submit(compileJob(t, squareSrc, intRows(n)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []core.TaskletID
+	for len(order) < n {
+		if !f.recv(10 * time.Second) {
+			t.Fatalf("%d of %d attempts placed, then none", len(order), n)
+		}
+		for _, a := range f.held {
+			order = append(order, a.Tasklet)
+		}
+		f.answer(len(f.held), time.Microsecond)
+	}
+	res, err := job.Collect(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSquares(t, res, n)
+
+	var even, odd []core.TaskletID
+	for _, tid := range order {
+		if tid%2 == 0 {
+			even = append(even, tid)
+		} else {
+			odd = append(odd, tid)
+		}
+	}
+	if len(even) == 0 || len(odd) == 0 {
+		t.Fatalf("assign order %v leaves a stripe empty", order)
+	}
+	sort.Slice(even, func(i, j int) bool { return even[i] < even[j] })
+	sort.Slice(odd, func(i, j int) bool { return odd[i] < odd[j] })
+	if want := append(even, odd...); !reflect.DeepEqual(order, want) {
+		t.Fatalf("assign order %v, want partition 0 then 1, FIFO within each: %v", order, want)
+	}
 }

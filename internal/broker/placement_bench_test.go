@@ -28,7 +28,7 @@ func (benchConn) SetWriteDeadline(time.Time) error { return nil }
 func benchBroker(b *testing.B, p int) *Broker {
 	b.Helper()
 	br := New(Options{
-		Partitions:  1,
+		partitions:  1,
 		MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
 	})
 	for i := 0; i < p; i++ {

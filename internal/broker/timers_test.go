@@ -154,7 +154,7 @@ func TestCloseWithArmedTimers(t *testing.T) {
 // it stripes its state over.
 func TestIdleBrokerGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	b := New(Options{Partitions: 8})
+	b := New(Options{partitions: 8})
 	if _, err := b.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -92,32 +92,25 @@ func init() {
 		title  string
 		runner Runner
 	}{
-		"e1":  {"Table 1 — middleware micro-overheads", RunE1},
-		"e2":  {"Figure 2 — remote-vs-local offload crossover", RunE2},
-		"e3":  {"Figure 3 — speedup vs number of providers", RunE3},
-		"e4":  {"Figure 4 — heterogeneity and scheduling policy", RunE4},
-		"e5":  {"Figure 5 — reliability under provider churn", RunE5},
-		"e6":  {"Table 2 — QoC goal cost matrix", RunE6},
-		"e7":  {"Figure 6 — broker throughput and queue delay", RunE7},
-		"e8":  {"Figure 7 — result memoization on Zipf-repeated workloads", RunE8},
-		"e9":  {"Figure 8 — data-plane throughput and p99 vs offered load", RunE9},
-		"e13": {"Figure 12 — partitioned broker core: live loopback throughput, -partitions=1 vs GOMAXPROCS", RunE13},
+		"e1": {"Table 1 — middleware micro-overheads", RunE1},
+		"e2": {"Figure 2 — remote-vs-local offload crossover", RunE2},
+		"e3": {"Figure 3 — speedup vs number of providers", RunE3},
+		"e4": {"Figure 4 — heterogeneity and scheduling policy", RunE4},
+		"e5": {"Figure 5 — reliability under provider churn", RunE5},
+		"e6": {"Table 2 — QoC goal cost matrix", RunE6},
+		"e7": {"Figure 6 — broker throughput and queue delay", RunE7},
+		"e8": {"Figure 7 — result memoization on Zipf-repeated workloads", RunE8},
+		"e9": {"Figure 8 — data-plane throughput and p99 vs offered load", RunE9},
 	}
 }
 
-// IDs lists the experiment identifiers in numeric order, not lexicographic:
-// e13 follows e9.
+// IDs lists the experiment identifiers in order.
 func IDs() []string {
 	ids := make([]string, 0, len(registry))
 	for id := range registry {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if len(ids[i]) != len(ids[j]) {
-			return len(ids[i]) < len(ids[j])
-		}
-		return ids[i] < ids[j]
-	})
+	sort.Strings(ids)
 	return ids
 }
 

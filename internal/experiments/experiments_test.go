@@ -10,7 +10,7 @@ import (
 func quick() Options { return Options{Quick: true, Seed: 7} }
 
 func TestIDsComplete(t *testing.T) {
-	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e13"}
+	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v", got)
@@ -277,34 +277,6 @@ func TestE9DataPlaneShape(t *testing.T) {
 	}
 	if pooled >= legacy {
 		t.Fatalf("pooled send path allocs/msg = %v, legacy = %v; pooling regressed", pooled, legacy)
-	}
-}
-
-func TestE13PartitionShape(t *testing.T) {
-	res, err := RunE13(quick())
-	if err != nil {
-		// RunE13 fails on any non-OK result, and on a >= 8-way host below
-		// a 1.5x live speedup.
-		t.Fatal(err)
-	}
-	live := 0
-	for _, row := range res.Rows {
-		if !strings.HasPrefix(row[0], "live loopback") {
-			continue
-		}
-		live++
-		var tput float64
-		if _, err := fmt.Sscanf(row[1], "%f tasklets/s", &tput); err != nil {
-			t.Fatalf("row %q unparseable: %v", row[1], err)
-		}
-		// Noop tasklets over loopback: anything under 1k/s means the broker
-		// core broke, not that the machine is slow.
-		if tput < 1000 {
-			t.Fatalf("%s: %.0f tasklets/s, implausibly low", row[0], tput)
-		}
-	}
-	if live != 2 {
-		t.Fatalf("%d live rows, want -partitions=1 and GOMAXPROCS: %v", live, res.Rows)
 	}
 }
 

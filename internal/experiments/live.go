@@ -26,19 +26,11 @@ type liveStack struct {
 }
 
 func newLiveStack(nProviders, slots int) (*liveStack, error) {
-	return newLiveStackPartitions(nProviders, slots, 0)
-}
-
-// newLiveStackPartitions additionally pins the broker's lock-striped
-// partition count (0 = GOMAXPROCS, 1 = one stripe); E13 runs one stack at
-// each end and alternates noop bursts between them.
-func newLiveStackPartitions(nProviders, slots, partitions int) (*liveStack, error) {
 	// E1/E2/E7/E9 measure the raw dispatch path with repeated identical
 	// tasklets; the result memo would serve those from cache and measure
 	// the wrong thing, so it is disabled here. E8 covers the memo.
 	s := &liveStack{broker: broker.New(broker.Options{
 		MemoEntries: -1, MemoBytes: -1, MemoTTL: -1,
-		Partitions: partitions,
 	})}
 	addr, err := s.broker.Listen("127.0.0.1:0")
 	if err != nil {

@@ -8,7 +8,7 @@
 //
 // The broker itself costs nothing in virtual time: the simulator has no
 // model of broker internals. It answers fleet, churn and policy questions,
-// and broker costs are measured on the real stack (benchmark/, E7, E13).
+// and broker costs are measured on the real stack (benchmark/, E7).
 //
 // Everything is driven by a binary-heap event queue over virtual time;
 // given a seed, runs are bit-for-bit reproducible.

@@ -33,8 +33,10 @@ check:
 	# must drain partition 0's queue before partition 1's, FIFO within each;
 	# and the cross-stripe stress (interleaved submit/result/deadline/cancel
 	# plus a provider loss) must finalize every tasklet exactly once and leak
-	# no attempts and no deadline timers.
+	# no attempts and no deadline timers. The core's own tests (credits,
+	# loss order, cancel, timers) run beside them.
 	$(GO) test -race -run 'TestDifferentialPartitions|TestDrainOrder|TestPartitionStress' -count 1 ./internal/broker/
+	$(GO) test -race -count 1 ./internal/dispatch/
 	# The benchmark is a nested module (benchmark/go.mod), invisible to the
 	# ./... patterns above: vet it and run its unit tests and its 300 ms
 	# smoke run of all five workloads against this checkout.
@@ -50,7 +52,7 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkVM_|BenchmarkE1_SpinVM|BenchmarkAblation_Optimize|BenchmarkAblation_Memo|BenchmarkBrokerThroughput' -benchmem .
 	$(GO) test -run XXX -bench 'BenchmarkConnSend|BenchmarkBatch' -benchmem ./internal/wire/
 	$(GO) test -run XXX -bench BenchmarkSchedulerPick -benchmem ./internal/scheduler/
-	$(GO) test -run XXX -bench BenchmarkBrokerPlacement -benchmem ./internal/broker/
+	$(GO) test -run XXX -bench BenchmarkBrokerPlacement -benchmem ./internal/dispatch/
 	$(GO) test -run XXX -bench BenchmarkLifecycleEngine -benchmem ./internal/lifecycle/
 
 # bench-vm is the interpreter's before/after measurement: every VM benchmark,
@@ -66,8 +68,8 @@ bench-vm:
 # broker-throughput benchmark — the partitioned core's hot path, at the
 # stripe count GOMAXPROCS sets. Inspect with `go tool pprof
 # $(PROFILEDIR)/cpu.out` (or mutex.out / block.out) plus the test binary
-# left beside them; mutex samples on b.mu and the partition stripes are the
-# first thing to look at when the hot path regresses.
+# left beside them; mutex samples on the core's placement lock and its
+# stripes are the first thing to look at when the hot path regresses.
 PROFILEDIR ?= profiles
 profile:
 	mkdir -p $(PROFILEDIR)
@@ -100,7 +102,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench '$(VMBENCH)' -benchtime 1x . ./internal/stdtasks/native/
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/wire/
 	$(GO) test -run XXX -bench BenchmarkSchedulerPick -benchtime 1x ./internal/scheduler/
-	$(GO) test -run XXX -bench 'BenchmarkBrokerPlacement/P=(100|1000)$$' -benchtime 1x ./internal/broker/
+	$(GO) test -run XXX -bench 'BenchmarkBrokerPlacement/P=(100|1000)$$' -benchtime 1x ./internal/dispatch/
 	$(GO) test -run XXX -bench BenchmarkLifecycleEngine -benchtime 1x ./internal/lifecycle/
 
 # fuzz gives the program decoder + differential interpreter fuzzer a short

@@ -1,38 +1,27 @@
 // Package broker implements the Tasklet broker: the mediator between
-// resource consumers and providers. It keeps the provider registry with
-// heartbeat-based failure detection, routes bytecode and results, and places
-// attempts with one scheduler.Index built from Options.Policy. The tasklet
-// lifecycle itself — QoC attempt fan-out, memoization, coalescing, re-issue
-// of lost attempts, finalization — lives in internal/lifecycle; the broker
-// is the wire/wall-clock driver of that shared engine (the simulator drives
-// the same engine in virtual time).
+// resource consumers and providers, and the live driver of the scheduler
+// core (internal/dispatch) that the simulator drives too. The core holds
+// the transport-free half: lifecycle partitions, placement, provider
+// accounting and provider loss. The broker keeps the transport: listener
+// and connections, the provider registry with heartbeat-based failure
+// detection, framing, job and consumer accounting, and the scheduler
+// goroutine that runs the core's placement passes.
 //
-// Concurrency model: one reader goroutine per connection, one writer
-// goroutine per connection (fed by a bounded queue so a slow peer cannot
-// stall the broker), one scheduler goroutine, and per-tasklet state split
-// into P lock-striped partitions (partition.go), the stripe encoded in the
-// tasklet ID. A provider's reader goroutine buckets each decoded burst of
-// results by partition and applies each bucket as one bulk engine Apply
-// under that partition's mutex, so lifecycle execution, QoC fan-in, memo
-// lookups and effect emission run on all cores; deadlines and retry
-// backoffs are runtime timers (time.AfterFunc) whose callbacks take the
-// same mutex. Placement stays single-writer: events set a dirty flag and
-// wake the scheduler goroutine, which owns scheduler.Index exclusively and
-// drains partition queues in index order, so a burst of events costs one
-// placement pass instead of one per event. Placement gives a provider as
-// many attempts as it has credits: its free slots, plus queued credits — as
-// many attempts per slot as fit in wire.TinyExecNanos of expected work, by
-// an exponentially weighted mean of its results' execution times, up to the
-// queue the provider advertised.
-// So near-instant work keeps every slot busy across the broker round trip,
-// while work of TinyExecNanos or longer is never queued behind a busy
-// provider as another idles.
-// Heartbeats bypass every lock (atomic timestamp per provider). Writer
-// goroutines drain their queue in batches so one socket flush covers a
-// burst of Assigns or ResultPushes (see wire.Conn for the flush policy).
-// The stripe count is min(GOMAXPROCS, maxPartitions); the differential
-// tests pin that it changes where lifecycle state lives, never what a
-// consumer sees.
+// Concurrency model: one reader and one writer goroutine per connection
+// (the writer fed by a bounded queue, so a slow peer cannot stall the
+// broker, and draining it in batches, so one flush covers a burst of
+// frames), plus one scheduler goroutine. A provider's reader hands each
+// burst of results to the core, which applies it stripe by stripe on that
+// goroutine; deadlines and retry backoffs are runtime timers. The core asks
+// for placement through schedule, which sets a dirty flag and wakes the
+// scheduler goroutine, so a burst of events costs one pass. Heartbeats
+// bypass every lock. The stripe count is min(GOMAXPROCS, maxPartitions);
+// the differential tests pin that it changes where lifecycle state lives,
+// never what a consumer sees.
+//
+// Lock order: b.mu (listener, provider registry) → the core's locks. jobMu
+// and progMu are taken with no core lock held; the core calls deliver,
+// which takes jobMu, only with its own locks released.
 package broker
 
 import (
@@ -49,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/lifecycle"
 	"repro/internal/memo"
 	"repro/internal/metrics"
@@ -121,13 +111,10 @@ const maxPartitions = 64
 
 // Broker is the central coordinator. Create with New, start with Serve.
 //
-// Locking: b.mu guards the listener, the provider registry structure and
-// all scheduler state (index, staged batches, scratch); jobMu guards
+// Locking: b.mu guards the listener and the provider registry; jobMu guards
 // consumers/jobs and their accounting (the delivery path); progMu guards
-// the program-arity memo; pmu is a read gate on the providers map for
-// partition-side cancel sends; each partition has its own mutex
-// (partition.go documents the full lock order). No goroutine ever holds
-// b.mu and jobMu at once.
+// the program-arity memo; the core guards scheduling and lifecycle state
+// with its own locks. No goroutine ever holds b.mu and jobMu at once.
 type Broker struct {
 	opts Options
 	reg  *metrics.Registry
@@ -137,15 +124,7 @@ type Broker struct {
 	ln        net.Listener
 	providers map[core.ProviderID]*providerState
 
-	// closed flips once in Close; timer callbacks and other paths that run
-	// without b.mu read it directly.
-	closed atomic.Bool
-
-	// pmu guards the providers map alongside b.mu: writers hold both, so a
-	// reader may hold either. Partition effect application cancels attempts
-	// under pmu.RLock, which lets provider removal barrier on pmu before
-	// the send queue is closed.
-	pmu sync.RWMutex
+	closed atomic.Bool // flips once in Close; read without b.mu
 
 	jobMu        sync.Mutex
 	consumers    map[core.ConsumerID]*consumerState
@@ -159,33 +138,9 @@ type Broker struct {
 	progMu sync.RWMutex
 	arity  map[core.ProgramID]int
 
-	// parts holds the lock-striped lifecycle partitions; see partition.go.
-	parts []*partition
-	// memoOn gates content-key computation on submission (pure CPU saving;
-	// the engines would ignore the key anyway when memoization is off).
+	core *dispatch.Core
+	// memoOn gates content-key computation on submission.
 	memoOn bool
-	// pendingN tracks the total placement-queue depth across partitions.
-	pendingN atomic.Int64
-
-	// index is the incremental placement index mirroring provider
-	// free/backlog state. The scheduler goroutine owns it exclusively
-	// (everything touching it runs under b.mu); partitions publish slot
-	// changes through the dirty-provider list instead.
-	index *scheduler.Index
-
-	// dirtyMu guards the dirty-provider list: providers whose slot
-	// accounting moved since the last pass and need an index resync.
-	dirtyMu    sync.Mutex
-	dirtyProv  []*providerState
-	dirtySpare []*providerState
-
-	// exclScratch is the placement pass's exclusion-list scratch, reused
-	// across picks so a pass over a deep queue performs no allocations.
-	// Only touched under b.mu by the scheduler goroutine.
-	exclScratch []core.ProviderID
-	// stagedScratch lists the providers holding a staged AssignBatch this
-	// pass; flushAssignBatchesLocked drains it.
-	stagedScratch []*providerState
 
 	// schedDirty marks that scheduling state changed since the last
 	// placement pass; schedWake pokes the scheduler goroutine. Events
@@ -202,56 +157,21 @@ type Broker struct {
 	// Hot-path metric handles, resolved once at construction so the
 	// per-result path never takes the registry lock.
 	mSendDropped   *metrics.Counter
-	mAttemptsOK    *metrics.Counter
-	mAttemptsFlt   *metrics.Counter
-	mAttemptsOth   *metrics.Counter
-	mAttemptsLost  *metrics.Counter
-	mLaunched      *metrics.Counter
 	mCompleted     *metrics.Counter
 	mFailed        *metrics.Counter
-	mDeadlineExp   *metrics.Counter
 	mProvidersLost *metrics.Counter
 	mSubmitted     *metrics.Counter
-	mExecMS        *metrics.Histogram
 	mLatencyMS     *metrics.Histogram
-	mSchedPassNS   *metrics.Histogram
-	mPendingDep    *metrics.Gauge
-	mPlaced        *metrics.Counter
 }
 
+// providerState is one provider session: the core's record of it and the
+// connection the core's outbox writes to.
 type providerState struct {
-	info  core.ProviderInfo
+	b     *Broker
+	prov  *dispatch.Provider
 	out   chan wire.Message
 	nc    net.Conn
 	label string // "provider N", precomputed for hot-path logs
-
-	// free/backlog/finished are atomics: the provider's reader settles them
-	// under a partition lock as results arrive while the scheduler reads
-	// them under b.mu. assigned and the reliability estimate inside info
-	// stay scheduler-only. free is Slots minus outstanding attempts, so it
-	// goes negative while attempts queue behind the slots.
-	free     atomic.Int64
-	backlog  atomic.Int64
-	finished atomic.Int64 // attempts that returned any result
-	assigned int          // under b.mu
-	// execMean is an exponentially weighted mean of the ExecNanos in this
-	// provider's results, written only by its reader. It starts at
-	// wire.TinyExecNanos, so credits grants no queued attempt until results
-	// have shown tiny ones.
-	execMean atomic.Int64
-	// queue is how many queued places the provider holds beyond its Slots
-	// (Register.Queue). Under b.mu, like info.Slots.
-	queue int
-
-	gone atomic.Bool
-	// dirty marks membership in the broker's dirty-provider list (one
-	// index resync per pass however many results arrived).
-	dirty atomic.Bool
-
-	// staged accumulates this pass's assignments into one AssignBatch frame,
-	// flushed at the end of every placement pass. Only touched under b.mu by
-	// the scheduler goroutine.
-	staged *wire.AssignBatch
 
 	// lastBeat is the UnixNano timestamp of the latest heartbeat, updated
 	// without the broker mutex so heartbeats never queue behind scheduling.
@@ -259,6 +179,24 @@ type providerState struct {
 
 	// dropWarned limits the send-queue-overflow log to once per connection.
 	dropWarned atomic.Bool
+}
+
+// Assign sends the attempts a placement pass staged for the provider: one
+// frame per provider per pass. A batch that holds a single assignment goes
+// out as a plain Assign frame carrying its program's bytes.
+func (p *providerState) Assign(ab *wire.AssignBatch) {
+	if len(ab.Assigns) == 1 {
+		a := ab.Assigns[0]
+		a.ProgramData = ab.Programs[0].Data
+		p.b.enqueue(p.out, &a, p.nc, &p.dropWarned, p.label)
+		return
+	}
+	p.b.enqueue(p.out, ab, p.nc, &p.dropWarned, p.label)
+}
+
+// Cancel sends a best-effort cancellation of one attempt.
+func (p *providerState) Cancel(aid core.AttemptID) {
+	p.b.enqueue(p.out, &wire.CancelAttempt{Attempt: aid}, p.nc, &p.dropWarned, p.label)
 }
 
 type consumerState struct {
@@ -293,6 +231,16 @@ type jobState struct {
 	cancelled bool
 }
 
+// liveDriver is the broker as the core sees it: wall-clock timers, the
+// scheduler goroutine's wake-up, and final delivery to consumers.
+type liveDriver struct{ b *Broker }
+
+func (d liveDriver) AfterFunc(dur time.Duration, f func()) dispatch.Timer {
+	return time.AfterFunc(dur, f)
+}
+func (d liveDriver) Schedule()                    { d.b.schedule() }
+func (d liveDriver) Deliver(ef *lifecycle.Effect) { d.b.deliver(ef) }
+
 // New creates a broker with the given options.
 func New(opts Options) *Broker {
 	if opts.HeartbeatTimeout <= 0 {
@@ -324,33 +272,21 @@ func New(opts Options) *Broker {
 		stop:      make(chan struct{}),
 	}
 	b.mSendDropped = reg.Counter("broker.send_dropped")
-	b.mAttemptsOK = reg.Counter("attempts.ok")
-	b.mAttemptsFlt = reg.Counter("attempts.fault")
-	b.mAttemptsOth = reg.Counter("attempts.other")
-	b.mAttemptsLost = reg.Counter("attempts.lost")
-	b.mLaunched = reg.Counter("attempts.launched")
 	b.mCompleted = reg.Counter("tasklets.completed")
 	b.mFailed = reg.Counter("tasklets.failed")
-	b.mDeadlineExp = reg.Counter("tasklets.deadline_expired")
 	b.mProvidersLost = reg.Counter("providers.lost")
 	b.mSubmitted = reg.Counter("tasklets.submitted")
-	b.mExecMS = reg.Histogram("attempt.exec_ms")
 	b.mLatencyMS = reg.Histogram("tasklet.latency_ms")
-	b.mSchedPassNS = reg.Histogram("broker.sched_pass_ns")
-	b.mPendingDep = reg.Gauge("broker.pending_depth")
-	b.mPlaced = reg.Counter("broker.placed_per_pass")
-	b.index, _ = scheduler.NewIndexFor(opts.Policy) // the error is always nil
 
-	var lopts lifecycle.Options
-	lopts.MaxAttempts = opts.MaxAttempts
-	lopts.RetryBackoff = opts.RetryBackoff
+	cfg := dispatch.Config{
+		Policy:       opts.Policy,
+		Partitions:   opts.partitions,
+		MaxAttempts:  opts.MaxAttempts,
+		RetryBackoff: opts.RetryBackoff,
+		Metrics:      reg,
+	}
 	if opts.MemoEntries >= 0 && opts.MemoBytes >= 0 && opts.MemoTTL >= 0 {
-		// One cache shared by every partition engine (the cache carries its
-		// own mutex), so repeats hit across partitions. Flight tables are
-		// per partition: a flight's waiter fan-out dereferences the owning
-		// engine's tasklet records. Identical content still meets in one
-		// flight because submitEvent routes keyed tasklets by content key.
-		lopts.Memo = memo.New(memo.Config{
+		cfg.Memo = memo.New(memo.Config{
 			MaxEntries: opts.MemoEntries,
 			MaxBytes:   opts.MemoBytes,
 			TTL:        opts.MemoTTL,
@@ -359,22 +295,7 @@ func New(opts Options) *Broker {
 		})
 		b.memoOn = true
 	}
-
-	p := opts.partitions
-	b.parts = make([]*partition, p)
-	for i := range b.parts {
-		po := lopts
-		po.AttemptOffset = uint64(i)
-		po.AttemptStride = uint64(p)
-		if b.memoOn {
-			po.Flights = memo.NewFlightTable(reg, "memo.")
-		}
-		b.parts[i] = &partition{
-			idx:       i,
-			life:      lifecycle.New(po),
-			deadlines: map[core.TaskletID]*time.Timer{},
-		}
-	}
+	b.core = dispatch.New(cfg, liveDriver{b})
 	return b
 }
 
@@ -422,6 +343,7 @@ func (b *Broker) Close() error {
 		return nil
 	}
 	b.closed.Store(true)
+	b.core.Close()
 	close(b.stop)
 	ln := b.ln
 	var conns []net.Conn
@@ -481,13 +403,13 @@ func (b *Broker) reaperLoop() {
 		cutoff := time.Now().Add(-b.opts.HeartbeatTimeout).UnixNano()
 		var dead []*providerState
 		for _, p := range b.providers {
-			if !p.gone.Load() && p.lastBeat.Load() < cutoff {
+			if p.lastBeat.Load() < cutoff {
 				dead = append(dead, p)
 			}
 		}
 		b.mu.Unlock()
 		for _, p := range dead {
-			b.logf("broker: provider %d missed heartbeats, removing", p.info.ID)
+			b.logf("broker: provider %d missed heartbeats, removing", p.prov.ID())
 			b.removeProvider(p)
 			p.nc.Close()
 		}
@@ -541,9 +463,7 @@ func (b *Broker) schedLoop() {
 			if b.closed.Load() {
 				return
 			}
-			b.mu.Lock()
-			b.schedulePassLocked()
-			b.mu.Unlock()
+			b.core.Pass()
 		}
 	}
 }
@@ -598,22 +518,19 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 	id := b.nextProvider
 	now := time.Now()
 	p := &providerState{
-		info: core.ProviderInfo{
-			ID:            id,
-			Addr:          conn.RemoteAddr(),
-			Reliability:   1,
-			Joined:        now,
-			LastHeartbeat: now,
-		},
+		b:     b,
 		out:   make(chan wire.Message, sendQueueDepth),
 		nc:    nc,
 		label: fmt.Sprintf("provider %d", id),
 	}
+	p.prov = dispatch.NewProvider(core.ProviderInfo{
+		ID:            id,
+		Addr:          conn.RemoteAddr(),
+		Joined:        now,
+		LastHeartbeat: now,
+	}, p)
 	p.lastBeat.Store(now.UnixNano())
-	p.execMean.Store(wire.TinyExecNanos)
-	b.pmu.Lock()
 	b.providers[id] = p
-	b.pmu.Unlock()
 	b.mu.Unlock()
 
 	b.wg.Add(1)
@@ -627,7 +544,7 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 	b.logf("broker: provider %d connected from %s (%s)", id, conn.RemoteAddr(), hello.Name)
 
 	conn.ReadTimeout = b.opts.HeartbeatTimeout * 2
-	rs := resultScratch{byPart: make([][]lifecycle.Event, len(b.parts))}
+	rs := b.core.NewResults(p.prov)
 	registered := false
 	for {
 		msg, err := conn.Recv()
@@ -655,15 +572,7 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 			}
 			registered = true
 			p.lastBeat.Store(time.Now().UnixNano())
-			b.mu.Lock()
-			p.info.Slots = m.Slots
-			p.info.Class = m.Class
-			p.info.Speed = m.Speed
-			p.queue = m.Queue
-			p.free.Store(int64(m.Slots))
-			b.index.Upsert(&p.info, p.credits(), int(p.backlog.Load()))
-			b.mu.Unlock()
-			b.schedule()
+			b.core.Register(p.prov, m)
 			b.logf("broker: provider %d registered: %d slots, %.1f Mops/s, class %s",
 				id, m.Slots, m.Speed, m.Class)
 		case *wire.Heartbeat:
@@ -671,15 +580,15 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 			// queue behind any lock.
 			p.lastBeat.Store(time.Now().UnixNano())
 		case *wire.AttemptResult:
-			b.addResult(&rs, p, m)
-			b.applyResults(p, &rs)
+			rs.Add(m)
+			rs.Apply()
 		case *wire.AttemptResultBatch:
 			// A folded burst becomes at most one bulk Engine.Apply per
 			// partition.
 			for i := range m.Results {
-				b.addResult(&rs, p, &m.Results[i])
+				rs.Add(&m.Results[i])
 			}
-			b.applyResults(p, &rs)
+			rs.Apply()
 		case *wire.Bye:
 			goto done
 		default:
@@ -688,80 +597,66 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 		}
 	}
 done:
+	// Once removeProvider returns, the core sends p nothing more.
 	b.removeProvider(p)
-	// Barrier: a partition applying a CancelAttempt may hold a reference
-	// from before the map delete; it enqueues under pmu.RLock, so one write
-	// acquisition guarantees no send races the close below.
-	b.pmu.Lock()
-	b.pmu.Unlock() //lint:ignore SA2001 empty section is the barrier
 	close(p.out)
 	b.mProvidersLost.Inc()
 	b.logf("broker: provider %d disconnected", id)
 }
 
-// removeProvider declares a provider dead: its in-flight attempts are fed
-// back to every partition engine as lost. Idempotent; callers hold no
-// locks.
+// removeProvider declares p dead and the core re-issues its attempts as
+// lost. Idempotent; callers hold no locks.
 func (b *Broker) removeProvider(p *providerState) {
 	b.mu.Lock()
-	if p.gone.Swap(true) {
-		b.mu.Unlock()
+	delete(b.providers, p.prov.ID())
+	b.mu.Unlock()
+	b.core.RemoveProvider(p.prov)
+}
+
+// deliver pushes a final result to the consumer and updates job accounting.
+// It is the core's Driver.Deliver: callers hold no locks, and the
+// tasklet's deadline is already disarmed.
+func (b *Broker) deliver(ef *lifecycle.Effect) {
+	final := ef.Final
+
+	b.jobMu.Lock()
+	defer b.jobMu.Unlock()
+	job := b.jobs[final.Job]
+	if job == nil {
 		return
 	}
-	b.pmu.Lock()
-	delete(b.providers, p.info.ID)
-	b.pmu.Unlock()
-	b.index.Remove(p.info.ID)
-	b.mu.Unlock()
-
-	lost := 0
-	var out []lifecycle.Effect
-	for _, part := range b.parts {
-		part.mu.Lock()
-		n, fx := part.life.ProviderLost(p.info.ID)
-		lost += n
-		out, _ = b.applyPartFxLocked(part, fx, out)
-		part.mu.Unlock()
+	if final.OK() {
+		job.completed++
+		b.mCompleted.Inc()
+	} else {
+		job.failed++
+		b.mFailed.Inc()
 	}
-	if lost > 0 {
-		b.mAttemptsLost.Add(int64(lost))
+	b.mLatencyMS.ObserveDuration(time.Since(ef.Submitted))
+
+	c := b.consumers[job.consumer]
+	if c == nil || c.gone {
+		return
 	}
-	b.applyOutFx(out)
-	b.schedule()
-}
-
-// credits is how many more attempts placement may give p: its free slots,
-// plus queued credits worth at most wire.TinyExecNanos of expected work per
-// slot, Slots × ⌊TinyExecNanos / execMean⌋, capped by the queue p
-// advertised. That is no queued credit once execMean reaches TinyExecNanos,
-// one per slot from half of it, and deeper only for attempts of a few µs,
-// whose cost is the broker round trip rather than the run. Never negative,
-// so the index's fleet-wide total counts only capacity that can take work.
-// Callers hold b.mu (info.Slots and queue are scheduler-owned).
-func (p *providerState) credits() int {
-	c := int(p.free.Load())
-	if m := p.execMean.Load(); m < wire.TinyExecNanos && p.queue > 0 {
-		c += min(p.queue, p.info.Slots*int(wire.TinyExecNanos/max(m, 1)))
-	}
-	return max(c, 0)
-}
-
-// noteExec folds one result's execution time into p.execMean with weight
-// 1/8: one long result shrinks the queued credits at once, and it takes a
-// run of tiny ones to deepen them again. Called only by p's reader.
-func (p *providerState) noteExec(d time.Duration) {
-	m := p.execMean.Load()
-	p.execMean.Store(m + (int64(d)-m)/8)
-}
-
-// updateReliabilityLocked refreshes the completion-ratio estimate. Callers
-// hold b.mu (info.Reliability is scheduler-owned).
-func (b *Broker) updateReliabilityLocked(p *providerState) {
-	if p.assigned > 0 {
-		p.info.Reliability = float64(p.finished.Load()) / float64(p.assigned)
-		if p.info.Reliability > 1 {
-			p.info.Reliability = 1
-		}
+	c.pending--
+	b.enqueue(c.out, &wire.ResultPush{
+		Job:       final.Job,
+		Tasklet:   final.Tasklet,
+		Index:     final.Index,
+		Status:    final.Status,
+		Return:    final.Return,
+		Emitted:   final.Emitted,
+		FaultCode: final.FaultCode,
+		FaultMsg:  final.FaultMsg,
+		Provider:  final.Provider,
+		Attempts:  ef.Attempts,
+		ExecNanos: int64(final.Exec),
+	}, c.nc, &c.dropWarned, c.label)
+	if job.completed+job.failed == job.total {
+		b.enqueue(c.out, &wire.JobDone{Job: job.id, Completed: job.completed, Failed: job.failed}, c.nc, &c.dropWarned, c.label)
+		delete(b.jobs, job.id)
+		delete(c.jobs, job.id)
+		b.logf("broker: job %d done: %d completed, %d failed", job.id, job.completed, job.failed)
 	}
 }
 
@@ -899,24 +794,30 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 	base := b.nextTasklet.Add(uint64(n)) - uint64(n)
 	now := time.Now()
 	if c.staged == nil {
-		c.staged = make([][]lifecycle.Event, len(b.parts))
+		c.staged = make([][]lifecycle.Event, b.core.Partitions())
 	}
 	groups := c.staged
+	keyed := b.memoOn && !m.QoC.NoCache
 	for i, params := range m.Params {
-		ev, pi := b.submitEvent(core.Tasklet{
+		var key memo.Key
+		var haveKey bool
+		if keyed {
+			key, haveKey = memo.KeyFor(uint64(progID), m.Seed, params)
+		}
+		ev, pi := b.core.SubmitEvent(core.Tasklet{
 			Job: job.id, Index: i,
 			Program: progID, ProgramData: m.Program, Params: params,
 			QoC: m.QoC, Fuel: fuel, Seed: m.Seed, Submitted: now,
-		}, base+uint64(i)+1)
+		}, base+uint64(i)+1, key, haveKey)
 		job.tasklets = append(job.tasklets, ev.Tasklet.ID)
 		groups[pi] = append(groups[pi], ev)
 	}
 	b.mSubmitted.Add(int64(n))
 	b.jobMu.Unlock()
 
+	b.core.Feed(groups)
 	kept := 0
 	for pi, evs := range groups {
-		b.feedPartition(b.parts[pi], evs)
 		clear(evs)
 		groups[pi] = evs[:0]
 		kept += cap(evs)
@@ -925,7 +826,6 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 		c.staged = nil
 	}
 	b.logf("broker: job %d accepted: %d tasklets, qoc %s", job.id, job.total, m.QoC.Mode)
-	b.schedule()
 	return nil
 }
 
@@ -941,14 +841,7 @@ func (b *Broker) cancelJob(c *consumerState, id core.JobID) {
 	tids := append([]core.TaskletID(nil), job.tasklets...)
 	b.jobMu.Unlock()
 
-	dropped := 0
-	for _, tid := range tids {
-		if b.cancelOne(tid) {
-			dropped++
-		}
-	}
-	b.purgePending()
-	b.schedule() // a dropped leader may have promoted a waiter
+	dropped := b.core.Cancel(tids)
 
 	b.jobMu.Lock()
 	// A racing final delivery may have completed the job and sent its
@@ -985,174 +878,26 @@ func (b *Broker) removeConsumer(c *consumerState) {
 	}
 	b.jobMu.Unlock()
 
-	for _, tid := range tids {
-		// Deliver effects from promoted waiters find their jobs deleted and
-		// no-op; cancels of in-flight attempts still go out.
-		b.cancelOne(tid)
-	}
-	b.purgePending()
-	b.schedule() // a dropped leader may have promoted a waiter
-}
-
-// ---------- scheduling ----------
-
-// schedulePassLocked drains the partition placement queues in index order —
-// partition 0 first, every pass — assigning attempts to providers according
-// to the policy. Entries whose tasklet vanished (job cancelled, already
-// complete) are purged. Entries with no eligible provider stay queued. Event
-// handlers never call this directly — they call schedule, which batches an
-// event-burst into one pass run by schedLoop. The pass starts by folding
-// partition-side slot settlements into the index (syncDirtyProvidersLocked),
-// keeping the index single-writer; every pick is then a heap peek or an
-// order-statistics query on it, zero allocations.
-func (b *Broker) schedulePassLocked() {
-	b.syncDirtyProvidersLocked()
-	b.mPendingDep.Set(b.pendingN.Load())
-	if b.pendingN.Load() == 0 || len(b.providers) == 0 {
-		return
-	}
-	start := time.Now()
-	placed := 0
-	for _, part := range b.parts {
-		part.mu.Lock()
-		placed += b.drainPartitionLocked(part)
-		part.mu.Unlock()
-	}
-	// Counted before the flush: a result of this pass's Assigns can reach
-	// its consumer before the pass returns.
-	if placed > 0 {
-		b.mPlaced.Add(int64(placed))
-		b.mLaunched.Add(int64(placed)) // one counter update per pass, not per attempt
-	}
-	b.mPendingDep.Set(b.pendingN.Load())
-	b.flushAssignBatchesLocked()
-	b.mSchedPassNS.Observe(float64(time.Since(start)))
-}
-
-// drainPartitionLocked walks one partition's queue through the placement
-// index. Callers hold b.mu and part.mu.
-func (b *Broker) drainPartitionLocked(part *partition) int {
-	if len(part.pending) == 0 {
-		return 0
-	}
-	placed := 0
-	before := len(part.pending)
-	remaining := part.pending[:0]
-	for idx, tid := range part.pending {
-		// Without free capacity nothing below can place; keep the rest of
-		// the queue as-is instead of walking it (the queue can hold many
-		// thousands of entries and schedule runs on every result).
-		if b.index.FreeSlots() <= 0 {
-			remaining = append(remaining, part.pending[idx:]...)
-			break
-		}
-		t := part.life.Tasklet(tid)
-		if t == nil {
-			continue
-		}
-		b.exclScratch = part.life.AppendActiveProviders(tid, b.exclScratch[:0])
-		pid, ok := b.index.Pick(t, b.exclScratch)
-		if !ok {
-			remaining = append(remaining, tid)
-			continue
-		}
-		p := b.providers[pid]
-		if p == nil || p.credits() <= 0 {
-			remaining = append(remaining, tid)
-			continue
-		}
-		if b.launchAttemptLocked(part, t, p) {
-			placed++
-		}
-	}
-	part.pending = remaining
-	b.pendingN.Add(int64(len(remaining) - before))
-	return placed
-}
-
-// launchAttemptLocked creates one attempt and stages it into the
-// provider's per-pass AssignBatch, flushed by flushAssignBatchesLocked at the
-// end of the placement pass. Callers hold b.mu and the partition lock of t's
-// partition.
-func (b *Broker) launchAttemptLocked(part *partition, t *core.Tasklet, p *providerState) bool {
-	aid, ok := part.life.Launched(t.ID, p.info.ID)
-	if !ok {
-		return false // defensive; callers checked liveness under the same lock
-	}
-	p.free.Add(-1)
-	p.backlog.Add(1)
-	p.assigned++
-	b.updateReliabilityLocked(p)
-	b.index.Assign(p.info.ID) // after the reliability update so rank refreshes
-
-	if p.staged == nil {
-		p.staged = &wire.AssignBatch{}
-		b.stagedScratch = append(b.stagedScratch, p)
-	}
-	if !batchHasProgram(p.staged, t.Program) {
-		// Every frame carries the bytes of every program its entries use,
-		// once each, so the provider needs nothing from an earlier frame.
-		p.staged.Programs = append(p.staged.Programs, wire.ProgramBlob{ID: t.Program, Data: t.ProgramData})
-	}
-	p.staged.Assigns = append(p.staged.Assigns, wire.Assign{
-		Attempt: aid,
-		Tasklet: t.ID,
-		Program: t.Program,
-		Params:  t.Params,
-		Fuel:    t.Fuel,
-		Seed:    t.Seed,
-	})
-	return true
-}
-
-// batchHasProgram reports whether the staged batch's program table already
-// carries id. Tables hold the pass's distinct programs — almost always one
-// entry — so a linear scan, newest first, wins over any map.
-func batchHasProgram(ab *wire.AssignBatch, id core.ProgramID) bool {
-	for i := len(ab.Programs) - 1; i >= 0; i-- {
-		if ab.Programs[i].ID == id {
-			return true
-		}
-	}
-	return false
-}
-
-// flushAssignBatchesLocked ships every staged AssignBatch accumulated by
-// the current placement pass: one frame per provider per pass. A batch that
-// holds a single assignment goes out as a plain Assign frame carrying its
-// program's bytes.
-func (b *Broker) flushAssignBatchesLocked() {
-	for _, p := range b.stagedScratch {
-		ab := p.staged
-		p.staged = nil
-		if ab == nil || len(ab.Assigns) == 0 {
-			continue
-		}
-		if len(ab.Assigns) == 1 {
-			a := ab.Assigns[0]
-			a.ProgramData = ab.Programs[0].Data
-			b.enqueue(p.out, &a, p.nc, &p.dropWarned, p.label)
-			continue
-		}
-		b.enqueue(p.out, ab, p.nc, &p.dropWarned, p.label)
-	}
-	b.stagedScratch = b.stagedScratch[:0]
+	// Deliver effects from promoted waiters find their jobs deleted and
+	// no-op; cancels of in-flight attempts still go out.
+	b.core.Cancel(tids)
 }
 
 // fleetInfo builds the provider-directory reply for QueryFleet.
 func (b *Broker) fleetInfo() *wire.FleetInfo {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	info := &wire.FleetInfo{Pending: int(b.pendingN.Load())}
+	info := &wire.FleetInfo{Pending: b.core.Pending()}
 	for _, p := range b.providers {
+		pi := b.core.Info(p.prov)
 		info.Providers = append(info.Providers, wire.ProviderEntry{
-			ID:          p.info.ID,
-			Class:       p.info.Class,
-			Slots:       p.info.Slots,
-			FreeSlots:   max(0, int(p.free.Load())), // idle slots; queued attempts are not free
-			Speed:       p.info.Speed,
-			Reliability: p.info.Reliability,
-			Executed:    p.finished.Load(),
+			ID:          pi.ID,
+			Class:       pi.Class,
+			Slots:       pi.Slots,
+			FreeSlots:   max(0, p.prov.Free()), // idle slots; queued attempts are not free
+			Speed:       pi.Speed,
+			Reliability: pi.Reliability,
+			Executed:    p.prov.Finished(),
 		})
 	}
 	sort.Slice(info.Providers, func(i, j int) bool {
@@ -1171,18 +916,13 @@ type Snapshot struct {
 
 // Snapshot returns current broker state.
 func (b *Broker) Snapshot() Snapshot {
-	s := Snapshot{Pending: int(b.pendingN.Load())}
-	for _, part := range b.parts {
-		part.mu.Lock()
-		s.InFlight += part.life.InFlight()
-		part.mu.Unlock()
-	}
+	s := Snapshot{Pending: b.core.Pending(), InFlight: b.core.InFlight()}
 	b.jobMu.Lock()
 	s.Jobs = len(b.jobs)
 	b.jobMu.Unlock()
 	b.mu.Lock()
 	for _, p := range b.providers {
-		info := p.info
+		info := b.core.Info(p.prov)
 		info.LastHeartbeat = time.Unix(0, p.lastBeat.Load())
 		s.Providers = append(s.Providers, info)
 	}

@@ -21,7 +21,7 @@ import (
 func runJobWithPartitions(t *testing.T, partitions int) []consumer.TaskResult {
 	t.Helper()
 	b := New(Options{partitions: partitions})
-	if got := len(b.parts); got != partitions {
+	if got := b.core.Partitions(); got != partitions {
 		t.Fatalf("partitions=%d built %d partitions", partitions, got)
 	}
 	addr, err := b.Listen("127.0.0.1:0")
@@ -237,7 +237,7 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for start := time.Now(); liveAttemptsOn(b, doomed.ID()) == 0; time.Sleep(time.Millisecond) {
+	for start := time.Now(); b.core.LiveAttemptsOn(doomed.ID()) == 0; time.Sleep(time.Millisecond) {
 		if time.Since(start) > 10*time.Second {
 			t.Fatal("doomed was never given work")
 		}
@@ -330,7 +330,7 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		s := b.Snapshot()
-		armed := armedDeadlines(b)
+		armed := b.core.ArmedDeadlines()
 		if s.Pending == 0 && s.InFlight == 0 && s.Jobs == 0 && armed == 0 {
 			break
 		}
@@ -348,46 +348,6 @@ func TestPartitionStressInterleaved(t *testing.T) {
 	if m.Counter("attempts.lost").Value() == 0 {
 		t.Error("provider loss produced no lost attempts")
 	}
-}
-
-// armedDeadlines counts the deadline timers the partitions still hold.
-func armedDeadlines(b *Broker) int {
-	n := 0
-	for _, part := range b.parts {
-		part.mu.Lock()
-		n += len(part.deadlines)
-		part.mu.Unlock()
-	}
-	return n
-}
-
-// liveTasklets counts the tasklets still pending a final in any partition.
-func liveTasklets(b *Broker) int {
-	n := 0
-	for _, part := range b.parts {
-		part.mu.Lock()
-		n += part.life.Pending()
-		part.mu.Unlock()
-	}
-	return n
-}
-
-// liveAttemptsOn counts the attempts running on pid whose outcome still
-// matters to a pending tasklet — the ones a loss of pid would report lost.
-func liveAttemptsOn(b *Broker, pid core.ProviderID) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, part := range b.parts {
-		part.mu.Lock()
-		part.life.VisitAttempts(func(_ core.AttemptID, tid core.TaskletID, p core.ProviderID, abandoned bool) {
-			if p == pid && !abandoned && part.life.Live(tid) {
-				n++
-			}
-		})
-		part.mu.Unlock()
-	}
-	return n
 }
 
 // TestDrainOrderPartitionZeroFirst pins the order a placement pass drains

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/consumer"
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/metrics"
 	"repro/internal/provider"
 	"repro/internal/tvm"
@@ -47,15 +48,15 @@ func queueStack(t *testing.T, slots int) (*Broker, *metrics.Registry, *consumer.
 }
 
 // soleProvider returns the broker's one registered provider.
-func soleProvider(t *testing.T, b *Broker) *providerState {
+func soleProvider(t *testing.T, b *Broker) *dispatch.Provider {
 	t.Helper()
 	for start := time.Now(); time.Since(start) < 10*time.Second; time.Sleep(time.Millisecond) {
-		b.pmu.RLock()
+		b.mu.Lock()
 		for _, p := range b.providers {
-			b.pmu.RUnlock()
-			return p
+			b.mu.Unlock()
+			return p.prov
 		}
-		b.pmu.RUnlock()
+		b.mu.Unlock()
 	}
 	t.Fatal("no provider registered")
 	return nil
@@ -82,11 +83,11 @@ func runJob(t *testing.T, c *consumer.Client, spec core.JobSpec) {
 // openGate runs near-instant jobs until the provider's recent attempts read
 // as tiny. One job is normally enough; a host that preempts a worker mid-run
 // can report one long execution, which takes a few more tiny ones to outweigh.
-func openGate(t *testing.T, c *consumer.Client, p *providerState) {
+func openGate(t *testing.T, c *consumer.Client, p *dispatch.Provider) {
 	t.Helper()
-	for i := 0; p.execMean.Load() >= wire.TinyExecNanos; i++ {
+	for i := 0; p.ExecMean() >= wire.TinyExecNanos; i++ {
 		if i == 50 {
-			t.Fatalf("provider's mean execution stayed at %dns after %d noop jobs", p.execMean.Load(), i)
+			t.Fatalf("provider's mean execution stayed at %dns after %d noop jobs", p.ExecMean(), i)
 		}
 		runJob(t, c, compileJob(t, squareSrc, intRows(64)...))
 	}
@@ -95,7 +96,7 @@ func openGate(t *testing.T, c *consumer.Client, p *providerState) {
 // holdEndless submits n tasklets that run until cancelled and waits until
 // the provider holds want of them; it then checks that no further attempt
 // is placed, and returns the job for the caller to cancel.
-func holdEndless(t *testing.T, b *Broker, c *consumer.Client, p *providerState, n, want int) *consumer.Job {
+func holdEndless(t *testing.T, b *Broker, c *consumer.Client, p *dispatch.Provider, n, want int) *consumer.Job {
 	t.Helper()
 	rows := make([][]int64, n)
 	for i := range rows {
@@ -107,13 +108,13 @@ func holdEndless(t *testing.T, b *Broker, c *consumer.Client, p *providerState, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for start := time.Now(); p.backlog.Load() != int64(want); time.Sleep(time.Millisecond) {
+	for start := time.Now(); p.Backlog() != want; time.Sleep(time.Millisecond) {
 		if time.Since(start) > 10*time.Second {
-			t.Fatalf("provider holds %d attempts, want %d", p.backlog.Load(), want)
+			t.Fatalf("provider holds %d attempts, want %d", p.Backlog(), want)
 		}
 	}
 	time.Sleep(100 * time.Millisecond) // any further placement would land now
-	if got := p.backlog.Load(); got != int64(want) {
+	if got := p.Backlog(); got != want {
 		t.Fatalf("provider holds %d attempts, want %d", got, want)
 	}
 	if got := b.Snapshot().Pending; got != n-want {
@@ -137,21 +138,6 @@ func cancelAndCheck(t *testing.T, c *consumer.Client, job *consumer.Job, reg *me
 	}
 }
 
-// creditsOf reads p's placement credits as the scheduler would.
-func creditsOf(b *Broker, p *providerState) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return p.credits()
-}
-
-// freeCredits reads the placement index's total credits, idle slots plus
-// open queued places, across the fleet.
-func freeCredits(b *Broker) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.index.FreeSlots()
-}
-
 // TestBrokerQueuesBehindTinyAttempts: a provider whose recent
 // attempts were tiny is given queued attempts beyond the ones it runs —
 // exactly its credits, no more — and rejects none of them.
@@ -160,9 +146,9 @@ func TestBrokerQueuesBehindTinyAttempts(t *testing.T) {
 	b, reg, c := queueStack(t, slots)
 	p := soleProvider(t, b)
 	openGate(t, c, p)
-	want := creditsOf(b, p)
+	want := b.core.Credits(p)
 	if want <= slots {
-		t.Fatalf("credits %d at a mean execution of %dns, want more than the %d slots", want, p.execMean.Load(), slots)
+		t.Fatalf("credits %d at a mean execution of %dns, want more than the %d slots", want, p.ExecMean(), slots)
 	}
 	job := holdEndless(t, b, c, p, want+8, want)
 	cancelAndCheck(t, c, job, reg)
@@ -178,7 +164,7 @@ func TestBrokerStopsQueueingAfterLongAttempts(t *testing.T) {
 	openGate(t, c, p)
 	// 200 000 iterations run for milliseconds: far past the threshold.
 	runJob(t, c, compileJob(t, spinSrc, []int64{200_000}, []int64{200_001}))
-	if m := p.execMean.Load(); m < wire.TinyExecNanos {
+	if m := p.ExecMean(); m < wire.TinyExecNanos {
 		t.Fatalf("mean execution %dns after millisecond attempts, want ≥ %d", m, wire.TinyExecNanos)
 	}
 	job := holdEndless(t, b, c, p, 10, slots)
@@ -363,7 +349,7 @@ func TestBrokerQueueDepthFollowsExecTime(t *testing.T) {
 			want := slots + tc.queued
 			if got := f.settle(want); got != want {
 				t.Fatalf("provider holds %d attempts at a mean execution of %dns, want %d",
-					got, soleProvider(t, b).execMean.Load(), want)
+					got, soleProvider(t, b).ExecMean(), want)
 			}
 			if got := b.Snapshot().Pending; got != n-want {
 				t.Fatalf("%d tasklets pending, want %d", got, n-want)
@@ -393,10 +379,10 @@ func TestBrokerShrinksQueueOnLongResult(t *testing.T) {
 	if got := f.settle(slots + queue - 1); got != slots+queue-1 {
 		t.Fatalf("provider holds %d attempts after a 1 ms result, want %d", got, slots+queue-1)
 	}
-	if m := p.execMean.Load(); m < wire.TinyExecNanos {
+	if m := p.ExecMean(); m < wire.TinyExecNanos {
 		t.Fatalf("mean execution %dns after a 1 ms result, want ≥ %d", m, wire.TinyExecNanos)
 	}
-	if got := creditsOf(b, p); got != 0 {
+	if got := b.core.Credits(p); got != 0 {
 		t.Fatalf("credits = %d after a 1 ms result, want 0", got)
 	}
 	f.answer(len(f.held), time.Millisecond)
@@ -498,19 +484,13 @@ func TestProviderLossWithDeepQueue(t *testing.T) {
 
 	for start := time.Now(); ; time.Sleep(5 * time.Millisecond) {
 		s := b.Snapshot()
-		attempts := 0
-		for _, part := range b.parts {
-			part.mu.Lock()
-			part.life.VisitAttempts(func(core.AttemptID, core.TaskletID, core.ProviderID, bool) { attempts++ })
-			part.mu.Unlock()
-		}
-		armed := armedDeadlines(b)
-		if s.Pending == 0 && s.InFlight == 0 && s.Jobs == 0 && attempts == 0 && armed == 0 {
+		armed := b.core.ArmedDeadlines()
+		if s.Pending == 0 && s.InFlight == 0 && s.Jobs == 0 && armed == 0 {
 			break
 		}
 		if time.Since(start) > 10*time.Second {
-			t.Fatalf("leaked state: pending=%d inflight=%d jobs=%d attempts=%d deadline timers=%d",
-				s.Pending, s.InFlight, s.Jobs, attempts, armed)
+			t.Fatalf("leaked state: pending=%d inflight=%d jobs=%d deadline timers=%d",
+				s.Pending, s.InFlight, s.Jobs, armed)
 		}
 	}
 

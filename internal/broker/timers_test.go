@@ -42,7 +42,7 @@ func TestRetryBackoffDelaysReissue(t *testing.T) {
 	// The survivor registers before the loss, so only the backoff can hold
 	// the re-issue back.
 	survivor := addProvider(t, addr, provider.Options{Slots: 1, Speed: 100, Name: "survivor"})
-	for start := time.Now(); len(b.Snapshot().Providers) < 2 || freeCredits(b) < 1; time.Sleep(time.Millisecond) {
+	for start := time.Now(); len(b.Snapshot().Providers) < 2 || b.core.FreeCredits() < 1; time.Sleep(time.Millisecond) {
 		if time.Since(start) > 10*time.Second {
 			t.Fatal("survivor never registered")
 		}
@@ -118,12 +118,12 @@ func TestCloseWithArmedTimers(t *testing.T) {
 	if _, err := c.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-	for start := time.Now(); armedDeadlines(b) == 0; time.Sleep(time.Millisecond) {
+	for start := time.Now(); b.core.ArmedDeadlines() == 0; time.Sleep(time.Millisecond) {
 		if time.Since(start) > 10*time.Second {
 			t.Fatal("deadline was never armed")
 		}
 	}
-	if pending := b.pendingN.Load(); pending != 1 {
+	if pending := b.core.Pending(); pending != 1 {
 		t.Fatalf("pending = %d before Close, want only the deadline tasklet (the re-issue waits out its backoff)", pending)
 	}
 
@@ -134,17 +134,17 @@ func TestCloseWithArmedTimers(t *testing.T) {
 	if d := time.Since(start); d > backoff/2 {
 		t.Fatalf("Close took %v with timers armed", d)
 	}
-	live := liveTasklets(b)
+	live := b.core.Live()
 
 	// Let the backoff timer fire into the closed broker.
 	time.Sleep(time.Until(lost.Add(backoff + 200*time.Millisecond)))
-	if got := liveTasklets(b); got != live {
+	if got := b.core.Live(); got != live {
 		t.Fatalf("%d tasklets finalized after Close", live-got)
 	}
-	if got := b.pendingN.Load(); got != 0 {
+	if got := b.core.Pending(); got != 0 {
 		t.Fatalf("pending = %d after Close, want 0", got)
 	}
-	if got := armedDeadlines(b); got != 0 {
+	if got := b.core.ArmedDeadlines(); got != 0 {
 		t.Fatalf("%d deadline timers still armed after Close", got)
 	}
 }

@@ -23,24 +23,22 @@ const (
 type Event struct {
 	Kind EventKind
 
-	// EventSubmit fields (see Submit).
+	// EventSubmit fields.
 	Tasklet core.Tasklet
 	Key     memo.Key
 	HaveKey bool
 
-	// EventResult input (see Result).
+	// EventResult input.
 	Result core.Result
 	// Disp is EventResult's output, written by Apply.
 	Disp Disposition
 }
 
-// Apply feeds a burst of events through the engine under ONE effect-scratch
-// reset and returns the concatenated effects, in event order. It is exactly
-// equivalent to calling Submit/Result per event and concatenating their
-// effects — the batch wire path and the per-frame path drive the same state
-// transitions — but the driver pays one call, one effects walk, and one
-// slice reset per burst instead of per event. Effects are valid until the
-// next engine call, like every other event method.
+// Apply feeds a burst of events through the engine under one effect-scratch
+// reset and returns the concatenated effects, in event order: the driver
+// pays one call, one effects walk and one slice reset per burst instead of
+// per event. Effects are valid until the next engine call, like every other
+// event method.
 func (e *Engine) Apply(evs []Event) []Effect {
 	e.fx = e.fx[:0]
 	for i := range evs {

@@ -4,14 +4,12 @@
 // attempt result/lost handling → decision application → deadline expiry →
 // finalization → memo store.
 //
-// The engine is pure event-in/effects-out: callers feed events (Submit,
-// Result, ProviderLost, Deadline, Cancel, Launched) and execute the
-// returned Effects (queue a placement, cancel an attempt, deliver a final,
-// arm a deadline timer). It holds no clock, no RNG, no sockets and no
-// goroutines — the live broker drives it under its mutex against wall time,
-// and the discrete-event simulator drives the very same code against
-// virtual time, so the two can no longer drift apart (they used to carry
-// independent copies of this logic, kept equal only by differential tests).
+// The engine is pure event-in/effects-out: callers feed events (Apply's
+// submissions and results, ProviderLost, Deadline, Cancel, Launched) and
+// execute the returned Effects (queue a placement, cancel an attempt,
+// deliver a final, arm a deadline timer). It holds no clock, no RNG, no
+// sockets and no goroutines: the scheduler core (internal/dispatch) drives
+// it, under a partition lock, for both the live broker and the simulator.
 //
 // On top of the QoC tracker's per-tasklet retry budget the engine enforces
 // an optional global per-tasklet attempt cap (Options.MaxAttempts) with
@@ -20,6 +18,8 @@
 package lifecycle
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -60,7 +60,7 @@ type Options struct {
 	AttemptStride uint64
 }
 
-// Disposition classifies what Result did with an attempt outcome.
+// Disposition classifies what Apply did with an attempt outcome.
 type Disposition uint8
 
 const (
@@ -151,19 +151,12 @@ func New(opts Options) *Engine {
 
 // ---------- events ----------
 
-// Submit admits one tasklet. key is its memo content key when haveKey is
-// true (the drivers compute it: program hash + seed + params for the broker,
-// the synthetic content key for the simulator). The returned effects are,
+// submit admits one tasklet (an EventSubmit). key is its memo content key
+// when haveKey is true (the drivers compute it: program hash + seed + params
+// for the broker, the synthetic content key for the simulator). It appends,
 // in order: a Deliver for an immediate cache hit, or SetDeadline (when the
 // QoC carries one) followed by either Coalesced (joined a flight as waiter)
 // or the initial fan-out's Launch effects.
-func (e *Engine) Submit(t core.Tasklet, key memo.Key, haveKey bool) []Effect {
-	e.fx = e.fx[:0]
-	e.submit(t, key, haveKey)
-	return e.fx
-}
-
-// submit is the reset-free core of Submit, shared with Apply.
 func (e *Engine) submit(t core.Tasklet, key memo.Key, haveKey bool) {
 	ts := e.newState(t)
 	e.tasklets[t.ID] = ts
@@ -225,19 +218,9 @@ func (e *Engine) Launched(tid core.TaskletID, pid core.ProviderID) (core.Attempt
 	return aid, true
 }
 
-// Result feeds one attempt outcome. The disposition tells the driver how to
-// account it (see Disposition); effects accompany ResultConsumed only.
-func (e *Engine) Result(res core.Result) (Disposition, []Effect) {
-	e.fx = e.fx[:0]
-	disp := e.result(res)
-	if disp != ResultConsumed {
-		return disp, nil
-	}
-	return disp, e.fx
-}
-
-// result is the reset-free core of Result, shared with Apply. It appends
-// effects only when the outcome is consumed.
+// result feeds one attempt outcome (an EventResult). The disposition tells
+// the driver how to account it (see Disposition); it appends effects only
+// when the outcome is consumed.
 func (e *Engine) result(res core.Result) Disposition {
 	a, ok := e.attempts[res.Attempt]
 	if !ok || a.provider != res.Provider {
@@ -256,10 +239,11 @@ func (e *Engine) result(res core.Result) Disposition {
 }
 
 // ProviderLost declares every attempt on pid lost and feeds the losses to
-// their trackers. It returns how many live (non-abandoned, tasklet still
-// pending) attempts died — the broker's attempts.lost count — plus the
-// re-issue/finalization effects.
-func (e *Engine) ProviderLost(pid core.ProviderID) (int, []Effect) {
+// their trackers oldest first (attempt ID order, not the map's), so the
+// re-issues queue in launch order. It returns the attempts whose loss
+// mattered (not abandoned, tasklet pending), valid until the next engine
+// call, and the re-issue/finalization effects.
+func (e *Engine) ProviderLost(pid core.ProviderID) ([]core.AttemptID, []Effect) {
 	e.fx = e.fx[:0]
 	e.lostScratch = e.lostScratch[:0]
 	for aid, a := range e.attempts {
@@ -267,7 +251,8 @@ func (e *Engine) ProviderLost(pid core.ProviderID) (int, []Effect) {
 			e.lostScratch = append(e.lostScratch, aid)
 		}
 	}
-	lost := 0
+	slices.Sort(e.lostScratch)
+	lost := e.lostScratch[:0] // compacted in place: entry k is read before it is written
 	for _, aid := range e.lostScratch {
 		// Re-read: feeding an earlier loss may have abandoned this attempt
 		// (a tracker completing cancels its redundant siblings).
@@ -280,7 +265,7 @@ func (e *Engine) ProviderLost(pid core.ProviderID) (int, []Effect) {
 		if ts == nil {
 			continue
 		}
-		lost++
+		lost = append(lost, aid)
 		e.applyDecision(ts, ts.tracker.OnResult(core.Result{
 			Attempt: aid, Status: core.StatusLost, Provider: pid,
 		}))
@@ -419,8 +404,9 @@ func (e *Engine) recycle(ts *taskletState) {
 }
 
 // abandonAttempts marks every live attempt of tid abandoned and emits cancel
-// effects.
+// effects in attempt ID order, not the attempt map's.
 func (e *Engine) abandonAttempts(tid core.TaskletID) {
+	from := len(e.fx)
 	for aid, a := range e.attempts {
 		if a.tasklet == tid && !a.abandoned {
 			a.abandoned = true
@@ -428,6 +414,7 @@ func (e *Engine) abandonAttempts(tid core.TaskletID) {
 			e.emit(Effect{Kind: EffectCancelAttempt, Tasklet: tid, Attempt: aid, Provider: a.provider})
 		}
 	}
+	slices.SortFunc(e.fx[from:], func(a, b Effect) int { return cmp.Compare(a.Attempt, b.Attempt) })
 }
 
 // cancelAttempt abandons one attempt (QoC decision cancel).

@@ -274,8 +274,8 @@ func TestProviderLostReissuesAndCounts(t *testing.T) {
 	launchOne(t, e, 2, 9)
 
 	lost, fx := e.ProviderLost(9)
-	if lost != 2 {
-		t.Fatalf("lost = %d, want 2", lost)
+	if len(lost) != 2 {
+		t.Fatalf("lost = %v, want 2 attempts", lost)
 	}
 	if countKind(fx, EffectLaunch) != 2 {
 		t.Fatalf("provider-lost effects = %v, want 2 re-issues", fx)

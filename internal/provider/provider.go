@@ -8,12 +8,12 @@
 // Every assigned attempt runs: a provider keeps decoded programs but no
 // results, because result memoization belongs to the broker alone.
 //
-// A provider admits Slots×(1+queuePerSlot) attempts: queuePerSlot queued
-// behind each running slot, so a worker that finishes a near-instant attempt
-// starts the next at once instead of idling for a broker round trip. It
-// states its queued places in Register.Queue; the broker fills them only as
-// deep as about wire.TinyExecNanos of this provider's recent attempts per
-// slot, so only tiny attempts queue at all.
+// A provider admits Slots×(1+wire.QueuePerSlot) attempts: QueuePerSlot
+// queued behind each running slot, so a worker that finishes a near-instant
+// attempt starts the next at once instead of idling for a broker round
+// trip. It states its queued places in Register.Queue; the broker fills
+// them only as deep as about wire.TinyExecNanos of this provider's recent
+// attempts per slot, so only tiny attempts queue at all.
 // A queued attempt cancelled before it starts reports FaultCancelled
 // without running.
 //
@@ -80,14 +80,6 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-// queuePerSlot is how many attempts a provider queues behind each slot.
-// The broker decides how many of those places to fill (at most
-// wire.TinyExecNanos of expected work per slot), so this only bounds the
-// depth that attempts of a few µs reach. Chosen by a sweep over
-// {4, 8, 16, 32} on noop_flood: the smallest within 5 % of the best
-// throughput (DESIGN.md).
-const queuePerSlot = 32
-
 // defaultProgramCacheSize bounds the decoded-program cache. It only saves
 // decodes: every assign frame carries its programs' bytes, so an eviction
 // costs a decode, never an attempt. 64 decoded programs comfortably cover
@@ -104,7 +96,7 @@ type Provider struct {
 	nc   net.Conn
 	id   core.ProviderID
 
-	// free holds one token per unclaimed place: Slots×(1+queuePerSlot)
+	// free holds one token per unclaimed place: Slots×(1+wire.QueuePerSlot)
 	// places, Slots of them running and the rest queued. The token is the
 	// attempt's cancel state, so claiming a place and arming its
 	// cancellation allocate nothing.
@@ -178,7 +170,7 @@ func Connect(opts Options) (*Provider, error) {
 		return nil, fmt.Errorf("provider: handshake: unexpected %s", msg.Type())
 	}
 
-	queued := queuePerSlot * opts.Slots
+	queued := wire.QueuePerSlot * opts.Slots
 	places := opts.Slots + queued
 	p := &Provider{
 		opts:    opts,
@@ -269,7 +261,7 @@ func (p *Provider) heartbeatLoop() {
 		select {
 		case <-tick.C:
 			// Idle workers: the queued places are not free slots.
-			p.send(&wire.Heartbeat{FreeSlots: max(0, len(p.free)-queuePerSlot*p.opts.Slots)})
+			p.send(&wire.Heartbeat{FreeSlots: max(0, len(p.free)-wire.QueuePerSlot*p.opts.Slots)})
 		case <-p.done:
 			return
 		}
@@ -423,7 +415,7 @@ type attempt struct {
 
 // admit takes one resolved assignment: token claim, then hand-off to the
 // slot workers, where it runs at once on an idle worker or queues behind a
-// busy one. The broker never places more than Slots×(1+queuePerSlot)
+// busy one. The broker never places more than Slots×(1+wire.QueuePerSlot)
 // attempts here, so an empty free list indicates state drift; such attempts
 // are rejected rather than queued deeper, to keep accounting exact.
 func (p *Provider) admit(m *wire.Assign, prog *tvm.Program) {

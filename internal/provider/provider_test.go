@@ -175,7 +175,7 @@ func TestProviderRegistersAdvertisedCapacity(t *testing.T) {
 	}
 	defer p.Close()
 	reg := fb.waitRegistered()
-	if reg.Slots != 3 || reg.Speed != 55 || reg.Class != core.ClassLaptop || reg.Queue != 3*queuePerSlot {
+	if reg.Slots != 3 || reg.Speed != 55 || reg.Class != core.ClassLaptop || reg.Queue != 3*wire.QueuePerSlot {
 		t.Fatalf("register = %+v", reg)
 	}
 	if p.ID() != 7 {
@@ -293,10 +293,10 @@ func TestProviderRejectsHashMismatch(t *testing.T) {
 }
 
 // TestProviderRejectsOverCommit: a provider admits exactly
-// Slots×(1+queuePerSlot) attempts — Slots running, queuePerSlot queued behind
-// each — runs at most Slots at once, and rejects the next. Two endless
-// attempts hold both workers; 2×queuePerSlot short ones queue behind them;
-// the one after is rejected. The short ones must not finish before a worker
+// Slots×(1+wire.QueuePerSlot) attempts — Slots running, QueuePerSlot queued
+// behind each — runs at most Slots at once, and rejects the next. Two
+// endless attempts hold both workers; 2×QueuePerSlot short ones queue
+// behind them; the one after is rejected. The short ones must not finish before a worker
 // frees: they run only after the first endless attempt is cancelled, one
 // after the other in arrival order on the worker it leaves.
 func TestProviderRejectsOverCommit(t *testing.T) {
@@ -309,7 +309,7 @@ func TestProviderRejectsOverCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	last := core.AttemptID(slots * (1 + queuePerSlot)) // the last admitted
+	last := core.AttemptID(slots * (1 + wire.QueuePerSlot)) // the last admitted
 	for i := core.AttemptID(slots + 1); i <= last+1; i++ {
 		if err := fb.conn.Send(assignSpin(i, 10, false)); err != nil {
 			t.Fatal(err)

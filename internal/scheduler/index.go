@@ -29,8 +29,8 @@ import "repro/internal/core"
 //	random, round_robin   ID-ordered ring with a Fenwick tree over free
 //	                      flags for O(log P) k-th-eligible selection
 //
-// An Index is not safe for concurrent use; the broker serializes access
-// under its scheduling mutex.
+// An Index is not safe for concurrent use; the scheduler core
+// (internal/dispatch) serializes access under its placement lock.
 type Index struct {
 	kind policyKind
 
@@ -124,11 +124,11 @@ func lessReliable(a, b *ixEntry) bool {
 
 // ---------- provider events ----------
 
-// Upsert registers a provider or refreshes its capacity after a
-// re-registration (or, in the simulator, a failure/recovery transition:
-// free = 0 parks a down device without forgetting it). info is retained and
-// read at comparison time, so speed/slots/reliability edits paired with an
-// Upsert/Assign/Complete call are picked up automatically.
+// Upsert registers a provider or sets its capacity and backlog: at
+// registration, and whenever results have settled attempts since the last
+// placement pass. info is retained and read at comparison time, so
+// speed/slots/reliability edits paired with an Upsert/Assign/Complete call
+// are picked up automatically.
 func (ix *Index) Upsert(info *core.ProviderInfo, free, backlog int) {
 	e := ix.entries[info.ID]
 	if e == nil {

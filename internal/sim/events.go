@@ -1,17 +1,22 @@
 // Package sim implements a deterministic discrete-event simulator for
-// Tasklet fleets. It substitutes for the paper's physical heterogeneous
-// testbed: device classes with calibrated speed factors, multi-slot
-// concurrency, exponential churn (MTBF/MTTR), link latency, and
-// heartbeat-style failure detection — while reusing the *same* scheduling
-// policies (internal/scheduler) and QoC engine (internal/qoc) as the live
-// broker, so simulated and live behaviour differ only in the transport.
+// Tasklet fleets, the stand-in for the paper's physical heterogeneous
+// testbed. Its broker is the live broker's own scheduler core
+// (internal/dispatch): partitions, lifecycle, placement, provider
+// accounting, cancellation and provider loss are the same code. Simulated
+// and live behaviour differ only in the transport and in what the
+// simulator models itself:
+//   - the device model: class speed, slots with a FIFO of queued attempts
+//     behind them, faulty results, and cancels that drop a queued attempt;
+//   - link latency, one way, on every frame;
+//   - churn (exponential MTBF/MTTR) and its detection delay: a failed
+//     device keeps its placements until the delay passes, as a live
+//     provider does until its heartbeat times out;
+//   - a single stripe: the live stripe count follows the broker host's
+//     GOMAXPROCS, not the fleet, and one stripe keeps runs the same on
+//     every host.
 //
-// The broker itself costs nothing in virtual time: the simulator has no
-// model of broker internals. It answers fleet, churn and policy questions,
-// and broker costs are measured on the real stack (benchmark/, E7).
-//
-// Everything is driven by a binary-heap event queue over virtual time;
-// given a seed, runs are bit-for-bit reproducible.
+// The broker costs no virtual time (its costs are measured live: benchmark/,
+// E7), and a seed reproduces a run bit for bit.
 package sim
 
 import (
@@ -20,11 +25,18 @@ import (
 	"time"
 )
 
-// event is one scheduled callback.
+// event is one scheduled callback. It is the simulator's dispatch.Timer.
 type event struct {
 	at  time.Duration
 	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  func()
+	fn  func() // nil once run or stopped
+}
+
+// Stop keeps a pending event from running and reports whether it did.
+func (ev *event) Stop() bool {
+	pending := ev.fn != nil
+	ev.fn = nil
+	return pending
 }
 
 // eventHeap orders events by (time, seq).
@@ -66,16 +78,18 @@ func newEngine(seed uint64) *engine {
 }
 
 // at schedules fn at absolute virtual time t (clamped to now).
-func (e *engine) at(t time.Duration, fn func()) {
+func (e *engine) at(t time.Duration, fn func()) *event {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.heap, &event{at: t, seq: e.seq, fn: fn})
+	ev := &event{at: t, seq: e.seq, fn: fn}
+	heap.Push(&e.heap, ev)
+	return ev
 }
 
 // after schedules fn d from now.
-func (e *engine) after(d time.Duration, fn func()) { e.at(e.now+d, fn) }
+func (e *engine) after(d time.Duration, fn func()) *event { return e.at(e.now+d, fn) }
 
 // step runs the next event; returns false when the queue is empty.
 func (e *engine) step() bool {
@@ -84,17 +98,9 @@ func (e *engine) step() bool {
 	}
 	ev := heap.Pop(&e.heap).(*event)
 	e.now = ev.at
-	ev.fn()
-	return true
-}
-
-// run drains the queue, stopping (with false) if virtual time exceeds max.
-func (e *engine) run(max time.Duration) bool {
-	for len(e.heap) > 0 {
-		if e.heap[0].at > max {
-			return false
-		}
-		e.step()
+	if fn := ev.fn; fn != nil {
+		ev.fn = nil
+		fn()
 	}
 	return true
 }

@@ -98,6 +98,19 @@ func goldenScenarios(t *testing.T) map[string]Config {
 		Seed:        11,
 	}
 
+	// Multi-slot devices lose several attempts at once: the order the
+	// losses are fed in decides where each re-issue runs.
+	churnMultislot := Config{
+		Devices: []DeviceSpec{
+			{Class: core.ClassServer, Slots: 4, MTBF: 3 * time.Second, MTTR: 2 * time.Second},
+			{Class: core.ClassDesktop, Slots: 4, MTBF: 4 * time.Second, MTTR: 2 * time.Second},
+			{Class: core.ClassDesktop, Slots: 2},
+		},
+		Tasks:       uniformTasks(300, 50_000_000),
+		DetectDelay: 500 * time.Millisecond,
+		Seed:        11,
+	}
+
 	memoBurst := Config{
 		Devices: homogeneous(2, 2, 100),
 		Tasks:   keyedTasks(40, 40_000_000, []uint64{5, 6, 5, 5, 7}, 50*time.Millisecond, core.QoC{}),
@@ -108,6 +121,7 @@ func goldenScenarios(t *testing.T) map[string]Config {
 		"voting_faulty_memo": votingFaulty,
 		"mixed_modes":        mixed,
 		"churn_retries":      churn,
+		"churn_multislot":    churnMultislot,
 		"memo_burst":         memoBurst,
 	}
 }

@@ -12,10 +12,9 @@ import (
 // tasklet: it runs each policy, with and without device churn, through the
 // simulator and checks the run against what the scenario fixes — every
 // tasklet finalizes, every completed one carries its canonical value and a
-// real provider, and the attempt and per-device execution counts add up. It
-// compares against no second placement path; the index's picks are checked
-// against the reference scan in internal/scheduler. (The name is kept from
-// when it did compare two paths.)
+// real provider, and the attempt and per-device execution counts add up.
+// The index's picks themselves are checked against the reference scan in
+// internal/scheduler.
 func TestSimIndexMatchesLegacy(t *testing.T) {
 	mixedDevices := func(churn bool) []DeviceSpec {
 		devs := []DeviceSpec{

@@ -3,14 +3,17 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/lifecycle"
 	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/scheduler"
 	"repro/internal/tvm"
+	"repro/internal/wire"
 )
 
 // DeviceSpec describes one simulated provider.
@@ -60,10 +63,12 @@ type Config struct {
 	Tasks   []TaskSpec
 	// Policy is the placement policy; the zero value is work_steal.
 	Policy scheduler.Policy
-	// Latency is the one-way broker<->provider message delay.
+	// Latency is the one-way broker<->provider message delay: assigns,
+	// cancels and results each take it.
 	Latency time.Duration
 	// DetectDelay is how long after a device fails the broker notices
-	// (heartbeat timeout). Zero selects 2s.
+	// (heartbeat timeout); until then the broker still places work on it.
+	// Zero selects 2s.
 	DetectDelay time.Duration
 	Seed        uint64
 	// MaxTime aborts runaway scenarios. Zero selects 24h of virtual time.
@@ -77,14 +82,9 @@ type Config struct {
 	MemoEntries int
 	MemoBytes   int
 	MemoTTL     time.Duration
-	// MaxAttempts caps the total attempts one tasklet may consume across
-	// lost-attempt re-issues, mirroring broker.Options.MaxAttempts: zero (or
-	// negative) means unlimited — the legacy behavior, bounded only by the
-	// QoC retry budget. Cap exhaustion finalizes the tasklet as StatusLost.
-	MaxAttempts int
-	// RetryBackoff delays the n-th re-issue of a tasklet by
-	// RetryBackoff << min(n-1, 6) of virtual time; zero re-issues
-	// immediately (the legacy behavior).
+	// MaxAttempts and RetryBackoff are broker.Options' fields of the same
+	// names; the backoff runs on virtual time.
+	MaxAttempts  int
 	RetryBackoff time.Duration
 }
 
@@ -95,8 +95,9 @@ type Stats struct {
 	// Completed and Failed count tasklets by final status.
 	Completed int
 	Failed    int
-	// Attempts counts executions launched; LostAttempts those that died
-	// with their device; WastedAttempts completed-but-redundant ones.
+	// Attempts counts attempts placed; LostAttempts those that died with
+	// their device; WastedAttempts those whose result came back after their
+	// tasklet stopped needing it (cancelled, or redundant).
 	Attempts       int
 	LostAttempts   int
 	WastedAttempts int
@@ -108,9 +109,10 @@ type Stats struct {
 	// Latency is the per-tasklet submission-to-final-result distribution
 	// (milliseconds of virtual time).
 	Latency metrics.Summary
-	// BusyTime is each device's cumulative execution time.
+	// BusyTime is each device's cumulative execution time of the attempts
+	// it ran to completion.
 	BusyTime []time.Duration
-	// DeviceExecuted counts attempts finished per device.
+	// DeviceExecuted counts the attempts each device ran to completion.
 	DeviceExecuted []int
 	// Trace is the event timeline, recorded only when Config.Trace is set.
 	Trace []TraceEvent
@@ -136,51 +138,17 @@ func (s *Stats) Utilization(devices []DeviceSpec) float64 {
 	return frac / float64(len(s.BusyTime))
 }
 
-// attemptRec is one in-flight simulated execution — the transport/timing
-// half of an attempt. The lifecycle half (which tasklet, abandoned or not)
-// lives in the shared lifecycle engine.
-type attemptRec struct {
-	id       core.AttemptID
-	tasklet  core.TaskletID
-	device   int
-	epoch    int // device incarnation at launch; stale completions are void
-	started  time.Duration
-	fuel     uint64
-	content  uint64 // TaskSpec.Key; decides the canonical result value
-	finished bool
-}
-
-// deviceState is the runtime state of one simulated device.
-type deviceState struct {
-	spec    DeviceSpec
-	info    core.ProviderInfo
-	up      bool
-	epoch   int
-	free    int
-	backlog int
-	busy    time.Duration
-	done    int
-}
-
-// sim is the running world: a virtual-time driver of the shared lifecycle
-// engine. The engine owns submission, memoization, coalescing, QoC decisions
-// and finalization; the sim owns devices, virtual clocks, message latency,
-// churn, and placement.
+// sim is the running world: the virtual-time driver of the scheduler core,
+// which owns everything the broker decides. The sim owns the clock, the
+// devices, latency, churn and the run's statistics.
 type sim struct {
 	cfg     Config
 	eng     *engine
-	life    *lifecycle.Engine
-	devices []*deviceState
-	attempt map[core.AttemptID]*attemptRec
-	pending []core.TaskletID
+	core    *dispatch.Core
+	reg     *metrics.Registry
+	devices []*device
 	memoOn  bool
-
-	// index is the incremental placement index. Down devices stay indexed
-	// with zero capacity rather than removed, so recovery is an O(log P)
-	// weight flip, not a re-insertion.
-	index *scheduler.Index
-	// excl is the placement exclusion-list scratch, reused across picks.
-	excl []core.ProviderID
+	dirty   bool // the core asked for a placement pass during this event
 
 	stats     Stats
 	latency   *metrics.Histogram
@@ -189,13 +157,13 @@ type sim struct {
 	remaining int
 }
 
-// normalize fills Config defaults.
-func (cfg Config) normalize() (Config, error) {
+// Run executes the scenario and returns its statistics.
+func Run(cfg Config) (*Stats, error) {
 	if len(cfg.Devices) == 0 {
-		return cfg, errors.New("sim: no devices")
+		return nil, errors.New("sim: no devices")
 	}
 	if len(cfg.Tasks) == 0 {
-		return cfg, errors.New("sim: no tasks")
+		return nil, errors.New("sim: no tasks")
 	}
 	if cfg.DetectDelay <= 0 {
 		cfg.DetectDelay = 2 * time.Second
@@ -203,85 +171,54 @@ func (cfg Config) normalize() (Config, error) {
 	if cfg.MaxTime <= 0 {
 		cfg.MaxTime = 24 * time.Hour
 	}
-	return cfg, nil
-}
-
-// newSim builds the broker world — event engine, lifecycle engine, memo,
-// devices, index. cfg must be normalized.
-func newSim(cfg Config) *sim {
-	index, _ := scheduler.NewIndexFor(cfg.Policy) // the error is always nil
 	s := &sim{
-		index:   index,
 		cfg:     cfg,
 		eng:     newEngine(cfg.Seed),
-		attempt: map[core.AttemptID]*attemptRec{},
+		reg:     &metrics.Registry{},
 		latency: &metrics.Histogram{},
 	}
-	var opts lifecycle.Options
-	opts.MaxAttempts = cfg.MaxAttempts
-	opts.RetryBackoff = cfg.RetryBackoff
+	dcfg := dispatch.Config{
+		Policy:       cfg.Policy,
+		Partitions:   1, // the stripe count is the host's, not the fleet's (package doc)
+		MaxAttempts:  cfg.MaxAttempts,
+		RetryBackoff: cfg.RetryBackoff,
+		Metrics:      s.reg,
+	}
 	if cfg.MemoEntries >= 0 && cfg.MemoBytes >= 0 && cfg.MemoTTL >= 0 {
 		epoch := time.Unix(0, 0)
-		opts.Memo = memo.New(memo.Config{
+		dcfg.Memo = memo.New(memo.Config{
 			MaxEntries: cfg.MemoEntries,
 			MaxBytes:   cfg.MemoBytes,
 			TTL:        cfg.MemoTTL,
 			// TTL expiry must happen in virtual time, not wall time.
 			Clock: func() time.Time { return epoch.Add(s.eng.now) },
 		})
-		opts.Flights = memo.NewFlightTable(nil, "")
 		s.memoOn = true
 	}
-	s.life = lifecycle.New(opts)
+	s.core = dispatch.New(dcfg, s)
 
 	for i, spec := range cfg.Devices {
 		if spec.Slots <= 0 {
 			spec.Slots = 1
 		}
-		d := &deviceState{
-			spec: spec,
-			info: core.ProviderInfo{
-				ID:          core.ProviderID(i + 1),
-				Class:       spec.Class,
-				Slots:       spec.Slots,
-				Speed:       spec.speed(),
-				Reliability: 1,
-			},
-			up:   true,
-			free: spec.Slots,
-		}
+		d := &device{s: s, idx: i, spec: spec, up: true, held: map[core.AttemptID]*attempt{}}
+		d.prov = dispatch.NewProvider(core.ProviderInfo{ID: core.ProviderID(i + 1)}, d)
+		d.results = s.core.NewResults(d.prov)
 		s.devices = append(s.devices, d)
+		s.register(d)
 		if spec.MTBF > 0 {
-			s.scheduleFailure(i)
+			s.scheduleFailure(d)
 		}
 	}
-	for _, d := range s.devices {
-		s.index.Upsert(&d.info, d.free, 0)
-	}
-	s.stats.BusyTime = make([]time.Duration, len(s.devices))
-	s.stats.DeviceExecuted = make([]int, len(s.devices))
 	s.stats.Finals = make([]core.Result, len(cfg.Tasks))
 	s.firstArr = time.Duration(-1)
-	return s
-}
-
-// Run executes the scenario and returns its statistics.
-func Run(cfg Config) (*Stats, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	s := newSim(cfg)
 	s.remaining = len(cfg.Tasks)
 	for i, tspec := range cfg.Tasks {
 		fuel := tspec.Fuel
 		if fuel == 0 {
 			fuel = 1_000_000
 		}
-		t := core.Tasklet{
-			ID: core.TaskletID(i + 1), Job: 1, Index: i,
-			Fuel: fuel, QoC: tspec.QoC,
-		}
+		t := core.Tasklet{Job: 1, Index: i, Fuel: fuel, QoC: tspec.QoC}
 		if s.firstArr < 0 || tspec.Arrival < s.firstArr {
 			s.firstArr = tspec.Arrival
 		}
@@ -289,7 +226,8 @@ func Run(cfg Config) (*Stats, error) {
 		s.eng.at(tspec.Arrival, func() { s.onArrival(t, content) })
 	}
 
-	// Drive events until every tasklet is final. Churn events reschedule
+	// Drive events until every tasklet is final, running a placement pass
+	// after each event that asked for one. Churn events reschedule
 	// themselves forever, so "queue empty" is not the termination
 	// condition — "no tasklets remaining" is.
 	for s.remaining > 0 {
@@ -300,57 +238,35 @@ func Run(cfg Config) (*Stats, error) {
 		if !s.eng.step() {
 			return nil, fmt.Errorf("sim: event queue drained with %d tasklets unfinished (fleet dead?)", s.remaining)
 		}
+		if s.dirty {
+			s.dirty = false
+			s.core.Pass()
+		}
 	}
 
 	s.stats.Makespan = s.lastDone - s.firstArr
 	s.stats.Latency = s.latency.Snapshot()
-	for i, d := range s.devices {
-		s.stats.BusyTime[i] = d.busy
-		s.stats.DeviceExecuted[i] = d.done
+	s.stats.Attempts = int(s.reg.Counter("attempts.launched").Value())
+	s.stats.LostAttempts = int(s.reg.Counter("attempts.lost").Value())
+	s.stats.WastedAttempts = int(s.reg.Counter("attempts.wasted").Value())
+	s.stats.Coalesced = int(s.reg.Counter("memo.coalesced").Value())
+	for _, d := range s.devices {
+		s.stats.BusyTime = append(s.stats.BusyTime, d.busy)
+		s.stats.DeviceExecuted = append(s.stats.DeviceExecuted, d.done)
 	}
 	return &s.stats, nil
 }
 
-// ---------- world mechanics ----------
+// ---------- the core's driver ----------
 
-// apply executes the engine's effects against the simulated world. It
-// reports whether any immediate launch was queued, so callers know to run a
-// placement pass.
-func (s *sim) apply(fx []lifecycle.Effect) (launched bool) {
-	for _, ef := range fx {
-		switch ef.Kind {
-		case lifecycle.EffectLaunch:
-			if ef.Delay > 0 {
-				tid := ef.Tasklet
-				s.eng.after(ef.Delay, func() {
-					if !s.life.Live(tid) {
-						return
-					}
-					s.pending = append(s.pending, tid)
-					s.schedule()
-				})
-			} else {
-				s.pending = append(s.pending, ef.Tasklet)
-				launched = true
-			}
-		case lifecycle.EffectSetDeadline:
-			tid := ef.Tasklet
-			s.eng.after(ef.Delay, func() { s.onDeadline(tid) })
-		case lifecycle.EffectCoalesced:
-			s.stats.Coalesced++
-		case lifecycle.EffectDeliver:
-			s.recordFinal(ef)
-		case lifecycle.EffectCancelAttempt:
-			// Simulated providers have no cancellation channel: the
-			// redundant execution runs to completion and is counted as
-			// wasted (conservative for the overhead measurements).
-		}
-	}
-	return launched
-}
+// AfterFunc arms f on the virtual clock.
+func (s *sim) AfterFunc(d time.Duration, f func()) dispatch.Timer { return s.eng.after(d, f) }
 
-// recordFinal books one tasklet's final result into the run statistics.
-func (s *sim) recordFinal(ef lifecycle.Effect) {
+// Schedule asks for a placement pass once the current event is done.
+func (s *sim) Schedule() { s.dirty = true }
+
+// Deliver books one tasklet's final result into the run statistics.
+func (s *sim) Deliver(ef *lifecycle.Effect) {
 	final := ef.Final
 	if ef.FromCache {
 		s.stats.CacheHits++
@@ -364,9 +280,7 @@ func (s *sim) recordFinal(ef lifecycle.Effect) {
 		s.stats.Failed++
 	}
 	s.latency.Observe(float64(s.eng.now-s.cfg.Tasks[final.Index].Arrival) / 1e6)
-	if s.eng.now > s.lastDone {
-		s.lastDone = s.eng.now
-	}
+	s.lastDone = s.eng.now // events run in time order
 }
 
 func (s *sim) onArrival(t core.Tasklet, content uint64) {
@@ -376,75 +290,130 @@ func (s *sim) onArrival(t core.Tasklet, content uint64) {
 	if s.memoOn && content != 0 {
 		key, haveKey = memo.KeyFor(content, s.cfg.Seed, nil)
 	}
-	if s.apply(s.life.Submit(t, key, haveKey)) {
-		s.schedule()
+	ev, _ := s.core.SubmitEvent(t, uint64(t.Index)+1, key, haveKey) // one stripe: the ID is Index+1
+	s.core.Feed([][]lifecycle.Event{{ev}})
+}
+
+// ---------- devices ----------
+
+// attempt is one attempt as its device sees it.
+type attempt struct {
+	id      core.AttemptID
+	tasklet core.TaskletID
+	fuel    uint64
+	epoch   int // the device's epoch when it was assigned
+}
+
+// device is one simulated provider: the device model behind the link the
+// core sends it assigns and cancels through.
+type device struct {
+	s       *sim
+	idx     int
+	spec    DeviceSpec
+	prov    *dispatch.Provider
+	results *dispatch.Results
+
+	up bool
+	// registered is whether the core holds prov: a failed device stays
+	// registered until its loss is detected. session counts registrations.
+	registered bool
+	session    int
+	// epoch counts failures and recoveries; an attempt assigned in an
+	// earlier one never runs.
+	epoch int
+	// held is every attempt the broker counts outstanding here: assigned,
+	// and its result not yet arrived.
+	held    map[core.AttemptID]*attempt
+	running int
+	queue   []*attempt // FIFO behind the slots
+	busy    time.Duration
+	done    int
+}
+
+// Assign is an assign frame on its way: the attempts reach the device one
+// latency later.
+func (d *device) Assign(ab *wire.AssignBatch) {
+	batch := make([]*attempt, len(ab.Assigns))
+	for i, a := range ab.Assigns {
+		at := &attempt{id: a.Attempt, tasklet: a.Tasklet, fuel: a.Fuel, epoch: d.epoch}
+		batch[i] = at
+		d.held[at.id] = at
+		d.s.trace(TraceLaunch, d.idx, int(at.tasklet)-1, int(at.id), false)
+	}
+	d.s.eng.after(d.s.cfg.Latency, func() {
+		if batch[0].epoch != d.epoch || !d.up {
+			return // a device that is down, or failed since, never sees them
+		}
+		d.queue = append(d.queue, batch...)
+		d.startQueued()
+	})
+}
+
+// Cancel is a cancel frame on its way: one latency later it drops the
+// attempt if it is still queued on the device, which then reports
+// FaultCancelled. A running attempt is not stopped: it runs to completion
+// and its result comes back wasted.
+func (d *device) Cancel(aid core.AttemptID) {
+	at := d.held[aid]
+	if at == nil {
+		return
+	}
+	d.s.eng.after(d.s.cfg.Latency, func() {
+		if i := slices.Index(d.queue, at); i >= 0 {
+			d.queue = slices.Delete(d.queue, i, i+1)
+			d.reply(at, &wire.AttemptResult{
+				Attempt: at.id, Tasklet: at.tasklet, Status: core.StatusFault,
+				FaultCode: tvm.FaultCancelled, FaultMsg: "execution cancelled by host",
+			})
+		}
+	})
+}
+
+// startQueued fills free slots from the front of the queue.
+func (d *device) startQueued() {
+	for d.running < d.spec.Slots && len(d.queue) > 0 {
+		at := d.queue[0]
+		d.queue = d.queue[1:]
+		d.running++
+		exec := execTime(at.fuel, d.spec.speed())
+		d.s.eng.after(exec, func() { d.finish(at, exec) })
 	}
 }
 
-func (s *sim) onDeadline(id core.TaskletID) {
-	expired, fx := s.life.Deadline(id)
-	if !expired {
+// finish completes a running attempt and sends its result, unless the
+// device failed while it ran.
+func (d *device) finish(at *attempt, exec time.Duration) {
+	if at.epoch != d.epoch {
 		return
 	}
-	if s.apply(fx) {
-		s.schedule()
+	d.running--
+	d.busy += exec
+	d.done++
+	d.s.trace(TraceComplete, d.idx, int(at.tasklet)-1, int(at.id), false)
+
+	canon := int64(at.tasklet)
+	if content := d.s.cfg.Tasks[at.tasklet-1].Key; content != 0 {
+		canon = int64(content) // keyed content: result depends on content only
 	}
+	ret := tvm.Int(canon) // canonical "correct" result
+	if d.spec.Faulty {
+		ret = tvm.Int(int64(-1000 - d.idx)) // corrupted, device-specific
+	}
+	d.reply(at, &wire.AttemptResult{
+		Attempt: at.id, Tasklet: at.tasklet, Status: core.StatusOK,
+		Return: ret, FuelUsed: at.fuel, ExecNanos: int64(exec),
+	})
+	d.startQueued()
 }
 
-// schedule walks the placement queue like the live broker, feeding it
-// through the incremental index; launch's Assign hook re-ranks the chosen
-// device before the next pick.
-func (s *sim) schedule() {
-	if len(s.pending) == 0 {
-		return
-	}
-	remaining := s.pending[:0]
-	for idx, tid := range s.pending {
-		if s.index.FreeSlots() <= 0 {
-			remaining = append(remaining, s.pending[idx:]...)
-			break
-		}
-		t := s.life.Tasklet(tid)
-		if t == nil {
-			continue
-		}
-		s.excl = s.life.AppendActiveProviders(tid, s.excl[:0])
-		pid, ok := s.index.Pick(t, s.excl)
-		if !ok {
-			remaining = append(remaining, tid)
-			continue
-		}
-		dev := s.devices[int(pid)-1]
-		if !dev.up || dev.free <= 0 {
-			remaining = append(remaining, tid)
-			continue
-		}
-		s.launch(t, dev)
-	}
-	s.pending = remaining
-}
-
-// launch starts one attempt on dev; completion is scheduled after the
-// network latency plus the device-speed-scaled execution time.
-func (s *sim) launch(t *core.Tasklet, dev *deviceState) {
-	aid, ok := s.life.Launched(t.ID, dev.info.ID)
-	if !ok {
-		return
-	}
-	devIdx := int(dev.info.ID) - 1
-	rec := &attemptRec{
-		id: aid, tasklet: t.ID, device: devIdx, epoch: dev.epoch,
-		started: s.eng.now, fuel: t.Fuel, content: s.cfg.Tasks[t.Index].Key,
-	}
-	s.attempt[aid] = rec
-	dev.free--
-	dev.backlog++
-	s.index.Assign(dev.info.ID)
-	s.stats.Attempts++
-	s.trace(TraceLaunch, devIdx, t.Index, int(aid), false)
-
-	exec := execTime(t.Fuel, dev.info.Speed)
-	s.eng.after(2*s.cfg.Latency+exec, func() { s.onComplete(rec, exec) })
+// reply sends a result frame; the core applies it one latency later, as
+// the live broker applies a provider's result burst.
+func (d *device) reply(at *attempt, m *wire.AttemptResult) {
+	d.s.eng.after(d.s.cfg.Latency, func() {
+		delete(d.held, at.id)
+		d.results.Add(m)
+		d.results.Apply()
+	})
 }
 
 // execTime converts fuel to wall time at the given speed.
@@ -455,106 +424,73 @@ func execTime(fuel uint64, mopsPerSec float64) time.Duration {
 	return time.Duration(float64(fuel) / (mopsPerSec * 1e6) * float64(time.Second))
 }
 
-// onComplete fires when an attempt's result would arrive at the broker.
-func (s *sim) onComplete(rec *attemptRec, exec time.Duration) {
-	dev := s.devices[rec.device]
-	if rec.finished || dev.epoch != rec.epoch {
-		return // device died mid-execution; loss handled by detection
-	}
-	rec.finished = true
-	delete(s.attempt, rec.id)
-	dev.free++
-	dev.backlog--
-	s.index.Complete(dev.info.ID)
-	dev.busy += exec
-	dev.done++
-	s.stats.DeviceExecuted[rec.device] = dev.done
-	s.trace(TraceComplete, rec.device, int(rec.tasklet)-1, int(rec.id), false)
-
-	canon := int64(rec.tasklet)
-	if rec.content != 0 {
-		canon = int64(rec.content) // keyed content: result depends on content only
-	}
-	ret := tvm.Int(canon) // canonical "correct" result
-	if dev.spec.Faulty {
-		ret = tvm.Int(int64(-1000 - rec.device)) // corrupted, device-specific
-	}
-	disp, fx := s.life.Result(core.Result{
-		Attempt: rec.id, Tasklet: rec.tasklet, Provider: dev.info.ID,
-		Status: core.StatusOK, Return: ret,
-		FuelUsed: rec.fuel, Exec: exec,
+// register (re)joins d to the broker with every slot free, advertising the
+// queued places a live provider with its slots has. A recovered device
+// keeps its provider record, so its reliability estimate remembers the
+// attempts it lost.
+func (s *sim) register(d *device) {
+	s.core.Register(d.prov, &wire.Register{
+		Slots: d.spec.Slots, Class: d.spec.Class, Speed: d.spec.speed(),
+		Queue: d.spec.Slots * wire.QueuePerSlot,
 	})
-	if disp == lifecycle.ResultConsumed {
-		s.apply(fx)
-	} else {
-		s.stats.WastedAttempts++
-	}
-	s.schedule()
+	d.registered = true
+	d.session++
 }
 
-// scheduleFailure arms the next failure of device i.
-func (s *sim) scheduleFailure(i int) {
-	dev := s.devices[i]
-	wait := s.eng.exponential(dev.spec.MTBF)
-	s.eng.after(wait, func() { s.onFail(i) })
+// ---------- churn ----------
+
+// scheduleFailure arms the next failure of d.
+func (s *sim) scheduleFailure(d *device) {
+	wait := s.eng.exponential(d.spec.MTBF)
+	s.eng.after(wait, func() { s.onFail(d) })
 }
 
-func (s *sim) onFail(i int) {
-	dev := s.devices[i]
-	if !dev.up {
-		return
-	}
-	dev.up = false
-	dev.epoch++
-	dev.free = 0
-	dev.backlog = 0
-	s.index.Upsert(&dev.info, 0, 0) // parked: zero capacity, stays indexed
-	s.trace(TraceDeviceFail, i, 0, 0, false)
+// onFail stops d where it stands: queued and running attempts die with it,
+// and results it had not sent are never sent. The broker learns of it only
+// when the detection delay has passed; until then it keeps placing work on
+// d.
+func (s *sim) onFail(d *device) {
+	d.up = false
+	d.epoch++
+	d.running, d.queue = 0, nil
+	s.trace(TraceDeviceFail, d.idx, 0, 0, false)
 
-	// The broker discovers the loss after the detection delay and feeds
-	// losses to the lifecycle engine.
-	var lost []*attemptRec
-	for _, rec := range s.attempt {
-		if rec.device == i && !rec.finished {
-			lost = append(lost, rec)
-		}
-	}
+	session := d.session
 	s.eng.after(s.cfg.DetectDelay, func() {
-		for _, rec := range lost {
-			if rec.finished {
-				continue
-			}
-			rec.finished = true
-			delete(s.attempt, rec.id)
-			s.stats.LostAttempts++
-			s.trace(TraceLost, rec.device, int(rec.tasklet)-1, int(rec.id), false)
-			_, fx := s.life.Result(core.Result{
-				Attempt: rec.id, Tasklet: rec.tasklet,
-				Provider: dev.info.ID, Status: core.StatusLost,
-			})
-			s.apply(fx)
+		if d.registered && d.session == session {
+			s.detect(d)
 		}
-		s.schedule()
 	})
-
-	// Recovery.
-	mttr := dev.spec.MTTR
+	mttr := d.spec.MTTR
 	if mttr <= 0 {
 		mttr = time.Minute
 	}
-	s.eng.after(s.eng.exponential(mttr), func() { s.onRecover(i) })
+	s.eng.after(s.eng.exponential(mttr), func() { s.onRecover(d) })
 }
 
-func (s *sim) onRecover(i int) {
-	dev := s.devices[i]
-	if dev.up {
-		return
+// detect is the broker noticing d's failure: the core re-issues every
+// attempt d held as lost. A device that recovered in the meantime
+// registers again at once.
+func (s *sim) detect(d *device) {
+	for _, aid := range s.core.RemoveProvider(d.prov) {
+		s.trace(TraceLost, d.idx, int(d.held[aid].tasklet)-1, int(aid), false)
 	}
-	dev.up = true
-	dev.free = dev.spec.Slots
-	dev.backlog = 0
-	s.index.Upsert(&dev.info, dev.free, 0)
-	s.trace(TraceDeviceRecover, i, 0, 0, false)
-	s.scheduleFailure(i)
-	s.schedule()
+	clear(d.held)
+	d.registered = false
+	if d.up {
+		s.register(d)
+	}
+}
+
+// onRecover brings d back. A device whose failure the broker has not
+// detected yet rejoins when it is detected: until then the broker holds
+// its old session, placements included.
+func (s *sim) onRecover(d *device) {
+	d.up = true
+	d.epoch++
+	if !d.registered {
+		s.register(d)
+	}
+	s.trace(TraceDeviceRecover, d.idx, 0, 0, false)
+	s.scheduleFailure(d)
 }

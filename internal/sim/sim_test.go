@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,17 @@ import (
 )
 
 // --- event engine ---
+
+// run drains the queue, stopping (with false) if virtual time exceeds max.
+func (e *engine) run(max time.Duration) bool {
+	for len(e.heap) > 0 {
+		if e.heap[0].at > max {
+			return false
+		}
+		e.step()
+	}
+	return true
+}
 
 func TestEventOrdering(t *testing.T) {
 	e := newEngine(1)
@@ -161,28 +173,48 @@ func TestSimBasicCompletion(t *testing.T) {
 	}
 }
 
+// TestSimDeterministicPerSeed runs a churning fleet twice on one seed and
+// requires the same run, final by final: which device ran each tasklet
+// included. The 4-slot churning devices lose several attempts at once, and
+// the order their re-issues queue in decides where each tasklet runs next.
 func TestSimDeterministicPerSeed(t *testing.T) {
 	cfg := Config{
 		Devices: []DeviceSpec{
-			{Class: core.ClassServer, Slots: 2, MTBF: 30 * time.Second, MTTR: 5 * time.Second},
+			{Class: core.ClassServer, Slots: 4, MTBF: 3 * time.Second, MTTR: 2 * time.Second},
+			{Class: core.ClassDesktop, Slots: 4, MTBF: 4 * time.Second, MTTR: 2 * time.Second},
 			{Class: core.ClassMobile, Slots: 1, MTBF: 20 * time.Second, MTTR: 10 * time.Second},
-			{Class: core.ClassDesktop, Slots: 1},
+			{Class: core.ClassDesktop, Slots: 2},
 		},
-		Tasks:  uniformTasks(200, 50_000_000),
-		Policy: policy(t, "random", 3),
-		Seed:   99,
+		Tasks:       uniformTasks(300, 50_000_000),
+		Policy:      policy(t, "random", 3),
+		DetectDelay: 500 * time.Millisecond,
+		Seed:        11,
 	}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if a.LostAttempts == 0 {
+		t.Fatal("no attempt was lost: the scenario tests nothing")
 	}
-	if a.Makespan != b.Makespan || a.Attempts != b.Attempts ||
-		a.LostAttempts != b.LostAttempts || a.Completed != b.Completed {
-		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
+	for run := 0; run < 3; run++ {
+		b, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Makespan != b.Makespan || a.Attempts != b.Attempts ||
+			a.LostAttempts != b.LostAttempts || a.Completed != b.Completed {
+			t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
+		}
+		if !reflect.DeepEqual(a.DeviceExecuted, b.DeviceExecuted) {
+			t.Fatalf("per-device executions diverged: %v vs %v", a.DeviceExecuted, b.DeviceExecuted)
+		}
+		for i := range a.Finals {
+			if x, y := a.Finals[i], b.Finals[i]; x.Status != y.Status || x.Provider != y.Provider ||
+				!x.Return.Equal(y.Return) || x.FuelUsed != y.FuelUsed {
+				t.Fatalf("final %d diverged between runs of one seed: %+v vs %+v", i, x, y)
+			}
+		}
 	}
 }
 

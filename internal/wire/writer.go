@@ -33,6 +33,13 @@ type WriterOpts struct {
 // that ran longer never waits.
 const TinyExecNanos = 50_000
 
+// QueuePerSlot is how many attempts a provider, live or simulated, queues
+// behind each slot (Register.Queue = Slots × QueuePerSlot). The broker fills
+// at most TinyExecNanos of expected work per slot, so this only bounds the
+// depth µs-scale attempts reach. The smallest of {4, 8, 16, 32} within 5 %
+// of the best noop_flood throughput (DESIGN.md).
+const QueuePerSlot = 32
+
 // yield gives the processor to the goroutines queued behind the writer.
 // Tests replace it to observe when the writer waits.
 var yield = runtime.Gosched

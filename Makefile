@@ -37,6 +37,13 @@ check:
 	# loss order, cancel, timers) run beside them.
 	$(GO) test -race -run 'TestDifferentialPartitions|TestDrainOrder|TestPartitionStress' -count 1 ./internal/broker/
 	$(GO) test -race -count 1 ./internal/dispatch/
+	# Program identity under race, never from the test cache: two programs
+	# whose bytecode shares an FNV-1a hash get their own results end to end
+	# (memo on and off) and their own broker IDs and memo keys, the same
+	# program keeps one ID, and a provider runs each frame's own program
+	# whatever ID it carries.
+	$(GO) test -race -count 1 -run 'TestCollidingProgramsGetTheirOwnResults|TestBrokerNamesEachProgramOnce|TestConcurrentSubmitsNameProgramOnce|TestProgramMemoBounded|TestKnownProgramWrongArityRefused' ./internal/broker/
+	$(GO) test -race -count 1 -run 'TestProviderRunsEachFramesOwnProgram|TestProviderCachesProgram|TestProviderRejectsUnknownProgram|TestBatchResolvesFromItsOwnTable|TestProviderCacheEvictionRoundTrip' ./internal/provider/
 	# The benchmark is a nested module (benchmark/go.mod), invisible to the
 	# ./... patterns above: vet it and run its unit tests and its 300 ms
 	# smoke run of all five workloads against this checkout.

@@ -25,6 +25,7 @@
 package broker
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -100,9 +101,9 @@ const writerBatchMax = 128
 // reuse it, larger ones stage in slices freed after their feed.
 const maxStagedEvents = 4096
 
-// maxProgramMemo bounds the program-arity memo. Past it, a new program
-// evicts an arbitrary entry, so memory stays constant however many distinct
-// programs a long-lived broker sees.
+// maxProgramMemo bounds the program table. Past it, a new program evicts an
+// arbitrary entry, so memory stays constant however many distinct programs
+// a long-lived broker sees.
 const maxProgramMemo = 1024
 
 // maxPartitions caps the stripe count on hosts with more cores: every
@@ -113,7 +114,7 @@ const maxPartitions = 64
 //
 // Locking: b.mu guards the listener and the provider registry; jobMu guards
 // consumers/jobs and their accounting (the delivery path); progMu guards
-// the program-arity memo; the core guards scheduling and lifecycle state
+// the program table; the core guards scheduling and lifecycle state
 // with its own locks. No goroutine ever holds b.mu and jobMu at once.
 type Broker struct {
 	opts Options
@@ -131,12 +132,14 @@ type Broker struct {
 	jobs         map[core.JobID]*jobState
 	nextConsumer core.ConsumerID
 
-	// arity memoizes the entry-function parameter count of recently
-	// submitted programs, so a job whose program is known skips decoding it.
-	// It holds at most maxProgramMemo entries, and a miss costs only that
-	// decode: attempts carry their bytes from the tasklet, never from here.
-	progMu sync.RWMutex
-	arity  map[core.ProgramID]int
+	// programs is the one place that names programs. Keyed by the SHA-256
+	// of the bytecode, an entry holds the program's ID (the next value of
+	// nextProgram, never reused) and its entry arity, so a known program is
+	// not decoded again. At most maxProgramMemo entries; an evicted program
+	// that comes back gets a new ID.
+	progMu      sync.RWMutex
+	programs    map[[32]byte]programEntry
+	nextProgram core.ProgramID
 
 	core *dispatch.Core
 	// memoOn gates content-key computation on submission.
@@ -197,6 +200,12 @@ func (p *providerState) Assign(ab *wire.AssignBatch) {
 // Cancel sends a best-effort cancellation of one attempt.
 func (p *providerState) Cancel(aid core.AttemptID) {
 	p.b.enqueue(p.out, &wire.CancelAttempt{Attempt: aid}, p.nc, &p.dropWarned, p.label)
+}
+
+// programEntry is the program table's record of one program.
+type programEntry struct {
+	id    core.ProgramID
+	arity int
 }
 
 type consumerState struct {
@@ -267,7 +276,7 @@ func New(opts Options) *Broker {
 		providers: map[core.ProviderID]*providerState{},
 		consumers: map[core.ConsumerID]*consumerState{},
 		jobs:      map[core.JobID]*jobState{},
-		arity:     map[core.ProgramID]int{},
+		programs:  map[[32]byte]programEntry{},
 		schedWake: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
@@ -737,32 +746,34 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 	spec := core.JobSpec{
 		Program: m.Program, Params: m.Params, QoC: m.QoC, Fuel: m.Fuel, Seed: m.Seed,
 	}
-	// Only a program missing from the arity memo is decoded. Rows of a
-	// memoized one are checked against its entry arity, which is the arity
-	// of the bytes providers run: the memo is keyed by their hash.
-	progID := core.HashProgram(m.Program)
+	// Only a program missing from the table is decoded, and it is named
+	// under the write lock after a re-check, so it never has two IDs. A
+	// known one's rows are checked against its entry arity.
+	sum := sha256.Sum256(m.Program)
 	b.progMu.RLock()
-	params, ok := b.arity[progID]
+	prog, ok := b.programs[sum]
 	b.progMu.RUnlock()
-	if ok {
-		if err := spec.ValidateRows(params); err != nil {
-			return err
-		}
-	} else {
+	if !ok {
 		if err := spec.Validate(); err != nil {
 			return err
 		}
-		var prog tvm.Program
-		_ = prog.UnmarshalBinary(m.Program) // cannot fail: Validate decoded it
+		var tp tvm.Program
+		_ = tp.UnmarshalBinary(m.Program) // cannot fail: Validate decoded it
 		b.progMu.Lock()
-		if len(b.arity) >= maxProgramMemo {
-			for id := range b.arity {
-				delete(b.arity, id)
-				break
+		if prog, ok = b.programs[sum]; !ok {
+			if len(b.programs) >= maxProgramMemo {
+				for k := range b.programs {
+					delete(b.programs, k)
+					break
+				}
 			}
+			b.nextProgram++
+			prog = programEntry{id: b.nextProgram, arity: tp.EntryFunc().NumParams}
+			b.programs[sum] = prog
 		}
-		b.arity[progID] = prog.EntryFunc().NumParams
 		b.progMu.Unlock()
+	} else if err := spec.ValidateRows(prog.arity); err != nil {
+		return err
 	}
 	fuel := m.Fuel
 	if fuel == 0 {
@@ -802,11 +813,11 @@ func (b *Broker) acceptJob(c *consumerState, id core.JobID, m *wire.SubmitJob) e
 		var key memo.Key
 		var haveKey bool
 		if keyed {
-			key, haveKey = memo.KeyFor(uint64(progID), m.Seed, params)
+			key, haveKey = memo.KeyFor(uint64(prog.id), m.Seed, params)
 		}
 		ev, pi := b.core.SubmitEvent(core.Tasklet{
 			Job: job.id, Index: i,
-			Program: progID, ProgramData: m.Program, Params: params,
+			Program: prog.id, ProgramData: m.Program, Params: params,
 			QoC: m.QoC, Fuel: fuel, Seed: m.Seed, Submitted: now,
 		}, base+uint64(i)+1, key, haveKey)
 		job.tasklets = append(job.tasklets, ev.Tasklet.ID)

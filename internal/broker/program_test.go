@@ -58,7 +58,7 @@ func TestDistinctProgramsPastProviderCache(t *testing.T) {
 }
 
 // TestProgramMemoBounded soaks the broker with 10 000 distinct one-row
-// programs. Every job comes back right, the broker's program memo ends no
+// programs. Every job comes back right, the broker's program table ends no
 // larger than its bound, and providerState holds no per-program state.
 func TestProgramMemoBounded(t *testing.T) {
 	const n = 10_000
@@ -92,10 +92,10 @@ func TestProgramMemoBounded(t *testing.T) {
 	}
 
 	b.progMu.RLock()
-	memo := len(b.arity)
+	memo := len(b.programs)
 	b.progMu.RUnlock()
 	if memo > maxProgramMemo {
-		t.Fatalf("program memo holds %d entries, bound %d", memo, maxProgramMemo)
+		t.Fatalf("program table holds %d entries, bound %d", memo, maxProgramMemo)
 	}
 	programID := reflect.TypeOf(core.ProgramID(0)).String()
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(providerState{})) {

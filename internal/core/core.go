@@ -27,9 +27,9 @@ type AttemptID uint64
 // JobID identifies a batch of tasklets submitted together by one consumer.
 type JobID uint64
 
-// ProgramID is the content hash of a marshalled TVM program; brokers and
-// providers use it to cache bytecode so a job's program crosses each link
-// once.
+// ProgramID is a broker's name for one program's bytes, unique for that
+// broker's lifetime: its program table hands out a fresh one per distinct
+// bytecode, and nothing else derives one.
 type ProgramID uint64
 
 // ProviderID identifies a registered provider for the lifetime of its
@@ -364,7 +364,8 @@ func (s *JobSpec) ValidateRows(arity int) error {
 	return nil
 }
 
-// HashProgram computes the ProgramID of marshalled bytecode (FNV-1a).
+// HashProgram is the FNV-1a hash of marshalled bytecode, for tests and
+// probes that need a ProgramID. It names nothing: programs can share it.
 func HashProgram(data []byte) ProgramID {
 	const (
 		offset = 14695981039346656037

@@ -205,7 +205,8 @@ func (p *Provider) credits() int {
 
 // noteExec folds one result's execution time into p.execMean with weight
 // 1/8: one long result shrinks the queued credits at once, and it takes a
-// run of tiny ones to deepen them again.
+// run of tiny ones to deepen them again. Rejected and cancelled results,
+// which ran for part of their time or none, are not folded in.
 func (p *Provider) noteExec(d time.Duration) {
 	m := p.execMean.Load()
 	p.execMean.Store(m + (int64(d)-m)/8)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
+	"repro/internal/tvm"
 	"repro/internal/wire"
 )
 
@@ -209,5 +210,44 @@ func TestClosedCoreIgnoresTimers(t *testing.T) {
 	d.fire()
 	if c.Pending() != 0 {
 		t.Fatalf("a closed core queued %d re-issues", c.Pending())
+	}
+}
+
+// TestCancelledResultsLeaveExecMean: a provider reports cancelled attempts
+// as FaultCancelled with the time they ran, none for a queued one and part
+// of a run for a running one. Neither is an execution time, so the
+// provider's mean and, through it, its queued credits stay where they were.
+func TestCancelledResultsLeaveExecMean(t *testing.T) {
+	c, _ := newTestCore()
+	var seq uint64
+	l := &fakeLink{}
+	p := NewProvider(core.ProviderInfo{ID: 1}, l)
+	const mean = 20 * time.Microsecond // two queued places behind the slot
+	p.execMean.Store(int64(mean))
+	c.Register(p, &wire.Register{Slots: 1, Speed: 100, Queue: 10})
+	before := c.Credits(p)
+	tids := submit(c, &seq, before, core.QoC{})
+	c.Pass()
+	if len(l.assigns) != before || c.Credits(p) != 0 {
+		t.Fatalf("placed %d with %d credits left, want %d and 0", len(l.assigns), c.Credits(p), before)
+	}
+	c.Cancel(tids)
+	rs := c.NewResults(p)
+	for i, a := range l.assigns {
+		exec := time.Duration(0) // still queued when the cancel landed
+		if i == 0 {
+			exec = 3 * time.Microsecond // cut short mid-run
+		}
+		rs.Add(&wire.AttemptResult{
+			Attempt: a.Attempt, Tasklet: a.Tasklet, Status: core.StatusFault,
+			FaultCode: tvm.FaultCancelled, ExecNanos: int64(exec),
+		})
+	}
+	rs.Apply()
+	if got := p.ExecMean(); got != mean {
+		t.Errorf("execution-time mean %v after cancelled results, want %v", got, mean)
+	}
+	if got := c.Credits(p); got != before {
+		t.Errorf("credits %d after cancelled results, want %d", got, before)
 	}
 }

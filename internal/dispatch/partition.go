@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lifecycle"
 	"repro/internal/memo"
+	"repro/internal/tvm"
 	"repro/internal/wire"
 )
 
@@ -130,7 +131,7 @@ func (rs *Results) Apply() {
 				continue // unknown attempt or wrong provider; no slot was consumed
 			}
 			r := &evs[k].Result
-			if r.Status != core.StatusRejected {
+			if r.Status != core.StatusRejected && r.FaultCode != tvm.FaultCancelled {
 				p.noteExec(r.Exec) // before the dirty mark, so the resync sees it
 			}
 			p.free.Add(1)

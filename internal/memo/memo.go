@@ -37,7 +37,7 @@ import (
 	"repro/internal/tvm"
 )
 
-// Key is the content address of a tasklet: program hash, rand seed, and the
+// Key is the content address of a tasklet: program ID, rand seed, and the
 // canonical binary encoding of the parameters. Keys compare with == and are
 // collision-free (the full encoded parameter bytes are part of the key, not
 // just a hash of them).
@@ -64,8 +64,8 @@ func KeyFor(program uint64, seed uint64, params []tvm.Value) (Key, bool) {
 	return Key(b), true
 }
 
-// Hash returns a 64-bit FNV-1a digest of the key, for logging and debugging.
-// The cache itself indexes by the full key, never by this hash.
+// Hash returns a 64-bit FNV-1a digest of the key, by which the scheduler
+// core routes keyed tasklets to partitions; the cache indexes by the full key.
 func (k Key) Hash() uint64 {
 	const (
 		offset = 14695981039346656037

@@ -3,26 +3,26 @@ package provider
 import (
 	"container/list"
 
-	"repro/internal/core"
 	"repro/internal/tvm"
 )
 
 // programLRU is a bounded cache of decoded programs with least-recently-used
-// eviction. It is a decode cache only: assign frames carry their programs'
-// bytes, so an evicted program is decoded again, not lost. Unbounded
-// caching is unacceptable on small providers: a long-lived worker sees an
-// open-ended stream of distinct programs and each decoded program retains
-// its bytecode, constant pool and optimized streams. The zero value
+// eviction, keyed by the bytecode itself: a hit copies nothing, compares
+// the full bytes and trusts no name. It is a decode cache only: assign frames carry their
+// programs' bytes, so an evicted program is decoded again, not lost.
+// Unbounded caching is unacceptable on small providers: a long-lived worker
+// sees an open-ended stream of distinct programs and each decoded program
+// retains its bytecode, constant pool and optimized streams. The zero value
 // is not usable; call newProgramLRU. Not safe for concurrent use — the
 // provider guards it with Provider.mu.
 type programLRU struct {
 	cap     int
 	order   *list.List // front = most recently used; values are *lruEntry
-	entries map[core.ProgramID]*list.Element
+	entries map[string]*list.Element
 }
 
 type lruEntry struct {
-	id   core.ProgramID
+	data string
 	prog *tvm.Program
 }
 
@@ -30,13 +30,13 @@ func newProgramLRU(capacity int) *programLRU {
 	return &programLRU{
 		cap:     capacity,
 		order:   list.New(),
-		entries: map[core.ProgramID]*list.Element{},
+		entries: map[string]*list.Element{},
 	}
 }
 
-// get returns the cached program and marks it most recently used.
-func (c *programLRU) get(id core.ProgramID) (*tvm.Program, bool) {
-	el, ok := c.entries[id]
+// get returns the program cached for data and marks it most recently used.
+func (c *programLRU) get(data []byte) (*tvm.Program, bool) {
+	el, ok := c.entries[string(data)]
 	if !ok {
 		return nil, false
 	}
@@ -45,8 +45,8 @@ func (c *programLRU) get(id core.ProgramID) (*tvm.Program, bool) {
 }
 
 // put inserts a program, evicting the least recently used entry when full.
-func (c *programLRU) put(id core.ProgramID, prog *tvm.Program) {
-	if el, ok := c.entries[id]; ok {
+func (c *programLRU) put(data []byte, prog *tvm.Program) {
+	if el, ok := c.entries[string(data)]; ok {
 		c.order.MoveToFront(el)
 		el.Value.(*lruEntry).prog = prog
 		return
@@ -57,9 +57,10 @@ func (c *programLRU) put(id core.ProgramID, prog *tvm.Program) {
 			break
 		}
 		c.order.Remove(back)
-		delete(c.entries, back.Value.(*lruEntry).id)
+		delete(c.entries, back.Value.(*lruEntry).data)
 	}
-	c.entries[id] = c.order.PushFront(&lruEntry{id: id, prog: prog})
+	key := string(data)
+	c.entries[key] = c.order.PushFront(&lruEntry{data: key, prog: prog})
 }
 
 func (c *programLRU) len() int { return len(c.entries) }

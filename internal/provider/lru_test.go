@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/stdtasks"
 	"repro/internal/tasklang"
 	"repro/internal/tvm"
 	"repro/internal/wire"
@@ -14,23 +13,23 @@ import (
 func TestProgramLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	c := newProgramLRU(2)
 	p1, p2, p3 := &tvm.Program{}, &tvm.Program{}, &tvm.Program{}
-	c.put(1, p1)
-	c.put(2, p2)
+	c.put([]byte("1"), p1)
+	c.put([]byte("2"), p2)
 	// Touch 1 so 2 becomes the eviction victim.
-	if got, ok := c.get(1); !ok || got != p1 {
+	if got, ok := c.get([]byte("1")); !ok || got != p1 {
 		t.Fatalf("get(1) = %v, %v", got, ok)
 	}
-	c.put(3, p3)
+	c.put([]byte("3"), p3)
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
-	if _, ok := c.get(2); ok {
+	if _, ok := c.get([]byte("2")); ok {
 		t.Fatal("2 should have been evicted")
 	}
-	if got, ok := c.get(1); !ok || got != p1 {
+	if got, ok := c.get([]byte("1")); !ok || got != p1 {
 		t.Fatal("1 should have survived (recently used)")
 	}
-	if got, ok := c.get(3); !ok || got != p3 {
+	if got, ok := c.get([]byte("3")); !ok || got != p3 {
 		t.Fatal("3 should be cached")
 	}
 }
@@ -38,12 +37,12 @@ func TestProgramLRUEvictsLeastRecentlyUsed(t *testing.T) {
 func TestProgramLRUOverwriteKeepsSingleEntry(t *testing.T) {
 	c := newProgramLRU(2)
 	p1, p2 := &tvm.Program{}, &tvm.Program{}
-	c.put(1, p1)
-	c.put(1, p2)
+	c.put([]byte("1"), p1)
+	c.put([]byte("1"), p2)
 	if c.len() != 1 {
 		t.Fatalf("len = %d, want 1", c.len())
 	}
-	if got, _ := c.get(1); got != p2 {
+	if got, _ := c.get([]byte("1")); got != p2 {
 		t.Fatal("overwrite did not replace the entry")
 	}
 }
@@ -51,7 +50,7 @@ func TestProgramLRUOverwriteKeepsSingleEntry(t *testing.T) {
 func TestProgramLRUDefaultCapacity(t *testing.T) {
 	c := newProgramLRU(defaultProgramCacheSize)
 	for i := 0; i < defaultProgramCacheSize+10; i++ {
-		c.put(core.ProgramID(i), &tvm.Program{})
+		c.put([]byte(fmt.Sprint(i)), &tvm.Program{})
 	}
 	if c.len() != defaultProgramCacheSize {
 		t.Fatalf("len = %d, want %d", c.len(), defaultProgramCacheSize)
@@ -59,64 +58,41 @@ func TestProgramLRUDefaultCapacity(t *testing.T) {
 }
 
 // TestProviderCacheEvictionRoundTrip drives a provider with a single-entry
-// program cache: loading a second program evicts the first, a bytecode-less
-// assignment of the evicted program is rejected, and re-sending the bytecode
-// re-decodes and executes correctly.
+// program cache: loading a second program evicts the first, and the evicted
+// program, sent again with its bytes as every frame carries them, is decoded
+// again and runs correctly, evicting the second in turn.
 func TestProviderCacheEvictionRoundTrip(t *testing.T) {
 	fb := newFakeBroker(t)
 	p := startProvider(t, fb, Options{Slots: 1})
 	p.mu.Lock()
 	p.cache = newProgramLRU(1)
 	p.mu.Unlock()
-
-	assignNoop := func(attempt core.AttemptID, includeProgram bool) *wire.Assign {
-		data, err := stdtasks.Bytecode("noop")
-		if err != nil {
+	cached := func(a *wire.Assign) bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		_, ok := p.cache.get(a.ProgramData)
+		return ok
+	}
+	run := func(a *wire.Assign) {
+		t.Helper()
+		if err := fb.conn.Send(a); err != nil {
 			t.Fatal(err)
 		}
-		a := &wire.Assign{
-			Attempt: attempt, Tasklet: core.TaskletID(attempt),
-			Program: core.HashProgram(data), Fuel: 1_000_000, Seed: 1,
+		if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusOK {
+			t.Fatalf("attempt %d: %+v", a.Attempt, res)
 		}
-		if includeProgram {
-			a.ProgramData = data
-		}
-		return a
 	}
 
-	// Load spin, then noop (evicting spin from the 1-entry cache).
-	if err := fb.conn.Send(assignSpin(1, 10, true)); err != nil {
-		t.Fatal(err)
+	spin, noop := assignSpin(1, 10), assignNoop(2)
+	run(spin)
+	run(noop)
+	if cached(spin) || !cached(noop) {
+		t.Fatal("noop did not evict spin from the one-entry cache")
 	}
-	recvType[*wire.AttemptResult](fb)
-	if err := fb.conn.Send(assignNoop(2, true)); err != nil {
-		t.Fatal(err)
-	}
-	recvType[*wire.AttemptResult](fb)
-
-	// Spin without bytecode must now be rejected: it was evicted.
-	if err := fb.conn.Send(assignSpin(3, 10, false)); err != nil {
-		t.Fatal(err)
-	}
-	if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusRejected {
-		t.Fatalf("evicted program status = %s, want rejected", res.Status)
-	}
-
-	// Re-sending the bytecode re-decodes and runs.
-	if err := fb.conn.Send(assignSpin(4, 10, true)); err != nil {
-		t.Fatal(err)
-	}
-	if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusOK {
-		t.Fatalf("re-decoded program result = %+v", res)
-	}
-
-	// Spin's re-insert evicted noop in turn: with capacity 1 only the most
-	// recent program survives, so a bytecode-less noop is now rejected.
-	if err := fb.conn.Send(assignNoop(5, false)); err != nil {
-		t.Fatal(err)
-	}
-	if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusRejected {
-		t.Fatalf("evicted noop status = %s, want rejected", res.Status)
+	spin.Attempt, spin.Tasklet = 3, 3
+	run(spin)
+	if !cached(spin) || cached(noop) {
+		t.Fatal("spin, decoded again, did not evict noop in turn")
 	}
 }
 
@@ -139,7 +115,7 @@ func TestBatchResolvesFromItsOwnTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id := core.HashProgram(data)
+		id := core.ProgramID(k + 1)
 		ab.Programs = append(ab.Programs, wire.ProgramBlob{ID: id, Data: data})
 		ab.Assigns = append(ab.Assigns, wire.Assign{
 			Attempt: core.AttemptID(k + 1), Tasklet: core.TaskletID(k + 1), Program: id,

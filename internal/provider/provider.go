@@ -310,7 +310,7 @@ func (p *Provider) readLoop() {
 // onAssign admits one execution attempt arriving as a single frame.
 func (p *Provider) onAssign(m *wire.Assign) {
 	p.mu.Lock()
-	prog, err := p.loadLocked(m.Program, m.ProgramData)
+	prog, err := p.loadLocked(m.ProgramData)
 	p.mu.Unlock()
 	if err != nil {
 		p.reject(m, err.Error())
@@ -336,30 +336,22 @@ func (p *Provider) onAssignBatch(m *wire.AssignBatch) {
 	}
 }
 
-// resolveBatch maps every program the batch's entries reference, holding
-// the mutex once for the whole frame. A program in the frame's own table
-// resolves from that table (through the decode cache), never by a cache
-// lookup after the table was installed, so a table larger than the cache
-// cannot evict its own entries. An entry whose program is in neither the
-// table nor the cache, or whose bytes fail verification or decoding, maps
-// to nil and is rejected.
+// resolveBatch maps every program in the batch's own table, holding the
+// mutex once for the whole frame. Entries resolve from that table alone
+// (through the decode cache), so a table larger than the cache cannot evict
+// its own entries, and an entry whose program is not in the table, or whose
+// bytes fail to decode, maps to nil and is rejected.
 func (p *Provider) resolveBatch(m *wire.AssignBatch) map[core.ProgramID]*tvm.Program {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	progs := make(map[core.ProgramID]*tvm.Program, len(m.Programs)+1)
+	progs := make(map[core.ProgramID]*tvm.Program, len(m.Programs))
 	for i := range m.Programs {
 		blob := &m.Programs[i]
-		prog, err := p.loadLocked(blob.ID, blob.Data)
+		prog, err := p.loadLocked(blob.Data)
 		if err != nil {
 			p.logf("provider %d: batch program %d: %v", p.id, blob.ID, err)
 		}
 		progs[blob.ID] = prog
-	}
-	for i := range m.Assigns {
-		id := m.Assigns[i].Program
-		if _, seen := progs[id]; !seen {
-			progs[id], _ = p.cache.get(id)
-		}
 	}
 	return progs
 }
@@ -495,18 +487,11 @@ func (p *Provider) slotWorker() {
 // own cancel fault.
 var errCancelled = &tvm.Fault{Code: tvm.FaultCancelled, Msg: "execution cancelled by host"}
 
-// loadLocked returns program id from the decode cache or, on a miss,
-// verifies data against id, decodes it and caches the result. Callers hold
-// p.mu.
-func (p *Provider) loadLocked(id core.ProgramID, data []byte) (*tvm.Program, error) {
-	if prog, ok := p.cache.get(id); ok {
+// loadLocked returns the program data encodes from the decode cache or, on
+// a miss, decodes it and caches the result. Callers hold p.mu.
+func (p *Provider) loadLocked(data []byte) (*tvm.Program, error) {
+	if prog, ok := p.cache.get(data); ok {
 		return prog, nil
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("unknown program %d and no bytecode attached", id)
-	}
-	if got := core.HashProgram(data); got != id {
-		return nil, fmt.Errorf("program hash mismatch: got %d want %d", got, id)
 	}
 	var prog tvm.Program
 	if err := prog.UnmarshalBinary(data); err != nil {
@@ -516,7 +501,7 @@ func (p *Provider) loadLocked(id core.ProgramID, data []byte) (*tvm.Program, err
 	// the program is still private to this goroutine; every subsequent
 	// execution shares the fused streams.
 	prog.Optimize()
-	p.cache.put(id, &prog)
+	p.cache.put(data, &prog)
 	return &prog, nil
 }
 

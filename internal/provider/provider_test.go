@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/stdtasks"
+	"repro/internal/tasklang"
 	"repro/internal/tvm"
 	"repro/internal/wire"
 )
@@ -130,25 +132,23 @@ func (fb *fakeBroker) recvResult() wire.AttemptResult {
 }
 
 // longSpin is an attempt that runs until it is cancelled.
-func longSpin(attempt core.AttemptID, includeProgram bool) *wire.Assign {
-	a := assignSpin(attempt, 1<<40, includeProgram)
+func longSpin(attempt core.AttemptID) *wire.Assign {
+	a := assignSpin(attempt, 1<<40)
 	a.Fuel = 1 << 50
 	return a
 }
 
-func assignSpin(attempt core.AttemptID, iters int64, includeProgram bool) *wire.Assign {
+// assignSpin is a spin(iters) attempt. Like every broker frame, it carries
+// its program's bytes.
+func assignSpin(attempt core.AttemptID, iters int64) *wire.Assign {
 	data, err := stdtasks.Bytecode("spin")
 	if err != nil {
 		panic(err)
 	}
-	a := &wire.Assign{
-		Attempt: attempt, Tasklet: core.TaskletID(attempt), Program: core.HashProgram(data),
+	return &wire.Assign{
+		Attempt: attempt, Tasklet: core.TaskletID(attempt), Program: 1, ProgramData: data,
 		Params: []tvm.Value{tvm.Int(iters)}, Fuel: 10_000_000, Seed: 1,
 	}
-	if includeProgram {
-		a.ProgramData = data
-	}
-	return a
 }
 
 func startProvider(t *testing.T, fb *fakeBroker, opts Options) *Provider {
@@ -199,7 +199,7 @@ func TestProviderThrottleScalesAdvertisedSpeed(t *testing.T) {
 func TestProviderExecutesAndReports(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 1})
-	if err := fb.conn.Send(assignSpin(1, 1000, true)); err != nil {
+	if err := fb.conn.Send(assignSpin(1, 1000)); err != nil {
 		t.Fatal(err)
 	}
 	res := recvType[*wire.AttemptResult](fb)
@@ -214,20 +214,32 @@ func TestProviderExecutesAndReports(t *testing.T) {
 	}
 }
 
+// TestProviderCachesProgram: a second frame carrying the same bytes runs
+// the program decoded for the first, and the cache holds it once.
 func TestProviderCachesProgram(t *testing.T) {
 	fb := newFakeBroker(t)
-	startProvider(t, fb, Options{Slots: 1})
-	if err := fb.conn.Send(assignSpin(1, 10, true)); err != nil {
-		t.Fatal(err)
-	}
-	recvType[*wire.AttemptResult](fb)
-	// Second assign ships no bytecode; the provider must use its cache.
-	if err := fb.conn.Send(assignSpin(2, 10, false)); err != nil {
-		t.Fatal(err)
-	}
-	res := recvType[*wire.AttemptResult](fb)
-	if res.Status != core.StatusOK {
-		t.Fatalf("cached-program result = %+v", res)
+	p := startProvider(t, fb, Options{Slots: 1})
+	a := assignSpin(1, 10)
+	var first *tvm.Program
+	for i := core.AttemptID(1); i <= 2; i++ {
+		a.Attempt, a.Tasklet = i, core.TaskletID(i)
+		if err := fb.conn.Send(a); err != nil {
+			t.Fatal(err)
+		}
+		if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusOK {
+			t.Fatalf("attempt %d: %+v", i, res)
+		}
+		p.mu.Lock()
+		prog, ok := p.cache.get(a.ProgramData)
+		n := p.cache.len()
+		p.mu.Unlock()
+		if first == nil {
+			first = prog
+		}
+		if !ok || prog != first || n != 1 {
+			t.Fatalf("after attempt %d: cached %v (first %p, now %p), %d entries; want the first decode, once",
+				i, ok, first, prog, n)
+		}
 	}
 }
 
@@ -241,7 +253,7 @@ func TestProviderRunsEveryRepeat(t *testing.T) {
 	startProvider(t, fb, Options{Slots: 1, Metrics: reg})
 	var first *wire.AttemptResult
 	for i := core.AttemptID(1); i <= 2; i++ {
-		if err := fb.conn.Send(assignSpin(i, 200_000, i == 1)); err != nil {
+		if err := fb.conn.Send(assignSpin(i, 200_000)); err != nil {
 			t.Fatal(err)
 		}
 		res := recvType[*wire.AttemptResult](fb)
@@ -266,29 +278,77 @@ func TestProviderRunsEveryRepeat(t *testing.T) {
 	}
 }
 
+// TestProviderRejectsUnknownProgram: a frame without its program's bytes
+// is rejected, even for a program the provider has run: the ID names
+// nothing on its own.
 func TestProviderRejectsUnknownProgram(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 1})
-	if err := fb.conn.Send(assignSpin(1, 10, false)); err != nil {
-		t.Fatal(err)
-	}
-	res := recvType[*wire.AttemptResult](fb)
-	if res.Status != core.StatusRejected {
-		t.Fatalf("status = %s, want rejected", res.Status)
+	for i := core.AttemptID(1); i <= 2; i++ {
+		a := assignSpin(i, 10)
+		want := core.StatusOK
+		if i == 2 {
+			a.ProgramData, want = nil, core.StatusRejected
+		}
+		if err := fb.conn.Send(a); err != nil {
+			t.Fatal(err)
+		}
+		if res := recvType[*wire.AttemptResult](fb); res.Status != want {
+			t.Fatalf("attempt %d: status = %s, want %s", i, res.Status, want)
+		}
 	}
 }
 
-func TestProviderRejectsHashMismatch(t *testing.T) {
+// TestProviderRunsEachFramesOwnProgram: two assign frames, then two assign
+// batches, name the same program ID with different bytes. The provider runs
+// each frame's own program, whatever it ran under that ID before.
+func TestProviderRunsEachFramesOwnProgram(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 1})
-	a := assignSpin(1, 10, true)
-	a.Program = 12345 // wrong hash for the attached bytecode
-	if err := fb.conn.Send(a); err != nil {
-		t.Fatal(err)
+	progs := make([][]byte, 2)
+	for k := range progs {
+		prog, err := tasklang.Compile(fmt.Sprintf("func main(n int) int { return n + %d; }", 10*(k+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if progs[k], err = prog.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res := recvType[*wire.AttemptResult](fb)
-	if res.Status != core.StatusRejected {
-		t.Fatalf("status = %s, want rejected on hash mismatch", res.Status)
+	// The shared ID is the first program's FNV-1a hash, so a provider that
+	// trusted the hash would run the first program for every frame.
+	id := core.HashProgram(progs[0])
+	entry := func(attempt core.AttemptID) wire.Assign {
+		return wire.Assign{
+			Attempt: attempt, Tasklet: core.TaskletID(attempt), Program: id,
+			Params: []tvm.Value{tvm.Int(1)}, Fuel: 1_000_000, Seed: 1,
+		}
+	}
+	check := func(attempt core.AttemptID, k int) {
+		t.Helper()
+		res := fb.recvResult()
+		if want := int64(1 + 10*(k+1)); res.Attempt != attempt || res.Status != core.StatusOK || res.Return.I != want {
+			t.Fatalf("attempt %d: %s (%s) returned %s, want ok returning %d",
+				res.Attempt, res.Status, res.FaultMsg, res.Return, want)
+		}
+	}
+	for k, data := range progs {
+		a := entry(core.AttemptID(k + 1))
+		a.ProgramData = data
+		if err := fb.conn.Send(&a); err != nil {
+			t.Fatal(err)
+		}
+		check(a.Attempt, k)
+	}
+	for k, data := range progs {
+		ab := &wire.AssignBatch{
+			Programs: []wire.ProgramBlob{{ID: id, Data: data}},
+			Assigns:  []wire.Assign{entry(core.AttemptID(k + 3))},
+		}
+		if err := fb.conn.Send(ab); err != nil {
+			t.Fatal(err)
+		}
+		check(ab.Assigns[0].Attempt, k)
 	}
 }
 
@@ -305,13 +365,13 @@ func TestProviderRejectsOverCommit(t *testing.T) {
 	reg := &metrics.Registry{}
 	startProvider(t, fb, Options{Slots: slots, Metrics: reg})
 	for i := core.AttemptID(1); i <= slots; i++ {
-		if err := fb.conn.Send(longSpin(i, i == 1)); err != nil {
+		if err := fb.conn.Send(longSpin(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	last := core.AttemptID(slots * (1 + wire.QueuePerSlot)) // the last admitted
 	for i := core.AttemptID(slots + 1); i <= last+1; i++ {
-		if err := fb.conn.Send(assignSpin(i, 10, false)); err != nil {
+		if err := fb.conn.Send(assignSpin(i, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,10 +408,10 @@ func TestProviderCancelsQueuedAttemptWithoutRunning(t *testing.T) {
 	fb := newFakeBroker(t)
 	reg := &metrics.Registry{}
 	p := startProvider(t, fb, Options{Slots: 1, FailAfter: 2, Metrics: reg})
-	if err := fb.conn.Send(longSpin(1, true)); err != nil {
+	if err := fb.conn.Send(longSpin(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.conn.Send(assignSpin(2, 200_000, false)); err != nil {
+	if err := fb.conn.Send(assignSpin(2, 200_000)); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let attempt 1 start
@@ -378,7 +438,7 @@ func TestProviderCancelsQueuedAttemptWithoutRunning(t *testing.T) {
 	// Attempt 1 was the first execution; attempt 3 is the second and trips
 	// FailAfter. Had the cancelled attempt 2 counted, the provider would
 	// already be gone.
-	if err := fb.conn.Send(assignSpin(3, 10, false)); err != nil {
+	if err := fb.conn.Send(assignSpin(3, 10)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -401,13 +461,13 @@ func TestProviderCancelAbortsRunningAttempt(t *testing.T) {
 	startProvider(t, fb, Options{Slots: 1})
 	// A short attempt first: the cancelled one then runs on the slot worker's
 	// re-armed VM, which must poll the new attempt's cancel flag.
-	if err := fb.conn.Send(assignSpin(1, 10, true)); err != nil {
+	if err := fb.conn.Send(assignSpin(1, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusOK {
 		t.Fatalf("warm-up result = %+v", res)
 	}
-	long := assignSpin(2, 1<<40, false)
+	long := assignSpin(2, 1<<40)
 	long.Fuel = 1 << 50
 	if err := fb.conn.Send(long); err != nil {
 		t.Fatal(err)
@@ -421,7 +481,7 @@ func TestProviderCancelAbortsRunningAttempt(t *testing.T) {
 		t.Fatalf("cancelled result = %+v", res)
 	}
 	// The cancellation belonged to attempt 2 alone: the slot runs on.
-	if err := fb.conn.Send(assignSpin(3, 11, false)); err != nil {
+	if err := fb.conn.Send(assignSpin(3, 11)); err != nil {
 		t.Fatal(err)
 	}
 	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 3 || res.Status != core.StatusOK {
@@ -432,7 +492,7 @@ func TestProviderCancelAbortsRunningAttempt(t *testing.T) {
 func TestProviderReportsProgramFault(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 1})
-	tiny := assignSpin(1, 1_000_000, true)
+	tiny := assignSpin(1, 1_000_000)
 	tiny.Fuel = 100 // guaranteed out-of-fuel
 	if err := fb.conn.Send(tiny); err != nil {
 		t.Fatal(err)
@@ -452,7 +512,7 @@ func TestProviderFailAfterDisconnects(t *testing.T) {
 		// the broker treats it as lost either way), so only send it and wait
 		// for the disconnect.
 		for i := 1; i <= 3; i++ {
-			if err := fb.conn.Send(assignSpin(core.AttemptID(i), int64(9+i), i == 1)); err != nil {
+			if err := fb.conn.Send(assignSpin(core.AttemptID(i), int64(9+i))); err != nil {
 				t.Fatal(err)
 			}
 			if i < 3 {
@@ -479,7 +539,7 @@ func TestProviderRepeatsTriggerFailAfter(t *testing.T) {
 	fb := newFakeBroker(t)
 	p := startProvider(t, fb, Options{Slots: 1, FailAfter: 2})
 
-	if err := fb.conn.Send(assignSpin(1, 1000, true)); err != nil {
+	if err := fb.conn.Send(assignSpin(1, 1000)); err != nil {
 		t.Fatal(err)
 	}
 	if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusOK {
@@ -487,7 +547,7 @@ func TestProviderRepeatsTriggerFailAfter(t *testing.T) {
 	}
 	// The identical repeat is the second execution: it crosses the threshold
 	// and stops the provider.
-	if err := fb.conn.Send(assignSpin(2, 1000, false)); err != nil {
+	if err := fb.conn.Send(assignSpin(2, 1000)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -503,19 +563,15 @@ func TestProviderRepeatsTriggerFailAfter(t *testing.T) {
 }
 
 // assignNoop is a noop: nothing to execute, so the slot is the only cost.
-func assignNoop(attempt core.AttemptID, includeProgram bool) *wire.Assign {
+func assignNoop(attempt core.AttemptID) *wire.Assign {
 	data, err := stdtasks.Bytecode("noop")
 	if err != nil {
 		panic(err)
 	}
-	a := &wire.Assign{
-		Attempt: attempt, Tasklet: core.TaskletID(attempt), Program: core.HashProgram(data),
+	return &wire.Assign{
+		Attempt: attempt, Tasklet: core.TaskletID(attempt), Program: 2, ProgramData: data,
 		Fuel: 1000, Seed: 1,
 	}
-	if includeProgram {
-		a.ProgramData = data
-	}
-	return a
 }
 
 // TestProviderFreesSlotBeforeReporting is the slot-release reject race: a
@@ -525,7 +581,7 @@ func TestProviderFreesSlotBeforeReporting(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 1})
 	const n = 10_000
-	if err := fb.conn.Send(assignNoop(1, true)); err != nil {
+	if err := fb.conn.Send(assignNoop(1)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
@@ -534,7 +590,7 @@ func TestProviderFreesSlotBeforeReporting(t *testing.T) {
 			t.Fatalf("result %d of %d back-to-back noops = %+v", i, n, res)
 		}
 		if i < n {
-			if err := fb.conn.Send(assignNoop(core.AttemptID(i+1), false)); err != nil {
+			if err := fb.conn.Send(assignNoop(core.AttemptID(i + 1))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -556,7 +612,7 @@ func TestSlotWorkerFreesSlotBeforeQueueingResult(t *testing.T) {
 	}
 	go p.slotWorker()
 	defer close(p.done)
-	p.work <- attempt{m: assignNoop(1, false), prog: stdtasks.MustProgram("noop"), cancel: newSlotToken()}
+	p.work <- attempt{m: assignNoop(1), prog: stdtasks.MustProgram("noop"), cancel: newSlotToken()}
 	select {
 	case <-p.free:
 	case <-time.After(5 * time.Second):
@@ -586,7 +642,7 @@ func TestCancelEndsThrottleStretch(t *testing.T) {
 	go p.slotWorker()
 	defer close(p.done)
 	tok := newSlotToken()
-	p.work <- attempt{m: assignNoop(1, false), prog: stdtasks.MustProgram("noop"), cancel: tok}
+	p.work <- attempt{m: assignNoop(1), prog: stdtasks.MustProgram("noop"), cancel: tok}
 	time.Sleep(20 * time.Millisecond) // let the run finish and the stretch begin
 	cancelled := time.Now()
 	tok.cancel()
@@ -619,12 +675,12 @@ func TestCancelEndsThrottleStretch(t *testing.T) {
 func TestProviderShortResultPassesLongSibling(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 2})
-	long := assignSpin(1, 1<<40, true)
+	long := assignSpin(1, 1<<40)
 	long.Fuel = 1 << 50
 	if err := fb.conn.Send(long); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.conn.Send(assignNoop(2, true)); err != nil {
+	if err := fb.conn.Send(assignNoop(2)); err != nil {
 		t.Fatal(err)
 	}
 	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 2 || res.Status != core.StatusOK {
@@ -644,7 +700,7 @@ func TestProviderCloseCancelsRunningVMs(t *testing.T) {
 	fb := newFakeBroker(t)
 	p := startProvider(t, fb, Options{Slots: 2})
 	for i := 1; i <= 2; i++ {
-		long := assignSpin(core.AttemptID(i), 1<<40, i == 1)
+		long := assignSpin(core.AttemptID(i), 1<<40)
 		long.Fuel = 1 << 50
 		if err := fb.conn.Send(long); err != nil {
 			t.Fatal(err)
@@ -682,12 +738,12 @@ func TestProviderHeartbeats(t *testing.T) {
 			}
 		}
 	}
-	if err := fb.conn.Send(longSpin(1, true)); err != nil {
+	if err := fb.conn.Send(longSpin(1)); err != nil {
 		t.Fatal(err)
 	}
 	awaitFree(1)
 	for i := core.AttemptID(2); i <= 3; i++ {
-		if err := fb.conn.Send(longSpin(i, false)); err != nil {
+		if err := fb.conn.Send(longSpin(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -65,6 +65,50 @@ func TestSimCancelDropsQueuedReplica(t *testing.T) {
 	}
 }
 
+// TestSimCancelStopsRunningReplica: a redundant tasklet's replicas run at
+// once on a fast and a slow device. The fast one's result finalizes the
+// tasklet and the core cancels the slow replica mid-run: the slow device
+// books only the time it ran, reports no completion, and its freed slot
+// runs the next attempt placed there while the fast device is busy.
+func TestSimCancelStopsRunningReplica(t *testing.T) {
+	const lat = time.Millisecond
+	tasks := []TaskSpec{
+		{Fuel: 10_000_000, QoC: core.QoC{Mode: core.QoCRedundant, Replicas: 2}}, // 50 ms fast, 100 ms slow
+		{Fuel: 40_000_000, Arrival: 55 * time.Millisecond},                      // holds the fast device
+		{Fuel: 1_000_000, Arrival: 60 * time.Millisecond},                       // 10 ms on the slow one
+	}
+	stats, err := Run(Config{
+		Devices: []DeviceSpec{
+			{Class: core.ClassDesktop, Slots: 1, Speed: 200},
+			{Class: core.ClassDesktop, Slots: 1, Speed: 100},
+		},
+		Tasks:   tasks,
+		Policy:  policy(t, "fastest", 0),
+		Latency: lat,
+		Seed:    1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := stats.Finals[0]; !f.OK() || f.Provider != 1 {
+		t.Fatalf("redundant final %+v, want OK from the fast device", f)
+	}
+	if f := stats.Finals[2]; !f.OK() || f.Provider != 2 {
+		t.Fatalf("last final %+v, want OK from the slow device's freed slot", f)
+	}
+	if got, want := stats.DeviceExecuted, []int{2, 1}; got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("device completions %v, want %v: the cancelled replica must not complete", got, want)
+	}
+	// The slow replica ran from its assign (1 ms) until the cancel reached
+	// it: the fast result's 50 ms run and two link crossings later.
+	if ran, want := stats.BusyTime[1], 52*time.Millisecond+10*time.Millisecond; ran != want {
+		t.Fatalf("slow device busy %v, want %v (the cancelled run's 52 ms plus the last tasklet)", ran, want)
+	}
+	if stats.WastedAttempts != 1 {
+		t.Fatalf("%d wasted attempts, want the one cancelled", stats.WastedAttempts)
+	}
+}
+
 // TestSimReliableAvoidsLossyDevice: two equal devices, the lower-ID one
 // churning. Tasklets arrive one at a time, so both devices are idle at each
 // arrival and reliable breaks the tie by ID — until the churning device

@@ -6,7 +6,8 @@
 // and live behaviour differ only in the transport and in what the
 // simulator models itself:
 //   - the device model: class speed, slots with a FIFO of queued attempts
-//     behind them, faulty results, and cancels that drop a queued attempt;
+//     behind them, faulty results, and cancels that stop a queued or
+//     running attempt;
 //   - link latency, one way, on every frame;
 //   - churn (exponential MTBF/MTTR) and its detection delay: a failed
 //     device keeps its placements until the delay passes, as a live

@@ -109,8 +109,8 @@ type Stats struct {
 	// Latency is the per-tasklet submission-to-final-result distribution
 	// (milliseconds of virtual time).
 	Latency metrics.Summary
-	// BusyTime is each device's cumulative execution time of the attempts
-	// it ran to completion.
+	// BusyTime is each device's cumulative execution time: attempts it ran
+	// to completion, and cancelled ones up to their cancel.
 	BusyTime []time.Duration
 	// DeviceExecuted counts the attempts each device ran to completion.
 	DeviceExecuted []int
@@ -301,7 +301,9 @@ type attempt struct {
 	id      core.AttemptID
 	tasklet core.TaskletID
 	fuel    uint64
-	epoch   int // the device's epoch when it was assigned
+	epoch   int           // the device's epoch when it was assigned
+	start   time.Duration // when it began running
+	done    *event        // its completion, armed once it runs
 }
 
 // device is one simulated provider: the device model behind the link the
@@ -349,23 +351,35 @@ func (d *device) Assign(ab *wire.AssignBatch) {
 	})
 }
 
-// Cancel is a cancel frame on its way: one latency later it drops the
-// attempt if it is still queued on the device, which then reports
-// FaultCancelled. A running attempt is not stopped: it runs to completion
-// and its result comes back wasted.
+// Cancel is a cancel frame on its way: one latency later it stops the
+// attempt, queued or running, which the device then reports as
+// FaultCancelled with the time it ran. A running one frees its slot and
+// books only that time as busy.
 func (d *device) Cancel(aid core.AttemptID) {
 	at := d.held[aid]
 	if at == nil {
 		return
 	}
 	d.s.eng.after(d.s.cfg.Latency, func() {
-		if i := slices.Index(d.queue, at); i >= 0 {
-			d.queue = slices.Delete(d.queue, i, i+1)
-			d.reply(at, &wire.AttemptResult{
-				Attempt: at.id, Tasklet: at.tasklet, Status: core.StatusFault,
-				FaultCode: tvm.FaultCancelled, FaultMsg: "execution cancelled by host",
-			})
+		if at.epoch != d.epoch {
+			return // a failure took it
 		}
+		var ran time.Duration
+		switch i := slices.Index(d.queue, at); {
+		case i >= 0:
+			d.queue = slices.Delete(d.queue, i, i+1)
+		case at.done != nil && at.done.Stop():
+			ran = d.s.eng.now - at.start
+			d.running--
+			d.busy += ran
+			defer d.startQueued() // the freed slot takes the next queued attempt
+		default:
+			return // it finished first: its result is on its way
+		}
+		d.reply(at, &wire.AttemptResult{
+			Attempt: at.id, Tasklet: at.tasklet, Status: core.StatusFault,
+			FaultCode: tvm.FaultCancelled, FaultMsg: "execution cancelled by host", ExecNanos: int64(ran),
+		})
 	})
 }
 
@@ -376,7 +390,8 @@ func (d *device) startQueued() {
 		d.queue = d.queue[1:]
 		d.running++
 		exec := execTime(at.fuel, d.spec.speed())
-		d.s.eng.after(exec, func() { d.finish(at, exec) })
+		at.start = d.s.eng.now
+		at.done = d.s.eng.after(exec, func() { d.finish(at, exec) })
 	}
 }
 

@@ -44,6 +44,11 @@ check:
 	# whatever ID it carries.
 	$(GO) test -race -count 1 -run 'TestCollidingProgramsGetTheirOwnResults|TestBrokerNamesEachProgramOnce|TestConcurrentSubmitsNameProgramOnce|TestProgramMemoBounded|TestKnownProgramWrongArityRefused' ./internal/broker/
 	$(GO) test -race -count 1 -run 'TestProviderRunsEachFramesOwnProgram|TestProviderCachesProgram|TestProviderRejectsUnknownProgram|TestBatchResolvesFromItsOwnTable|TestProviderCacheEvictionRoundTrip' ./internal/provider/
+	# The result memo under race, never from the test cache: every partition
+	# engine shares one Cache, so concurrent gets, puts, strength upgrades and
+	# TTL expiry must leave its map, eviction order, hand and byte count
+	# consistent.
+	$(GO) test -race -count 1 ./internal/memo/
 	# The benchmark is a nested module (benchmark/go.mod), invisible to the
 	# ./... patterns above: vet it and run its unit tests and its 300 ms
 	# smoke run of all five workloads against this checkout.
@@ -128,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzCompile -fuzztime $(SMOKETIME) ./internal/tasklang/
 	$(GO) test -run XXX -fuzz FuzzUnmarshal -fuzztime $(SMOKETIME) ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzLifecycle -fuzztime $(SMOKETIME) ./internal/lifecycle/
+	$(GO) test -run XXX -fuzz FuzzCache -fuzztime $(SMOKETIME) ./internal/memo/
 
 # flaky reruns, 20 times each, the tests that used to fail a few times in
 # twenty (the stress test's provider loss fired on a timer and could find

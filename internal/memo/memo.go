@@ -19,11 +19,12 @@
 //     established with at least the strength the request demands, so a
 //     best-effort result can never satisfy a voting request.
 //
-// The cache is a bounded LRU with two budgets — entry count and total bytes —
-// plus TTL expiry, and reports hits/misses/stores/evictions on a
-// metrics.Registry. All methods are nil-safe: a nil *Cache behaves as a
-// disabled cache (every lookup misses, every store is dropped), which is how
-// the negative-budget "disabled" configuration is represented.
+// The cache has two budgets — entry count and total bytes — plus TTL expiry,
+// evicts by SIEVE (Zhang et al., "SIEVE is Simpler than LRU", NSDI 2024), and
+// reports hits/misses/stores/evictions on a metrics.Registry. All methods are
+// nil-safe: a nil *Cache behaves as a disabled cache (every lookup misses,
+// every store is dropped), which is how the negative-budget "disabled"
+// configuration is represented.
 package memo
 
 import (
@@ -61,7 +62,9 @@ func KeyFor(program uint64, seed uint64, params []tvm.Value) (Key, bool) {
 			return "", false
 		}
 	}
-	return Key(b), true
+	// b is never written again, so the key can share its bytes instead of
+	// copying them: one allocation per key, not two.
+	return Key(unsafe.String(unsafe.SliceData(b), len(b))), true
 }
 
 // Hash returns a 64-bit FNV-1a digest of the key, by which the scheduler
@@ -101,8 +104,10 @@ type Entry struct {
 	// Strength >= s.
 	Strength int
 
-	stored time.Time
-	size   int
+	key     Key
+	stored  time.Time
+	size    int
+	visited bool // set by a hit, cleared by the eviction hand passing over it
 }
 
 // CachedResult returns deep copies of the entry's return value and emitted
@@ -179,8 +184,13 @@ type Config struct {
 	Prefix string
 }
 
-// Cache is a bounded, TTL-expiring, content-addressed LRU of finalized
-// tasklet results. All methods are safe to call on a nil receiver (they
+// Cache is a bounded, TTL-expiring, content-addressed store of finalized
+// tasklet results that evicts by SIEVE: a hit only marks its entry visited,
+// and eviction sweeps a hand from the oldest entry toward the newest,
+// clearing marks, to remove the first unmarked entry it meets; the hand stays
+// where it stopped for the next eviction. On skewed (Zipf) content larger
+// than the cache this keeps more of the popular entries than LRU does, and a
+// hit moves nothing. All methods are safe to call on a nil receiver (they
 // behave as a cache that never hits and never stores). The cache carries its
 // own mutex so it can be shared by concurrent callers — the partitioned
 // broker runs one cache under all partition engines so repeats hit across
@@ -194,16 +204,12 @@ type Cache struct {
 	clock      func() time.Time
 
 	entries map[Key]*list.Element
-	order   *list.List // front = most recently used
+	order   *list.List    // front = newest; every Value is an *Entry
+	hand    *list.Element // next eviction candidate; nil = start at the back
 	bytes   int
 
 	hits, misses, stores, evictions *metrics.Counter
 	entriesG, bytesG                *metrics.Gauge
-}
-
-type cacheItem struct {
-	key   Key
-	entry *Entry
 }
 
 // New builds a Cache from cfg, applying defaults for zero fields.
@@ -261,7 +267,8 @@ func (c *Cache) updateGauges() {
 // Get looks up the entry for key, subject to three gates: the entry must not
 // have expired, its Strength must be at least strength, and its FuelUsed must
 // fit within the requester's fuel budget. A gated entry counts as a miss (the
-// requester genuinely has to execute). Hits refresh LRU position.
+// requester genuinely has to execute). A hit marks the entry visited, which
+// spares it the next time the eviction hand passes.
 func (c *Cache) Get(key Key, strength int, fuel uint64) *Entry {
 	if c == nil {
 		return nil
@@ -273,21 +280,21 @@ func (c *Cache) Get(key Key, strength int, fuel uint64) *Entry {
 		inc(c.misses)
 		return nil
 	}
-	it := el.Value.(*cacheItem)
-	if c.clock().Sub(it.entry.stored) > c.ttl {
+	e := el.Value.(*Entry)
+	if c.clock().Sub(e.stored) > c.ttl {
 		c.removeElement(el)
 		inc(c.evictions)
 		inc(c.misses)
 		c.updateGauges()
 		return nil
 	}
-	if it.entry.Strength < strength || it.entry.FuelUsed > fuel {
+	if e.Strength < strength || e.FuelUsed > fuel {
 		inc(c.misses)
 		return nil
 	}
-	c.order.MoveToFront(el)
+	e.visited = true
 	inc(c.hits)
-	return it.entry
+	return e
 }
 
 // Put stores a finalized result under key, deep-copying the values so the
@@ -302,7 +309,7 @@ func (c *Cache) Put(key Key, ret tvm.Value, emitted []tvm.Value, fuelUsed uint64
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		if el.Value.(*cacheItem).entry.Strength > strength {
+		if el.Value.(*Entry).Strength > strength {
 			return
 		}
 		c.removeElement(el)
@@ -312,6 +319,7 @@ func (c *Cache) Put(key Key, ret tvm.Value, emitted []tvm.Value, fuelUsed uint64
 		FuelUsed: fuelUsed,
 		Exec:     exec,
 		Strength: strength,
+		key:      key,
 		stored:   c.clock(),
 	}
 	if len(emitted) > 0 {
@@ -325,13 +333,14 @@ func (c *Cache) Put(key Key, ret tvm.Value, emitted []tvm.Value, fuelUsed uint64
 		c.updateGauges()
 		return
 	}
-	el := c.order.PushFront(&cacheItem{key: key, entry: e})
-	c.entries[key] = el
+	// Evict before inserting, so the hand never meets the new entry, which
+	// has had no chance to be hit yet.
+	for c.order.Len() >= c.maxEntries || c.bytes+e.size > c.maxBytes {
+		c.evict()
+	}
+	c.entries[key] = c.order.PushFront(e)
 	c.bytes += e.size
 	inc(c.stores)
-	for c.order.Len() > c.maxEntries || c.bytes > c.maxBytes {
-		c.evictOldest()
-	}
 	c.updateGauges()
 }
 
@@ -355,18 +364,31 @@ func (c *Cache) Bytes() int {
 	return c.bytes
 }
 
-func (c *Cache) evictOldest() {
-	el := c.order.Back()
-	if el == nil {
-		return
+// evict removes one entry by SIEVE. The cache must not be empty.
+func (c *Cache) evict() {
+	el := c.hand
+	for {
+		if el == nil {
+			el = c.order.Back()
+		}
+		e := el.Value.(*Entry)
+		if !e.visited {
+			break
+		}
+		e.visited = false
+		el = el.Prev()
 	}
+	c.hand = el // removeElement moves the hand on to the next newer entry
 	c.removeElement(el)
 	inc(c.evictions)
 }
 
 func (c *Cache) removeElement(el *list.Element) {
-	it := el.Value.(*cacheItem)
+	if el == c.hand {
+		c.hand = el.Prev()
+	}
+	e := el.Value.(*Entry)
 	c.order.Remove(el)
-	delete(c.entries, it.key)
-	c.bytes -= it.entry.size
+	delete(c.entries, e.key)
+	c.bytes -= e.size
 }

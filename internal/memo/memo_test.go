@@ -3,6 +3,7 @@ package memo
 import (
 	"encoding/hex"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,20 @@ func TestKeyForDistinguishesContent(t *testing.T) {
 	}
 	if base.Hash() == 0 {
 		t.Error("key hash is zero")
+	}
+}
+
+var sinkKey Key
+
+// TestKeyForAllocatesOnce pins KeyFor at one allocation for the parameters
+// every spin tasklet carries: the key shares the buffer it was encoded into.
+func TestKeyForAllocatesOnce(t *testing.T) {
+	params := []tvm.Value{tvm.Int(12345)}
+	if n := testing.AllocsPerRun(1000, func() { sinkKey, _ = KeyFor(7, 1, params) }); n != 1 {
+		t.Fatalf("KeyFor allocates %v times per call, want 1", n)
+	}
+	if sinkKey != testKey(t, 7, 1, tvm.Int(12345)) {
+		t.Fatal("KeyFor is not deterministic")
 	}
 }
 
@@ -179,21 +194,24 @@ func TestCacheByteBudget(t *testing.T) {
 	}
 }
 
-func TestCacheLRUOrder(t *testing.T) {
+// TestCacheHitEntrySurvivesOneSweep: the eviction hand clears a hit entry's
+// visited bit and passes it over once; not hit again, it is the next to go.
+func TestCacheHitEntrySurvivesOneSweep(t *testing.T) {
 	c := New(Config{MaxEntries: 2})
-	k1, k2, k3 := testKey(t, 1, 0), testKey(t, 2, 0), testKey(t, 3, 0)
-	c.Put(k1, tvm.Int(1), nil, 1, 0, 0)
-	c.Put(k2, tvm.Int(2), nil, 1, 0, 0)
-	if c.Get(k1, 0, 10) == nil { // refresh k1; k2 becomes LRU
-		t.Fatal("expected hit on k1")
+	putN(t, c, 1, 2)
+	hit(t, c, 1)
+	putN(t, c, 3) // the hand clears 1 and evicts 2, never hit
+	if got, want := oldestFirst(c), keysOf(t, 1, 3); !slices.Equal(got, want) {
+		t.Fatalf("after the first eviction: %x, want %x", got, want)
 	}
-	c.Put(k3, tvm.Int(3), nil, 1, 0, 0)
-	if c.Get(k2, 0, 10) != nil {
-		t.Error("k2 should have been evicted (least recently used)")
+	if c.entries[testKey(t, 1, 0)].Value.(*Entry).visited {
+		t.Fatal("the hand passed entry 1 without clearing its visited bit")
 	}
-	if c.Get(k1, 0, 10) == nil {
-		t.Error("k1 should have survived (recently used)")
+	putN(t, c, 4)
+	if got, want := oldestFirst(c), keysOf(t, 3, 4); !slices.Equal(got, want) {
+		t.Fatalf("after the second eviction: %x, want %x", got, want)
 	}
+	checkCache(t, c)
 }
 
 func TestCacheTTLExpiry(t *testing.T) {

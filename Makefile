@@ -44,6 +44,12 @@ check:
 	# whatever ID it carries.
 	$(GO) test -race -count 1 -run 'TestCollidingProgramsGetTheirOwnResults|TestBrokerNamesEachProgramOnce|TestConcurrentSubmitsNameProgramOnce|TestProgramMemoBounded|TestKnownProgramWrongArityRefused' ./internal/broker/
 	$(GO) test -race -count 1 -run 'TestProviderRunsEachFramesOwnProgram|TestProviderCachesProgram|TestProviderRejectsUnknownProgram|TestBatchResolvesFromItsOwnTable|TestProviderCacheEvictionRoundTrip' ./internal/provider/
+	# One frame shape per operation (protocol version 3), under race and never
+	# from the test cache: a singleton job crosses the stack as one-entry
+	# batch frames, a peer of another version is refused at hello, and the
+	# writer wraps every run of results or pushes, a run of one included.
+	$(GO) test -race -count 1 -run 'TestSingletonJobTravelsAsOneEntryBatches|TestBrokerRejectsWrongVersion' ./internal/broker/
+	$(GO) test -race -count 1 -run 'TestFoldBatchFrames' ./internal/wire/
 	# The result memo under race, never from the test cache: every partition
 	# engine shares one Cache, so concurrent gets, puts, strength upgrades and
 	# TTL expiry must leave its map, eviction order, hand and byte count
@@ -110,7 +116,7 @@ bench-pairs:
 # harness building and executing without paying for statistically meaningful
 # timings.
 bench-smoke:
-	$(GO) test -run XXX -bench 'BenchmarkBrokerThroughput|BenchmarkAblation_' -benchtime 1x .
+	$(GO) test -run XXX -bench 'BenchmarkBrokerThroughput|BenchmarkAblation_|BenchmarkWire_' -benchtime 1x .
 	$(GO) test -run XXX -bench '$(VMBENCH)' -benchtime 1x . ./internal/stdtasks/native/
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/wire/
 	$(GO) test -run XXX -bench BenchmarkSchedulerPick -benchtime 1x ./internal/scheduler/

@@ -289,12 +289,21 @@ func BenchmarkVM_ArrayHeavy(b *testing.B) {
 	}
 }
 
-func BenchmarkWire_MarshalAssign(b *testing.B) {
-	msg := &wire.Assign{
-		Attempt: 1, Tasklet: 2, Program: 3,
-		Params: []tvm.Value{tvm.Int(1), tvm.Str("hello"), tvm.Float(2.5)},
-		Fuel:   1000, Seed: 7,
+// wireAssign is the assign frame a lone tasklet travels in: a one-entry
+// assign_batch whose table carries a noop-sized program.
+func wireAssign() *wire.AssignBatch {
+	return &wire.AssignBatch{
+		Programs: []wire.ProgramBlob{{ID: 3, Data: make([]byte, 51)}},
+		Assigns: []wire.Assign{{
+			Attempt: 1, Tasklet: 2, Program: 3,
+			Params: []tvm.Value{tvm.Int(1), tvm.Str("hello"), tvm.Float(2.5)},
+			Fuel:   1000, Seed: 7,
+		}},
 	}
+}
+
+func BenchmarkWire_MarshalAssign(b *testing.B) {
+	msg := wireAssign()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := wire.Marshal(msg); err != nil {
@@ -304,12 +313,7 @@ func BenchmarkWire_MarshalAssign(b *testing.B) {
 }
 
 func BenchmarkWire_UnmarshalAssign(b *testing.B) {
-	msg := &wire.Assign{
-		Attempt: 1, Tasklet: 2, Program: 3,
-		Params: []tvm.Value{tvm.Int(1), tvm.Str("hello"), tvm.Float(2.5)},
-		Fuel:   1000, Seed: 7,
-	}
-	frame, err := wire.Marshal(msg)
+	frame, err := wire.Marshal(wireAssign())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,7 +321,7 @@ func BenchmarkWire_UnmarshalAssign(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wire.Unmarshal(wire.TypeAssign, payload); err != nil {
+		if _, err := wire.Unmarshal(wire.TypeAssignBatch, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

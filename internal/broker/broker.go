@@ -92,10 +92,6 @@ type Options struct {
 // cannot drain this many messages is broken or hostile and is dropped.
 const sendQueueDepth = 4096
 
-// writerBatchMax bounds how many queued messages a writer loop folds into
-// one flush.
-const writerBatchMax = 128
-
 // maxStagedEvents bounds the submit events a consumer's staging scratch keeps
 // between jobs (an Event is about 300 bytes): jobs of a few thousand tasklets
 // reuse it, larger ones stage in slices freed after their feed.
@@ -185,15 +181,8 @@ type providerState struct {
 }
 
 // Assign sends the attempts a placement pass staged for the provider: one
-// frame per provider per pass. A batch that holds a single assignment goes
-// out as a plain Assign frame carrying its program's bytes.
+// assign_batch frame per provider per pass, however many it holds.
 func (p *providerState) Assign(ab *wire.AssignBatch) {
-	if len(ab.Assigns) == 1 {
-		a := ab.Assigns[0]
-		a.ProgramData = ab.Programs[0].Data
-		p.b.enqueue(p.out, &a, p.nc, &p.dropWarned, p.label)
-		return
-	}
 	p.b.enqueue(p.out, ab, p.nc, &p.dropWarned, p.label)
 }
 
@@ -488,17 +477,6 @@ func (b *Broker) schedule() {
 	}
 }
 
-// writerLoop drains a connection's outgoing queue through the shared
-// wire.WriterLoop. fold, when non-nil, rewrites each drained burst before it
-// is sent (batch-frame folding on consumer links).
-func (b *Broker) writerLoop(conn *wire.Conn, out <-chan wire.Message, nc net.Conn, fold func([]wire.Message) []wire.Message) {
-	wire.WriterLoop(conn, out, wire.WriterOpts{
-		Max:    writerBatchMax,
-		Fold:   fold,
-		Closer: nc,
-	})
-}
-
 // enqueue appends to a bounded send queue. A peer that cannot drain
 // sendQueueDepth messages is broken or hostile: the drop is counted in
 // broker.send_dropped, logged once per connection, and the connection is
@@ -545,7 +523,7 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		b.writerLoop(conn, p.out, nc, nil)
+		wire.WriterLoop(conn, p.out, wire.WriterOpts{Closer: nc})
 	}()
 
 	b.enqueue(p.out, &wire.Welcome{ID: uint64(id)}, nc, &p.dropWarned, p.label)
@@ -588,12 +566,9 @@ func (b *Broker) serveProvider(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 			// Liveness only; no broker state changes, so heartbeats never
 			// queue behind any lock.
 			p.lastBeat.Store(time.Now().UnixNano())
-		case *wire.AttemptResult:
-			rs.Add(m)
-			rs.Apply()
 		case *wire.AttemptResultBatch:
-			// A folded burst becomes at most one bulk Engine.Apply per
-			// partition.
+			// A flush window's results become at most one bulk
+			// Engine.Apply per partition.
 			for i := range m.Results {
 				rs.Add(&m.Results[i])
 			}
@@ -694,12 +669,12 @@ func (b *Broker) serveConsumer(nc net.Conn, conn *wire.Conn, hello *wire.Hello) 
 	b.consumers[id] = c
 	b.jobMu.Unlock()
 
-	// Each writer burst's run of ResultPushes is folded into one
+	// Each writer burst's run of ResultPushes goes out as one
 	// ResultPushBatch frame.
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		b.writerLoop(conn, c.out, nc, wire.FoldBatchFrames)
+		wire.WriterLoop(conn, c.out, wire.WriterOpts{Closer: nc})
 	}()
 
 	b.enqueue(c.out, &wire.Welcome{ID: uint64(id)}, nc, &c.dropWarned, c.label)

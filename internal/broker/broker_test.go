@@ -472,9 +472,11 @@ func TestBadJobRejected(t *testing.T) {
 	}
 }
 
-// TestBrokerRejectsWrongVersion: a hello of another protocol version, among
-// them a protocol-1 hello without its caps byte, gets a version error and a
-// closed connection.
+// TestBrokerRejectsWrongVersion: a hello of another protocol version, from
+// either role, gets a version error and a closed connection. Among them are
+// a protocol-1 hello without its caps byte and a protocol-2 hello, whose
+// peer would send and expect the single assign, attempt_result and
+// result_push frames that version 3 retired.
 func TestBrokerRejectsWrongVersion(t *testing.T) {
 	b := New(Options{})
 	addr, err := b.Listen("127.0.0.1:0")
@@ -483,26 +485,28 @@ func TestBrokerRejectsWrongVersion(t *testing.T) {
 	}
 	defer b.Close()
 
-	for _, version := range []uint16{1, 99} {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		conn := wire.NewConn(nc)
-		if err := conn.Send(&wire.Hello{Version: version, Role: wire.RoleConsumer}); err != nil {
-			t.Fatal(err)
-		}
-		msg, err := conn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		em, ok := msg.(*wire.ErrorMsg)
-		if !ok || em.Code != wire.ErrCodeVersion {
-			t.Fatalf("version %d: reply = %#v, want version error", version, msg)
-		}
-		if msg, err := conn.Recv(); err == nil {
-			t.Fatalf("version %d: connection stayed open after the refusal: got %#v", version, msg)
+	for _, version := range []uint16{1, 2, 99} {
+		for _, role := range []wire.Role{wire.RoleConsumer, wire.RoleProvider} {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			conn := wire.NewConn(nc)
+			if err := conn.Send(&wire.Hello{Version: version, Role: role}); err != nil {
+				t.Fatal(err)
+			}
+			msg, err := conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			em, ok := msg.(*wire.ErrorMsg)
+			if !ok || em.Code != wire.ErrCodeVersion {
+				t.Fatalf("version %d, role %d: reply = %#v, want version error", version, role, msg)
+			}
+			if msg, err := conn.Recv(); err == nil {
+				t.Fatalf("version %d, role %d: connection stayed open after the refusal: got %#v", version, role, msg)
+			}
 		}
 	}
 }

@@ -111,17 +111,16 @@ func TestBrokerNamesEachProgramOnce(t *testing.T) {
 		}
 		var id core.ProgramID
 		if dispatched {
-			a := recvAssign(t, f)
-			if string(a.ProgramData) != string(spec.Program) {
+			ab := recvAssign(t, f)
+			a := ab.Assigns[0]
+			if string(ab.Programs[0].Data) != string(spec.Program) {
 				t.Fatalf("attempt %d does not carry the submitted program", a.Attempt)
 			}
 			id = a.Program
-			if err := f.conn.Send(&wire.AttemptResult{
+			f.report(wire.AttemptResult{
 				Attempt: a.Attempt, Tasklet: a.Tasklet, Status: core.StatusOK,
 				Return: tvm.Int(ret), FuelUsed: 1, ExecNanos: 1000,
-			}); err != nil {
-				t.Fatal(err)
-			}
+			})
 		}
 		res, err := job.Collect(ctxT(t))
 		if err != nil {
@@ -205,9 +204,9 @@ func TestConcurrentSubmitsNameProgramOnce(t *testing.T) {
 	}
 }
 
-// recvAssign returns the next attempt the broker gives f, with the bytes
-// of the program it names, whether it came alone or in a batch.
-func recvAssign(t *testing.T, f *fakeProvider) wire.Assign {
+// recvAssign returns the next assign frame the broker sends f, which must
+// hold one attempt and the program it names.
+func recvAssign(t *testing.T, f *fakeProvider) *wire.AssignBatch {
 	t.Helper()
 	for {
 		select {
@@ -215,16 +214,11 @@ func recvAssign(t *testing.T, f *fakeProvider) wire.Assign {
 			if !ok {
 				t.Fatal("broker closed the provider connection")
 			}
-			switch m := msg.(type) {
-			case *wire.Assign:
-				return *m
-			case *wire.AssignBatch:
+			if m, ok := msg.(*wire.AssignBatch); ok {
 				if len(m.Assigns) != 1 || len(m.Programs) != 1 || m.Programs[0].ID != m.Assigns[0].Program {
 					t.Fatalf("batch %+v: want one attempt and its program", m)
 				}
-				a := m.Assigns[0]
-				a.ProgramData = m.Programs[0].Data
-				return a
+				return m
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("no attempt arrived")

@@ -12,7 +12,7 @@ import (
 )
 
 // silentProvider registers a raw-wire provider that accepts assignments but
-// never reports results; the returned channel yields each Assign, and the
+// never reports results; the returned channel yields each attempt, and the
 // returned func kills the connection (the broker then declares every attempt
 // it holds lost).
 func silentProvider(t *testing.T, addr string, slots int) (<-chan *wire.Assign, func()) {
@@ -41,8 +41,10 @@ func silentProvider(t *testing.T, addr string, slots int) (<-chan *wire.Assign, 
 			if err != nil {
 				return
 			}
-			if a, ok := msg.(*wire.Assign); ok {
-				assigns <- a
+			if ab, ok := msg.(*wire.AssignBatch); ok {
+				for i := range ab.Assigns {
+					assigns <- &ab.Assigns[i]
+				}
 			}
 		}
 	}()

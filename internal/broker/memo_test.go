@@ -215,8 +215,10 @@ func TestDeadlinedLeaderReschedulesCoalescedWaiter(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if a, ok := msg.(*wire.Assign); ok {
-				assigns <- a
+			if ab, ok := msg.(*wire.AssignBatch); ok {
+				for i := range ab.Assigns {
+					assigns <- &ab.Assigns[i]
+				}
 			}
 		}
 	}()

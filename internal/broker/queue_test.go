@@ -226,10 +226,7 @@ func (f *fakeProvider) recv(wait time.Duration) bool {
 		if !ok {
 			f.t.Fatal("broker closed the provider connection")
 		}
-		switch m := msg.(type) {
-		case *wire.Assign:
-			f.hold(m)
-		case *wire.AssignBatch:
+		if m, ok := msg.(*wire.AssignBatch); ok {
 			for i := range m.Assigns {
 				f.hold(&m.Assigns[i])
 			}
@@ -266,14 +263,20 @@ func (f *fakeProvider) answer(n int, exec time.Duration) {
 	f.t.Helper()
 	for _, a := range f.held[:n] {
 		x := a.Params[0].I
-		if err := f.conn.Send(&wire.AttemptResult{
+		f.report(wire.AttemptResult{
 			Attempt: a.Attempt, Tasklet: a.Tasklet, Status: core.StatusOK,
 			Return: tvm.Int(x * x), FuelUsed: 1, ExecNanos: int64(exec),
-		}); err != nil {
-			f.t.Fatal(err)
-		}
+		})
 	}
 	f.held = append(f.held[:0], f.held[n:]...)
+}
+
+// report sends one result in the only frame a provider reports in.
+func (f *fakeProvider) report(r wire.AttemptResult) {
+	f.t.Helper()
+	if err := f.conn.Send(&wire.AttemptResultBatch{Results: []wire.AttemptResult{r}}); err != nil {
+		f.t.Fatal(err)
+	}
 }
 
 // serve answers every attempt as it arrives, each run for exec, until job

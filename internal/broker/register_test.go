@@ -31,7 +31,7 @@ func (f *fakeProvider) refused() {
 					f.t.Fatalf("error code %d (%s), want %d", m.Code, m.Msg, wire.ErrCodeProtocol)
 				}
 				em = m
-			case *wire.Assign, *wire.AssignBatch:
+			case *wire.AssignBatch:
 				f.t.Fatalf("refused provider was sent %s", msg.Type())
 			}
 		case <-timeout:

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/consumer"
 	"repro/internal/core"
+	"repro/internal/tvm"
 	"repro/internal/wire"
 )
 
@@ -142,14 +143,68 @@ func TestKnownProgramWrongArityRefused(t *testing.T) {
 				t.Fatalf("refusal = %#v, want job %d with %q", m, second, want)
 			}
 			refused = true
-		case *wire.ResultPush:
-			if m.Job != first || m.Return.I != 25 {
-				t.Fatalf("result = %#v", m)
+		case *wire.ResultPushBatch:
+			if len(m.Results) != 1 || m.Results[0].Job != first || m.Results[0].Return.I != 25 {
+				t.Fatalf("results = %#v", m)
 			}
 		case *wire.JobDone:
 			done = m.Job == first
 		default:
 			t.Fatalf("unexpected %#v", m)
 		}
+	}
+}
+
+// TestSingletonJobTravelsAsOneEntryBatches: a one-tasklet job crosses the
+// stack in the batch frames, the only frames for its operations. The
+// provider gets a one-entry assign_batch whose table carries the program's
+// bytes, answers with a one-entry attempt_result_batch, and the consumer
+// gets a one-entry result_push_batch, then job_done.
+func TestSingletonJobTravelsAsOneEntryBatches(t *testing.T) {
+	b := New(Options{MemoEntries: -1})
+	addr, err := b.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	f := dialFakeProvider(t, addr, wire.Register{Slots: 1, Speed: 100}, 1)
+	conn, cid := rawConsumer(t, addr)
+	spec := compileJob(t, squareSrc, []int64{6})
+	if err := conn.Send(submitMsg(spec)); err != nil {
+		t.Fatal(err)
+	}
+
+	var ab *wire.AssignBatch
+	select {
+	case msg, ok := <-f.msgs:
+		if !ok {
+			t.Fatal("broker closed the provider connection")
+		}
+		if ab, ok = msg.(*wire.AssignBatch); !ok {
+			t.Fatalf("provider got %s, want assign_batch", msg.Type())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no attempt arrived")
+	}
+	if len(ab.Assigns) != 1 || len(ab.Programs) != 1 || ab.Programs[0].ID != ab.Assigns[0].Program ||
+		string(ab.Programs[0].Data) != string(spec.Program) {
+		t.Fatalf("assign_batch %+v: want one attempt and the submitted program's bytes", ab)
+	}
+	a := ab.Assigns[0]
+	f.report(wire.AttemptResult{
+		Attempt: a.Attempt, Tasklet: a.Tasklet, Status: core.StatusOK,
+		Return: tvm.Int(36), FuelUsed: 1, ExecNanos: 1000,
+	})
+
+	job := core.JobID(cid<<32 | 1)
+	rb, ok := recvT(t, conn).(*wire.ResultPushBatch)
+	if !ok || len(rb.Results) != 1 {
+		t.Fatalf("consumer got %#v, want a one-entry result_push_batch", rb)
+	}
+	if r := rb.Results[0]; r.Job != job || r.Index != 0 || r.Status != core.StatusOK || r.Return.I != 36 {
+		t.Fatalf("result = %#v, want job %d index 0 returning 36", r, job)
+	}
+	if done, ok := recvT(t, conn).(*wire.JobDone); !ok || done.Job != job || done.Completed != 1 {
+		t.Fatalf("after the result: %#v, want job_done for job %d", done, job)
 	}
 }

@@ -261,8 +261,6 @@ func (c *Client) readLoop() {
 		switch m := msg.(type) {
 		case *wire.ErrorMsg:
 			c.onRefused(m)
-		case *wire.ResultPush:
-			c.onResult(m)
 		case *wire.ResultPushBatch:
 			for i := range m.Results {
 				c.onResult(&m.Results[i])

@@ -58,6 +58,11 @@ func (fb *fakeBroker) addr() string { return fb.ln.Addr().String() }
 // Welcome names consumer 9.
 func jobID(n uint64) core.JobID { return core.JobID(9<<32 | n) }
 
+// push wraps one result in the only frame a broker delivers results in.
+func push(r wire.ResultPush) *wire.ResultPushBatch {
+	return &wire.ResultPushBatch{Results: []wire.ResultPush{r}}
+}
+
 func (fb *fakeBroker) accept() *wire.Conn {
 	select {
 	case c := <-fb.conn:
@@ -127,10 +132,10 @@ func TestSubmitDeliversResultsInCompletionOrder(t *testing.T) {
 		}
 		// Deliver results out of index order.
 		for _, idx := range []int{2, 0, 1} {
-			_ = conn.Send(&wire.ResultPush{
+			_ = conn.Send(push(wire.ResultPush{
 				Job: jobID(1), Index: idx, Status: core.StatusOK,
 				Return: tvm.Int(int64(idx * 10)),
-			})
+			}))
 		}
 		_ = conn.Send(&wire.JobDone{Job: jobID(1), Completed: 3})
 	}()
@@ -201,7 +206,7 @@ func TestUnsendableSubmitKeepsJobNumbering(t *testing.T) {
 		if _, err := conn.Recv(); err != nil {
 			return
 		}
-		_ = conn.Send(&wire.ResultPush{Job: jobID(1), Index: 0, Status: core.StatusOK, Return: tvm.Int(7)})
+		_ = conn.Send(push(wire.ResultPush{Job: jobID(1), Index: 0, Status: core.StatusOK, Return: tvm.Int(7)}))
 		_ = conn.Send(&wire.JobDone{Job: jobID(1), Completed: 1})
 	}()
 
@@ -317,7 +322,7 @@ func TestResultsChannelClosesAfterJobDone(t *testing.T) {
 		if _, err := conn.Recv(); err != nil {
 			return
 		}
-		_ = conn.Send(&wire.ResultPush{Job: jobID(1), Index: 0, Status: core.StatusOK, Return: tvm.Int(1)})
+		_ = conn.Send(push(wire.ResultPush{Job: jobID(1), Index: 0, Status: core.StatusOK, Return: tvm.Int(1)}))
 		_ = conn.Send(&wire.JobDone{Job: jobID(1), Completed: 1})
 	}()
 	job, err := c.Submit(spinSpec(1))
@@ -403,10 +408,10 @@ func TestLocalFallbackReplacesFailedResult(t *testing.T) {
 		}
 		// Index 0 succeeds remotely; index 1 is lost and must be computed
 		// locally by the consumer.
-		_ = conn.Send(&wire.ResultPush{Job: jobID(1), Index: 0, Status: core.StatusOK,
-			Return: tvm.Int(stdtasks.RefSpin(0))})
-		_ = conn.Send(&wire.ResultPush{Job: jobID(1), Index: 1, Status: core.StatusLost,
-			FaultMsg: "all attempts lost"})
+		_ = conn.Send(push(wire.ResultPush{Job: jobID(1), Index: 0, Status: core.StatusOK,
+			Return: tvm.Int(stdtasks.RefSpin(0))}))
+		_ = conn.Send(push(wire.ResultPush{Job: jobID(1), Index: 1, Status: core.StatusLost,
+			FaultMsg: "all attempts lost"}))
 		_ = conn.Send(&wire.JobDone{Job: jobID(1), Completed: 1, Failed: 1})
 	}()
 
@@ -447,7 +452,7 @@ func TestLocalFallbackDisabledKeepsFailure(t *testing.T) {
 		if _, err := conn.Recv(); err != nil {
 			return
 		}
-		_ = conn.Send(&wire.ResultPush{Job: jobID(1), Index: 0, Status: core.StatusLost})
+		_ = conn.Send(push(wire.ResultPush{Job: jobID(1), Index: 0, Status: core.StatusLost}))
 		_ = conn.Send(&wire.JobDone{Job: jobID(1), Failed: 1})
 	}()
 	job, err := c.Submit(spinSpec(1))

@@ -112,9 +112,10 @@ func RunE9(opts Options) (*Result, error) {
 
 	// Wire-path allocation rows: the pooled Conn.Send path versus the
 	// pre-overhaul discipline (Marshal a fresh frame, write it). Measured
-	// with the result frame the submit→result path carries per tasklet.
-	msg := &wire.AttemptResult{Attempt: 1, Tasklet: 2, Status: core.StatusOK,
-		Return: tvm.Int(42), FuelUsed: 128, ExecNanos: 1000}
+	// with the result frame a lone tasklet's result travels in: a one-entry
+	// attempt_result_batch.
+	msg := &wire.AttemptResultBatch{Results: []wire.AttemptResult{{Attempt: 1, Tasklet: 2,
+		Status: core.StatusOK, Return: tvm.Int(42), FuelUsed: 128, ExecNanos: 1000}}}
 	conn := wire.NewConn(discardConn{})
 	pooled := testing.AllocsPerRun(2000, func() {
 		if err := conn.Send(msg); err != nil {

@@ -301,18 +301,16 @@ func (c *Cache) Get(key Key, strength int, fuel uint64) *Entry {
 // cache owns private storage. An existing entry is replaced only if the new
 // entry's Strength is at least as high (a voting-finalized entry is never
 // downgraded by a later best-effort final). Entries larger than the whole
-// byte budget are dropped.
+// byte budget are dropped, and an entry they would have replaced stays.
 func (c *Cache) Put(key Key, ret tvm.Value, emitted []tvm.Value, fuelUsed uint64, exec time.Duration, strength int) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		if el.Value.(*Entry).Strength > strength {
-			return
-		}
-		c.removeElement(el)
+	old, replace := c.entries[key]
+	if replace && old.Value.(*Entry).Strength > strength {
+		return
 	}
 	e := &Entry{
 		Return:   ret.Clone(),
@@ -330,8 +328,10 @@ func (c *Cache) Put(key Key, ret tvm.Value, emitted []tvm.Value, fuelUsed uint64
 	}
 	e.size = entrySize(key, e)
 	if e.size > c.maxBytes {
-		c.updateGauges()
 		return
+	}
+	if replace {
+		c.removeElement(old)
 	}
 	// Evict before inserting, so the hand never meets the new entry, which
 	// has had no chance to be hit yet.

@@ -194,6 +194,27 @@ func TestCacheByteBudget(t *testing.T) {
 	}
 }
 
+// TestCacheOversizedReputKeepsEntry: re-putting a key, at the same or a
+// higher strength, with a result larger than the whole byte budget stores
+// nothing and leaves the entry it would have replaced servable.
+func TestCacheOversizedReputKeepsEntry(t *testing.T) {
+	c := New(Config{MaxEntries: 10, MaxBytes: 3500})
+	k := testKey(t, 1, 0)
+	c.Put(k, tvm.Int(7), nil, 1, 0, 1)
+	huge := tvm.Str(strings.Repeat("y", 10000))
+	for _, strength := range []int{1, 3} {
+		c.Put(k, huge, nil, 1, 0, strength)
+		e := c.Get(k, 0, 10)
+		if e == nil || !e.Return.Equal(tvm.Int(7)) || e.Strength != 1 {
+			t.Fatalf("after an oversized re-put at strength %d: entry %+v, want the stored 7", strength, e)
+		}
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
+	}
+	checkCache(t, c)
+}
+
 // TestCacheHitEntrySurvivesOneSweep: the eviction hand clears a hit entry's
 // visited bit and passes it over once; not hit again, it is the next to go.
 func TestCacheHitEntrySurvivesOneSweep(t *testing.T) {

@@ -275,14 +275,12 @@ func (m *sieveModel) remove(i int) {
 }
 
 func (m *sieveModel) put(it modelItem) {
-	if i := m.find(it.key); i >= 0 {
-		if m.items[i].strength > it.strength {
-			return
-		}
-		m.remove(i)
-	}
-	if it.size > m.maxBytes {
+	i := m.find(it.key)
+	if i >= 0 && m.items[i].strength > it.strength || it.size > m.maxBytes {
 		return
+	}
+	if i >= 0 {
+		m.remove(i)
 	}
 	for len(m.items) >= m.maxEntries || m.bytes+it.size > m.maxBytes {
 		i := max(m.hand, 0)

@@ -67,19 +67,19 @@ func TestProviderCacheEvictionRoundTrip(t *testing.T) {
 	p.mu.Lock()
 	p.cache = newProgramLRU(1)
 	p.mu.Unlock()
-	cached := func(a *wire.Assign) bool {
+	cached := func(ab *wire.AssignBatch) bool {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		_, ok := p.cache.get(a.ProgramData)
+		_, ok := p.cache.get(ab.Programs[0].Data)
 		return ok
 	}
-	run := func(a *wire.Assign) {
+	run := func(ab *wire.AssignBatch) {
 		t.Helper()
-		if err := fb.conn.Send(a); err != nil {
+		if err := fb.conn.Send(ab); err != nil {
 			t.Fatal(err)
 		}
-		if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusOK {
-			t.Fatalf("attempt %d: %+v", a.Attempt, res)
+		if res := fb.recvResult(); res.Status != core.StatusOK {
+			t.Fatalf("attempt %d: %+v", ab.Assigns[0].Attempt, res)
 		}
 	}
 
@@ -89,7 +89,7 @@ func TestProviderCacheEvictionRoundTrip(t *testing.T) {
 	if cached(spin) || !cached(noop) {
 		t.Fatal("noop did not evict spin from the one-entry cache")
 	}
-	spin.Attempt, spin.Tasklet = 3, 3
+	spin.Assigns[0].Attempt, spin.Assigns[0].Tasklet = 3, 3
 	run(spin)
 	if !cached(spin) || cached(noop) {
 		t.Fatal("spin, decoded again, did not evict noop in turn")

@@ -117,7 +117,9 @@ type Provider struct {
 	// path never takes the registry lock.
 	mExecuted *metrics.Counter
 	mRejected *metrics.Counter
-	mBatches  *metrics.Counter
+	// mBatches is provider.batches.received: every assign frame, since
+	// each is an assign_batch.
+	mBatches *metrics.Counter
 }
 
 // Connect dials the broker, performs the handshake, measures (or adopts)
@@ -238,20 +240,10 @@ func (p *Provider) Close() error {
 // Wait blocks until the provider's connection ends (broker gone or Close).
 func (p *Provider) Wait() { p.wg.Wait() }
 
-// writerBatchMax bounds how many queued messages one flush may cover; it
-// mirrors the broker's writer batching so a slot-wide burst of results
-// costs one syscall instead of one per result.
-const writerBatchMax = 128
-
+// writerLoop sends each flush window's run of results as one
+// AttemptResultBatch frame.
 func (p *Provider) writerLoop() {
-	// Fold each flush window's run of results into one AttemptResultBatch
-	// frame.
-	wire.WriterLoop(p.conn, p.out, wire.WriterOpts{
-		Max:    writerBatchMax,
-		Fold:   wire.FoldBatchFrames,
-		Done:   p.done,
-		Closer: p.nc,
-	})
+	wire.WriterLoop(p.conn, p.out, wire.WriterOpts{Done: p.done, Closer: p.nc})
 }
 
 func (p *Provider) heartbeatLoop() {
@@ -287,8 +279,6 @@ func (p *Provider) readLoop() {
 			return
 		}
 		switch m := msg.(type) {
-		case *wire.Assign:
-			p.onAssign(m)
 		case *wire.AssignBatch:
 			p.onAssignBatch(m)
 		case *wire.CancelAttempt:
@@ -307,21 +297,9 @@ func (p *Provider) readLoop() {
 	}
 }
 
-// onAssign admits one execution attempt arriving as a single frame.
-func (p *Provider) onAssign(m *wire.Assign) {
-	p.mu.Lock()
-	prog, err := p.loadLocked(m.ProgramData)
-	p.mu.Unlock()
-	if err != nil {
-		p.reject(m, err.Error())
-		return
-	}
-	p.admit(m, prog)
-}
-
-// onAssignBatch admits a burst of attempts from one AssignBatch frame: every
-// distinct referenced program is resolved under ONE mutex acquisition, then
-// each entry goes through the same admission path a single Assign would.
+// onAssignBatch admits the attempts of one AssignBatch frame: every program
+// in its table is resolved under ONE mutex acquisition, then each entry goes
+// through admission.
 func (p *Provider) onAssignBatch(m *wire.AssignBatch) {
 	p.mBatches.Inc()
 	progs := p.resolveBatch(m)

@@ -87,30 +87,23 @@ func (fb *fakeBroker) waitRegistered() *wire.Register {
 	}
 }
 
-// recvType reads messages until one of the wanted type arrives, skipping
-// heartbeats.
-func recvType[T wire.Message](fb *fakeBroker) T {
+// recvHeartbeat reads messages until a heartbeat arrives.
+func (fb *fakeBroker) recvHeartbeat() *wire.Heartbeat {
 	fb.t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	fb.conn.ReadTimeout = 10 * time.Second
 	for {
-		if time.Now().After(deadline) {
-			fb.t.Fatal("timed out waiting for message")
-		}
 		msg, err := fb.conn.Recv()
 		if err != nil {
 			fb.t.Fatalf("recv: %v", err)
 		}
-		if m, ok := msg.(T); ok {
-			return m
-		}
-		if _, ok := msg.(*wire.Heartbeat); ok {
-			continue
+		if hb, ok := msg.(*wire.Heartbeat); ok {
+			return hb
 		}
 	}
 }
 
-// recvResult returns the next attempt result, whether it arrived alone or
-// folded into an AttemptResultBatch, skipping heartbeats.
+// recvResult returns the next attempt result, taking the entries of each
+// AttemptResultBatch in order, skipping heartbeats.
 func (fb *fakeBroker) recvResult() wire.AttemptResult {
 	fb.t.Helper()
 	fb.conn.ReadTimeout = 10 * time.Second
@@ -119,10 +112,7 @@ func (fb *fakeBroker) recvResult() wire.AttemptResult {
 		if err != nil {
 			fb.t.Fatalf("recv: %v", err)
 		}
-		switch m := msg.(type) {
-		case *wire.AttemptResult:
-			fb.results = append(fb.results, *m)
-		case *wire.AttemptResultBatch:
+		if m, ok := msg.(*wire.AttemptResultBatch); ok {
 			fb.results = append(fb.results, m.Results...)
 		}
 	}
@@ -132,23 +122,30 @@ func (fb *fakeBroker) recvResult() wire.AttemptResult {
 }
 
 // longSpin is an attempt that runs until it is cancelled.
-func longSpin(attempt core.AttemptID) *wire.Assign {
-	a := assignSpin(attempt, 1<<40)
-	a.Fuel = 1 << 50
-	return a
+func longSpin(attempt core.AttemptID) *wire.AssignBatch {
+	ab := assignSpin(attempt, 1<<40)
+	ab.Assigns[0].Fuel = 1 << 50
+	return ab
 }
 
-// assignSpin is a spin(iters) attempt. Like every broker frame, it carries
-// its program's bytes.
-func assignSpin(attempt core.AttemptID, iters int64) *wire.Assign {
-	data, err := stdtasks.Bytecode("spin")
+// assignSpin is an assign frame for one spin(iters) attempt. Like every
+// broker frame, it carries its program's bytes.
+func assignSpin(attempt core.AttemptID, iters int64) *wire.AssignBatch {
+	return assignOne("spin", 1, wire.Assign{
+		Attempt: attempt, Tasklet: core.TaskletID(attempt),
+		Params: []tvm.Value{tvm.Int(iters)}, Fuel: 10_000_000, Seed: 1,
+	})
+}
+
+// assignOne is an assign frame holding the one attempt a, which runs the
+// stdtask name under program ID id.
+func assignOne(name string, id core.ProgramID, a wire.Assign) *wire.AssignBatch {
+	data, err := stdtasks.Bytecode(name)
 	if err != nil {
 		panic(err)
 	}
-	return &wire.Assign{
-		Attempt: attempt, Tasklet: core.TaskletID(attempt), Program: 1, ProgramData: data,
-		Params: []tvm.Value{tvm.Int(iters)}, Fuel: 10_000_000, Seed: 1,
-	}
+	a.Program = id
+	return &wire.AssignBatch{Programs: []wire.ProgramBlob{{ID: id, Data: data}}, Assigns: []wire.Assign{a}}
 }
 
 func startProvider(t *testing.T, fb *fakeBroker, opts Options) *Provider {
@@ -202,7 +199,7 @@ func TestProviderExecutesAndReports(t *testing.T) {
 	if err := fb.conn.Send(assignSpin(1, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	res := recvType[*wire.AttemptResult](fb)
+	res := fb.recvResult()
 	if res.Status != core.StatusOK || res.Attempt != 1 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -219,18 +216,18 @@ func TestProviderExecutesAndReports(t *testing.T) {
 func TestProviderCachesProgram(t *testing.T) {
 	fb := newFakeBroker(t)
 	p := startProvider(t, fb, Options{Slots: 1})
-	a := assignSpin(1, 10)
+	ab := assignSpin(1, 10)
 	var first *tvm.Program
 	for i := core.AttemptID(1); i <= 2; i++ {
-		a.Attempt, a.Tasklet = i, core.TaskletID(i)
-		if err := fb.conn.Send(a); err != nil {
+		ab.Assigns[0].Attempt, ab.Assigns[0].Tasklet = i, core.TaskletID(i)
+		if err := fb.conn.Send(ab); err != nil {
 			t.Fatal(err)
 		}
-		if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusOK {
+		if res := fb.recvResult(); res.Status != core.StatusOK {
 			t.Fatalf("attempt %d: %+v", i, res)
 		}
 		p.mu.Lock()
-		prog, ok := p.cache.get(a.ProgramData)
+		prog, ok := p.cache.get(ab.Programs[0].Data)
 		n := p.cache.len()
 		p.mu.Unlock()
 		if first == nil {
@@ -256,12 +253,12 @@ func TestProviderRunsEveryRepeat(t *testing.T) {
 		if err := fb.conn.Send(assignSpin(i, 200_000)); err != nil {
 			t.Fatal(err)
 		}
-		res := recvType[*wire.AttemptResult](fb)
+		res := fb.recvResult()
 		if res.Status != core.StatusOK || res.Attempt != i {
 			t.Fatalf("attempt %d: %+v", i, res)
 		}
 		if first == nil {
-			first = res
+			first = &res
 		} else if !res.Return.Equal(first.Return) || res.FuelUsed != first.FuelUsed {
 			t.Fatalf("repeat = %+v, first = %+v", res, first)
 		}
@@ -278,30 +275,30 @@ func TestProviderRunsEveryRepeat(t *testing.T) {
 	}
 }
 
-// TestProviderRejectsUnknownProgram: a frame without its program's bytes
-// is rejected, even for a program the provider has run: the ID names
-// nothing on its own.
+// TestProviderRejectsUnknownProgram: an attempt whose program is not in its
+// frame's table is rejected, even for a program the provider has run: the ID
+// names nothing on its own.
 func TestProviderRejectsUnknownProgram(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 1})
 	for i := core.AttemptID(1); i <= 2; i++ {
-		a := assignSpin(i, 10)
+		ab := assignSpin(i, 10)
 		want := core.StatusOK
 		if i == 2 {
-			a.ProgramData, want = nil, core.StatusRejected
+			ab.Programs, want = nil, core.StatusRejected
 		}
-		if err := fb.conn.Send(a); err != nil {
+		if err := fb.conn.Send(ab); err != nil {
 			t.Fatal(err)
 		}
-		if res := recvType[*wire.AttemptResult](fb); res.Status != want {
+		if res := fb.recvResult(); res.Status != want {
 			t.Fatalf("attempt %d: status = %s, want %s", i, res.Status, want)
 		}
 	}
 }
 
-// TestProviderRunsEachFramesOwnProgram: two assign frames, then two assign
-// batches, name the same program ID with different bytes. The provider runs
-// each frame's own program, whatever it ran under that ID before.
+// TestProviderRunsEachFramesOwnProgram: two assign frames name the same
+// program ID with different bytes. The provider runs each frame's own
+// program, whatever it ran under that ID before.
 func TestProviderRunsEachFramesOwnProgram(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 1})
@@ -333,17 +330,9 @@ func TestProviderRunsEachFramesOwnProgram(t *testing.T) {
 		}
 	}
 	for k, data := range progs {
-		a := entry(core.AttemptID(k + 1))
-		a.ProgramData = data
-		if err := fb.conn.Send(&a); err != nil {
-			t.Fatal(err)
-		}
-		check(a.Attempt, k)
-	}
-	for k, data := range progs {
 		ab := &wire.AssignBatch{
 			Programs: []wire.ProgramBlob{{ID: id, Data: data}},
-			Assigns:  []wire.Assign{entry(core.AttemptID(k + 3))},
+			Assigns:  []wire.Assign{entry(core.AttemptID(k + 1))},
 		}
 		if err := fb.conn.Send(ab); err != nil {
 			t.Fatal(err)
@@ -464,11 +453,11 @@ func TestProviderCancelAbortsRunningAttempt(t *testing.T) {
 	if err := fb.conn.Send(assignSpin(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusOK {
+	if res := fb.recvResult(); res.Status != core.StatusOK {
 		t.Fatalf("warm-up result = %+v", res)
 	}
 	long := assignSpin(2, 1<<40)
-	long.Fuel = 1 << 50
+	long.Assigns[0].Fuel = 1 << 50
 	if err := fb.conn.Send(long); err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +465,7 @@ func TestProviderCancelAbortsRunningAttempt(t *testing.T) {
 	if err := fb.conn.Send(&wire.CancelAttempt{Attempt: 2}); err != nil {
 		t.Fatal(err)
 	}
-	res := recvType[*wire.AttemptResult](fb)
+	res := fb.recvResult()
 	if res.Attempt != 2 || res.Status != core.StatusFault || res.FaultCode != tvm.FaultCancelled {
 		t.Fatalf("cancelled result = %+v", res)
 	}
@@ -484,7 +473,7 @@ func TestProviderCancelAbortsRunningAttempt(t *testing.T) {
 	if err := fb.conn.Send(assignSpin(3, 11)); err != nil {
 		t.Fatal(err)
 	}
-	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 3 || res.Status != core.StatusOK {
+	if res := fb.recvResult(); res.Attempt != 3 || res.Status != core.StatusOK {
 		t.Fatalf("result after a cancelled attempt = %+v", res)
 	}
 }
@@ -493,11 +482,11 @@ func TestProviderReportsProgramFault(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 1})
 	tiny := assignSpin(1, 1_000_000)
-	tiny.Fuel = 100 // guaranteed out-of-fuel
+	tiny.Assigns[0].Fuel = 100 // guaranteed out-of-fuel
 	if err := fb.conn.Send(tiny); err != nil {
 		t.Fatal(err)
 	}
-	res := recvType[*wire.AttemptResult](fb)
+	res := fb.recvResult()
 	if res.Status != core.StatusFault || res.FaultCode != tvm.FaultOutOfFuel {
 		t.Fatalf("fault result = %+v", res)
 	}
@@ -516,7 +505,7 @@ func TestProviderFailAfterDisconnects(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i < 3 {
-				recvType[*wire.AttemptResult](fb)
+				fb.recvResult()
 			}
 		}
 		done := make(chan struct{})
@@ -542,7 +531,7 @@ func TestProviderRepeatsTriggerFailAfter(t *testing.T) {
 	if err := fb.conn.Send(assignSpin(1, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	if res := recvType[*wire.AttemptResult](fb); res.Status != core.StatusOK {
+	if res := fb.recvResult(); res.Status != core.StatusOK {
 		t.Fatalf("first execution: %+v", res)
 	}
 	// The identical repeat is the second execution: it crosses the threshold
@@ -562,16 +551,10 @@ func TestProviderRepeatsTriggerFailAfter(t *testing.T) {
 	}
 }
 
-// assignNoop is a noop: nothing to execute, so the slot is the only cost.
-func assignNoop(attempt core.AttemptID) *wire.Assign {
-	data, err := stdtasks.Bytecode("noop")
-	if err != nil {
-		panic(err)
-	}
-	return &wire.Assign{
-		Attempt: attempt, Tasklet: core.TaskletID(attempt), Program: 2, ProgramData: data,
-		Fuel: 1000, Seed: 1,
-	}
+// assignNoop is an assign frame for one noop: nothing to execute, so the
+// slot is the only cost.
+func assignNoop(attempt core.AttemptID) *wire.AssignBatch {
+	return assignOne("noop", 2, wire.Assign{Attempt: attempt, Tasklet: core.TaskletID(attempt), Fuel: 1000, Seed: 1})
 }
 
 // TestProviderFreesSlotBeforeReporting is the slot-release reject race: a
@@ -585,7 +568,7 @@ func TestProviderFreesSlotBeforeReporting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
-		res := recvType[*wire.AttemptResult](fb)
+		res := fb.recvResult()
 		if res.Attempt != core.AttemptID(i) || res.Status != core.StatusOK {
 			t.Fatalf("result %d of %d back-to-back noops = %+v", i, n, res)
 		}
@@ -612,7 +595,7 @@ func TestSlotWorkerFreesSlotBeforeQueueingResult(t *testing.T) {
 	}
 	go p.slotWorker()
 	defer close(p.done)
-	p.work <- attempt{m: assignNoop(1), prog: stdtasks.MustProgram("noop"), cancel: newSlotToken()}
+	p.work <- attempt{m: &assignNoop(1).Assigns[0], prog: stdtasks.MustProgram("noop"), cancel: newSlotToken()}
 	select {
 	case <-p.free:
 	case <-time.After(5 * time.Second):
@@ -642,7 +625,7 @@ func TestCancelEndsThrottleStretch(t *testing.T) {
 	go p.slotWorker()
 	defer close(p.done)
 	tok := newSlotToken()
-	p.work <- attempt{m: assignNoop(1), prog: stdtasks.MustProgram("noop"), cancel: tok}
+	p.work <- attempt{m: &assignNoop(1).Assigns[0], prog: stdtasks.MustProgram("noop"), cancel: tok}
 	time.Sleep(20 * time.Millisecond) // let the run finish and the stretch begin
 	cancelled := time.Now()
 	tok.cancel()
@@ -676,20 +659,20 @@ func TestProviderShortResultPassesLongSibling(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 2})
 	long := assignSpin(1, 1<<40)
-	long.Fuel = 1 << 50
+	long.Assigns[0].Fuel = 1 << 50
 	if err := fb.conn.Send(long); err != nil {
 		t.Fatal(err)
 	}
 	if err := fb.conn.Send(assignNoop(2)); err != nil {
 		t.Fatal(err)
 	}
-	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 2 || res.Status != core.StatusOK {
+	if res := fb.recvResult(); res.Attempt != 2 || res.Status != core.StatusOK {
 		t.Fatalf("first result = %+v, want the noop's", res)
 	}
 	if err := fb.conn.Send(&wire.CancelAttempt{Attempt: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if res := recvType[*wire.AttemptResult](fb); res.Attempt != 1 || res.FaultCode != tvm.FaultCancelled {
+	if res := fb.recvResult(); res.Attempt != 1 || res.FaultCode != tvm.FaultCancelled {
 		t.Fatalf("long sibling = %+v, want it cancelled only now", res)
 	}
 }
@@ -701,7 +684,7 @@ func TestProviderCloseCancelsRunningVMs(t *testing.T) {
 	p := startProvider(t, fb, Options{Slots: 2})
 	for i := 1; i <= 2; i++ {
 		long := assignSpin(core.AttemptID(i), 1<<40)
-		long.Fuel = 1 << 50
+		long.Assigns[0].Fuel = 1 << 50
 		if err := fb.conn.Send(long); err != nil {
 			t.Fatal(err)
 		}
@@ -722,14 +705,14 @@ func TestProviderCloseCancelsRunningVMs(t *testing.T) {
 func TestProviderHeartbeats(t *testing.T) {
 	fb := newFakeBroker(t)
 	startProvider(t, fb, Options{Slots: 2, HeartbeatInterval: 20 * time.Millisecond})
-	hb := recvType[*wire.Heartbeat](fb)
+	hb := fb.recvHeartbeat()
 	if hb.FreeSlots != 2 {
 		t.Fatalf("free slots = %d, want 2 while idle", hb.FreeSlots)
 	}
 	awaitFree := func(want int) {
 		t.Helper()
 		for start := time.Now(); ; {
-			hb := recvType[*wire.Heartbeat](fb)
+			hb := fb.recvHeartbeat()
 			if hb.FreeSlots == want {
 				return
 			}

@@ -2,11 +2,12 @@ package wire
 
 import "repro/internal/core"
 
-// Batch frames coalesce the per-attempt control plane: many Assigns to one
-// provider, many AttemptResults back, many ResultPushes out to a consumer —
-// each as ONE frame, one decode, one lock acquisition at the receiver. A
-// batch is a frame type wrapping the single-frame encodings, not a change
-// to them.
+// Batch frames carry the per-attempt control plane: the Assigns of one
+// placement pass to a provider, the AttemptResults of one flush window back,
+// the ResultPushes of one flush window out to a consumer — each as ONE
+// frame, one decode, one lock acquisition at the receiver, whether it holds
+// one entry or many. Since protocol version 3 they are the only frames for
+// these operations; each entry is encoded with its message's codec.
 
 // ProgramBlob carries one program's bytecode inside an AssignBatch. Each
 // distinct program a batch needs is shipped at most once, however many
@@ -22,9 +23,7 @@ type ProgramBlob struct {
 // bytecode of every program its entries use, once each, so the frame needs
 // no state from an earlier one. The provider resolves every distinct
 // program once per frame, then admits each entry.
-//
-// Entries reuse the Assign struct but not its single-frame encoding: entry
-// ProgramData is always empty; bytecode travels only in the table.
+// Bytecode travels only in the table.
 type AssignBatch struct {
 	Programs []ProgramBlob
 	Assigns  []Assign
@@ -64,14 +63,7 @@ func (m *AssignBatch) encode(e *enc) {
 	}
 	e.u32(uint32(len(m.Assigns)))
 	for i := range m.Assigns {
-		a := &m.Assigns[i]
-		e.u64(uint64(a.Attempt))
-		e.u64(uint64(a.Tasklet))
-		e.u64(uint64(a.Program))
-		e.values(a.Params)
-		e.u64(a.Fuel)
-		e.u64(a.Seed)
-		e.u8(flags(a.NoCache))
+		m.Assigns[i].encode(e)
 	}
 }
 
@@ -96,13 +88,7 @@ func (m *AssignBatch) decode(d *dec) {
 	m.Assigns = make([]Assign, 0, n)
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		var a Assign
-		a.Attempt = core.AttemptID(d.u64())
-		a.Tasklet = core.TaskletID(d.u64())
-		a.Program = core.ProgramID(d.u64())
-		a.Params = d.values()
-		a.Fuel = d.u64()
-		a.Seed = d.u64()
-		a.NoCache = d.u8()&flagNoCache != 0
+		a.decode(d)
 		m.Assigns = append(m.Assigns, a)
 	}
 }

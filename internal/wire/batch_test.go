@@ -32,10 +32,11 @@ func TestMsgTypeNumbersPinned(t *testing.T) {
 	}
 }
 
-// TestBatchFramesLeaveSingleFramesUntouched proves the batch extension never
-// changed the single-frame encodings: a frame marshalled today is
-// byte-identical to wrapping the same message's payload by hand from the
-// field layout the pre-batch revision used.
+// TestBatchFramesLeaveSingleFramesUntouched pins the entry encodings the
+// batch frames are built from: an AttemptResult, ResultPush or Assign
+// marshalled today is byte-identical to its payload written by hand from
+// the field layout, and a one-entry batch frame is its count followed by
+// that payload.
 func TestBatchFramesLeaveSingleFramesUntouched(t *testing.T) {
 	ar := &AttemptResult{
 		Attempt: 9, Tasklet: 8, Status: core.StatusOK,
@@ -83,6 +84,30 @@ func TestBatchFramesLeaveSingleFramesUntouched(t *testing.T) {
 	e.i64(7)
 	if !bytes.Equal(frame[5:], e.buf) {
 		t.Fatalf("ResultPush payload drifted:\n got %x\nwant %x", frame[5:], e.buf)
+	}
+	batch, err := Marshal(&ResultPushBatch{Results: []ResultPush{*rp}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte{0, 0, 0, 1}, e.buf...); !bytes.Equal(batch[5:], want) {
+		t.Fatalf("one-entry ResultPushBatch payload:\n got %x\nwant %x", batch[5:], want)
+	}
+
+	as := &Assign{Attempt: 9, Tasklet: 8, Program: 77, Params: []tvm.Value{tvm.Int(1)}, Fuel: 1000, Seed: 5}
+	frame, err = Marshal(as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e = enc{}
+	e.u64(9)
+	e.u64(8)
+	e.u64(77)
+	e.values([]tvm.Value{tvm.Int(1)})
+	e.u64(1000)
+	e.u64(5)
+	e.u8(0)
+	if !bytes.Equal(frame[5:], e.buf) {
+		t.Fatalf("Assign payload drifted:\n got %x\nwant %x", frame[5:], e.buf)
 	}
 }
 
@@ -152,11 +177,15 @@ func rp(tasklet uint64) *ResultPush {
 func TestFoldBatchFrames(t *testing.T) {
 	hb := &Heartbeat{FreeSlots: 1}
 
-	t.Run("singletons untouched", func(t *testing.T) {
-		in := []Message{ar(1), hb, rp(2)}
-		out := FoldBatchFrames(append([]Message(nil), in...))
-		if !sameMessage(in, out) {
-			t.Fatalf("lone frames must not be wrapped: %#v", out)
+	t.Run("singletons wrap", func(t *testing.T) {
+		out := FoldBatchFrames([]Message{ar(1), hb, rp(2)})
+		want := []Message{
+			&AttemptResultBatch{Results: []AttemptResult{*ar(1)}},
+			hb,
+			&ResultPushBatch{Results: []ResultPush{*rp(2)}},
+		}
+		if !sameMessage(want, out) {
+			t.Fatalf("lone frames must travel as one-entry batches: %#v", out)
 		}
 	})
 

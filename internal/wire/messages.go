@@ -9,12 +9,14 @@ import (
 )
 
 // ProtocolVersion is bumped on any incompatible change to the message
-// vocabulary; Hello carries it and the broker rejects mismatches. Version 2
-// has one session shape per role: every field is fixed, no frame has an
-// optional tail, and no peer advertises capabilities.
-const ProtocolVersion = 2
+// vocabulary; Hello carries it and the broker rejects mismatches. Version 3
+// has one session shape per role (every field is fixed, no frame has an
+// optional tail, and no peer advertises capabilities) and one frame per
+// per-attempt operation: assigns, attempt results and result pushes always
+// travel as their batch frames.
+const ProtocolVersion = 3
 
-// Flag bits carried in the flags byte of SubmitJob and Assign.
+// Flag bits carried in the flags byte of SubmitJob and Assign entries.
 const (
 	// flagNoCache marks a tasklet/attempt excluded from result memoization.
 	flagNoCache = 1 << 0
@@ -31,6 +33,9 @@ const (
 	TypeError
 	TypeRegister
 	TypeHeartbeat
+	// Types 6, 8 and 11 (assign, attempt_result, result_push) are the
+	// batch frames' entry encodings. Since protocol version 3 no peer sends
+	// them as frames; the codec still decodes them.
 	TypeAssign
 	TypeCancelAttempt
 	TypeAttemptResult
@@ -144,17 +149,15 @@ type Heartbeat struct {
 	FreeSlots int
 }
 
-// Assign dispatches one execution attempt to a provider. A broker always
-// attaches the program's bytes, so the provider never needs state from an
-// earlier frame; its program cache only saves a decode.
+// Assign is one execution attempt for a provider: an AssignBatch entry.
+// Program names a program in its batch's table, which carries the bytes.
 type Assign struct {
-	Attempt     core.AttemptID
-	Tasklet     core.TaskletID
-	Program     core.ProgramID
-	ProgramData []byte
-	Params      []tvm.Value
-	Fuel        uint64
-	Seed        uint64
+	Attempt core.AttemptID
+	Tasklet core.TaskletID
+	Program core.ProgramID
+	Params  []tvm.Value
+	Fuel    uint64
+	Seed    uint64
 
 	// NoCache is the flags byte's no-cache bit. Brokers do not set it and
 	// providers ignore it, since providers cache no results.
@@ -167,7 +170,8 @@ type CancelAttempt struct {
 	Attempt core.AttemptID
 }
 
-// AttemptResult reports an attempt outcome from provider to broker.
+// AttemptResult reports an attempt outcome from provider to broker: an
+// AttemptResultBatch entry.
 type AttemptResult struct {
 	Attempt   core.AttemptID
 	Tasklet   core.TaskletID
@@ -189,7 +193,8 @@ type SubmitJob struct {
 	Seed    uint64
 }
 
-// ResultPush delivers one completed tasklet's final result to the consumer.
+// ResultPush delivers one completed tasklet's final result to the consumer:
+// a ResultPushBatch entry.
 type ResultPush struct {
 	Job       core.JobID
 	Tasklet   core.TaskletID
@@ -325,7 +330,6 @@ func (m *Assign) encode(e *enc) {
 	e.u64(uint64(m.Attempt))
 	e.u64(uint64(m.Tasklet))
 	e.u64(uint64(m.Program))
-	e.bytes(m.ProgramData)
 	e.values(m.Params)
 	e.u64(m.Fuel)
 	e.u64(m.Seed)
@@ -336,14 +340,13 @@ func (m *Assign) decode(d *dec) {
 	m.Attempt = core.AttemptID(d.u64())
 	m.Tasklet = core.TaskletID(d.u64())
 	m.Program = core.ProgramID(d.u64())
-	m.ProgramData = d.bytesv()
 	m.Params = d.values()
 	m.Fuel = d.u64()
 	m.Seed = d.u64()
 	m.NoCache = d.u8()&flagNoCache != 0
 }
 
-// flags packs the flags byte of SubmitJob, Assign and AssignBatch entries.
+// flags packs the flags byte of SubmitJob and Assign entries.
 func flags(noCache bool) uint8 {
 	if noCache {
 		return flagNoCache

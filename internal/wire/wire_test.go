@@ -68,15 +68,13 @@ func allMessages() []Message {
 		&Heartbeat{FreeSlots: 2},
 		&Assign{
 			Attempt: 9, Tasklet: 8, Program: 77,
-			ProgramData: []byte{1, 2, 3},
-			Params:      []tvm.Value{tvm.Int(1), tvm.Str("x"), tvm.Arr(tvm.Float(2.5))},
-			Fuel:        1000, Seed: 5,
+			Params: []tvm.Value{tvm.Int(1), tvm.Str("x"), tvm.Arr(tvm.Float(2.5))},
+			Fuel:   1000, Seed: 5,
 		},
 		&Assign{
 			Attempt: 10, Tasklet: 8, Program: 77,
-			ProgramData: []byte{4},
-			Params:      []tvm.Value{tvm.Int(2)},
-			Fuel:        1, NoCache: true,
+			Params: []tvm.Value{tvm.Int(2)},
+			Fuel:   1, NoCache: true,
 		},
 		&CancelAttempt{Attempt: 9},
 		&AttemptResult{

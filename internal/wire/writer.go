@@ -7,12 +7,6 @@ import (
 
 // WriterOpts configures a WriterLoop.
 type WriterOpts struct {
-	// Max bounds how many queued messages one flush may cover.
-	Max int
-	// Fold, when non-nil, rewrites each drained burst before it is sent —
-	// e.g. FoldBatchFrames collapses runs of per-attempt frames into batch
-	// frames. Nil sends the burst unchanged.
-	Fold func([]Message) []Message
 	// Done, when non-nil, terminates the loop when closed (peers whose out
 	// channel stays open for the process lifetime). When nil, the loop runs
 	// until out is closed, and on a send error it keeps emptying out so
@@ -33,6 +27,10 @@ type WriterOpts struct {
 // that ran longer never waits.
 const TinyExecNanos = 50_000
 
+// burstMax bounds how many queued messages one flush may cover, so a
+// slot-wide burst of results costs one syscall instead of one per result.
+const burstMax = 128
+
 // QueuePerSlot is how many attempts a provider, live or simulated, queues
 // behind each slot (Register.Queue = Slots × QueuePerSlot). The broker fills
 // at most TinyExecNanos of expected work per slot, so this only bounds the
@@ -44,11 +42,12 @@ const QueuePerSlot = 32
 // Tests replace it to observe when the writer waits.
 var yield = runtime.Gosched
 
-// WriterLoop drains a connection's outgoing queue onto conn. It folds
-// whatever burst is queued (up to Max) into one SendBatch, so a single
-// flush — one syscall — covers the burst. It is the one copy of the drain
-// logic shared by the broker (provider and consumer links) and the
-// provider (broker link).
+// WriterLoop drains a connection's outgoing queue onto conn. It sends
+// whatever burst is queued (up to burstMax messages) in one SendBatch, so a
+// single flush — one syscall — covers the burst, after FoldBatchFrames has
+// wrapped its results and pushes in their batch frames. It is the one copy
+// of the drain logic shared by the broker (provider and consumer links) and
+// the provider (broker link).
 //
 // The first send on out readies this goroutine ahead of the sender's
 // siblings, so a burst of near-instant tasklets would otherwise be flushed
@@ -59,10 +58,7 @@ var yield = runtime.Gosched
 // at once: a result that took milliseconds never waits behind CPU-bound
 // siblings.
 func WriterLoop(conn *Conn, out <-chan Message, o WriterOpts) {
-	if o.Max <= 0 {
-		o.Max = 1
-	}
-	batch := make([]Message, 0, o.Max)
+	batch := make([]Message, 0, burstMax)
 	for {
 		var m Message
 		var ok bool
@@ -75,15 +71,12 @@ func WriterLoop(conn *Conn, out <-chan Message, o WriterOpts) {
 			return
 		}
 		batch = append(batch[:0], m)
-		batch = drainQueued(out, batch, o.Max)
-		if len(batch) < o.Max && allTinyResults(batch) {
+		batch = drainQueued(out, batch)
+		if len(batch) < burstMax && allTinyResults(batch) {
 			yield()
-			batch = drainQueued(out, batch, o.Max)
+			batch = drainQueued(out, batch)
 		}
-		if o.Fold != nil {
-			batch = o.Fold(batch)
-		}
-		if err := conn.SendBatch(batch); err != nil {
+		if err := conn.SendBatch(FoldBatchFrames(batch)); err != nil {
 			if o.Closer != nil {
 				o.Closer.Close() // unblocks the reader, which tears the peer down
 			}
@@ -98,9 +91,9 @@ func WriterLoop(conn *Conn, out <-chan Message, o WriterOpts) {
 }
 
 // drainQueued appends what is queued on out to batch without blocking, up to
-// limit messages in all.
-func drainQueued(out <-chan Message, batch []Message, limit int) []Message {
-	for len(batch) < limit {
+// burstMax messages in all.
+func drainQueued(out <-chan Message, batch []Message) []Message {
+	for len(batch) < burstMax {
 		select {
 		case m, ok := <-out:
 			if !ok {
@@ -126,56 +119,47 @@ func allTinyResults(batch []Message) bool {
 	return true
 }
 
-// FoldBatchFrames rewrites one writer burst in place, collapsing every run
-// of two or more consecutive AttemptResult frames into one
-// AttemptResultBatch and every such run of ResultPush frames into one
-// ResultPushBatch. Lone frames pass through untouched as single frames, and
-// relative frame order is preserved — a ResultPush queued before a JobDone still arrives before
-// it.
+// FoldBatchFrames rewrites one writer burst in place, wrapping every run of
+// consecutive AttemptResult frames, one long or more, in one
+// AttemptResultBatch and every such run of ResultPush frames in one
+// ResultPushBatch: the batch frames are the only frames for these
+// operations. Other frames pass through, and relative frame order is
+// preserved — a ResultPush queued before a JobDone still arrives before it.
 func FoldBatchFrames(batch []Message) []Message {
 	out := batch[:0] // in-place: the write index never passes the read index
 	for i := 0; i < len(batch); {
 		switch batch[i].(type) {
 		case *AttemptResult:
-			j := i + 1
-			for j < len(batch) {
-				if _, ok := batch[j].(*AttemptResult); !ok {
-					break
-				}
-				j++
-			}
-			if j-i >= 2 {
-				rb := &AttemptResultBatch{Results: make([]AttemptResult, 0, j-i)}
-				for k := i; k < j; k++ {
-					rb.Results = append(rb.Results, *batch[k].(*AttemptResult))
-				}
-				out = append(out, rb)
-			} else {
-				out = append(out, batch[i])
-			}
-			i = j
+			rs := runOf[AttemptResult](batch, i)
+			out = append(out, &AttemptResultBatch{Results: rs})
+			i += len(rs)
 		case *ResultPush:
-			j := i + 1
-			for j < len(batch) {
-				if _, ok := batch[j].(*ResultPush); !ok {
-					break
-				}
-				j++
-			}
-			if j-i >= 2 {
-				rb := &ResultPushBatch{Results: make([]ResultPush, 0, j-i)}
-				for k := i; k < j; k++ {
-					rb.Results = append(rb.Results, *batch[k].(*ResultPush))
-				}
-				out = append(out, rb)
-			} else {
-				out = append(out, batch[i])
-			}
-			i = j
+			rs := runOf[ResultPush](batch, i)
+			out = append(out, &ResultPushBatch{Results: rs})
+			i += len(rs)
 		default:
 			out = append(out, batch[i])
 			i++
 		}
 	}
 	return out
+}
+
+// runOf copies out the run of *T frames that starts at batch[i].
+func runOf[T any, PT interface {
+	*T
+	Message
+}](batch []Message, i int) []T {
+	j := i
+	for j < len(batch) {
+		if _, ok := batch[j].(PT); !ok {
+			break
+		}
+		j++
+	}
+	run := make([]T, 0, j-i)
+	for _, m := range batch[i:j] {
+		run = append(run, *m.(PT))
+	}
+	return run
 }
